@@ -21,7 +21,9 @@ from .config import (
     parse_config,
     preset_config,
 )
+from .correlation import build_correlation_matrix, psd_sqrt
 from .experiments import cmd_capacity, cmd_dist, cmd_outage, cmd_sweep_m
+from .montecarlo import mode_root
 
 _COMMANDS = {
     "dist": cmd_dist,
@@ -105,6 +107,31 @@ def _summary_lines(config: ExperimentConfig) -> list:
     ]
 
 
+def _cost_line(name: str, root) -> str:
+    r = root.factor.shape[1]
+    return (
+        f"{name}: rank {r}, clamped {root.clamped_count}, "
+        f"normals_per_trial {4 * r}"
+    )
+
+
+def _cost_lines(config: ExperimentConfig) -> list:
+    """What each mode's trials cost: the effective rank r of the factor
+    they project through, the eigenvalues clamped to reach it, and the
+    4r normals drawn per trial; likewise for each sweep-m grid."""
+    lines = [
+        _cost_line(
+            f"mode {spec.label}", mode_root(config.geometry, config.kernel, spec.mode)
+        )
+        for spec in config.modes
+    ]
+    for m_x, m_z in config.m_grid or ():
+        grid = config.geometry.regrid(m_x, m_z)
+        root = psd_sqrt(build_correlation_matrix(grid, config.kernel))
+        lines.append(_cost_line(f"sweep {m_x}x{m_z}", root))
+    return lines
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -113,14 +140,12 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return _EXIT_CONFIG
-    if args.command == "validate":
-        for line in _summary_lines(config):
-            print(line)
-        return _EXIT_OK
-    out_path = config.output_path or f"{args.command}.csv"
-    runner = _COMMANDS[args.command]
     try:
-        written = runner(config, out_path)
+        if args.command == "validate":
+            output = "\n".join(_summary_lines(config) + _cost_lines(config))
+        else:
+            out_path = config.output_path or f"{args.command}.csv"
+            output = _COMMANDS[args.command](config, out_path)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return _EXIT_CONFIG
@@ -132,7 +157,7 @@ def main(argv=None) -> int:
     ) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return _EXIT_NUMERICAL
-    print(written)
+    print(output)
     return _EXIT_OK
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,6 +77,10 @@ class SurfaceGeometry:
         """Element pitch along z, in metres."""
         return self.w_z * self.wavelength / self.m_z
 
+    def regrid(self, m_x: int, m_z: int) -> "SurfaceGeometry":
+        """The same aperture and carrier sampled by an m_x x m_z grid."""
+        return replace(self, m_x=m_x, m_z=m_z)
+
 
 def element_position(index: int, geom: SurfaceGeometry) -> tuple[float, float]:
     """(x, z) position in metres of the element at a row-major index."""
@@ -133,13 +137,16 @@ def build_correlation_matrix(geom: SurfaceGeometry, kernel: str = "spherical") -
 
 @dataclass(frozen=True, eq=False)
 class CorrelationSqrt:
-    """Symmetric PSD square root of a correlation matrix.
+    """Symmetric PSD square root of a correlation matrix, and its rank-r factor.
 
-    matrix        the factor S with S @ S ~= J
-    clamped_count eigenvalues treated as zero during factorization
+    matrix        the symmetric root S with S @ S ~= J
+    factor        the M x r factor F = U_r sqrt(Lambda_r) over the r
+                  unclamped eigenpairs, so F @ F.T equals S @ S
+    clamped_count eigenvalues treated as zero during factorization (M - r)
     """
 
     matrix: np.ndarray
+    factor: np.ndarray
     clamped_count: int
 
 
@@ -148,7 +155,9 @@ def psd_sqrt(j: np.ndarray, clamp_tol: float | None = None) -> CorrelationSqrt:
 
     Dense grids make J numerically rank-deficient; eigenvalues below
     clamp_tol * max_eigenvalue (default 1e-12 relative) are clamped to
-    zero rather than propagated as tiny negatives.
+    zero rather than propagated as tiny negatives. Since eigenvalues come
+    in ascending order, the clamped ones are the leading columns, and the
+    factor keeps the trailing r = M - clamped_count columns.
     """
     j = np.asarray(j, dtype=float)
     if j.ndim != 2 or j.shape[0] != j.shape[1]:
@@ -167,7 +176,8 @@ def psd_sqrt(j: np.ndarray, clamp_tol: float | None = None) -> CorrelationSqrt:
     safe = np.where(low, 0.0, evals)
     root = (evecs * np.sqrt(safe)) @ evecs.T
     root = 0.5 * (root + root.T)  # enforce exact symmetry
-    return CorrelationSqrt(matrix=root, clamped_count=clamped)
+    factor = evecs[:, clamped:] * np.sqrt(evals[clamped:])
+    return CorrelationSqrt(matrix=root, factor=factor, clamped_count=clamped)
 
 
 def principal_submatrix(j: np.ndarray, selection: np.ndarray) -> np.ndarray:

@@ -71,7 +71,7 @@ def _write_csv(path, meta: dict, columns: list, rows) -> None:
 
 def _base_meta(config: ExperimentConfig, command: str) -> dict:
     return {
-        "artifact_version": 1,
+        "artifact_version": 2,
         "tool_version": __version__,
         "command": command,
         "config_hash": config.config_hash,
@@ -123,13 +123,7 @@ def _analytic_block(
         sel = _most_square_selection(config.geometry, mode.m_o)
         return principal_submatrix(j_full, sel)
     if isinstance(mode, RisBaselineMode):
-        sub = SurfaceGeometry(
-            m_x=mode.m_rx,
-            m_z=mode.m_rz,
-            w_x=config.geometry.w_x,
-            w_z=config.geometry.w_z,
-            wavelength=config.geometry.wavelength,
-        )
+        sub = config.geometry.regrid(mode.m_rx, mode.m_rz)
         return build_correlation_matrix(sub, config.kernel)
     raise TypeError(f"unsupported mode {type(mode).__name__}")
 
@@ -304,16 +298,9 @@ def cmd_sweep_m(config: ExperimentConfig, out_path, workers: int = 1) -> str:
             raise ConfigError(
                 f"sweep-m: grid {m_x}x{m_z} has fewer than m_o={m_o} elements"
             )
-        geom = SurfaceGeometry(
-            m_x=m_x,
-            m_z=m_z,
-            w_x=config.geometry.w_x,
-            w_z=config.geometry.w_z,
-            wavelength=config.geometry.wavelength,
-        )
         samples = run_trials(
-            geom, config.kernel, AdaptiveFrisMode(m_o=m_o), config.trials,
-            config.seed, workers=workers,
+            config.geometry.regrid(m_x, m_z), config.kernel, AdaptiveFrisMode(m_o=m_o),
+            config.trials, config.seed, workers=workers,
         )
         est = estimate_ergodic_capacity(samples, budget)
         rows.append(

@@ -1,9 +1,23 @@
 """Chunked, reproducible Monte Carlo engine for equivalent-gain sampling.
 
-Reproducibility contract: trial t draws from its own counter-based
-substream regardless of batching, so results are byte-identical for
-any chunk schedule or worker count. Chunks are fixed at 8192 trials;
-parallel runs distribute whole chunks across processes.
+Reproducibility contract: trials are processed in fixed chunks of
+CHUNK_TRIALS, and chunk c draws all of its normals in one call from its
+own counter-based stream (`chunk_rng`). The draws are laid out trial-
+major, four rows of r normals per trial (real then imaginary part of
+the surface-to-user hop, then of the base-to-surface hop), so a trial's
+normals depend only on the seed and its index, and the gains are
+byte-identical for any worker count: parallel runs distribute whole
+chunks across processes.
+
+Each hop is projected through the M x r factor F = U_r sqrt(Lambda_r)
+of the correlation matrix (`CorrelationSqrt.factor`), whose r columns
+are the eigenpairs the matrix root keeps. F @ F.T is the square of the
+clamped root, so the sampled law is that of J^(1/2) h with h ~ CN(0, I),
+while each trial draws 4r normals instead of 4M. All arithmetic is real:
+one (4n x r) @ (r x M') product per chunk gives both parts of both hops;
+the coherent modes rank and sum the products |a_f| |a_u| as square roots
+of the squared parts, and the static modes expand conj(a_u) e^(j phi) a_f
+into cos and sin terms.
 """
 
 from __future__ import annotations
@@ -16,7 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkBudget
-from .correlation import SurfaceGeometry, build_correlation_matrix, psd_sqrt
+from .correlation import (
+    CorrelationSqrt,
+    SurfaceGeometry,
+    build_correlation_matrix,
+    psd_sqrt,
+)
 from .analysis import GammaFit, gamma_cdf
 
 __all__ = [
@@ -27,7 +46,8 @@ __all__ = [
     "OutageEstimate",
     "CapacityEstimate",
     "EmpiricalCdf",
-    "trial_rng",
+    "chunk_rng",
+    "mode_root",
     "run_trials",
     "estimate_outage",
     "estimate_ergodic_capacity",
@@ -41,18 +61,20 @@ CHUNK_TRIALS = 8192
 # estimates with fewer outage events than this are flagged unreliable
 _MIN_RELIABLE_HITS = 50
 
-_RT_HALF = 1.0 / math.sqrt(2.0)
+# each hop entry is (x + j y) / sqrt(2), so a product of two entries
+# carries a factor 1/2 and the gain, its square, a factor 1/4
+_GAIN_SCALE = 0.25
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent substream for one trial of one experiment.
+def chunk_rng(seed: int, chunk: int) -> np.random.Generator:
+    """Independent stream for one chunk of one experiment.
 
-    The trial index is planted in the upper words of the Philox counter,
-    far above the in-stream increments, so substreams never overlap.
+    The chunk index is planted in the upper words of the Philox counter,
+    far above the in-stream increments, so streams never overlap.
     """
-    if trial < 0:
-        raise ValueError(f"trial index must be nonnegative, got {trial}")
-    return np.random.Generator(np.random.Philox(key=seed, counter=trial << 128))
+    if chunk < 0:
+        raise ValueError(f"chunk index must be nonnegative, got {chunk}")
+    return np.random.Generator(np.random.Philox(key=seed, counter=chunk << 128))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,15 +101,24 @@ class RisBaselineMode:
     m_rz: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _EnginePlan:
     """Resolved per-mode inputs shipped to chunk workers."""
 
     kind: str  # 'static' | 'adaptive' | 'coherent_all'
-    mat: np.ndarray  # combining rows applied to both hops
-    m: int  # normals drawn per hop per trial
-    phases: np.ndarray | None
+    factor: np.ndarray  # rows of the hop factor applied to both hops, M' x r
+    cos: np.ndarray | None  # static phase shifts, cos and sin
+    sin: np.ndarray | None
     m_o: int
+
+
+def mode_root(geom: SurfaceGeometry, kernel: str, mode) -> CorrelationSqrt:
+    """Matrix root of the grid a mode samples: the RIS baseline's own
+    grid, otherwise the full grid. Its factor has r columns, and every
+    trial of the mode draws 4r normals."""
+    if isinstance(mode, RisBaselineMode):
+        geom = geom.regrid(mode.m_rx, mode.m_rz)
+    return psd_sqrt(build_correlation_matrix(geom, kernel))
 
 
 def _resolve_mode(geom: SurfaceGeometry, kernel: str, mode) -> _EnginePlan:
@@ -102,58 +133,59 @@ def _resolve_mode(geom: SurfaceGeometry, kernel: str, mode) -> _EnginePlan:
             )
         if phases.shape != sel.shape or not np.all(np.isfinite(phases)):
             raise ValueError("phases must be finite and match the selection length")
-        sqrt_j = psd_sqrt(build_correlation_matrix(geom, kernel)).matrix
+        factor = mode_root(geom, kernel, mode).factor
         return _EnginePlan(
-            kind="static", mat=sqrt_j[sel, :], m=geom.m, phases=phases, m_o=sel.size
+            kind="static",
+            factor=factor[sel],
+            cos=np.cos(phases),
+            sin=np.sin(phases),
+            m_o=sel.size,
         )
     if isinstance(mode, AdaptiveFrisMode):
         if not 1 <= mode.m_o <= geom.m:
             raise ValueError(f"m_o must be in [1, {geom.m}], got {mode.m_o}")
-        sqrt_j = psd_sqrt(build_correlation_matrix(geom, kernel)).matrix
+        factor = mode_root(geom, kernel, mode).factor
         return _EnginePlan(
-            kind="adaptive", mat=sqrt_j, m=geom.m, phases=None, m_o=mode.m_o
+            kind="adaptive", factor=factor, cos=None, sin=None, m_o=mode.m_o
         )
     if isinstance(mode, RisBaselineMode):
-        sub = SurfaceGeometry(
-            m_x=mode.m_rx,
-            m_z=mode.m_rz,
-            w_x=geom.w_x,
-            w_z=geom.w_z,
-            wavelength=geom.wavelength,
-        )
-        sqrt_r = psd_sqrt(build_correlation_matrix(sub, kernel)).matrix
+        factor = mode_root(geom, kernel, mode).factor
         return _EnginePlan(
-            kind="coherent_all", mat=sqrt_r, m=sub.m, phases=None, m_o=sub.m
+            kind="coherent_all",
+            factor=factor,
+            cos=None,
+            sin=None,
+            m_o=factor.shape[0],
         )
     raise TypeError(f"unsupported mode {type(mode).__name__}")
 
 
 def _compute_chunk(task) -> np.ndarray:
-    """Gains for trials [t0, t1); module-level so process pools can use it."""
-    plan, seed, t0, t1 = task
-    m = plan.m
-    n = t1 - t0
-    h_f = np.empty((n, m), dtype=complex)
-    h_u = np.empty((n, m), dtype=complex)
-    for i in range(n):
-        z = trial_rng(seed, t0 + i).standard_normal(4 * m)
-        h_f[i] = z[:m] + 1j * z[m : 2 * m]
-        h_u[i] = z[2 * m : 3 * m] + 1j * z[3 * m :]
-    h_f *= _RT_HALF
-    h_u *= _RT_HALF
-    a_f = h_f @ plan.mat.T
-    a_u = h_u @ plan.mat.T
+    """Gains for the n trials of one chunk; module-level so process pools
+    can use it."""
+    plan, seed, chunk, n = task
+    z = chunk_rng(seed, chunk).standard_normal((4 * n, plan.factor.shape[1]))
+    # per trial: Re a_f, Im a_f, Re a_u, Im a_u, each times sqrt(2)
+    a = (z @ plan.factor.T).reshape(n, 4, -1)
+    del z  # free the draws before the elementwise passes
     if plan.kind == "static":
-        s = (np.conj(a_u) * np.exp(1j * plan.phases) * a_f).sum(axis=1)
-        return np.abs(s) ** 2
-    prod = np.abs(a_u) * np.abs(a_f)
+        f_re, f_im, u_re, u_im = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+        # conj(a_u) a_f = (p + j q) / 2, rotated by e^(j phi) and summed
+        p = u_re * f_re + u_im * f_im
+        q = u_re * f_im - u_im * f_re
+        s_re = p @ plan.cos - q @ plan.sin
+        s_im = p @ plan.sin + q @ plan.cos
+        return _GAIN_SCALE * (s_re * s_re + s_im * s_im)
+    np.square(a, out=a)
+    # (2 |a_f|^2) (2 |a_u|^2), ordered like the products |a_f| |a_u|
+    power = (a[:, 0] + a[:, 1]) * (a[:, 2] + a[:, 3])
     if plan.kind == "adaptive":
-        cut = prod.shape[1] - plan.m_o
-        idx = np.argpartition(prod, cut, axis=1)[:, cut:]
+        cut = power.shape[1] - plan.m_o
+        idx = np.argpartition(power, cut, axis=1)[:, cut:]
         idx.sort(axis=1)  # fixed index-order summation
-        prod = np.take_along_axis(prod, idx, axis=1)
-    amp = prod.sum(axis=1)
-    return amp**2
+        power = np.take_along_axis(power, idx, axis=1)
+    amp = np.sqrt(power).sum(axis=1)
+    return _GAIN_SCALE * amp * amp
 
 
 def run_trials(
@@ -176,7 +208,8 @@ def run_trials(
         raise ValueError(f"workers must be at least 1, got {workers}")
     plan = _resolve_mode(geom, kernel, mode)
     tasks = [
-        (plan, seed, t0, min(t0 + CHUNK_TRIALS, n)) for t0 in range(0, n, CHUNK_TRIALS)
+        (plan, seed, c, min(CHUNK_TRIALS, n - t0))
+        for c, t0 in enumerate(range(0, n, CHUNK_TRIALS))
     ]
     if workers == 1 or len(tasks) == 1:
         parts = [_compute_chunk(t) for t in tasks]

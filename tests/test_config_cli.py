@@ -310,11 +310,25 @@ class TestCmdSweepM:
 
 
 class TestCli:
-    def test_validate_preset(self, capsys):
+    def test_validate_preset(self, monkeypatch, capsys):
         assert main(["validate", "--preset", "fig2"]) == 0
         out = capsys.readouterr().out
         assert "config_hash:" in out
         assert "20x20 elements" in out
+        # the run's cost: r = 167 of 400 eigenpairs kept, 4r normals a trial
+        assert "mode static(12x12): rank 167, clamped 233, normals_per_trial 668" in out
+        assert main(["validate", "--preset", "fig3c"]) == 0
+        out = capsys.readouterr().out
+        assert "mode ris(6x6): rank 36, clamped 0, normals_per_trial 144" in out
+        assert "sweep 20x20: rank 167, clamped 233, normals_per_trial 668" in out
+        import frislink.montecarlo as mc_mod
+
+        def boom(j, clamp_tol=None):
+            raise np.linalg.LinAlgError("eigendecomposition failed")
+
+        monkeypatch.setattr(mc_mod, "psd_sqrt", boom)
+        assert main(["validate", "--preset", "fig2"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_validate_config_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -31,6 +31,14 @@ def dense_j(dense_geom):
 
 
 class TestSurfaceGeometry:
+    def test_regrid_keeps_aperture(self):
+        g = SurfaceGeometry(m_x=20, m_z=20, w_x=3.0, w_z=2.0, wavelength=0.125)
+        sub = g.regrid(6, 4)
+        assert (sub.m_x, sub.m_z) == (6, 4)
+        assert (sub.w_x, sub.w_z, sub.wavelength) == (3.0, 2.0, 0.125)
+        with pytest.raises(ValueError, match="m_z"):
+            g.regrid(6, 0)
+
     def test_spacing(self):
         g = SurfaceGeometry(m_x=20, m_z=20, w_x=3.0, w_z=3.0, wavelength=0.125)
         assert g.d_x == pytest.approx(0.01875, rel=1e-15)
@@ -199,6 +207,23 @@ class TestPsdSqrt:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             psd_sqrt(np.ones((2, 3)))
+
+    def test_dense_grid_factor_rank(self, dense_j):
+        res = psd_sqrt(dense_j)
+        assert res.clamped_count == 233
+        assert res.factor.shape == (400, 167)
+
+    def test_factor_reproduces_clamped_root(self, dense_j):
+        res = psd_sqrt(dense_j)
+        gram = res.factor @ res.factor.T
+        assert np.max(np.abs(gram - res.matrix @ res.matrix)) <= 1e-12
+
+    def test_full_rank_factor(self):
+        # half-wavelength pitch keeps every eigenvalue above the clamp
+        g = SurfaceGeometry(m_x=6, m_z=6, w_x=3.0, w_z=3.0, wavelength=LAMBDA)
+        res = psd_sqrt(build_correlation_matrix(g))
+        assert res.clamped_count == 0
+        assert res.factor.shape == (36, 36)
 
 
 class TestSelections:

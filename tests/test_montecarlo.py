@@ -29,13 +29,13 @@ from frislink.montecarlo import (
     OutageEstimate,
     RisBaselineMode,
     StaticMode,
+    chunk_rng,
     dump_samples,
     empirical_cdf,
     estimate_ergodic_capacity,
     estimate_outage,
     ks_statistic,
     run_trials,
-    trial_rng,
 )
 
 LAMBDA = 0.12491352416666666
@@ -51,21 +51,23 @@ def unit_budget(gamma_bar=1.0, rate=1.0):
 
 
 class TestTrialRng:
+    """The per-chunk streams every trial's normals come from."""
+
     def test_reproducible(self):
-        a = trial_rng(42, 7).standard_normal(8)
-        b = trial_rng(42, 7).standard_normal(8)
+        a = chunk_rng(42, 7).standard_normal(8)
+        b = chunk_rng(42, 7).standard_normal(8)
         assert np.array_equal(a, b)
 
     def test_distinct_streams(self):
-        a = trial_rng(42, 0).standard_normal(8)
-        b = trial_rng(42, 1).standard_normal(8)
-        c = trial_rng(43, 0).standard_normal(8)
+        a = chunk_rng(42, 0).standard_normal(8)
+        b = chunk_rng(42, 1).standard_normal(8)
+        c = chunk_rng(43, 0).standard_normal(8)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_negative_trial_rejected(self):
         with pytest.raises(ValueError):
-            trial_rng(42, -1)
+            chunk_rng(42, -1)
 
 
 class TestRunTrials:
@@ -85,17 +87,20 @@ class TestRunTrials:
         assert np.array_equal(a, b)
 
     def test_static_engine_matches_api_composition(self):
+        # the oracle reads the chunk stream 4r normals per trial and
+        # projects through the rank-r factor
         g = small_geom()
         sel = uniform_grid_selection(g, 3, 3)
         rng = np.random.default_rng(701)
         phases = rng.uniform(0.0, 2.0 * math.pi, size=len(sel))
         mode = StaticMode(selection=sel, phases=phases)
         got = run_trials(g, "spherical", mode, 64, seed=3)
-        s = psd_sqrt(build_correlation_matrix(g, "spherical")).matrix
+        f = psd_sqrt(build_correlation_matrix(g, "spherical")).factor
+        stream = chunk_rng(3, 0)
         for t in range(64):
-            c = sample_channels(trial_rng(3, t), g.m)
-            a_f = effective_channel(s, c.h_f, sel)
-            a_u = effective_channel(s, c.h_u, sel)
+            c = sample_channels(stream, f.shape[1])
+            a_f = effective_channel(f, c.h_f, sel)
+            a_u = effective_channel(f, c.h_u, sel)
             want = equivalent_gain_static(a_u, a_f, phases)
             assert got[t] == pytest.approx(want, rel=1e-10, abs=1e-12)
 
@@ -103,14 +108,52 @@ class TestRunTrials:
         g = small_geom()
         mode = AdaptiveFrisMode(m_o=7)
         got = run_trials(g, "spherical", mode, 64, seed=4)
-        s = psd_sqrt(build_correlation_matrix(g, "spherical")).matrix
+        f = psd_sqrt(build_correlation_matrix(g, "spherical")).factor
+        stream = chunk_rng(4, 0)
         for t in range(64):
-            c = sample_channels(trial_rng(4, t), g.m)
-            a_f = effective_channel(s, c.h_f, np.arange(g.m))
-            a_u = effective_channel(s, c.h_u, np.arange(g.m))
+            c = sample_channels(stream, f.shape[1])
+            a_f = effective_channel(f, c.h_f, np.arange(g.m))
+            a_u = effective_channel(f, c.h_u, np.arange(g.m))
             sel = select_top_products(a_u, a_f, 7)
             want = equivalent_gain_coherent(a_u[sel], a_f[sel])
             assert got[t] == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["static", "adaptive", "baseline"])
+    def test_worker_count_does_not_change_bits_rank_deficient(self, kind):
+        # 20x20 grid: the factor has r = 167 < M = 400 columns; the last
+        # of the three chunks is ragged
+        g = SurfaceGeometry(m_x=20, m_z=20, w_x=3.0, w_z=3.0, wavelength=LAMBDA)
+        if kind == "static":
+            sel = uniform_grid_selection(g, 4, 4)
+            phases = np.random.default_rng(704).uniform(0.0, 2.0 * math.pi, sel.size)
+            mode = StaticMode(selection=sel, phases=phases)
+        elif kind == "adaptive":
+            mode = AdaptiveFrisMode(m_o=36)
+        else:
+            mode = RisBaselineMode(6, 6)
+        n = 2 * CHUNK_TRIALS + 123
+        a = run_trials(g, "spherical", mode, n, seed=6, workers=1)
+        b = run_trials(g, "spherical", mode, n, seed=6, workers=3)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            StaticMode(np.array([0, 7, 14, 35]), np.array([0.0, 1.0, 2.5, 4.0])),
+            AdaptiveFrisMode(m_o=9),
+            RisBaselineMode(6, 6),
+        ],
+        ids=["static", "adaptive", "baseline"],
+    )
+    def test_trial_gain_does_not_depend_on_n(self, mode):
+        # trial t reads the same normals whatever n is, but a shorter last
+        # chunk may take another BLAS kernel, so this holds to rounding,
+        # not to the bit
+        g = small_geom()
+        full = run_trials(g, "spherical", mode, CHUNK_TRIALS + 300, seed=16)
+        for n in (1, 37, CHUNK_TRIALS + 1):
+            part = run_trials(g, "spherical", mode, n, seed=16)
+            assert np.allclose(part, full[:n], rtol=1e-13, atol=0.0)
 
     def test_static_mean_matches_trace(self):
         # zero-phase static gain has mean tr(J~^2)
