@@ -1,10 +1,8 @@
-"""Cascaded channel model through a reflecting surface.
+"""Large-scale fading and the link budget of the two-hop link.
 
-Both hops see correlated Rayleigh fading: the physical gains are
-J^(1/2) h with h ~ CN(0, I). A selection of active elements applies
-per-element phase shifts; the equivalent scalar channel is the
-phase-weighted sum of the products of the two hop gains over the
-selected elements.
+Both hops see correlated Rayleigh fading (montecarlo samples it); this
+module holds what scales the equivalent gain into a received SNR: the
+distance path loss of each hop, the transmit SNR and the target rate.
 """
 
 from __future__ import annotations
@@ -12,86 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
-    "ChannelRealization",
     "PathLoss",
     "LinkBudget",
-    "sample_channels",
-    "effective_channel",
-    "equivalent_gain_static",
-    "equivalent_gain_coherent",
-    "select_top_products",
     "path_loss_factor",
-    "received_snr",
-    "ris_baseline_gain",
 ]
-
-_RT_HALF = 1.0 / math.sqrt(2.0)
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One draw of the two hop vectors before spatial correlation."""
-
-    h_f: np.ndarray  # surface-to-user hop, CN(0, I_M)
-    h_u: np.ndarray  # base-to-surface hop, CN(0, I_M)
-
-
-def sample_channels(rng: np.random.Generator, m: int) -> ChannelRealization:
-    """Draw both hop vectors from a single stream of 4m standard normals.
-
-    Draw order is part of the reproducibility contract: the first 2m
-    normals form h_f (real parts then imaginary parts), the next 2m
-    form h_u the same way. Each entry is CN(0, 1).
-    """
-    z = rng.standard_normal(4 * m)
-    h_f = (z[:m] + 1j * z[m : 2 * m]) * _RT_HALF
-    h_u = (z[2 * m : 3 * m] + 1j * z[3 * m :]) * _RT_HALF
-    return ChannelRealization(h_f=h_f, h_u=h_u)
-
-
-def effective_channel(
-    sqrt_j: np.ndarray, h: np.ndarray, selection: np.ndarray
-) -> np.ndarray:
-    """Correlated hop gains at the selected elements: rows of J^(1/2) times h."""
-    sel = np.asarray(selection, dtype=int)
-    return sqrt_j[sel, :] @ h
-
-
-def equivalent_gain_static(
-    a_u: np.ndarray, a_f: np.ndarray, phases: np.ndarray
-) -> float:
-    """|sum_i conj(a_u[i]) e^(j phi_i) a_f[i]|^2 for fixed phase shifts."""
-    s = np.sum(np.conj(a_u) * np.exp(1j * np.asarray(phases, dtype=float)) * a_f)
-    return float(np.abs(s) ** 2)
-
-
-def equivalent_gain_coherent(a_u: np.ndarray, a_f: np.ndarray) -> float:
-    """(sum_i |a_u[i]| |a_f[i]|)^2: every term phase-aligned, the per-
-    realization optimum over phase shifts."""
-    return float(np.sum(np.abs(a_u) * np.abs(a_f)) ** 2)
-
-
-def select_top_products(
-    a_u_full: np.ndarray, a_f_full: np.ndarray, m_o: int
-) -> np.ndarray:
-    """Indices of the m_o largest per-element products |a_u[i]| |a_f[i]|.
-
-    Ties break toward the lower index; the result is sorted ascending.
-    """
-    prod = np.abs(a_u_full) * np.abs(a_f_full)
-    m = prod.shape[0]
-    if not 1 <= m_o <= m:
-        raise ValueError(f"m_o must be in [1, {m}], got {m_o}")
-    if m_o == m:
-        return np.arange(m)
-    # stable sort on (-product, index) resolves ties toward lower indices
-    order = np.argsort(-prod, kind="stable")
-    idx = order[:m_o]
-    idx.sort()
-    return idx
 
 
 @dataclass(frozen=True)
@@ -150,17 +73,3 @@ class LinkBudget:
     def rate_threshold(self) -> float:
         """SNR below which the target rate is in outage: 2^R - 1."""
         return 2.0 ** self.rate_target - 1.0
-
-
-def received_snr(budget: LinkBudget, gain: float) -> float:
-    """Instantaneous received SNR for an equivalent gain realization."""
-    if gain < 0:
-        raise ValueError(f"gain must be nonnegative, got {gain!r}")
-    return budget.snr_scale * gain
-
-
-def ris_baseline_gain(sqrt_j_r: np.ndarray, h_u: np.ndarray, h_f: np.ndarray) -> float:
-    """Coherent gain of a conventional surface using all of its elements."""
-    a_u = sqrt_j_r @ h_u
-    a_f = sqrt_j_r @ h_f
-    return equivalent_gain_coherent(a_u, a_f)

@@ -69,27 +69,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    if args.config is None and args.preset is None:
-        raise ConfigError("either --config or --preset is required")
     if args.preset is not None:
         doc = preset_config(args.preset)
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        if args.trials is not None:
-            doc["trials"] = args.trials
-        if args.out is not None:
-            doc["output_path"] = args.out
-        return parse_config(json.dumps(doc))
-    config = load_config(args.config)
-    if args.seed is None and args.trials is None and args.out is None:
-        return config
-    doc = dict(config.canonical)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.trials is not None:
-        doc["trials"] = args.trials
-    if args.out is not None:
-        doc["output_path"] = args.out
+    elif args.config is not None:
+        doc = dict(load_config(args.config).canonical)
+    else:
+        raise ConfigError("either --config or --preset is required")
+    for key, value in (("seed", args.seed), ("trials", args.trials), ("output_path", args.out)):
+        if value is not None:
+            doc[key] = value
     return parse_config(json.dumps(doc))
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "preset_config",
     "PRESET_NAMES",
     "db_to_linear",
-    "linear_to_db",
 ]
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
@@ -63,13 +62,6 @@ class ConfigError(ValueError):
 def db_to_linear(db: float) -> float:
     """Power ratio from decibels."""
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    """Decibels from a positive power ratio."""
-    if x <= 0:
-        raise ValueError(f"dB conversion requires a positive ratio, got {x!r}")
-    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,16 +121,29 @@ _PATHLOSS_KEYS = {"rho", "alpha", "d_f", "d_u"}
 _DEFAULT_PATHLOSS = {"rho": 10.0, "alpha": 2.1, "d_f": 20.0, "d_u": 40.0}
 _DEFAULT_SNR_GRID = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0]
 
+# element indices are int64; larger grids would wrap silently
+_MAX_ELEMENTS = 2**63
+# Philox keys are 128 bits
+_MAX_SEED = 2**128
 
-def _require_number(doc: dict, section: str, key: str, default=None):
+
+def _finite_number(value, field: str) -> float:
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ConfigError(f"{field}: must be a finite number, got {value!r}")
+
+
+def _require_number(doc: dict, section: str, key: str, default=None) -> float:
     if key not in doc:
         if default is None:
             raise ConfigError(f"{section}.{key}: required")
         return default
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ConfigError(f"{section}.{key}: must be a finite number, got {v!r}")
-    return v
+    return _finite_number(doc[key], f"{section}.{key}")
 
 
 def _require_int(value, field: str, minimum: int = 1) -> int:
@@ -164,19 +169,20 @@ def _parse_geometry(doc: dict) -> tuple[SurfaceGeometry, float]:
     _reject_unknown(g, _GEOMETRY_KEYS, "geometry")
     m_x = _require_int(g.get("m_x"), "geometry.m_x")
     m_z = _require_int(g.get("m_z"), "geometry.m_z")
+    if m_x * m_z >= _MAX_ELEMENTS:
+        raise ConfigError(f"geometry: {m_x}x{m_z} elements exceed the index range")
     w_x = _require_number(g, "geometry", "w_x")
     w_z = _require_number(g, "geometry", "w_z")
     f_c = _require_number(g, "geometry", "carrier_frequency_hz", default=2.4e9)
     if f_c <= 0:
         raise ConfigError(f"geometry.carrier_frequency_hz: must be positive, got {f_c!r}")
-    wavelength = SPEED_OF_LIGHT / f_c
     try:
         geom = SurfaceGeometry(
-            m_x=m_x, m_z=m_z, w_x=float(w_x), w_z=float(w_z), wavelength=wavelength
+            m_x=m_x, m_z=m_z, w_x=w_x, w_z=w_z, wavelength=SPEED_OF_LIGHT / f_c
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    return geom, float(f_c)
+    return geom, f_c
 
 
 def _parse_pathloss(doc: dict) -> PathLoss:
@@ -186,12 +192,7 @@ def _parse_pathloss(doc: dict) -> PathLoss:
     _reject_unknown(raw, _PATHLOSS_KEYS, "pathloss")
     merged = {**_DEFAULT_PATHLOSS, **raw}
     try:
-        return PathLoss(
-            rho=float(_require_number(merged, "pathloss", "rho")),
-            alpha=float(_require_number(merged, "pathloss", "alpha")),
-            d_f=float(_require_number(merged, "pathloss", "d_f")),
-            d_u=float(_require_number(merged, "pathloss", "d_u")),
-        )
+        return PathLoss(**{k: _require_number(merged, "pathloss", k) for k in _DEFAULT_PATHLOSS})
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
@@ -200,14 +201,24 @@ def _parse_snr_grid(doc: dict) -> tuple:
     grid = doc.get("snr_grid_db", _DEFAULT_SNR_GRID)
     if not isinstance(grid, list) or len(grid) == 0:
         raise ConfigError("snr_grid_db: must be a nonempty list")
-    vals = []
-    for i, v in enumerate(grid):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ConfigError(f"snr_grid_db[{i}]: must be a finite number, got {v!r}")
-        vals.append(float(v))
+    vals = [_finite_number(v, f"snr_grid_db[{i}]") for i, v in enumerate(grid)]
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ConfigError("snr_grid_db: must be strictly increasing")
     return tuple(vals)
+
+
+def _parse_phases(raw, section: str, count: int) -> np.ndarray:
+    if raw == "zero":
+        return np.zeros(count)
+    if not isinstance(raw, list):
+        raise ConfigError(f"{section}.phases: must be 'zero' or a list of radians")
+    if len(raw) != count:
+        raise ConfigError(f"{section}.phases: expected {count} values, got {len(raw)}")
+    phases = [_finite_number(v, f"{section}.phases[{i}]") for i, v in enumerate(raw)]
+    for i, v in enumerate(phases):
+        if not 0.0 <= v < _TWO_PI:
+            raise ConfigError(f"{section}.phases[{i}]: must lie in [0, 2pi), got {v!r}")
+    return np.array(phases)
 
 
 def _parse_mode(raw: dict, index: int, geom: SurfaceGeometry) -> ModeSpec:
@@ -223,23 +234,7 @@ def _parse_mode(raw: dict, index: int, geom: SurfaceGeometry) -> ModeSpec:
             sel = uniform_grid_selection(geom, k_x, k_z)
         except ValueError as e:
             raise ConfigError(f"{section}: {e}") from e
-        phases_raw = raw.get("phases", "zero")
-        if phases_raw == "zero":
-            phases = np.zeros(len(sel))
-        elif isinstance(phases_raw, list):
-            if len(phases_raw) != len(sel):
-                raise ConfigError(
-                    f"{section}.phases: expected {len(sel)} values, got {len(phases_raw)}"
-                )
-            phases = np.asarray(phases_raw, dtype=float)
-            if not np.all(np.isfinite(phases)) or np.any(phases < 0) or np.any(
-                phases >= _TWO_PI
-            ):
-                raise ConfigError(f"{section}.phases: values must lie in [0, 2pi)")
-        else:
-            raise ConfigError(
-                f"{section}.phases: must be 'zero' or a list of radians"
-            )
+        phases = _parse_phases(raw.get("phases", "zero"), section, len(sel))
         label = f"static({k_x}x{k_z})"
         return ModeSpec(label=label, mode=StaticMode(selection=sel, phases=phases))
     if kind == "adaptive_fris":
@@ -258,23 +253,6 @@ def _parse_mode(raw: dict, index: int, geom: SurfaceGeometry) -> ModeSpec:
     raise ConfigError(
         f"{section}.type: expected static | adaptive_fris | ris_baseline, got {kind!r}"
     )
-
-
-def _parse_modes(doc: dict, geom: SurfaceGeometry) -> tuple:
-    raw = doc.get("modes")
-    if raw is None:
-        # minimal configs default to the full grid, zero phases
-        raw = [
-            {
-                "type": "static",
-                "select_x": geom.m_x,
-                "select_z": geom.m_z,
-                "phases": "zero",
-            }
-        ]
-    if not isinstance(raw, list) or len(raw) == 0:
-        raise ConfigError("modes: must be a nonempty list")
-    return tuple(_parse_mode(m, i, geom) for i, m in enumerate(raw))
 
 
 def _parse_m_grid(doc: dict) -> tuple | None:
@@ -296,40 +274,14 @@ def _parse_m_grid(doc: dict) -> tuple | None:
     return tuple(out)
 
 
-def _canonical_document(geom, f_c, kernel, pl, rate, snr, raw_modes,
-                        trials, seed, output_path, m_grid) -> dict:
-    modes = []
-    for raw in raw_modes:
-        entry = dict(raw)
-        if entry.get("type") == "static":
-            entry.setdefault("phases", "zero")
-        modes.append(entry)
-    return {
-        "geometry": {
-            "m_x": geom.m_x,
-            "m_z": geom.m_z,
-            "w_x": geom.w_x,
-            "w_z": geom.w_z,
-            "carrier_frequency_hz": f_c,
-        },
-        "kernel": kernel,
-        "pathloss": {"rho": pl.rho, "alpha": pl.alpha, "d_f": pl.d_f, "d_u": pl.d_u},
-        "rate_target": rate,
-        "snr_grid_db": list(snr),
-        "modes": modes,
-        "trials": trials,
-        "seed": seed,
-        "output_path": output_path,
-        "m_grid": [list(p) for p in m_grid] if m_grid else None,
-    }
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON configuration document."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except ValueError as e:  # an integer literal beyond Python's digit limit
+        raise ConfigError(f"parse error: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError("top level: must be an object")
     _reject_unknown(doc, _TOP_KEYS, "top level")
@@ -338,26 +290,47 @@ def parse_config(text: str) -> ExperimentConfig:
     if kernel not in KERNELS:
         raise ConfigError(f"kernel: expected one of {KERNELS}, got {kernel!r}")
     pathloss = _parse_pathloss(doc)
-    rate = float(_require_number(doc, "top level", "rate_target", default=0.1))
+    rate = _require_number(doc, "top level", "rate_target", default=0.1)
     if rate <= 0:
         raise ConfigError(f"rate_target: must be positive, got {rate!r}")
     snr = _parse_snr_grid(doc)
-    modes = _parse_modes(doc, geom)
+    raw_modes = doc.get("modes")
+    if raw_modes is None:
+        # minimal configs default to the full grid, zero phases
+        raw_modes = [{"type": "static", "select_x": geom.m_x, "select_z": geom.m_z}]
+    if not isinstance(raw_modes, list) or len(raw_modes) == 0:
+        raise ConfigError("modes: must be a nonempty list")
+    modes = tuple(_parse_mode(m, i, geom) for i, m in enumerate(raw_modes))
     trials = _require_int(doc.get("trials", 100_000), "trials")
     seed = doc.get("seed", 42)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed: must be a nonnegative integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < _MAX_SEED:
+        raise ConfigError(f"seed: must be an integer in [0, 2**128), got {seed!r}")
     output_path = doc.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError(f"output_path: must be a string or null, got {output_path!r}")
     m_grid = _parse_m_grid(doc)
-    raw_modes = doc.get("modes") or [
-        {"type": "static", "select_x": geom.m_x, "select_z": geom.m_z, "phases": "zero"}
-    ]
-    canonical = _canonical_document(
-        geom, f_c, kernel, pathloss, rate, snr, raw_modes,
-        trials, seed, output_path, m_grid,
-    )
+    canonical = {
+        "geometry": {
+            "m_x": geom.m_x,
+            "m_z": geom.m_z,
+            "w_x": geom.w_x,
+            "w_z": geom.w_z,
+            "carrier_frequency_hz": f_c,
+        },
+        "kernel": kernel,
+        "pathloss": {"rho": pathloss.rho, "alpha": pathloss.alpha,
+                     "d_f": pathloss.d_f, "d_u": pathloss.d_u},
+        "rate_target": rate,
+        "snr_grid_db": list(snr),
+        "modes": [
+            {**m, "phases": m.get("phases", "zero")} if m["type"] == "static" else dict(m)
+            for m in raw_modes
+        ],
+        "trials": trials,
+        "seed": seed,
+        "output_path": output_path,
+        "m_grid": [list(p) for p in m_grid] if m_grid else None,
+    }
     return ExperimentConfig(
         geometry=geom,
         carrier_frequency_hz=f_c,
@@ -384,70 +357,26 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(text)
 
 
-# Desk-scale reproductions of the published experiment setups.
+# Desk-scale reproductions of the published experiment setups: the 20x20
+# reference surface over 3x3 wavelengths, each preset's modes, and only
+# what differs from the parser's defaults.
+_REFERENCE_GEOMETRY = {"m_x": 20, "m_z": 20, "w_x": 3.0, "w_z": 3.0}
+_FRIS_36_VS_RIS_6X6 = [
+    {"type": "adaptive_fris", "m_o": 36},
+    {"type": "ris_baseline", "m_rx": 6, "m_rz": 6},
+]
 _PRESETS = {
-    "fig2": {
-        "geometry": {
-            "m_x": 20, "m_z": 20, "w_x": 3.0, "w_z": 3.0,
-            "carrier_frequency_hz": 2.4e9,
-        },
-        "kernel": "spherical",
-        "pathloss": {"rho": 10.0, "alpha": 2.1, "d_f": 20.0, "d_u": 40.0},
-        "rate_target": 0.1,
-        "snr_grid_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0],
-        "modes": [
-            {"type": "static", "select_x": 12, "select_z": 12, "phases": "zero"}
-        ],
-        "trials": 100_000,
-        "seed": 42,
-    },
-    "fig3a": {
-        "geometry": {
-            "m_x": 20, "m_z": 20, "w_x": 3.0, "w_z": 3.0,
-            "carrier_frequency_hz": 2.4e9,
-        },
-        "kernel": "spherical",
-        "pathloss": {"rho": 10.0, "alpha": 2.1, "d_f": 20.0, "d_u": 40.0},
-        "rate_target": 0.1,
-        "snr_grid_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0],
-        "modes": [
-            {"type": "adaptive_fris", "m_o": 36},
-            {"type": "ris_baseline", "m_rx": 6, "m_rz": 6},
-        ],
-        "trials": 1_000_000,
-        "seed": 42,
-    },
+    "fig2": {"modes": [{"type": "static", "select_x": 12, "select_z": 12}]},
+    "fig3a": {"modes": _FRIS_36_VS_RIS_6X6, "trials": 1_000_000},
     "fig3b": {
-        "geometry": {
-            "m_x": 20, "m_z": 20, "w_x": 3.0, "w_z": 3.0,
-            "carrier_frequency_hz": 2.4e9,
-        },
-        "kernel": "spherical",
-        "pathloss": {"rho": 10.0, "alpha": 2.1, "d_f": 20.0, "d_u": 40.0},
-        "rate_target": 0.1,
-        "snr_grid_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0],
         "modes": [
             {"type": "adaptive_fris", "m_o": 16},
             {"type": "ris_baseline", "m_rx": 4, "m_rz": 4},
         ],
-        "trials": 100_000,
-        "seed": 42,
     },
     "fig3c": {
-        "geometry": {
-            "m_x": 20, "m_z": 20, "w_x": 3.0, "w_z": 3.0,
-            "carrier_frequency_hz": 2.4e9,
-        },
-        "kernel": "spherical",
-        "pathloss": {"rho": 10.0, "alpha": 2.1, "d_f": 20.0, "d_u": 40.0},
-        "rate_target": 0.1,
+        "modes": _FRIS_36_VS_RIS_6X6,
         "snr_grid_db": [40.0],
-        "modes": [
-            {"type": "adaptive_fris", "m_o": 36},
-            {"type": "ris_baseline", "m_rx": 6, "m_rz": 6},
-        ],
-        "trials": 100_000,
-        "seed": 42,
         "m_grid": [[6, 6], [10, 10], [14, 14], [20, 20]],
     },
 }
@@ -459,4 +388,4 @@ def preset_config(name: str) -> dict:
     """A fresh copy of a named preset document (validated like any config)."""
     if name not in _PRESETS:
         raise ConfigError(f"preset: expected one of {PRESET_NAMES}, got {name!r}")
-    return json.loads(json.dumps(_PRESETS[name]))
+    return json.loads(json.dumps({"geometry": _REFERENCE_GEOMETRY, **_PRESETS[name]}))

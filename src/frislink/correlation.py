@@ -8,7 +8,6 @@ their Euclidean separation through an isotropic scattering kernel.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -19,14 +18,11 @@ from .special import bessel_j0_cylindrical, bessel_j0_spherical
 __all__ = [
     "SurfaceGeometry",
     "CorrelationSqrt",
-    "element_position",
-    "pairwise_distance",
     "jakes_coefficient",
     "build_correlation_matrix",
     "psd_sqrt",
     "principal_submatrix",
     "uniform_grid_selection",
-    "export_correlation_csv",
     "KERNELS",
 ]
 
@@ -82,22 +78,6 @@ class SurfaceGeometry:
         return replace(self, m_x=m_x, m_z=m_z)
 
 
-def element_position(index: int, geom: SurfaceGeometry) -> tuple[float, float]:
-    """(x, z) position in metres of the element at a row-major index."""
-    if not 0 <= index < geom.m:
-        raise ValueError(f"element index {index} out of range [0, {geom.m})")
-    col = index % geom.m_x
-    row = index // geom.m_x
-    return col * geom.d_x, row * geom.d_z
-
-
-def pairwise_distance(i: int, j: int, geom: SurfaceGeometry) -> float:
-    """Euclidean separation in metres between elements i and j."""
-    xi, zi = element_position(i, geom)
-    xj, zj = element_position(j, geom)
-    return math.hypot(xi - xj, zi - zj)
-
-
 def jakes_coefficient(distance: float, wavelength: float, kernel: str = "spherical") -> float:
     """Spatial correlation of two elements a given distance apart.
 
@@ -150,12 +130,12 @@ class CorrelationSqrt:
     clamped_count: int
 
 
-def psd_sqrt(j: np.ndarray, clamp_tol: float | None = None) -> CorrelationSqrt:
+def psd_sqrt(j: np.ndarray) -> CorrelationSqrt:
     """Symmetric square root of a correlation matrix via eigendecomposition.
 
     Dense grids make J numerically rank-deficient; eigenvalues below
-    clamp_tol * max_eigenvalue (default 1e-12 relative) are clamped to
-    zero rather than propagated as tiny negatives. Since eigenvalues come
+    1e-12 * max_eigenvalue are clamped to zero rather than propagated
+    as tiny negatives. Since eigenvalues come
     in ascending order, the clamped ones are the leading columns, and the
     factor keeps the trailing r = M - clamped_count columns.
     """
@@ -166,7 +146,7 @@ def psd_sqrt(j: np.ndarray, clamp_tol: float | None = None) -> CorrelationSqrt:
     peak = float(evals[-1])
     if peak <= 0:
         raise np.linalg.LinAlgError("correlation matrix has no positive eigenvalue")
-    tol = (_EIG_CLAMP_REL if clamp_tol is None else clamp_tol) * peak
+    tol = _EIG_CLAMP_REL * peak
     low = evals < tol
     clamped = int(np.count_nonzero(low))
     if np.any(evals[low] < -1e-6 * peak):
@@ -206,12 +186,3 @@ def uniform_grid_selection(geom: SurfaceGeometry, k_x: int, k_z: int) -> np.ndar
     idx.sort()
     return idx
 
-
-def export_correlation_csv(path, matrix: np.ndarray) -> None:
-    """Write a correlation matrix to CSV with a dimension header comment."""
-    matrix = np.asarray(matrix)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(f"# dim={matrix.shape[0]}\n")
-        writer = csv.writer(f, lineterminator="\n")
-        for row in matrix:
-            writer.writerow([format(v, ".17g") for v in row])

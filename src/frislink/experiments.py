@@ -128,17 +128,6 @@ def _analytic_block(
     raise TypeError(f"unsupported mode {type(mode).__name__}")
 
 
-def _run_mode(config: ExperimentConfig, spec: ModeSpec, workers: int) -> np.ndarray:
-    return run_trials(
-        config.geometry,
-        config.kernel,
-        spec.mode,
-        config.trials,
-        config.seed,
-        workers=workers,
-    )
-
-
 def cmd_dist(config: ExperimentConfig, out_path, workers: int = 1) -> str:
     """Gain-distribution curves for a single static mode.
 
@@ -152,7 +141,10 @@ def cmd_dist(config: ExperimentConfig, out_path, workers: int = 1) -> str:
     spec = statics[0]
     j_full = build_correlation_matrix(config.geometry, config.kernel)
     fit = gamma_fit(_analytic_block(config, spec, j_full))
-    samples = _run_mode(config, spec, workers)
+    samples = run_trials(
+        config.geometry, config.kernel, spec.mode, config.trials, config.seed,
+        workers=workers,
+    )
     ecdf = empirical_cdf(samples)
     ks = ks_statistic(samples, fit)
     grid = np.linspace(0.0, gamma_quantile(fit, _DIST_QUANTILE), _DIST_GRID_POINTS)
@@ -178,49 +170,59 @@ def cmd_dist(config: ExperimentConfig, out_path, workers: int = 1) -> str:
     return str(out_path)
 
 
+def _write_curves(
+    config: ExperimentConfig, out_path, workers: int, command: str, columns: list,
+    analytic, row,
+) -> str:
+    """One row per mode and SNR point: snr_db, the mode label, then
+    row(model, samples, budget), where model = analytic(correlation block)
+    is formed once per mode and the gains are sampled once per mode and
+    reused across the SNR grid (only the threshold moves)."""
+    j_full = build_correlation_matrix(config.geometry, config.kernel)
+    rows = []
+    for spec in config.modes:
+        model = analytic(_analytic_block(config, spec, j_full))
+        samples = run_trials(
+            config.geometry, config.kernel, spec.mode, config.trials, config.seed,
+            workers=workers,
+        )
+        for snr_db in config.snr_grid_db:
+            budget = _budget(config, snr_db)
+            rows.append((snr_db, spec.label, *row(model, samples, budget)))
+    _write_csv(out_path, _base_meta(config, command), ["snr_db", "mode", *columns], rows)
+    return str(out_path)
+
+
+def _outage_row(fit, samples, budget) -> tuple:
+    est = estimate_outage(samples, budget)
+    return (
+        outage_probability(fit, budget),
+        outage_asymptotic(fit, budget),
+        est.probability,
+        est.stderr,
+        est.hits,
+        est.reliable,
+    )
+
+
+def _capacity_row(block, samples, budget) -> tuple:
+    est = estimate_ergodic_capacity(samples, budget)
+    return (
+        ergodic_capacity_bound(block, budget),
+        ergodic_capacity_asymptotic(block, budget),
+        est.capacity,
+        est.stderr,
+    )
+
+
 def cmd_outage(config: ExperimentConfig, out_path, workers: int = 1) -> str:
     """Outage-vs-SNR curves for every configured mode.
 
     Columns: snr_db, mode, analytical_po, asymptotic_po, mc_outage,
-    mc_stderr, hits, reliable. Gains are sampled once per mode and
-    reused across the SNR grid (only the threshold moves).
+    mc_stderr, hits, reliable.
     """
-    j_full = build_correlation_matrix(config.geometry, config.kernel)
-    rows = []
-    for spec in config.modes:
-        fit = gamma_fit(_analytic_block(config, spec, j_full))
-        samples = _run_mode(config, spec, workers)
-        for snr_db in config.snr_grid_db:
-            budget = _budget(config, snr_db)
-            est = estimate_outage(samples, budget)
-            rows.append(
-                (
-                    snr_db,
-                    spec.label,
-                    outage_probability(fit, budget),
-                    outage_asymptotic(fit, budget),
-                    est.probability,
-                    est.stderr,
-                    est.hits,
-                    est.reliable,
-                )
-            )
-    _write_csv(
-        out_path,
-        _base_meta(config, "outage"),
-        [
-            "snr_db",
-            "mode",
-            "analytical_po",
-            "asymptotic_po",
-            "mc_outage",
-            "mc_stderr",
-            "hits",
-            "reliable",
-        ],
-        rows,
-    )
-    return str(out_path)
+    columns = ["analytical_po", "asymptotic_po", "mc_outage", "mc_stderr", "hits", "reliable"]
+    return _write_curves(config, out_path, workers, "outage", columns, gamma_fit, _outage_row)
 
 
 def cmd_capacity(config: ExperimentConfig, out_path, workers: int = 1) -> str:
@@ -229,31 +231,10 @@ def cmd_capacity(config: ExperimentConfig, out_path, workers: int = 1) -> str:
     Columns: snr_db, mode, jensen_bound, asymptotic_bound, mc_capacity,
     mc_stderr.
     """
-    j_full = build_correlation_matrix(config.geometry, config.kernel)
-    rows = []
-    for spec in config.modes:
-        block = _analytic_block(config, spec, j_full)
-        samples = _run_mode(config, spec, workers)
-        for snr_db in config.snr_grid_db:
-            budget = _budget(config, snr_db)
-            est = estimate_ergodic_capacity(samples, budget)
-            rows.append(
-                (
-                    snr_db,
-                    spec.label,
-                    ergodic_capacity_bound(block, budget),
-                    ergodic_capacity_asymptotic(block, budget),
-                    est.capacity,
-                    est.stderr,
-                )
-            )
-    _write_csv(
-        out_path,
-        _base_meta(config, "capacity"),
-        ["snr_db", "mode", "jensen_bound", "asymptotic_bound", "mc_capacity", "mc_stderr"],
-        rows,
+    columns = ["jensen_bound", "asymptotic_bound", "mc_capacity", "mc_stderr"]
+    return _write_curves(
+        config, out_path, workers, "capacity", columns, lambda block: block, _capacity_row
     )
-    return str(out_path)
 
 
 def cmd_sweep_m(config: ExperimentConfig, out_path, workers: int = 1) -> str:
@@ -287,6 +268,11 @@ def cmd_sweep_m(config: ExperimentConfig, out_path, workers: int = 1) -> str:
                 "sweep-m: ris_baseline mode required when m_o is not square"
             )
         ris_mode = RisBaselineMode(m_rx=side, m_rz=side)
+    for m_x, m_z in config.m_grid:
+        if m_x * m_z < m_o:
+            raise ConfigError(
+                f"sweep-m: grid {m_x}x{m_z} has fewer than m_o={m_o} elements"
+            )
     ris_samples = run_trials(
         config.geometry, config.kernel, ris_mode, config.trials, config.seed,
         workers=workers,
@@ -294,10 +280,6 @@ def cmd_sweep_m(config: ExperimentConfig, out_path, workers: int = 1) -> str:
     ris_est = estimate_ergodic_capacity(ris_samples, budget)
     rows = []
     for m_x, m_z in config.m_grid:
-        if m_x * m_z < m_o:
-            raise ConfigError(
-                f"sweep-m: grid {m_x}x{m_z} has fewer than m_o={m_o} elements"
-            )
         samples = run_trials(
             config.geometry.regrid(m_x, m_z), config.kernel, AdaptiveFrisMode(m_o=m_o),
             config.trials, config.seed, workers=workers,

@@ -22,7 +22,6 @@ into cos and sin terms.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -53,7 +52,6 @@ __all__ = [
     "estimate_ergodic_capacity",
     "ks_statistic",
     "empirical_cdf",
-    "dump_samples",
 ]
 
 CHUNK_TRIALS = 8192
@@ -107,9 +105,9 @@ class _EnginePlan:
 
     kind: str  # 'static' | 'adaptive' | 'coherent_all'
     factor: np.ndarray  # rows of the hop factor applied to both hops, M' x r
-    cos: np.ndarray | None  # static phase shifts, cos and sin
-    sin: np.ndarray | None
-    m_o: int
+    cos: np.ndarray | None = None  # static phase shifts, cos and sin
+    sin: np.ndarray | None = None
+    m_o: int | None = None  # adaptive: elements kept per trial
 
 
 def mode_root(geom: SurfaceGeometry, kernel: str, mode) -> CorrelationSqrt:
@@ -133,31 +131,17 @@ def _resolve_mode(geom: SurfaceGeometry, kernel: str, mode) -> _EnginePlan:
             )
         if phases.shape != sel.shape or not np.all(np.isfinite(phases)):
             raise ValueError("phases must be finite and match the selection length")
-        factor = mode_root(geom, kernel, mode).factor
-        return _EnginePlan(
-            kind="static",
-            factor=factor[sel],
-            cos=np.cos(phases),
-            sin=np.sin(phases),
-            m_o=sel.size,
-        )
-    if isinstance(mode, AdaptiveFrisMode):
+    elif isinstance(mode, AdaptiveFrisMode):
         if not 1 <= mode.m_o <= geom.m:
             raise ValueError(f"m_o must be in [1, {geom.m}], got {mode.m_o}")
-        factor = mode_root(geom, kernel, mode).factor
-        return _EnginePlan(
-            kind="adaptive", factor=factor, cos=None, sin=None, m_o=mode.m_o
-        )
-    if isinstance(mode, RisBaselineMode):
-        factor = mode_root(geom, kernel, mode).factor
-        return _EnginePlan(
-            kind="coherent_all",
-            factor=factor,
-            cos=None,
-            sin=None,
-            m_o=factor.shape[0],
-        )
-    raise TypeError(f"unsupported mode {type(mode).__name__}")
+    elif not isinstance(mode, RisBaselineMode):
+        raise TypeError(f"unsupported mode {type(mode).__name__}")
+    factor = mode_root(geom, kernel, mode).factor
+    if isinstance(mode, StaticMode):
+        return _EnginePlan("static", factor[sel], np.cos(phases), np.sin(phases))
+    if isinstance(mode, AdaptiveFrisMode):
+        return _EnginePlan("adaptive", factor, m_o=mode.m_o)
+    return _EnginePlan("coherent_all", factor)
 
 
 def _compute_chunk(task) -> np.ndarray:
@@ -296,13 +280,3 @@ def empirical_cdf(samples: np.ndarray) -> EmpiricalCdf:
         raise ValueError("empirical_cdf requires at least one sample")
     return EmpiricalCdf(sorted_values=np.sort(samples))
 
-
-def dump_samples(path, samples: np.ndarray, metadata: dict) -> None:
-    """Write gains one per row with # key=value provenance headers."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        for key, value in metadata.items():
-            f.write(f"# {key}={value}\n")
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["gain"])
-        for g in np.asarray(samples, dtype=float):
-            writer.writerow([format(g, ".17g")])

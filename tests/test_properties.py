@@ -1,0 +1,215 @@
+"""Property-based tests: what the config parser accepts and rejects, the
+round trip behind the CLI's override path, and the adaptive engine's
+monotonicity in m_o."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from frislink.config import PRESET_NAMES, ConfigError, parse_config, preset_config
+from frislink.correlation import SurfaceGeometry
+from frislink.montecarlo import AdaptiveFrisMode, run_trials
+
+# Integers are small counts or far beyond any index range. Counts between
+# the two are valid and ask for allocations proportional to their size,
+# which a test cannot afford.
+_INTS = st.integers(-3, 40) | st.integers(2**63, 2**1100) | st.integers(-(2**70), -(2**63))
+_NUMBERS = _INTS | st.floats()
+_SCALARS = _NUMBERS | st.none() | st.booleans() | st.text(max_size=4)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+_SETTINGS = settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+_TOP_KEYS = ["geometry", "kernel", "pathloss", "rate_target", "snr_grid_db",
+             "modes", "trials", "seed", "output_path", "m_grid"]
+_SCHEMA_KEYS = _TOP_KEYS + ["m_x", "m_z", "w_x", "w_z", "carrier_frequency_hz", "rho",
+                            "alpha", "d_f", "d_u", "type", "select_x", "select_z",
+                            "phases", "m_o", "m_rx", "m_rz"]
+
+
+def _paths(node, prefix=()):
+    """Every key or index path inside a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_presets(draw):
+    """A preset document with one value replaced, one key deleted or one
+    unknown key added."""
+    doc = preset_config(draw(st.sampled_from(PRESET_NAMES)))
+    for key, value in (("trials", 4000), ("seed", 9), ("output_path", "x.csv")):
+        doc.setdefault(key, value)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    value = draw(_NUMBERS | _JSON)
+    action = draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "replace":
+        parent[last] = value
+    elif action == "delete":
+        del parent[last]
+    elif isinstance(parent, dict):
+        parent[draw(st.sampled_from(_SCHEMA_KEYS) | st.text(min_size=1, max_size=6))] = value
+    else:
+        parent.append(value)
+    return doc
+
+
+def _modes(m_x, m_z):
+    static = st.fixed_dictionaries(
+        {
+            "type": st.just("static"),
+            "select_x": st.integers(1, m_x),
+            "select_z": st.integers(1, m_z),
+        }
+    )
+    return st.lists(
+        static
+        | st.fixed_dictionaries(
+            {"type": st.just("adaptive_fris"), "m_o": st.integers(1, m_x * m_z)}
+        )
+        | st.fixed_dictionaries(
+            {
+                "type": st.just("ris_baseline"),
+                "m_rx": st.integers(1, 6),
+                "m_rz": st.integers(1, 6),
+            }
+        ),
+        min_size=1,
+        max_size=3,
+    )
+
+
+_POSITIVE = st.integers(1, 50) | st.floats(1e-3, 1e3)
+
+
+@st.composite
+def valid_documents(draw):
+    """Documents the parser accepts: only geometry is required, ints may
+    stand for floats, and static modes may carry explicit phases."""
+    m_x, m_z = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    geometry = {"m_x": m_x, "m_z": m_z, "w_x": draw(_POSITIVE), "w_z": draw(_POSITIVE)}
+    if draw(st.booleans()):
+        geometry["carrier_frequency_hz"] = draw(st.integers(10**8, 10**11) | st.floats(1e8, 1e11))
+    doc = {"geometry": geometry}
+    optional = {
+        "kernel": st.sampled_from(["spherical", "cylindrical"]),
+        "pathloss": st.fixed_dictionaries(
+            {}, optional={"rho": _POSITIVE, "alpha": st.integers(-4, 4) | st.floats(-4, 4),
+                          "d_f": _POSITIVE, "d_u": _POSITIVE}
+        ),
+        "rate_target": _POSITIVE,
+        "snr_grid_db": st.lists(
+            st.integers(-50, 80) | st.floats(-50, 80), min_size=1, max_size=5, unique=True
+        ).map(sorted),
+        "modes": _modes(m_x, m_z),
+        "trials": st.integers(1, 10**7),
+        "seed": st.integers(0, 2**128 - 1),
+        "output_path": st.none() | st.text(max_size=8),
+        "m_grid": st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)).map(list), min_size=1, max_size=3),
+    }
+    for key, strategy in optional.items():
+        if draw(st.booleans()):
+            doc[key] = draw(strategy)
+    for mode in doc.get("modes", []):
+        if mode["type"] == "static" and draw(st.booleans()):
+            n = mode["select_x"] * mode["select_z"]
+            mode["phases"] = draw(
+                st.lists(st.integers(0, 6) | st.floats(0.0, 6.28), min_size=n, max_size=n)
+            )
+    return doc
+
+
+class TestParserRejectsOnlyWithConfigError:
+    @_SETTINGS
+    @given(doc=mutated_presets())
+    def test_mutated_presets(self, doc):
+        try:
+            parse_config(json.dumps(doc))
+        except ConfigError:
+            pass
+
+    @_SETTINGS
+    @given(doc=st.dictionaries(st.sampled_from(_TOP_KEYS), _JSON))
+    def test_arbitrary_documents(self, doc):
+        try:
+            parse_config(json.dumps(doc))
+        except ConfigError:
+            pass
+
+    @_SETTINGS
+    @given(k_x=st.integers(1, 3), k_z=st.integers(1, 2), data=st.data())
+    def test_static_phases(self, k_x, k_z, data):
+        # lists of the right length reach the per-entry checks
+        phases = data.draw(
+            st.lists(_SCALARS | _JSON, min_size=k_x * k_z, max_size=k_x * k_z) | _JSON
+        )
+        mode = {"type": "static", "select_x": k_x, "select_z": k_z, "phases": phases}
+        doc = {"geometry": {"m_x": 3, "m_z": 2, "w_x": 1.0, "w_z": 1.0}, "modes": [mode]}
+        try:
+            cfg = parse_config(json.dumps(doc))
+        except ConfigError:
+            return
+        accepted = np.asarray(cfg.modes[0].mode.phases)
+        assert accepted.shape == (k_x * k_z,)
+        assert np.all((accepted >= 0.0) & (accepted < 2.0 * np.pi))
+
+
+class TestCanonicalRoundTrip:
+    """Reparsing a config's canonical document reproduces it: the CLI's
+    overrides are applied to that document and parsed once."""
+
+    @_SETTINGS
+    @given(doc=valid_documents())
+    def test_generated_documents(self, doc):
+        cfg = parse_config(json.dumps(doc))
+        again = parse_config(json.dumps(cfg.canonical))
+        assert again.canonical == cfg.canonical
+        assert again.config_hash == cfg.config_hash
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets(self, name):
+        cfg = parse_config(json.dumps(preset_config(name)))
+        again = parse_config(json.dumps(cfg.canonical))
+        assert again.canonical == cfg.canonical
+        assert again.config_hash == cfg.config_hash
+
+
+class TestAdaptiveMonotoneInMo:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        m_x=st.integers(2, 5),
+        m_z=st.integers(1, 5),
+        pitch=st.floats(0.1, 0.6),
+        m_o=st.integers(1, 24),
+        seed=st.integers(0, 2**64),
+    )
+    def test_one_more_element_never_lowers_a_trial(self, m_x, m_z, pitch, m_o, seed):
+        # adding the next-best element only adds a nonnegative amplitude
+        m_o = min(m_o, m_x * m_z - 1)
+        g = SurfaceGeometry(m_x=m_x, m_z=m_z, w_x=pitch * m_x, w_z=pitch * m_z,
+                            wavelength=0.125)
+        lo = run_trials(g, "spherical", AdaptiveFrisMode(m_o=m_o), 200, seed)
+        hi = run_trials(g, "spherical", AdaptiveFrisMode(m_o=m_o + 1), 200, seed)
+        assert np.all(hi >= lo * (1.0 - 1e-12))

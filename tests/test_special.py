@@ -16,7 +16,6 @@ from frislink.special import (
     ln_bessel_k,
     ln_gamma,
     reg_lower_inc_gamma,
-    reg_upper_inc_gamma,
 )
 from frislink.special import _lower_series, _upper_continued_fraction
 
@@ -104,12 +103,6 @@ class TestRegLowerIncGamma:
                 q = _upper_continued_fraction(k, float(x))
                 assert p + q == pytest.approx(1.0, abs=1e-12)
 
-    def test_upper_is_complement(self):
-        for k, x in [(0.5, 0.2), (3.5, 2.0), (3.5, 9.0), (144.0, 170.0)]:
-            assert reg_upper_inc_gamma(k, x) == pytest.approx(
-                1.0 - reg_lower_inc_gamma(k, x), abs=1e-14
-            )
-
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             reg_lower_inc_gamma(0.0, 1.0)
@@ -117,8 +110,6 @@ class TestRegLowerIncGamma:
             reg_lower_inc_gamma(-2.0, 1.0)
         with pytest.raises(ValueError):
             reg_lower_inc_gamma(1.0, -0.1)
-        with pytest.raises(ValueError):
-            reg_upper_inc_gamma(0.0, 1.0)
 
 
 class TestSphericalBessel:
