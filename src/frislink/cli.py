@@ -21,9 +21,8 @@ from .config import (
     parse_config,
     preset_config,
 )
-from .correlation import build_correlation_matrix, psd_sqrt
 from .experiments import cmd_capacity, cmd_dist, cmd_outage, cmd_sweep_m
-from .montecarlo import mode_root
+from .montecarlo import grid_root, mode_grid
 
 _COMMANDS = {
     "dist": cmd_dist,
@@ -106,18 +105,18 @@ def _cost_line(name: str, root) -> str:
 def _cost_lines(config: ExperimentConfig) -> list:
     """What each mode's trials cost: the effective rank r of the factor
     they project through, the eigenvalues clamped to reach it, and the
-    4r normals drawn per trial; likewise for each sweep-m grid."""
-    lines = [
-        _cost_line(
-            f"mode {spec.label}", mode_root(config.geometry, config.kernel, spec.mode)
-        )
-        for spec in config.modes
+    4r normals drawn per trial; likewise for each sweep-m grid. Each
+    distinct grid is factored once."""
+    geom = config.geometry
+    grids = [(f"mode {spec.label}", mode_grid(geom, spec.mode)) for spec in config.modes]
+    grids += [
+        (f"sweep {m_x}x{m_z}", geom.regrid(m_x, m_z)) for m_x, m_z in config.m_grid or ()
     ]
-    for m_x, m_z in config.m_grid or ():
-        grid = config.geometry.regrid(m_x, m_z)
-        root = psd_sqrt(build_correlation_matrix(grid, config.kernel))
-        lines.append(_cost_line(f"sweep {m_x}x{m_z}", root))
-    return lines
+    roots = {}
+    for _, grid in grids:
+        if grid not in roots:
+            roots[grid] = grid_root(grid, config.kernel)
+    return [_cost_line(name, roots[grid]) for name, grid in grids]
 
 
 def main(argv=None) -> int:

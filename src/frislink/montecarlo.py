@@ -1,29 +1,30 @@
 """Chunked, reproducible Monte Carlo engine for equivalent-gain sampling.
 
 Reproducibility contract: trials are processed in fixed chunks of
-CHUNK_TRIALS, and chunk c draws all of its normals in one call from its
-own counter-based stream (`chunk_rng`). The draws are laid out trial-
-major, four rows of r normals per trial (real then imaginary part of
-the surface-to-user hop, then of the base-to-surface hop), so a trial's
-normals depend only on the seed and its index, and the gains are
-byte-identical for any worker count: parallel runs distribute whole
-chunks across processes.
+CHUNK_TRIALS, and chunk c draws its normals from its own counter-based
+stream (`chunk_rng`). The draws are laid out trial-major, four rows of
+r normals per trial (real then imaginary part of the surface-to-user
+hop, then of the base-to-surface hop), so a trial's normals depend only
+on the seed and its index, and the gains are byte-identical for any
+worker count: parallel runs distribute whole chunks across threads.
 
 Each hop is projected through the M x r factor F = U_r sqrt(Lambda_r)
 of the correlation matrix (`CorrelationSqrt.factor`), whose r columns
 are the eigenpairs the matrix root keeps. F @ F.T is the square of the
 clamped root, so the sampled law is that of J^(1/2) h with h ~ CN(0, I),
 while each trial draws 4r normals instead of 4M. All arithmetic is real:
-one (4n x r) @ (r x M') product per chunk gives both parts of both hops;
-the coherent modes rank and sum the products |a_f| |a_u| as square roots
-of the squared parts, and the static modes expand conj(a_u) e^(j phi) a_f
-into cos and sin terms.
+one (4b x r) @ (r x M') product per block of b trials gives both parts
+of both hops; the coherent modes rank and sum the products |a_f| |a_u|
+as square roots of the squared parts, and the static modes expand
+conj(a_u) e^(j phi) a_f into cos and sin terms. A chunk reads its
+stream block by block into reused buffers, which gives the same normals
+as one draw of the whole chunk.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,8 @@ __all__ = [
     "CapacityEstimate",
     "EmpiricalCdf",
     "chunk_rng",
-    "mode_root",
+    "grid_root",
+    "mode_grid",
     "run_trials",
     "estimate_outage",
     "estimate_ergodic_capacity",
@@ -55,6 +57,13 @@ __all__ = [
 ]
 
 CHUNK_TRIALS = 8192
+
+# trials drawn and projected at once inside a chunk: (4b, r) normals and
+# (4b, M') projections stay within a few MB at M' = 400
+_BLOCK_TRIALS = 512
+# BLAS multiplies a few rows with other kernels, which round differently,
+# so a last block of fewer trials than this joins the block before it
+_MIN_LAST_BLOCK = 64
 
 # estimates with fewer outage events than this are flagged unreliable
 _MIN_RELIABLE_HITS = 50
@@ -101,7 +110,7 @@ class RisBaselineMode:
 
 @dataclass(frozen=True, eq=False)
 class _EnginePlan:
-    """Resolved per-mode inputs shipped to chunk workers."""
+    """Resolved per-mode inputs shared by the chunk workers."""
 
     kind: str  # 'static' | 'adaptive' | 'coherent_all'
     factor: np.ndarray  # rows of the hop factor applied to both hops, M' x r
@@ -110,13 +119,18 @@ class _EnginePlan:
     m_o: int | None = None  # adaptive: elements kept per trial
 
 
-def mode_root(geom: SurfaceGeometry, kernel: str, mode) -> CorrelationSqrt:
-    """Matrix root of the grid a mode samples: the RIS baseline's own
-    grid, otherwise the full grid. Its factor has r columns, and every
-    trial of the mode draws 4r normals."""
+def mode_grid(geom: SurfaceGeometry, mode) -> SurfaceGeometry:
+    """The grid a mode samples: the RIS baseline's own grid, otherwise
+    the full grid."""
     if isinstance(mode, RisBaselineMode):
-        geom = geom.regrid(mode.m_rx, mode.m_rz)
-    return psd_sqrt(build_correlation_matrix(geom, kernel))
+        return geom.regrid(mode.m_rx, mode.m_rz)
+    return geom
+
+
+def grid_root(grid: SurfaceGeometry, kernel: str) -> CorrelationSqrt:
+    """Matrix root of a grid's correlation. Its factor has r columns, and
+    every trial on the grid draws 4r normals."""
+    return psd_sqrt(build_correlation_matrix(grid, kernel))
 
 
 def _resolve_mode(geom: SurfaceGeometry, kernel: str, mode) -> _EnginePlan:
@@ -136,7 +150,7 @@ def _resolve_mode(geom: SurfaceGeometry, kernel: str, mode) -> _EnginePlan:
             raise ValueError(f"m_o must be in [1, {geom.m}], got {mode.m_o}")
     elif not isinstance(mode, RisBaselineMode):
         raise TypeError(f"unsupported mode {type(mode).__name__}")
-    factor = mode_root(geom, kernel, mode).factor
+    factor = grid_root(mode_grid(geom, mode), kernel).factor
     if isinstance(mode, StaticMode):
         return _EnginePlan("static", factor[sel], np.cos(phases), np.sin(phases))
     if isinstance(mode, AdaptiveFrisMode):
@@ -144,14 +158,37 @@ def _resolve_mode(geom: SurfaceGeometry, kernel: str, mode) -> _EnginePlan:
     return _EnginePlan("coherent_all", factor)
 
 
-def _compute_chunk(task) -> np.ndarray:
-    """Gains for the n trials of one chunk; module-level so process pools
-    can use it."""
-    plan, seed, chunk, n = task
-    z = chunk_rng(seed, chunk).standard_normal((4 * n, plan.factor.shape[1]))
-    # per trial: Re a_f, Im a_f, Re a_u, Im a_u, each times sqrt(2)
-    a = (z @ plan.factor.T).reshape(n, 4, -1)
-    del z  # free the draws before the elementwise passes
+def _compute_chunk(plan: _EnginePlan, seed: int, chunk: int, n: int) -> np.ndarray:
+    """Gains for the n trials of one chunk.
+
+    The trials are drawn, projected and combined in blocks of
+    _BLOCK_TRIALS, in buffers reused from block to block, so a chunk
+    holds a few MB whatever its size. Successive fills continue one
+    stream, so the normals are those of a single (4n, r) draw, and each
+    gain takes the same operations as when the whole chunk is drawn,
+    projected and combined at once.
+    """
+    rng = chunk_rng(seed, chunk)
+    starts = list(range(0, n, _BLOCK_TRIALS))
+    if len(starts) > 1 and n - starts[-1] < _MIN_LAST_BLOCK:
+        starts.pop()
+    blocks = list(zip(starts, starts[1:] + [n]))
+    b = max(t1 - t0 for t0, t1 in blocks)
+    z = np.empty((4 * b, plan.factor.shape[1]))
+    a = np.empty((4 * b, plan.factor.shape[0]))
+    gains = np.empty(n)
+    for t0, t1 in blocks:
+        k = t1 - t0
+        rng.standard_normal(out=z[: 4 * k])
+        np.matmul(z[: 4 * k], plan.factor.T, out=a[: 4 * k])
+        gains[t0:t1] = _combine(plan, a[: 4 * k].reshape(k, 4, -1))
+    return gains
+
+
+def _combine(plan: _EnginePlan, a: np.ndarray) -> np.ndarray:
+    """Gains of k trials from their projected hops a, shaped (k, 4, M'):
+    per trial Re a_f, Im a_f, Re a_u, Im a_u, each times sqrt(2). The
+    coherent modes square a in place."""
     if plan.kind == "static":
         f_re, f_im, u_re, u_im = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
         # conj(a_u) a_f = (p + j q) / 2, rotated by e^(j phi) and summed
@@ -182,25 +219,26 @@ def run_trials(
 ) -> np.ndarray:
     """Equivalent gains of n independent trials.
 
-    Trials are processed in fixed chunks of CHUNK_TRIALS; workers > 1
-    spreads whole chunks over a process pool without changing any
-    result bit.
+    Trials are processed in fixed chunks of CHUNK_TRIALS on a pool of
+    `workers` threads, which share the plan; numpy releases the
+    interpreter lock in the draws, products and selections, and no
+    result bit depends on the worker count. If a chunk raises, or the
+    wait is interrupted, chunks not yet started are cancelled.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     plan = _resolve_mode(geom, kernel, mode)
-    tasks = [
-        (plan, seed, c, min(CHUNK_TRIALS, n - t0))
-        for c, t0 in enumerate(range(0, n, CHUNK_TRIALS))
-    ]
-    if workers == 1 or len(tasks) == 1:
-        parts = [_compute_chunk(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_compute_chunk, tasks))
-    return np.concatenate(parts)
+    sizes = [min(CHUNK_TRIALS, n - t0) for t0 in range(0, n, CHUNK_TRIALS)]
+    pool = ThreadPoolExecutor(max_workers=min(workers, len(sizes)))
+    try:
+        futures = [
+            pool.submit(_compute_chunk, plan, seed, c, k) for c, k in enumerate(sizes)
+        ]
+        return np.concatenate([f.result() for f in futures])
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)

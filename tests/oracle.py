@@ -8,7 +8,8 @@ times h ~ CN(0, I), the static gain is
 |sum_i conj(a_u[i]) e^(j phi_i) a_f[i]|^2, and the coherent gain is
 (sum_i |a_u[i]| |a_f[i]|)^2 over the selected elements. The engine is
 tested against it trial by trial, and the correlation tests use its
-element positions.
+element positions. `whole_chunk_gains` restates a whole chunk in the
+engine's own arithmetic but without its trial blocks.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from frislink.montecarlo import _GAIN_SCALE, chunk_rng
 
 _RT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -105,3 +108,31 @@ def pairwise_distance(i: int, j: int, geom) -> float:
     xi, zi = element_position(i, geom)
     xj, zj = element_position(j, geom)
     return math.hypot(xi - xj, zi - zj)
+
+
+def whole_chunk_gains(plan, seed: int, chunk: int, n: int) -> np.ndarray:
+    """The engine's gains for one chunk, drawn and projected at once.
+
+    This is the engine's arithmetic without its trial blocks: all 4n x r
+    normals of the chunk in one draw, one projection, one combine. The
+    blocked engine must reproduce it bit for bit.
+    """
+    z = chunk_rng(seed, chunk).standard_normal((4 * n, plan.factor.shape[1]))
+    # per trial: Re a_f, Im a_f, Re a_u, Im a_u, each times sqrt(2)
+    a = (z @ plan.factor.T).reshape(n, 4, -1)
+    if plan.kind == "static":
+        f_re, f_im, u_re, u_im = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+        p = u_re * f_re + u_im * f_im
+        q = u_re * f_im - u_im * f_re
+        s_re = p @ plan.cos - q @ plan.sin
+        s_im = p @ plan.sin + q @ plan.cos
+        return _GAIN_SCALE * (s_re * s_re + s_im * s_im)
+    np.square(a, out=a)
+    power = (a[:, 0] + a[:, 1]) * (a[:, 2] + a[:, 3])
+    if plan.kind == "adaptive":
+        cut = power.shape[1] - plan.m_o
+        idx = np.argpartition(power, cut, axis=1)[:, cut:]
+        idx.sort(axis=1)
+        power = np.take_along_axis(power, idx, axis=1)
+    amp = np.sqrt(power).sum(axis=1)
+    return _GAIN_SCALE * amp * amp

@@ -359,6 +359,23 @@ class TestCli:
         assert main(["validate", "--preset", "fig2"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_validate_factors_each_grid_once(self, monkeypatch, capsys):
+        # fig3c samples 20x20 (fris mode and sweep), 6x6 (ris mode and
+        # sweep), 10x10 and 14x14
+        import frislink.montecarlo as mc_mod
+
+        sizes = []
+        real_psd_sqrt = mc_mod.psd_sqrt
+
+        def counting_psd_sqrt(j):
+            sizes.append(j.shape[0])
+            return real_psd_sqrt(j)
+
+        monkeypatch.setattr(mc_mod, "psd_sqrt", counting_psd_sqrt)
+        assert main(["validate", "--preset", "fig3c"]) == 0
+        assert sorted(sizes) == [36, 100, 196, 400]
+        assert capsys.readouterr().out.count("rank 167, clamped 233") == 2
+
     def test_validate_config_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(tiny_doc()), encoding="utf-8")

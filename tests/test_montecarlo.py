@@ -1,9 +1,14 @@
 """Tests for the chunked Monte Carlo engine and estimators."""
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import frislink.montecarlo as mc
 
 from frislink.analysis import GammaFit, gamma_fit, trace_power
 from frislink.channel import LinkBudget, PathLoss
@@ -21,6 +26,8 @@ from frislink.montecarlo import (
     OutageEstimate,
     RisBaselineMode,
     StaticMode,
+    _compute_chunk,
+    _resolve_mode,
     chunk_rng,
     empirical_cdf,
     estimate_ergodic_capacity,
@@ -34,6 +41,7 @@ from oracle import (
     equivalent_gain_static,
     sample_channels,
     select_top_products,
+    whole_chunk_gains,
 )
 
 LAMBDA = 0.12491352416666666
@@ -41,6 +49,29 @@ LAMBDA = 0.12491352416666666
 
 def small_geom():
     return SurfaceGeometry(m_x=6, m_z=6, w_x=2.0, w_z=2.0, wavelength=LAMBDA)
+
+
+# one mode of each engine kind on small_geom(): static with phases,
+# adaptive top-m_o, and the all-coherent baseline
+SMALL_MODES = [
+    StaticMode(np.array([0, 7, 14, 35]), np.array([0.0, 1.0, 2.5, 4.0])),
+    AdaptiveFrisMode(m_o=9),
+    RisBaselineMode(6, 6),
+]
+MODE_KINDS = ["static", "adaptive", "baseline"]
+
+
+def dense_case(kind):
+    """The 20x20 reference grid, whose factor keeps r = 167 of 400
+    columns, and one mode of the given kind on it."""
+    g = SurfaceGeometry(m_x=20, m_z=20, w_x=3.0, w_z=3.0, wavelength=LAMBDA)
+    if kind == "static":
+        sel = uniform_grid_selection(g, 12, 12)
+        phases = np.random.default_rng(705).uniform(0.0, 2.0 * math.pi, sel.size)
+        return g, StaticMode(selection=sel, phases=phases)
+    if kind == "adaptive":
+        return g, AdaptiveFrisMode(m_o=36)
+    return g, RisBaselineMode(6, 6)
 
 
 def unit_budget(gamma_bar=1.0, rate=1.0):
@@ -134,15 +165,7 @@ class TestRunTrials:
         b = run_trials(g, "spherical", mode, n, seed=6, workers=3)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize(
-        "mode",
-        [
-            StaticMode(np.array([0, 7, 14, 35]), np.array([0.0, 1.0, 2.5, 4.0])),
-            AdaptiveFrisMode(m_o=9),
-            RisBaselineMode(6, 6),
-        ],
-        ids=["static", "adaptive", "baseline"],
-    )
+    @pytest.mark.parametrize("mode", SMALL_MODES, ids=MODE_KINDS)
     def test_trial_gain_does_not_depend_on_n(self, mode):
         # trial t reads the same normals whatever n is, but a shorter last
         # chunk may take another BLAS kernel, so this holds to rounding,
@@ -241,6 +264,76 @@ class TestRunTrials:
             )
         with pytest.raises(TypeError):
             run_trials(g, "spherical", object(), 10, seed=1)
+
+
+class TestBlockedChunk:
+    """The engine streams a chunk through trial blocks; the reference
+    draws, projects and combines the whole chunk at once."""
+
+    @pytest.mark.parametrize("kind", MODE_KINDS)
+    @pytest.mark.parametrize(
+        "n",
+        [CHUNK_TRIALS, 3616, 37, 517],
+        ids=["full", "ragged", "below-one-block", "short-remainder"],
+    )
+    def test_matches_whole_chunk(self, kind, n):
+        # 3616 = 7 blocks and 32 trials; 517 leaves 5 trials past the first
+        # block, which must not get a block of their own
+        g, mode = dense_case(kind)
+        plan = _resolve_mode(g, "spherical", mode)
+        for chunk in (0, 3):
+            got = _compute_chunk(plan, 17, chunk, n)
+            assert np.array_equal(got, whole_chunk_gains(plan, 17, chunk, n))
+
+
+class TestThreadWorkers:
+    @pytest.mark.parametrize("mode", SMALL_MODES, ids=MODE_KINDS)
+    def test_more_threads_than_cores_keep_bits(self, mode):
+        # frequent interpreter switches interleave the chunk threads as
+        # finely as they can be
+        g = small_geom()
+        n = 5 * CHUNK_TRIALS + 77
+        want = run_trials(g, "spherical", mode, n, seed=18, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_trials(g, "spherical", mode, n, seed=18, workers=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, want)
+
+    def test_failed_chunk_stops_the_run(self, monkeypatch):
+        started = []
+        lock = threading.Lock()
+        real_chunk_rng = mc.chunk_rng
+
+        def failing_chunk_rng(seed, chunk):
+            with lock:
+                started.append(chunk)
+            if chunk == 2:
+                raise RuntimeError("chunk 2 failed")
+            return real_chunk_rng(seed, chunk)
+
+        monkeypatch.setattr(mc, "chunk_rng", failing_chunk_rng)
+        n = 40 * CHUNK_TRIALS
+        with pytest.raises(RuntimeError, match="chunk 2 failed"):
+            run_trials(small_geom(), "spherical", AdaptiveFrisMode(9), n, seed=19, workers=2)
+        with lock:
+            assert 2 in started and len(started) < 40
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory(self, workers):
+        # a whole 8192-trial chunk of adaptive 36-of-400 held its draws
+        # and projections at once, about 150 MB; blocks keep each worker
+        # to a few MB
+        g, mode = dense_case("adaptive")
+        tracemalloc.start()
+        try:
+            run_trials(g, "spherical", mode, 2 * CHUNK_TRIALS, seed=20, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48e6
 
 
 class TestEstimators:
