@@ -22,7 +22,7 @@ from .config import (
     preset_config,
 )
 from .experiments import cmd_capacity, cmd_dist, cmd_outage, cmd_sweep_m
-from .montecarlo import grid_root, mode_grid
+from .montecarlo import _one_blas_thread, grid_root, mode_grid
 
 _COMMANDS = {
     "dist": cmd_dist,
@@ -106,17 +106,24 @@ def _cost_lines(config: ExperimentConfig) -> list:
     """What each mode's trials cost: the effective rank r of the factor
     they project through, the eigenvalues clamped to reach it, and the
     4r normals drawn per trial; likewise for each sweep-m grid. Each
-    distinct grid is factored once."""
+    distinct grid is factored once, at one BLAS thread as the commands
+    factor it. A last line says whether BLAS could be pinned."""
     geom = config.geometry
     grids = [(f"mode {spec.label}", mode_grid(geom, spec.mode)) for spec in config.modes]
     grids += [
         (f"sweep {m_x}x{m_z}", geom.regrid(m_x, m_z)) for m_x, m_z in config.m_grid or ()
     ]
     roots = {}
-    for _, grid in grids:
-        if grid not in roots:
-            roots[grid] = grid_root(grid, config.kernel)
-    return [_cost_line(name, roots[grid]) for name, grid in grids]
+    with _one_blas_thread() as pinned:
+        for _, grid in grids:
+            if grid not in roots:
+                roots[grid] = grid_root(grid, config.kernel)
+    blas = (
+        "blas: pinned to 1 thread"
+        if pinned
+        else "blas: unpinned (no scipy-openblas symbol); bytes may depend on BLAS threads"
+    )
+    return [_cost_line(name, roots[grid]) for name, grid in grids] + [blas]
 
 
 def main(argv=None) -> int:

@@ -1,5 +1,9 @@
 """Batch experiment commands: run pipelines and emit CSV curve artifacts.
 
+Each command holds BLAS at one thread while it runs (the analytic
+curves as well as the Monte Carlo), and `workers` (None: one per core)
+spreads its trial chunks over threads; the bytes depend on neither.
+
 Every artifact starts with #-prefixed provenance lines (config hash,
 seed, tool version; never timestamps), then a column-header row, then
 data rows with floats printed at 17 significant digits, so re-running
@@ -36,6 +40,7 @@ from .montecarlo import (
     AdaptiveFrisMode,
     RisBaselineMode,
     StaticMode,
+    _one_blas_thread,
     empirical_cdf,
     estimate_ergodic_capacity,
     estimate_outage,
@@ -128,7 +133,8 @@ def _analytic_block(
     raise TypeError(f"unsupported mode {type(mode).__name__}")
 
 
-def cmd_dist(config: ExperimentConfig, out_path, workers: int = 1) -> str:
+@_one_blas_thread()
+def cmd_dist(config: ExperimentConfig, out_path, workers: int | None = None) -> str:
     """Gain-distribution curves for a single static mode.
 
     Columns: g, analytical_pdf, analytical_cdf, empirical_cdf over 200
@@ -171,7 +177,7 @@ def cmd_dist(config: ExperimentConfig, out_path, workers: int = 1) -> str:
 
 
 def _write_curves(
-    config: ExperimentConfig, out_path, workers: int, command: str, columns: list,
+    config: ExperimentConfig, out_path, workers: int | None, command: str, columns: list,
     analytic, row,
 ) -> str:
     """One row per mode and SNR point: snr_db, the mode label, then
@@ -215,7 +221,8 @@ def _capacity_row(block, samples, budget) -> tuple:
     )
 
 
-def cmd_outage(config: ExperimentConfig, out_path, workers: int = 1) -> str:
+@_one_blas_thread()
+def cmd_outage(config: ExperimentConfig, out_path, workers: int | None = None) -> str:
     """Outage-vs-SNR curves for every configured mode.
 
     Columns: snr_db, mode, analytical_po, asymptotic_po, mc_outage,
@@ -225,7 +232,8 @@ def cmd_outage(config: ExperimentConfig, out_path, workers: int = 1) -> str:
     return _write_curves(config, out_path, workers, "outage", columns, gamma_fit, _outage_row)
 
 
-def cmd_capacity(config: ExperimentConfig, out_path, workers: int = 1) -> str:
+@_one_blas_thread()
+def cmd_capacity(config: ExperimentConfig, out_path, workers: int | None = None) -> str:
     """Ergodic-capacity-vs-SNR curves for every configured mode.
 
     Columns: snr_db, mode, jensen_bound, asymptotic_bound, mc_capacity,
@@ -237,7 +245,8 @@ def cmd_capacity(config: ExperimentConfig, out_path, workers: int = 1) -> str:
     )
 
 
-def cmd_sweep_m(config: ExperimentConfig, out_path, workers: int = 1) -> str:
+@_one_blas_thread()
+def cmd_sweep_m(config: ExperimentConfig, out_path, workers: int | None = None) -> str:
     """Capacity versus grid density at fixed aperture and fixed m_o.
 
     Requires m_grid, exactly one adaptive mode (supplying m_o), at most

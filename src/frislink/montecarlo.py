@@ -6,7 +6,16 @@ stream (`chunk_rng`). The draws are laid out trial-major, four rows of
 r normals per trial (real then imaginary part of the surface-to-user
 hop, then of the base-to-surface hop), so a trial's normals depend only
 on the seed and its index, and the gains are byte-identical for any
-worker count: parallel runs distribute whole chunks across threads.
+worker count: parallel runs distribute whole chunks across threads, one
+per available core by default.
+
+Threaded BLAS rounds products differently from single-threaded BLAS, so
+numpy's bundled OpenBLAS is pinned to one thread while a run lasts
+(`_one_blas_thread`, entered by `run_trials`, the commands and
+`frislink validate`): the bytes are the one-thread bytes on any machine,
+and the parallelism is the chunk threads'. Where the library or its
+thread-count symbols are missing (MKL, a system OpenBLAS) runs go
+unpinned, and their bytes may depend on the BLAS thread count.
 
 Each hop is projected through the M x r factor F = U_r sqrt(Lambda_r)
 of the correlation matrix (`CorrelationSqrt.factor`), whose r columns
@@ -23,7 +32,13 @@ as one draw of the whole chunk.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -59,8 +74,9 @@ __all__ = [
 CHUNK_TRIALS = 8192
 
 # trials drawn and projected at once inside a chunk: (4b, r) normals and
-# (4b, M') projections stay within a few MB at M' = 400
-_BLOCK_TRIALS = 512
+# (4b, M') projections stay within a few MB at M' = 400, for each of
+# several chunk threads
+_BLOCK_TRIALS = 128
 # BLAS multiplies a few rows with other kernels, which round differently,
 # so a last block of fewer trials than this joins the block before it
 _MIN_LAST_BLOCK = 64
@@ -71,6 +87,64 @@ _MIN_RELIABLE_HITS = 50
 # each hop entry is (x + j y) / sqrt(2), so a product of two entries
 # carries a factor 1/2 and the gain, its square, a factor 1/4
 _GAIN_SCALE = 0.25
+
+
+# process-wide BLAS pin: entries in progress, and the thread count the
+# first of them found, which the last one out restores
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = 0
+
+
+@functools.cache
+def _blas_controls():
+    """Thread-count getter and setter of numpy's bundled OpenBLAS, or
+    None if they cannot be found. Resolved on first use, not at import."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold BLAS at one thread for the length of the block; yields whether
+    it could. The setting is process-wide, so entries are counted: the
+    first sets one thread and the last restores the caller's count, and
+    nested or concurrent runs proceed without waiting for each other."""
+    global _blas_depth, _blas_saved
+    controls = _blas_controls()
+    if controls is None:
+        yield False
+        return
+    get_threads, set_threads = controls
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get_threads()
+            set_threads(1)
+        _blas_depth += 1
+    try:
+        yield True
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_threads(_blas_saved)
+
+
+def _available_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def chunk_rng(seed: int, chunk: int) -> np.random.Generator:
@@ -209,25 +283,30 @@ def _combine(plan: _EnginePlan, a: np.ndarray) -> np.ndarray:
     return _GAIN_SCALE * amp * amp
 
 
+@_one_blas_thread()
 def run_trials(
     geom: SurfaceGeometry,
     kernel: str,
     mode,
     n: int,
     seed: int,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> np.ndarray:
     """Equivalent gains of n independent trials.
 
     Trials are processed in fixed chunks of CHUNK_TRIALS on a pool of
-    `workers` threads, which share the plan; numpy releases the
-    interpreter lock in the draws, products and selections, and no
-    result bit depends on the worker count. If a chunk raises, or the
+    `workers` threads (None: one per core this process may run on),
+    which share the plan; numpy releases the interpreter lock in the
+    draws, products and selections. BLAS is held at one thread for the
+    matrix root and the chunks, so no result bit depends on the worker
+    count or on the machine's core count. If a chunk raises, or the
     wait is interrupted, chunks not yet started are cancelled.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if workers < 1:
+    if workers is None:
+        workers = _available_cores()
+    elif workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     plan = _resolve_mode(geom, kernel, mode)
     sizes = [min(CHUNK_TRIALS, n - t0) for t0 in range(0, n, CHUNK_TRIALS)]

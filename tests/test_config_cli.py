@@ -1,11 +1,16 @@
 """Tests for configuration parsing, experiment commands, and the CLI."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import frislink
 import frislink.experiments as experiments_mod
 from frislink.cli import main
 from frislink.config import (
@@ -358,6 +363,42 @@ class TestCli:
         monkeypatch.setattr(mc_mod, "psd_sqrt", boom)
         assert main(["validate", "--preset", "fig2"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_validate_states_blas_pin(self, capsys):
+        import frislink.montecarlo as mc_mod
+
+        assert main(["validate", "--preset", "fig3b"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        if mc_mod._blas_controls() is not None:
+            assert lines[-1] == "blas: pinned to 1 thread"
+        else:
+            assert lines[-1].startswith("blas: unpinned")
+
+    @pytest.mark.parametrize("command, preset", [("dist", "fig2"), ("capacity", "fig3b")])
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path, command, preset):
+        # each run is a fresh interpreter, so OpenBLAS starts with the
+        # environment's thread count, or the core count when it is unset
+        src = os.path.dirname(os.path.dirname(frislink.__file__))
+        digests = {}
+        for threads in ("1", "2", None):
+            env = {
+                k: v
+                for k, v in os.environ.items()
+                if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+            }
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"{command}-{threads}.csv"
+            subprocess.run(
+                [
+                    sys.executable, "-m", "frislink.cli", command, "--preset", preset,
+                    "--trials", "1000", "--seed", "7", "--out", str(out),
+                ],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            digests[threads] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert len(set(digests.values())) == 1, digests
 
     def test_validate_factors_each_grid_once(self, monkeypatch, capsys):
         # fig3c samples 20x20 (fris mode and sweep), 6x6 (ris mode and

@@ -1,6 +1,8 @@
 """Tests for the chunked Monte Carlo engine and estimators."""
 
+import json
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -8,10 +10,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import frislink.experiments as experiments_mod
 import frislink.montecarlo as mc
 
 from frislink.analysis import GammaFit, gamma_fit, trace_power
 from frislink.channel import LinkBudget, PathLoss
+from frislink.cli import main
+from frislink.config import parse_config
 from frislink.correlation import (
     SurfaceGeometry,
     build_correlation_matrix,
@@ -334,6 +339,191 @@ class TestThreadWorkers:
         finally:
             tracemalloc.stop()
         assert peak <= 48e6
+
+
+class TestDefaultWorkers:
+    def test_default_matches_one_worker(self):
+        g = small_geom()
+        mode = AdaptiveFrisMode(m_o=9)
+        n = 2 * CHUNK_TRIALS + 77
+        want = run_trials(g, "spherical", mode, n, seed=21, workers=1)
+        assert np.array_equal(run_trials(g, "spherical", mode, n, seed=21, workers=None), want)
+        with pytest.raises(ValueError):
+            run_trials(g, "spherical", mode, n, seed=21, workers=0)
+
+    def test_default_is_one_thread_per_core(self, monkeypatch):
+        sizes = []
+        real_pool = mc.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(mc, "_available_cores", lambda: 3)
+        run_trials(small_geom(), "spherical", AdaptiveFrisMode(9), 5 * CHUNK_TRIALS, seed=22)
+        # never more threads than chunks
+        run_trials(small_geom(), "spherical", AdaptiveFrisMode(9), 100, seed=22)
+        assert sizes == [3, 1]
+
+    def test_cores_follow_affinity_then_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert mc._available_cores() == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert mc._available_cores() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert mc._available_cores() == 1
+
+
+def tiny_config():
+    doc = {
+        "geometry": {"m_x": 4, "m_z": 4, "w_x": 1.5, "w_z": 1.5},
+        "modes": [{"type": "static", "select_x": 2, "select_z": 2}],
+        "snr_grid_db": [0.0, 10.0],
+        "trials": 500,
+        "seed": 3,
+    }
+    return parse_config(json.dumps(doc))
+
+
+@pytest.fixture
+def blas_controls(monkeypatch):
+    """numpy's OpenBLAS thread-count getter, with the count raised to 2
+    where the library allows it, and the list of counts the pin sets;
+    the count found before the test is restored after it."""
+    controls = mc._blas_controls()
+    if controls is None:
+        pytest.skip("numpy's bundled OpenBLAS thread controls are not available")
+    get_threads, set_threads = controls
+    before = get_threads()
+    calls = []
+
+    def recording_set(k):
+        calls.append(k)
+        set_threads(k)
+
+    monkeypatch.setattr(mc, "_blas_controls", lambda: (get_threads, recording_set))
+    set_threads(2)
+    try:
+        yield get_threads, calls
+    finally:
+        set_threads(before)
+
+
+class TestBlasPin:
+    def test_command_restores_count_on_return_and_raise(self, blas_controls, monkeypatch, tmp_path):
+        get_threads, calls = blas_controls
+        caller = get_threads()
+        seen = []
+
+        def failing_run_trials(*args, **kwargs):
+            seen.append(get_threads())
+            raise RuntimeError("engine failed")
+
+        monkeypatch.setattr(experiments_mod, "run_trials", failing_run_trials)
+        with pytest.raises(RuntimeError, match="engine failed"):
+            experiments_mod.cmd_outage(tiny_config(), tmp_path / "o.csv")
+        assert seen == [1]
+        assert get_threads() == caller
+        assert calls == [1, caller]
+
+    def test_nested_entry_restores_once_at_outer_exit(self, blas_controls, monkeypatch, tmp_path):
+        get_threads, calls = blas_controls
+        caller = get_threads()
+        seen = []
+        real_run_trials = experiments_mod.run_trials
+
+        def recording_run_trials(*args, **kwargs):
+            seen.append(get_threads())
+            out = real_run_trials(*args, **kwargs)
+            seen.append(get_threads())  # the inner exit keeps the pin
+            return out
+
+        monkeypatch.setattr(experiments_mod, "run_trials", recording_run_trials)
+        experiments_mod.cmd_dist(tiny_config(), tmp_path / "d.csv")
+        assert seen == [1, 1]
+        assert get_threads() == caller
+        assert calls == [1, caller]
+
+    def test_concurrent_runs_keep_bits_and_restore(self, blas_controls, monkeypatch):
+        # more runs than cores, all inside the pin at once, with the
+        # interpreter switching threads as often as it can
+        get_threads, calls = blas_controls
+        caller = get_threads()
+        g, mode = dense_case("static")
+        n = CHUNK_TRIALS + 3214
+        want = run_trials(g, "spherical", mode, n, seed=23, workers=1)
+        calls.clear()
+        runs = 4
+        barrier = threading.Barrier(runs, timeout=60)
+        real_resolve = mc._resolve_mode
+        seen = []
+
+        def meeting_resolve(*args):
+            barrier.wait()
+            seen.append(get_threads())
+            return real_resolve(*args)
+
+        monkeypatch.setattr(mc, "_resolve_mode", meeting_resolve)
+        results = [None] * runs
+
+        def run(i):
+            results[i] = run_trials(g, "spherical", mode, n, seed=23, workers=2)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(runs)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(r is not None and np.array_equal(r, want) for r in results)
+        assert seen == [1] * runs
+        assert get_threads() == caller
+        assert calls == [1, caller]
+
+    def test_missing_library_runs_unpinned(self, monkeypatch, capsys):
+        controls = mc._blas_controls()
+        g, mode = dense_case("static")
+        n = CHUNK_TRIALS + 3214
+        want = run_trials(g, "spherical", mode, n, seed=24)
+        monkeypatch.setattr(mc, "_blas_controls", lambda: None)
+        if controls is None:
+            assert np.array_equal(run_trials(g, "spherical", mode, n, seed=24), want)
+        else:
+            get_threads, set_threads = controls
+            before = get_threads()
+            seen = []
+            real_resolve = mc._resolve_mode
+
+            def recording_resolve(*args):
+                seen.append(get_threads())
+                return real_resolve(*args)
+
+            monkeypatch.setattr(mc, "_resolve_mode", recording_resolve)
+            try:
+                # unpinned at the caller's one thread: the pinned bits
+                set_threads(1)
+                assert np.array_equal(run_trials(g, "spherical", mode, n, seed=24), want)
+                # unpinned at the caller's two threads: the count is left
+                # alone (the eigenvectors, and so the draws' mapping to
+                # gains, may then differ)
+                set_threads(2)
+                caller = get_threads()
+                run_trials(g, "spherical", mode, 1000, seed=24)
+                assert get_threads() == caller
+            finally:
+                set_threads(before)
+            assert seen == [1, caller]
+        assert main(["validate", "--preset", "fig2"]) == 0
+        out = capsys.readouterr().out
+        assert "blas: unpinned (no scipy-openblas symbol); bytes may depend on BLAS threads" in out
+        assert "blas: pinned" not in out
 
 
 class TestEstimators:
