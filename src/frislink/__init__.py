@@ -33,7 +33,6 @@ from .analysis import (  # noqa: E402
     gain_outage_probability,
     outage_asymptotic,
     outage_probability,
-    sample_gain_exponential_mixture,
     trace_power,
 )
 from .montecarlo import (  # noqa: E402
@@ -82,7 +81,6 @@ __all__ = [
     "gain_outage_probability",
     "outage_asymptotic",
     "outage_probability",
-    "sample_gain_exponential_mixture",
     "trace_power",
     "AdaptiveFrisMode",
     "RisBaselineMode",

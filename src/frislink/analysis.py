@@ -40,7 +40,6 @@ __all__ = [
     "gain_outage_probability",
     "ergodic_capacity_bound",
     "ergodic_capacity_asymptotic",
-    "sample_gain_exponential_mixture",
 ]
 
 
@@ -100,10 +99,10 @@ def gamma_pdf(fit: GammaFit, g: float) -> float:
     return math.exp(log_pdf)
 
 
-def gamma_cdf(fit: GammaFit, g: float) -> float:
-    """Gamma distribution function at gain g."""
-    if g <= 0:
-        return 0.0
+def gamma_cdf(fit: GammaFit, g):
+    """Gamma distribution function at gain g, vectorised over g: a float
+    for scalar g, else an array. Gains at or below 0 give 0."""
+    g = np.maximum(np.asarray(g, dtype=float), 0.0)
     return reg_lower_inc_gamma(fit.shape_k, g / fit.scale_theta)
 
 
@@ -200,26 +199,3 @@ def ergodic_capacity_asymptotic(j_sub: np.ndarray, budget: LinkBudget) -> float:
         raise ValueError("capacity asymptote undefined for a degenerate block")
     return math.log2(budget.snr_scale * t2)
 
-
-def sample_gain_exponential_mixture(
-    rng: np.random.Generator,
-    sqrt_j: np.ndarray,
-    selection: np.ndarray,
-    phases: np.ndarray,
-) -> float:
-    """One gain draw via the conditional-exponential decomposition.
-
-    Conditioned on the first hop, the equivalent channel is circular
-    Gaussian, so the gain is the conditional power times a unit-rate
-    exponential. Stream contract: 2M standard normals for the first hop
-    (real parts then imaginary parts), then one standard exponential.
-    """
-    m = sqrt_j.shape[0]
-    sel = np.asarray(selection, dtype=int)
-    z = rng.standard_normal(2 * m)
-    h_u = (z[:m] + 1j * z[m:]) / math.sqrt(2.0)
-    a_u = sqrt_j[sel, :] @ h_u
-    v = np.conj(a_u) * np.exp(1j * np.asarray(phases, dtype=float))
-    w = sqrt_j[sel, :].T @ v
-    scale = float(np.real(np.vdot(w, w)))
-    return scale * float(rng.standard_exponential())

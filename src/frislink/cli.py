@@ -22,7 +22,7 @@ from .config import (
     preset_config,
 )
 from .experiments import cmd_capacity, cmd_dist, cmd_outage, cmd_sweep_m
-from .montecarlo import _one_blas_thread, grid_root, mode_grid
+from .montecarlo import StaticMode, _one_blas_thread, _static_weights, grid_root, mode_grid
 
 _COMMANDS = {
     "dist": cmd_dist,
@@ -94,36 +94,40 @@ def _summary_lines(config: ExperimentConfig) -> list:
     ]
 
 
-def _cost_line(name: str, root) -> str:
-    r = root.factor.shape[1]
-    return (
-        f"{name}: rank {r}, clamped {root.clamped_count}, "
-        f"normals_per_trial {4 * r}"
-    )
-
-
 def _cost_lines(config: ExperimentConfig) -> list:
-    """What each mode's trials cost: the effective rank r of the factor
-    they project through, the eigenvalues clamped to reach it, and the
-    4r normals drawn per trial; likewise for each sweep-m grid. Each
-    distinct grid is factored once, at one BLAS thread as the commands
-    factor it. A last line says whether BLAS could be pinned."""
+    """What each mode's trials cost: the effective rank r of the grid's
+    factor, the eigenvalues clamped to reach it, and the draws per trial:
+    4r normals for the coherent modes, K + 1 exponentials for a static
+    mode whose conditional power has K weights; likewise for each
+    sweep-m grid. Each distinct grid is factored once, at one BLAS
+    thread as the commands factor it. A last line says whether BLAS
+    could be pinned."""
     geom = config.geometry
-    grids = [(f"mode {spec.label}", mode_grid(geom, spec.mode)) for spec in config.modes]
-    grids += [
-        (f"sweep {m_x}x{m_z}", geom.regrid(m_x, m_z)) for m_x, m_z in config.m_grid or ()
+    entries = [
+        (f"mode {spec.label}", mode_grid(geom, spec.mode), spec.mode) for spec in config.modes
+    ]
+    entries += [
+        (f"sweep {m_x}x{m_z}", geom.regrid(m_x, m_z), None) for m_x, m_z in config.m_grid or ()
     ]
     roots = {}
+    lines = []
     with _one_blas_thread() as pinned:
-        for _, grid in grids:
+        for name, grid, mode in entries:
             if grid not in roots:
                 roots[grid] = grid_root(grid, config.kernel)
+            root = roots[grid]
+            r = root.factor.shape[1]
+            cost = f"normals_per_trial {4 * r}"
+            if isinstance(mode, StaticMode):
+                k = _static_weights(root.factor[mode.selection], mode.phases).size
+                cost = f"weights {k}, draws_per_trial {k + 1}"
+            lines.append(f"{name}: rank {r}, clamped {root.clamped_count}, {cost}")
     blas = (
         "blas: pinned to 1 thread"
         if pinned
         else "blas: unpinned (no scipy-openblas symbol); bytes may depend on BLAS threads"
     )
-    return [_cost_line(name, roots[grid]) for name, grid in grids] + [blas]
+    return lines + [blas]
 
 
 def main(argv=None) -> int:

@@ -76,7 +76,7 @@ def _write_csv(path, meta: dict, columns: list, rows) -> None:
 
 def _base_meta(config: ExperimentConfig, command: str) -> dict:
     return {
-        "artifact_version": 2,
+        "artifact_version": 3,
         "tool_version": __version__,
         "command": command,
         "config_hash": config.config_hash,
@@ -164,13 +164,8 @@ def cmd_dist(config: ExperimentConfig, out_path, workers: int | None = None) -> 
         }
     )
     rows = [
-        (
-            float(g),
-            gamma_pdf(fit, float(g)),
-            gamma_cdf(fit, float(g)),
-            float(ecdf.evaluate(float(g))),
-        )
-        for g in grid
+        (float(g), gamma_pdf(fit, float(g)), float(cdf), float(emp))
+        for g, cdf, emp in zip(grid, gamma_cdf(fit, grid), ecdf.evaluate(grid))
     ]
     _write_csv(out_path, meta, ["g", "analytical_pdf", "analytical_cdf", "empirical_cdf"], rows)
     return str(out_path)

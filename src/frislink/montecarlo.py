@@ -1,13 +1,14 @@
 """Chunked, reproducible Monte Carlo engine for equivalent-gain sampling.
 
-Reproducibility contract: trials are processed in fixed chunks of
-CHUNK_TRIALS, and chunk c draws its normals from its own counter-based
-stream (`chunk_rng`). The draws are laid out trial-major, four rows of
-r normals per trial (real then imaginary part of the surface-to-user
-hop, then of the base-to-surface hop), so a trial's normals depend only
-on the seed and its index, and the gains are byte-identical for any
-worker count: parallel runs distribute whole chunks across threads, one
-per available core by default.
+Reproducibility contract (artifact version 3): trials are processed in
+fixed chunks of CHUNK_TRIALS, and chunk c draws from its own
+counter-based stream (`chunk_rng`), trial-major, so a trial's draws
+depend only on the seed and its index, and the gains are byte-identical
+for any worker count: parallel runs distribute whole chunks across
+threads, one per available core by default. A coherent mode's trial
+reads four rows of r normals (real then imaginary part of the
+surface-to-user hop, then of the base-to-surface hop); a static mode's
+trial reads K + 1 standard exponentials.
 
 Threaded BLAS rounds products differently from single-threaded BLAS, so
 numpy's bundled OpenBLAS is pinned to one thread while a run lasts
@@ -17,17 +18,25 @@ and the parallelism is the chunk threads'. Where the library or its
 thread-count symbols are missing (MKL, a system OpenBLAS) runs go
 unpinned, and their bytes may depend on the BLAS thread count.
 
-Each hop is projected through the M x r factor F = U_r sqrt(Lambda_r)
-of the correlation matrix (`CorrelationSqrt.factor`), whose r columns
-are the eigenpairs the matrix root keeps. F @ F.T is the square of the
-clamped root, so the sampled law is that of J^(1/2) h with h ~ CN(0, I),
-while each trial draws 4r normals instead of 4M. All arithmetic is real:
-one (4b x r) @ (r x M') product per block of b trials gives both parts
-of both hops; the coherent modes rank and sum the products |a_f| |a_u|
-as square roots of the squared parts, and the static modes expand
-conj(a_u) e^(j phi) a_f into cos and sin terms. A chunk reads its
-stream block by block into reused buffers, which gives the same normals
-as one draw of the whole chunk.
+The coherent modes project each hop through the M x r factor
+F = U_r sqrt(Lambda_r) of the correlation matrix
+(`CorrelationSqrt.factor`), whose r columns are the eigenpairs the
+matrix root keeps. F @ F.T is the square of the clamped root, so the
+sampled law is that of J^(1/2) h with h ~ CN(0, I), while each trial
+draws 4r normals instead of 4M. All arithmetic is real: one
+(4b x r) @ (r x M') product per block of b trials gives both parts of
+both hops, and the products |a_f| |a_u| are ranked and summed as square
+roots of the squared parts.
+
+A static mode samples its exact law instead. Given the user-side hop,
+its equivalent channel is CN(0, S), so the gain is G = S E_0, and S is a
+quadratic form in circular Gaussians, S = sum_k nu_k E_k (Mathai &
+Provost, Quadratic Forms in Random Variables, 1992), with i.i.d.
+E_0, E_1, ... ~ Exp(1) and weights nu from one SVD per run
+(`_static_weights`). A trial thus draws K + 1 exponentials, K <= r.
+
+A chunk reads its stream block by block into reused buffers, which
+gives the same draws as one draw of the whole chunk.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ import numpy as np
 
 from .channel import LinkBudget
 from .correlation import (
+    _EIG_CLAMP_REL,
     CorrelationSqrt,
     SurfaceGeometry,
     build_correlation_matrix,
@@ -73,7 +83,7 @@ __all__ = [
 
 CHUNK_TRIALS = 8192
 
-# trials drawn and projected at once inside a chunk: (4b, r) normals and
+# trials drawn (and projected) at once inside a chunk: (4b, r) normals and
 # (4b, M') projections stay within a few MB at M' = 400, for each of
 # several chunk threads
 _BLOCK_TRIALS = 128
@@ -187,9 +197,8 @@ class _EnginePlan:
     """Resolved per-mode inputs shared by the chunk workers."""
 
     kind: str  # 'static' | 'adaptive' | 'coherent_all'
-    factor: np.ndarray  # rows of the hop factor applied to both hops, M' x r
-    cos: np.ndarray | None = None  # static phase shifts, cos and sin
-    sin: np.ndarray | None = None
+    factor: np.ndarray | None = None  # coherent: hop factor rows, M' x r
+    weights: np.ndarray | None = None  # static: the K weights of S, descending
     m_o: int | None = None  # adaptive: elements kept per trial
 
 
@@ -203,8 +212,23 @@ def mode_grid(geom: SurfaceGeometry, mode) -> SurfaceGeometry:
 
 def grid_root(grid: SurfaceGeometry, kernel: str) -> CorrelationSqrt:
     """Matrix root of a grid's correlation. Its factor has r columns, and
-    every trial on the grid draws 4r normals."""
+    every coherent trial on the grid draws 4r normals."""
     return psd_sqrt(build_correlation_matrix(grid, kernel))
+
+
+def _static_weights(factor_sel: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Weights nu of a static trial's conditional power S = sum_k nu_k E_k.
+
+    Given the user-side hop, the equivalent channel is CN(0, S) with
+    S = |B conj(h_u)|^2 for B = F_sel^T D F_sel, D = diag(e^(j phi)),
+    so nu are the squared singular values of B (r x r, complex):
+    sum nu = tr(A) and sum nu^2 = tr(A^2) for A = D J~ D^H J~, and
+    nu = lambda(J~)^2 at zero phases. Weights at or below
+    _EIG_CLAMP_REL times the largest are dropped.
+    """
+    b = (factor_sel.T * np.exp(1j * phases)) @ factor_sel
+    nu = np.linalg.svd(b, compute_uv=False) ** 2
+    return nu[nu > _EIG_CLAMP_REL * nu[0]]
 
 
 def _resolve_mode(geom: SurfaceGeometry, kernel: str, mode) -> _EnginePlan:
@@ -226,7 +250,7 @@ def _resolve_mode(geom: SurfaceGeometry, kernel: str, mode) -> _EnginePlan:
         raise TypeError(f"unsupported mode {type(mode).__name__}")
     factor = grid_root(mode_grid(geom, mode), kernel).factor
     if isinstance(mode, StaticMode):
-        return _EnginePlan("static", factor[sel], np.cos(phases), np.sin(phases))
+        return _EnginePlan("static", weights=_static_weights(factor[sel], phases))
     if isinstance(mode, AdaptiveFrisMode):
         return _EnginePlan("adaptive", factor, m_o=mode.m_o)
     return _EnginePlan("coherent_all", factor)
@@ -235,12 +259,12 @@ def _resolve_mode(geom: SurfaceGeometry, kernel: str, mode) -> _EnginePlan:
 def _compute_chunk(plan: _EnginePlan, seed: int, chunk: int, n: int) -> np.ndarray:
     """Gains for the n trials of one chunk.
 
-    The trials are drawn, projected and combined in blocks of
-    _BLOCK_TRIALS, in buffers reused from block to block, so a chunk
-    holds a few MB whatever its size. Successive fills continue one
-    stream, so the normals are those of a single (4n, r) draw, and each
-    gain takes the same operations as when the whole chunk is drawn,
-    projected and combined at once.
+    The trials are drawn (and for the coherent modes projected and
+    combined) in blocks of _BLOCK_TRIALS, in buffers reused from block
+    to block, so a chunk holds a few MB whatever its size. Successive
+    fills continue one stream, so the draws are those of a single draw
+    of the whole chunk, and each gain takes the same operations as when
+    the whole chunk is computed at once.
     """
     rng = chunk_rng(seed, chunk)
     starts = list(range(0, n, _BLOCK_TRIALS))
@@ -248,9 +272,17 @@ def _compute_chunk(plan: _EnginePlan, seed: int, chunk: int, n: int) -> np.ndarr
         starts.pop()
     blocks = list(zip(starts, starts[1:] + [n]))
     b = max(t1 - t0 for t0, t1 in blocks)
+    gains = np.empty(n)
+    if plan.kind == "static":
+        # per trial E_0, E_1 .. E_K; the gain is E_0 sum_k nu_k E_k
+        e = np.empty((b, plan.weights.size + 1))
+        for t0, t1 in blocks:
+            k = t1 - t0
+            rng.standard_exponential(out=e[:k])
+            gains[t0:t1] = e[:k, 0] * (e[:k, 1:] @ plan.weights)
+        return gains
     z = np.empty((4 * b, plan.factor.shape[1]))
     a = np.empty((4 * b, plan.factor.shape[0]))
-    gains = np.empty(n)
     for t0, t1 in blocks:
         k = t1 - t0
         rng.standard_normal(out=z[: 4 * k])
@@ -260,17 +292,9 @@ def _compute_chunk(plan: _EnginePlan, seed: int, chunk: int, n: int) -> np.ndarr
 
 
 def _combine(plan: _EnginePlan, a: np.ndarray) -> np.ndarray:
-    """Gains of k trials from their projected hops a, shaped (k, 4, M'):
-    per trial Re a_f, Im a_f, Re a_u, Im a_u, each times sqrt(2). The
-    coherent modes square a in place."""
-    if plan.kind == "static":
-        f_re, f_im, u_re, u_im = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-        # conj(a_u) a_f = (p + j q) / 2, rotated by e^(j phi) and summed
-        p = u_re * f_re + u_im * f_im
-        q = u_re * f_im - u_im * f_re
-        s_re = p @ plan.cos - q @ plan.sin
-        s_im = p @ plan.sin + q @ plan.cos
-        return _GAIN_SCALE * (s_re * s_re + s_im * s_im)
+    """Coherent gains of k trials from their projected hops a, shaped
+    (k, 4, M'): per trial Re a_f, Im a_f, Re a_u, Im a_u, each times
+    sqrt(2). Squares a in place."""
     np.square(a, out=a)
     # (2 |a_f|^2) (2 |a_u|^2), ordered like the products |a_f| |a_u|
     power = (a[:, 0] + a[:, 1]) * (a[:, 2] + a[:, 3])
@@ -372,7 +396,7 @@ def ks_statistic(samples: np.ndarray, fit: GammaFit) -> float:
     n = s.size
     if n < 1:
         raise ValueError("ks_statistic requires at least one sample")
-    f = np.array([gamma_cdf(fit, float(g)) for g in s])
+    f = gamma_cdf(fit, s)
     grid = np.arange(n, dtype=float)
     d_plus = np.max((grid + 1.0) / n - f)
     d_minus = np.max(f - grid / n)

@@ -1,10 +1,11 @@
-"""Scalar special functions backing the closed-form link statistics.
+"""Special functions backing the closed-form link statistics.
 
 Self-contained double-precision kernels: log-gamma via a Lanczos sum,
 the regularized lower incomplete gamma via the classic series /
-continued-fraction split, the spherical / cylindrical Bessel kernels
-used by the spatial correlation model, and the log of the modified
-Bessel function K_nu behind the exact gain law (vectorised over x).
+continued-fraction split (vectorised over x), the spherical /
+cylindrical Bessel kernels used by the spatial correlation model, and
+the log of the modified Bessel function K_nu behind the exact gain law
+(vectorised over x).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # Iteration caps; both expansions converge long before these are hit.
 _MAX_SERIES_ITER = 2000
 _MAX_CF_ITER = 2000
+_PREFACTOR_BLOCK = 2048
 
 
 def ln_gamma(x: float) -> float:
@@ -58,66 +60,105 @@ def ln_gamma(x: float) -> float:
     return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 
-def _gamma_prefactor(k: float, x: float) -> float:
-    """exp(k ln x - x - ln G(k)), evaluated in the log domain."""
-    return math.exp(k * math.log(x) - x - ln_gamma(k))
+def _gamma_prefactor(k: float, x: np.ndarray) -> np.ndarray:
+    """exp(k ln x - x - ln G(k)) per element, evaluated in the log domain
+    with the scalar libm functions: numpy's vector exp rounds some values
+    differently, and differently again for a lone value, so this keeps an
+    element's bits independent of the array it comes in. Blocks of
+    _PREFACTOR_BLOCK bound the Python floats alive at once."""
+    out = np.empty(x.shape)
+    ln_g = ln_gamma(k)
+    for i in range(0, x.size, _PREFACTOR_BLOCK):
+        xb = x[i : i + _PREFACTOR_BLOCK]
+        ln_x = np.array(list(map(math.log, xb.tolist())))
+        out[i : i + _PREFACTOR_BLOCK] = list(map(math.exp, (k * ln_x - xb - ln_g).tolist()))
+    return out
 
 
-def _lower_series(k: float, x: float) -> float:
-    """P(k, x) by the ascending power series; best for x < k + 1."""
-    term = 1.0 / k
-    total = term
+def _lower_series(k: float, x: np.ndarray) -> np.ndarray:
+    """P(k, x) by the ascending power series for a nonempty 1-d x; best
+    for x < k + 1. Each element stops on its own rule and leaves the
+    active set."""
+    out = np.empty(x.shape)
+    live = np.arange(x.size)
+    xs = x
+    term = np.full(x.size, 1.0 / k)
+    total = term.copy()
     denom = k
     for _ in range(_MAX_SERIES_ITER):
         denom += 1.0
-        term *= x / denom
+        term *= xs / denom
         total += term
-        if abs(term) < abs(total) * 1e-17:
-            return _gamma_prefactor(k, x) * total
+        done = term < total * 1e-17  # both positive
+        if done.any():
+            out[live[done]] = total[done]
+            keep = ~done
+            live, xs, term, total = live[keep], xs[keep], term[keep], total[keep]
+            if live.size == 0:
+                return _gamma_prefactor(k, x) * out
     raise ArithmeticError(
-        f"incomplete gamma series failed to converge for k={k}, x={x}"
+        f"incomplete gamma series failed to converge for k={k}, x={float(xs[0])}"
     )
 
 
-def _upper_continued_fraction(k: float, x: float) -> float:
-    """Q(k, x) by the Lentz continued fraction; best for x >= k + 1."""
+def _upper_continued_fraction(k: float, x: np.ndarray) -> np.ndarray:
+    """Q(k, x) by the Lentz continued fraction for a nonempty 1-d x; best
+    for x >= k + 1. Each element stops on its own rule and leaves the
+    active set."""
     tiny = 1e-300
+    out = np.empty(x.shape)
+    live = np.arange(x.size)
     b = x + 1.0 - k
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
+    c = np.full(x.size, 1.0 / tiny)
+    d = 1.0 / np.where(b != 0.0, b, tiny)
+    h = d.copy()
     for i in range(1, _MAX_CF_ITER):
         a = -i * (i - k)
-        b += 2.0
+        b = b + 2.0
         d = a * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d = np.where(np.abs(d) < tiny, tiny, d)
         c = b + a / c
-        if abs(c) < tiny:
-            c = tiny
+        c = np.where(np.abs(c) < tiny, tiny, c)
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return _gamma_prefactor(k, x) * h
+        h = h * delta
+        done = np.abs(delta - 1.0) < 1e-16
+        if done.any():
+            out[live[done]] = h[done]
+            keep = ~done
+            live, b, c, d, h = live[keep], b[keep], c[keep], d[keep], h[keep]
+            if live.size == 0:
+                return _gamma_prefactor(k, x) * out
     raise ArithmeticError(
-        f"incomplete gamma continued fraction failed to converge for k={k}, x={x}"
+        "incomplete gamma continued fraction failed to converge for "
+        f"k={k}, x={float(x[live[0]])}"
     )
 
 
-def reg_lower_inc_gamma(k: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(k, x) for k > 0, x >= 0."""
+def reg_lower_inc_gamma(k: float, x):
+    """Regularized lower incomplete gamma P(k, x) for k > 0 and x >= 0,
+    vectorised over x: a float for scalar x, else an array of x's shape.
+
+    Elements below k + 1 take the series and the others the continued
+    fraction; each iterates until its own stopping rule holds, so its
+    value does not depend on the other elements.
+    """
     k = float(k)
-    x = float(x)
     if not k > 0.0:
         raise ValueError(f"reg_lower_inc_gamma requires k > 0, got k={k!r}")
-    if not x >= 0.0:
-        raise ValueError(f"reg_lower_inc_gamma requires x >= 0, got x={x!r}")
-    if x == 0.0:
-        return 0.0
-    if x < k + 1.0:
-        return _lower_series(k, x)
-    return 1.0 - _upper_continued_fraction(k, x)
+    xs = np.asarray(x, dtype=float)
+    bad = xs[~(xs >= 0.0)]  # also catches nan
+    if bad.size:
+        raise ValueError(f"reg_lower_inc_gamma requires x >= 0, got x={float(bad[0])!r}")
+    flat = xs.ravel()
+    out = np.zeros(flat.shape)
+    series = (flat > 0.0) & (flat < k + 1.0)
+    fraction = flat >= k + 1.0
+    if series.any():
+        out[series] = _lower_series(k, flat[series])
+    if fraction.any():
+        out[fraction] = 1.0 - _upper_continued_fraction(k, flat[fraction])
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 # Below this the 2-term Taylor series for sin(x)/x is exact in doubles.

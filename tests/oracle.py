@@ -6,10 +6,14 @@ trial at a time in complex arithmetic, straight from the model: the
 hop gains at the selected elements are rows of the correlation factor
 times h ~ CN(0, I), the static gain is
 |sum_i conj(a_u[i]) e^(j phi_i) a_f[i]|^2, and the coherent gain is
-(sum_i |a_u[i]| |a_f[i]|)^2 over the selected elements. The engine is
-tested against it trial by trial, and the correlation tests use its
-element positions. `whole_chunk_gains` restates a whole chunk in the
-engine's own arithmetic but without its trial blocks.
+(sum_i |a_u[i]| |a_f[i]|)^2 over the selected elements. The coherent
+engine is tested against it trial by trial, the static engine in law,
+and the correlation tests use its element positions.
+`whole_chunk_gains` restates a whole chunk in the engine's own
+arithmetic but without its trial blocks. `projected_static_gains` keeps
+the static composition the engine used before it drew its static gains
+from their spectral law, and `sample_gain_exponential_mixture` draws one
+static gain at a time by conditioning on the user-side hop.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from frislink.montecarlo import _GAIN_SCALE, chunk_rng
+from frislink.montecarlo import _GAIN_SCALE, CHUNK_TRIALS, chunk_rng
 
 _RT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -111,22 +115,20 @@ def pairwise_distance(i: int, j: int, geom) -> float:
 
 
 def whole_chunk_gains(plan, seed: int, chunk: int, n: int) -> np.ndarray:
-    """The engine's gains for one chunk, drawn and projected at once.
+    """The engine's gains for one chunk, drawn at once.
 
-    This is the engine's arithmetic without its trial blocks: all 4n x r
-    normals of the chunk in one draw, one projection, one combine. The
-    blocked engine must reproduce it bit for bit.
+    This is the engine's arithmetic without its trial blocks: for a
+    static mode all n x (K+1) exponentials of the chunk in one draw, for
+    the coherent modes all 4n x r normals in one draw, one projection and
+    one combine. The blocked engine must reproduce it bit for bit.
     """
-    z = chunk_rng(seed, chunk).standard_normal((4 * n, plan.factor.shape[1]))
+    rng = chunk_rng(seed, chunk)
+    if plan.kind == "static":
+        e = rng.standard_exponential((n, plan.weights.size + 1))
+        return e[:, 0] * (e[:, 1:] @ plan.weights)
+    z = rng.standard_normal((4 * n, plan.factor.shape[1]))
     # per trial: Re a_f, Im a_f, Re a_u, Im a_u, each times sqrt(2)
     a = (z @ plan.factor.T).reshape(n, 4, -1)
-    if plan.kind == "static":
-        f_re, f_im, u_re, u_im = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-        p = u_re * f_re + u_im * f_im
-        q = u_re * f_im - u_im * f_re
-        s_re = p @ plan.cos - q @ plan.sin
-        s_im = p @ plan.sin + q @ plan.cos
-        return _GAIN_SCALE * (s_re * s_re + s_im * s_im)
     np.square(a, out=a)
     power = (a[:, 0] + a[:, 1]) * (a[:, 2] + a[:, 3])
     if plan.kind == "adaptive":
@@ -136,3 +138,54 @@ def whole_chunk_gains(plan, seed: int, chunk: int, n: int) -> np.ndarray:
         power = np.take_along_axis(power, idx, axis=1)
     amp = np.sqrt(power).sum(axis=1)
     return _GAIN_SCALE * amp * amp
+
+
+def projected_static_gains(
+    factor_sel: np.ndarray, phases: np.ndarray, seed: int, n: int
+) -> np.ndarray:
+    """Static gains computed from both hops, as artifact version 2 did.
+
+    Each chunk's trials read 4r normals from `chunk_rng` (Re a_f, Im a_f,
+    Re a_u, Im a_u, each times sqrt(2)), project them through the
+    selected factor rows and expand conj(a_u) e^(j phi) a_f into cos and
+    sin terms. A trial shares its normals with the coherent modes' trial
+    of the same seed and index, so the two can be compared trial by trial.
+    """
+    cos, sin = np.cos(phases), np.sin(phases)
+    out = []
+    for c, t0 in enumerate(range(0, n, CHUNK_TRIALS)):
+        k = min(CHUNK_TRIALS, n - t0)
+        z = chunk_rng(seed, c).standard_normal((4 * k, factor_sel.shape[1]))
+        a = (z @ factor_sel.T).reshape(k, 4, -1)
+        f_re, f_im, u_re, u_im = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+        # conj(a_u) a_f = (p + j q) / 2, rotated by e^(j phi) and summed
+        p = u_re * f_re + u_im * f_im
+        q = u_re * f_im - u_im * f_re
+        s_re = p @ cos - q @ sin
+        s_im = p @ sin + q @ cos
+        out.append(_GAIN_SCALE * (s_re * s_re + s_im * s_im))
+    return np.concatenate(out)
+
+
+def sample_gain_exponential_mixture(
+    rng: np.random.Generator,
+    sqrt_j: np.ndarray,
+    selection: np.ndarray,
+    phases: np.ndarray,
+) -> float:
+    """One gain draw via the conditional-exponential decomposition.
+
+    Conditioned on the first hop, the equivalent channel is circular
+    Gaussian, so the gain is the conditional power times a unit-rate
+    exponential. Stream contract: 2M standard normals for the first hop
+    (real parts then imaginary parts), then one standard exponential.
+    """
+    m = sqrt_j.shape[0]
+    sel = np.asarray(selection, dtype=int)
+    z = rng.standard_normal(2 * m)
+    h_u = (z[:m] + 1j * z[m:]) / math.sqrt(2.0)
+    a_u = sqrt_j[sel, :] @ h_u
+    v = np.conj(a_u) * np.exp(1j * np.asarray(phases, dtype=float))
+    w = sqrt_j[sel, :].T @ v
+    scale = float(np.real(np.vdot(w, w)))
+    return scale * float(rng.standard_exponential())

@@ -53,10 +53,10 @@ from frislink import (
     psd_sqrt,
     reg_lower_inc_gamma,
     run_trials,
-    sample_gain_exponential_mixture,
     trace_power,
     uniform_grid_selection,
 )
+from oracle import sample_gain_exponential_mixture
 
 SPEED_OF_LIGHT = 2.99792458e8
 LAMBDA = SPEED_OF_LIGHT / 2.4e9

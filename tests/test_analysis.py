@@ -19,7 +19,6 @@ from frislink.analysis import (
     gain_outage_probability,
     outage_asymptotic,
     outage_probability,
-    sample_gain_exponential_mixture,
     trace_power,
 )
 from frislink.channel import LinkBudget, PathLoss
@@ -30,7 +29,12 @@ from frislink.correlation import (
     psd_sqrt,
     uniform_grid_selection,
 )
-from oracle import effective_channel, equivalent_gain_static, sample_channels
+from oracle import (
+    effective_channel,
+    equivalent_gain_static,
+    sample_channels,
+    sample_gain_exponential_mixture,
+)
 
 LAMBDA = 0.12491352416666666
 
@@ -153,6 +157,15 @@ class TestGammaDistribution:
             h = 1e-5 * g
             fd = (gamma_cdf(fit, g + h) - gamma_cdf(fit, g - h)) / (2 * h)
             assert fd == pytest.approx(gamma_pdf(fit, g), rel=1e-6)
+
+    def test_cdf_vectorised(self):
+        # an array of gains, negatives and 0 included, gives scalar calls' bits
+        fit = GammaFit(16.39, 2.89)
+        g = np.concatenate([[-1.0, 0.0], np.random.default_rng(607).gamma(16.39, 2.89, 300)])
+        got = gamma_cdf(fit, g)
+        assert np.array_equal(got, [gamma_cdf(fit, float(v)) for v in g])
+        assert got[0] == 0.0 and got[1] == 0.0
+        assert isinstance(gamma_cdf(fit, 40.0), float)
 
     def test_cdf_monotone(self):
         fit = GammaFit(25.7, 21.8)

@@ -349,8 +349,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "config_hash:" in out
         assert "20x20 elements" in out
-        # the run's cost: r = 167 of 400 eigenpairs kept, 4r normals a trial
-        assert "mode static(12x12): rank 167, clamped 233, normals_per_trial 668" in out
+        # the run's cost: r = 167 of 400 eigenpairs kept; the static mode
+        # draws K + 1 exponentials a trial, the coherent modes 4r normals
+        assert "mode static(12x12): rank 167, clamped 233, weights 94, draws_per_trial 95" in out
         assert main(["validate", "--preset", "fig3c"]) == 0
         out = capsys.readouterr().out
         assert "mode ris(6x6): rank 36, clamped 0, normals_per_trial 144" in out

@@ -13,7 +13,7 @@ import pytest
 import frislink.experiments as experiments_mod
 import frislink.montecarlo as mc
 
-from frislink.analysis import GammaFit, gamma_fit, trace_power
+from frislink.analysis import GammaFit, gamma_cdf, gamma_fit, trace_power
 from frislink.channel import LinkBudget, PathLoss
 from frislink.cli import main
 from frislink.config import parse_config
@@ -43,7 +43,7 @@ from frislink.montecarlo import (
 from oracle import (
     effective_channel,
     equivalent_gain_coherent,
-    equivalent_gain_static,
+    projected_static_gains,
     sample_channels,
     select_top_products,
     whole_chunk_gains,
@@ -120,23 +120,46 @@ class TestRunTrials:
         b = run_trials(g, "spherical", mode, n, seed=5, workers=4)
         assert np.array_equal(a, b)
 
-    def test_static_engine_matches_api_composition(self):
-        # the oracle reads the chunk stream 4r normals per trial and
-        # projects through the rank-r factor
+    @pytest.mark.parametrize("phased", [True, False], ids=["phases", "zero-phases"])
+    def test_static_weights_match_traces(self, phased):
+        # a static trial's S = sum_k nu_k E_k: sum nu = tr(A) and
+        # sum nu^2 = tr(A^2) for A = D J~ D^H J~, and nu = lambda(J~)^2
+        # at zero phases
+        dense, dense_mode = dense_case("static")
+        for g, sel in (
+            (small_geom(), uniform_grid_selection(small_geom(), 3, 3)),
+            (dense, dense_mode.selection),
+        ):
+            phases = np.random.default_rng(701).uniform(0.0, 2.0 * math.pi, sel.size)
+            if not phased:
+                phases = np.zeros(sel.size)
+            nu = _resolve_mode(g, "spherical", StaticMode(sel, phases)).weights
+            f = psd_sqrt(build_correlation_matrix(g, "spherical")).factor[sel]
+            j_sub = f @ f.T  # the clamped block J~
+            d = np.exp(1j * phases)
+            a = (d[:, None] * j_sub * d.conj()[None, :]) @ j_sub
+            assert np.all(np.diff(nu) <= 0.0) and nu[-1] > 0.0
+            assert nu.sum() == pytest.approx(np.trace(a).real, rel=1e-10)
+            assert (nu * nu).sum() == pytest.approx(np.trace(a @ a).real, rel=1e-10)
+            if not phased:
+                lam = np.linalg.eigvalsh(j_sub)[::-1][: nu.size]
+                assert np.allclose(nu, lam * lam, rtol=0.0, atol=1e-10 * nu[0])
+
+    def test_static_engine_matches_projected_law(self):
+        # the engine draws S E from its spectral law; the reference
+        # projects both hops' normals and combines them, as artifact
+        # version 2 did
         g = small_geom()
         sel = uniform_grid_selection(g, 3, 3)
-        rng = np.random.default_rng(701)
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=len(sel))
-        mode = StaticMode(selection=sel, phases=phases)
-        got = run_trials(g, "spherical", mode, 64, seed=3)
+        phases = np.random.default_rng(701).uniform(0.0, 2.0 * math.pi, size=len(sel))
+        n = 100_000
+        got = run_trials(g, "spherical", StaticMode(sel, phases), n, seed=3)
         f = psd_sqrt(build_correlation_matrix(g, "spherical")).factor
-        stream = chunk_rng(3, 0)
-        for t in range(64):
-            c = sample_channels(stream, f.shape[1])
-            a_f = effective_channel(f, c.h_f, sel)
-            a_u = effective_channel(f, c.h_u, sel)
-            want = equivalent_gain_static(a_u, a_f, phases)
-            assert got[t] == pytest.approx(want, rel=1e-10, abs=1e-12)
+        ref = projected_static_gains(f[sel], phases, 4, n)
+        both = np.sort(np.concatenate([got, ref]))
+        cdf_got = np.searchsorted(np.sort(got), both, side="right") / n
+        cdf_ref = np.searchsorted(np.sort(ref), both, side="right") / n
+        assert np.max(np.abs(cdf_got - cdf_ref)) <= 0.012
 
     def test_adaptive_engine_matches_api_composition(self):
         g = small_geom()
@@ -207,6 +230,16 @@ class TestRunTrials:
         static = run_trials(
             g, "spherical", StaticMode(sel, np.zeros(len(sel))), 2048, seed=9
         )
+        adaptive = run_trials(g, "spherical", AdaptiveFrisMode(len(sel)), 2048, seed=9)
+        assert np.all(adaptive >= static * (1.0 - 1e-12))
+
+    def test_adaptive_dominates_projected_static_per_trial(self):
+        # the projected static gains share the adaptive mode's normals,
+        # so the top-m_o coherent gain bounds each trial's static gain
+        g = small_geom()
+        sel = uniform_grid_selection(g, 3, 3)
+        f = psd_sqrt(build_correlation_matrix(g, "spherical")).factor
+        static = projected_static_gains(f[sel], np.zeros(len(sel)), 9, 2048)
         adaptive = run_trials(g, "spherical", AdaptiveFrisMode(len(sel)), 2048, seed=9)
         assert np.all(adaptive >= static * (1.0 - 1e-12))
 
@@ -568,6 +601,15 @@ class TestEstimators:
 
 
 class TestKsStatistic:
+    def test_matches_per_sample_definition(self):
+        # one vectorised cdf call gives the per-sample scalar loop's value
+        fit = GammaFit(16.4, 2.89)
+        s = np.sort(np.random.default_rng(706).gamma(15.0, 3.1, 5000))
+        f = np.array([gamma_cdf(fit, float(g)) for g in s])
+        grid = np.arange(s.size, dtype=float)
+        want = max(np.max((grid + 1.0) / s.size - f), np.max(f - grid / s.size))
+        assert ks_statistic(s[::-1], fit) == want
+
     def test_single_sample_exact(self):
         fit = GammaFit(1.0, 1.0)
         want = 1.0 - math.exp(-1.0)  # F(1); D = max(F, 1 - F)

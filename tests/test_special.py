@@ -1,4 +1,4 @@
-"""Tests for the scalar special-function kernels.
+"""Tests for the special-function kernels.
 
 Frozen expected values were produced by independent oracles (mpmath-free:
 scipy.special and high-order quadrature run separately) and pinned here.
@@ -98,10 +98,32 @@ class TestRegLowerIncGamma:
     def test_series_and_fraction_routes_are_complementary(self):
         # On x >= k + 1 both expansions converge; P_series + Q_cf = 1.
         for k in (0.5, 1.0, 3.5, 16.4, 60.0):
-            for x in np.linspace(k + 1.0, k + 30.0, 25):
-                p = _lower_series(k, float(x))
-                q = _upper_continued_fraction(k, float(x))
-                assert p + q == pytest.approx(1.0, abs=1e-12)
+            x = np.linspace(k + 1.0, k + 30.0, 25)
+            p = _lower_series(k, x)
+            q = _upper_continued_fraction(k, x)
+            assert np.allclose(p + q, 1.0, rtol=0.0, atol=1e-12)
+
+    def test_array_matches_scalar_calls(self):
+        # each element iterates on its own, so it gets a scalar call's bits
+        rng = np.random.default_rng(2003)
+        for k in (0.3, 1.0, 16.39, 25.72, 144.0):
+            edges = [0.0, k + 1.0, np.nextafter(k + 1.0, 0.0)]
+            x = np.concatenate([edges, rng.uniform(0.0, 3.0 * k + 10.0, 497)])
+            got = reg_lower_inc_gamma(k, x)
+            assert got.shape == x.shape
+            assert np.array_equal(got, [reg_lower_inc_gamma(k, float(v)) for v in x])
+            assert np.array_equal(reg_lower_inc_gamma(k, x.reshape(2, -1)), got.reshape(2, -1))
+        assert isinstance(reg_lower_inc_gamma(2.0, 1.5), float)
+        assert reg_lower_inc_gamma(2.0, np.array([])).shape == (0,)
+
+    def test_array_against_scipy(self):
+        rng = np.random.default_rng(2004)
+        for _ in range(40):
+            k = float(rng.uniform(0.05, 200.0))
+            x = rng.uniform(0.0, 2.5 * k + 10.0, 200)
+            assert np.allclose(
+                reg_lower_inc_gamma(k, x), scipy.special.gammainc(k, x), rtol=1e-12, atol=1e-14
+            )
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -110,6 +132,9 @@ class TestRegLowerIncGamma:
             reg_lower_inc_gamma(-2.0, 1.0)
         with pytest.raises(ValueError):
             reg_lower_inc_gamma(1.0, -0.1)
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                reg_lower_inc_gamma(1.0, np.array([0.5, bad, 2.0]))
 
 
 class TestSphericalBessel:
