@@ -43,6 +43,7 @@ from frislink.montecarlo import (
 from oracle import (
     effective_channel,
     equivalent_gain_coherent,
+    equivalent_gain_static,
     projected_static_gains,
     sample_channels,
     select_top_products,
@@ -145,10 +146,11 @@ class TestRunTrials:
                 lam = np.linalg.eigvalsh(j_sub)[::-1][: nu.size]
                 assert np.allclose(nu, lam * lam, rtol=0.0, atol=1e-10 * nu[0])
 
-    def test_static_engine_matches_projected_law(self):
+    def test_static_engine_matches_api_composition(self):
         # the engine draws S E from its spectral law; the reference
         # projects both hops' normals and combines them, as artifact
-        # version 2 did
+        # version 2 did, and equals the per-trial composition of
+        # sample_channels, effective_channel and equivalent_gain_static
         g = small_geom()
         sel = uniform_grid_selection(g, 3, 3)
         phases = np.random.default_rng(701).uniform(0.0, 2.0 * math.pi, size=len(sel))
@@ -156,6 +158,13 @@ class TestRunTrials:
         got = run_trials(g, "spherical", StaticMode(sel, phases), n, seed=3)
         f = psd_sqrt(build_correlation_matrix(g, "spherical")).factor
         ref = projected_static_gains(f[sel], phases, 4, n)
+        stream = chunk_rng(4, 0)
+        for t in range(64):
+            c = sample_channels(stream, f.shape[1])
+            a_f = effective_channel(f, c.h_f, sel)
+            a_u = effective_channel(f, c.h_u, sel)
+            want = equivalent_gain_static(a_u, a_f, phases)
+            assert ref[t] == pytest.approx(want, rel=1e-10, abs=1e-12)
         both = np.sort(np.concatenate([got, ref]))
         cdf_got = np.searchsorted(np.sort(got), both, side="right") / n
         cdf_ref = np.searchsorted(np.sort(ref), both, side="right") / n
