@@ -42,6 +42,10 @@ __all__ = [
     "ergodic_capacity_asymptotic",
 ]
 
+# bisection steps of gamma_quantile decided by one vectorised gamma_cdf
+# call, on 2^levels - 1 midpoints
+_BISECTION_LEVELS = 6
+
 
 def trace_power(j_sub: np.ndarray, power: int) -> float:
     """tr(J~^p) for p in {2, 4}, via the eigenvalues of the submatrix."""
@@ -107,7 +111,12 @@ def gamma_cdf(fit: GammaFit, g):
 
 
 def gamma_quantile(fit: GammaFit, p: float) -> float:
-    """Inverse of gamma_cdf by bisection; p in [0, 1)."""
+    """Inverse of gamma_cdf by bisection; p in [0, 1).
+
+    Each gamma_cdf call evaluates every midpoint that the next
+    _BISECTION_LEVELS steps can visit, each formed from its interval as
+    a single step forms it, so the result is that of plain bisection.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must be in [0, 1), got {p!r}")
     if p == 0.0:
@@ -117,15 +126,31 @@ def gamma_quantile(fit: GammaFit, p: float) -> float:
     while gamma_cdf(fit, hi) < p:
         hi *= 2.0
     lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gamma_cdf(fit, mid) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    return 0.5 * (lo + hi)
+    steps = 0
+    while True:
+        # the tree of reachable midpoints, level by level: node i's
+        # interval splits into those of nodes 2i + 1 (low) and 2i + 2
+        mids = []
+        intervals = [(lo, hi)]
+        for _ in range(_BISECTION_LEVELS):
+            level = []
+            for a, b in intervals:
+                mid = 0.5 * (a + b)
+                mids.append(mid)
+                level += [(a, mid), (mid, b)]
+            intervals = level
+        below = gamma_cdf(fit, np.array(mids)) < p
+        node = 0
+        for _ in range(_BISECTION_LEVELS):
+            if below[node]:
+                lo = mids[node]
+                node = 2 * node + 2
+            else:
+                hi = mids[node]
+                node = 2 * node + 1
+            steps += 1
+            if hi - lo <= 1e-14 * hi or steps == 200:
+                return 0.5 * (lo + hi)
 
 
 def _gain_threshold(budget: LinkBudget) -> float:

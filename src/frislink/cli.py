@@ -99,9 +99,10 @@ def _cost_lines(config: ExperimentConfig) -> list:
     factor, the eigenvalues clamped to reach it, and the draws per trial:
     4r normals for the coherent modes, K + 1 exponentials for a static
     mode whose conditional power has K weights; likewise for each
-    sweep-m grid. Each distinct grid is factored once, at one BLAS
-    thread as the commands factor it. A last line says whether BLAS
-    could be pinned."""
+    sweep-m grid. The coherent runs of a command share one draw of
+    4 r_max normals a trial, the width of the largest rank. Each
+    distinct grid is factored once, at one BLAS thread as the commands
+    factor it. A last line says whether BLAS could be pinned."""
     geom = config.geometry
     entries = [
         (f"mode {spec.label}", mode_grid(geom, spec.mode), spec.mode) for spec in config.modes
@@ -111,6 +112,7 @@ def _cost_lines(config: ExperimentConfig) -> list:
     ]
     roots = {}
     lines = []
+    shared = 0
     with _one_blas_thread() as pinned:
         for name, grid, mode in entries:
             if grid not in roots:
@@ -121,7 +123,11 @@ def _cost_lines(config: ExperimentConfig) -> list:
             if isinstance(mode, StaticMode):
                 k = _static_weights(root.factor[mode.selection], mode.phases).size
                 cost = f"weights {k}, draws_per_trial {k + 1}"
+            else:
+                shared = max(shared, 4 * r)
             lines.append(f"{name}: rank {r}, clamped {root.clamped_count}, {cost}")
+    if shared:
+        lines.append(f"shared normals_per_trial {shared}")
     blas = (
         "blas: pinned to 1 thread"
         if pinned

@@ -2,7 +2,10 @@
 
 Each command holds BLAS at one thread while it runs (the analytic
 curves as well as the Monte Carlo), and `workers` (None: one per core)
-spreads its trial chunks over threads; the bytes depend on neither.
+spreads its trial chunks over threads; the bytes depend on neither. A
+command builds each grid's correlation matrix once and samples all its
+modes in one `run_many` pass, whose runs share their coherent normals;
+each mode's rows are those it gives when run alone.
 
 Every artifact starts with #-prefixed provenance lines (config hash,
 seed, tool version; never timestamps), then a column-header row, then
@@ -45,6 +48,8 @@ from .montecarlo import (
     estimate_ergodic_capacity,
     estimate_outage,
     ks_statistic,
+    mode_grid,
+    run_many,
     run_trials,
 )
 
@@ -76,7 +81,7 @@ def _write_csv(path, meta: dict, columns: list, rows) -> None:
 
 def _base_meta(config: ExperimentConfig, command: str) -> dict:
     return {
-        "artifact_version": 3,
+        "artifact_version": 4,
         "tool_version": __version__,
         "command": command,
         "config_hash": config.config_hash,
@@ -117,19 +122,27 @@ def _most_square_selection(geom: SurfaceGeometry, m_o: int) -> np.ndarray:
     return uniform_grid_selection(geom, best[1], best[2])
 
 
-def _analytic_block(
-    config: ExperimentConfig, spec: ModeSpec, j_full: np.ndarray
-) -> np.ndarray:
+def _correlations(config: ExperimentConfig) -> dict:
+    """Correlation matrix of each distinct grid the modes sample, built
+    once per command; the engine factors these same matrices."""
+    out = {}
+    for spec in config.modes:
+        grid = mode_grid(config.geometry, spec.mode)
+        if grid not in out:
+            out[grid] = build_correlation_matrix(grid, config.kernel)
+    return out
+
+
+def _analytic_block(config: ExperimentConfig, spec: ModeSpec, correlations: dict) -> np.ndarray:
     """Correlation block behind a mode's analytical curves."""
     mode = spec.mode
+    j = correlations[mode_grid(config.geometry, mode)]
     if isinstance(mode, StaticMode):
-        return principal_submatrix(j_full, mode.selection)
+        return principal_submatrix(j, mode.selection)
     if isinstance(mode, AdaptiveFrisMode):
-        sel = _most_square_selection(config.geometry, mode.m_o)
-        return principal_submatrix(j_full, sel)
+        return principal_submatrix(j, _most_square_selection(config.geometry, mode.m_o))
     if isinstance(mode, RisBaselineMode):
-        sub = config.geometry.regrid(mode.m_rx, mode.m_rz)
-        return build_correlation_matrix(sub, config.kernel)
+        return j
     raise TypeError(f"unsupported mode {type(mode).__name__}")
 
 
@@ -145,8 +158,8 @@ def cmd_dist(config: ExperimentConfig, out_path, workers: int | None = None) -> 
     if len(config.modes) != 1 or len(statics) != 1:
         raise ConfigError("dist: config must specify exactly one static mode")
     spec = statics[0]
-    j_full = build_correlation_matrix(config.geometry, config.kernel)
-    fit = gamma_fit(_analytic_block(config, spec, j_full))
+    correlations = _correlations(config)
+    fit = gamma_fit(_analytic_block(config, spec, correlations))
     samples = run_trials(
         config.geometry, config.kernel, spec.mode, config.trials, config.seed,
         workers=workers,
@@ -177,16 +190,14 @@ def _write_curves(
 ) -> str:
     """One row per mode and SNR point: snr_db, the mode label, then
     row(model, samples, budget), where model = analytic(correlation block)
-    is formed once per mode and the gains are sampled once per mode and
-    reused across the SNR grid (only the threshold moves)."""
-    j_full = build_correlation_matrix(config.geometry, config.kernel)
+    is formed once per mode. The modes' gains are sampled in one joint
+    run and reused across the SNR grid (only the threshold moves)."""
+    correlations = _correlations(config)
+    models = [analytic(_analytic_block(config, spec, correlations)) for spec in config.modes]
+    runs = [(config.geometry, spec.mode) for spec in config.modes]
+    gains = run_many(config.kernel, runs, config.trials, config.seed, workers=workers)
     rows = []
-    for spec in config.modes:
-        model = analytic(_analytic_block(config, spec, j_full))
-        samples = run_trials(
-            config.geometry, config.kernel, spec.mode, config.trials, config.seed,
-            workers=workers,
-        )
+    for spec, model, samples in zip(config.modes, models, gains):
         for snr_db in config.snr_grid_db:
             budget = _budget(config, snr_db)
             rows.append((snr_db, spec.label, *row(model, samples, budget)))
@@ -277,17 +288,14 @@ def cmd_sweep_m(config: ExperimentConfig, out_path, workers: int | None = None) 
             raise ConfigError(
                 f"sweep-m: grid {m_x}x{m_z} has fewer than m_o={m_o} elements"
             )
-    ris_samples = run_trials(
-        config.geometry, config.kernel, ris_mode, config.trials, config.seed,
-        workers=workers,
-    )
+    runs = [(config.geometry, ris_mode)] + [
+        (config.geometry.regrid(m_x, m_z), AdaptiveFrisMode(m_o=m_o))
+        for m_x, m_z in config.m_grid
+    ]
+    ris_samples, *sweep = run_many(config.kernel, runs, config.trials, config.seed, workers=workers)
     ris_est = estimate_ergodic_capacity(ris_samples, budget)
     rows = []
-    for m_x, m_z in config.m_grid:
-        samples = run_trials(
-            config.geometry.regrid(m_x, m_z), config.kernel, AdaptiveFrisMode(m_o=m_o),
-            config.trials, config.seed, workers=workers,
-        )
+    for (m_x, m_z), samples in zip(config.m_grid, sweep):
         est = estimate_ergodic_capacity(samples, budget)
         rows.append(
             (

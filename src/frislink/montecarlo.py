@@ -1,18 +1,36 @@
 """Chunked, reproducible Monte Carlo engine for equivalent-gain sampling.
 
-Reproducibility contract (artifact version 3): trials are processed in
-fixed chunks of CHUNK_TRIALS, and chunk c draws from its own
-counter-based stream (`chunk_rng`), trial-major, so a trial's draws
-depend only on the seed and its index, and the gains are byte-identical
-for any worker count: parallel runs distribute whole chunks across
-threads, one per available core by default. A coherent mode's trial
-reads four rows of r normals (real then imaginary part of the
-surface-to-user hop, then of the base-to-surface hop); a static mode's
-trial reads K + 1 standard exponentials.
+Reproducibility contract (artifact version 4): trials are processed in
+fixed chunks of CHUNK_TRIALS. Every stream of chunk c is Philox keyed by
+the seed, with c in words 2 and 3 of the 256-bit counter (c << 128), the
+position in word 0, and word 1 naming the stream: 0 is the chunk's own
+stream (`chunk_rng`), from which a static mode's trials read K + 1
+standard exponentials each, trial after trial; k + 1 is column k of the
+coherent draw, and a coherent mode's trial t reads positions 4t..4t+3
+of each of its first r columns (real then imaginary part of coordinate
+k of the white surface-to-user hop h, then of the base-to-surface hop,
+each times sqrt(2), the factor's column k mapping it to the
+elements); 2^63 and
+up are left free for streams a later sampler keys on the same seed and
+chunk. A trial's draws depend only on the seed, its index and its
+mode's rank, and the gains are byte-identical for any worker count:
+parallel runs distribute whole chunks across threads, one per
+available core by default.
+
+`run_many` runs several (grid, mode) pairs in one pass: each chunk
+draws the columns of the largest rank once and each coherent mode
+projects the first r of them, so the runs share their normals (common
+random numbers: Glasserman, Monte Carlo Methods in Financial
+Engineering, 2003, sec. 4.2) and each run's gains are bit for bit those
+of the run alone. Column k drives the k-th largest eigenmode of each
+grid, with a fixed sign (`_draw_order`), so on grids of one aperture
+the shared normals drive similar modes and a command's rows are
+positively correlated, which narrows the spread of their differences;
+the standard error each row reports is still that of its own run.
 
 Threaded BLAS rounds products differently from single-threaded BLAS, so
 numpy's bundled OpenBLAS is pinned to one thread while a run lasts
-(`_one_blas_thread`, entered by `run_trials`, the commands and
+(`_one_blas_thread`, entered by `run_many`, the commands and
 `frislink validate`): the bytes are the one-thread bytes on any machine,
 and the parallelism is the chunk threads'. Where the library or its
 thread-count symbols are missing (MKL, a system OpenBLAS) runs go
@@ -23,10 +41,11 @@ F = U_r sqrt(Lambda_r) of the correlation matrix
 (`CorrelationSqrt.factor`), whose r columns are the eigenpairs the
 matrix root keeps. F @ F.T is the square of the clamped root, so the
 sampled law is that of J^(1/2) h with h ~ CN(0, I), while each trial
-draws 4r normals instead of 4M. All arithmetic is real: one
-(4b x r) @ (r x M') product per block of b trials gives both parts of
-both hops, and the products |a_f| |a_u| are ranked and summed as square
-roots of the squared parts.
+reads 4r normals instead of 4M. All arithmetic is real: one
+(4b x r) @ (r x M') product per block of b trials, the block's first r
+columns transposed times the factor's, gives both parts of both hops,
+and the products |a_f| |a_u| are ranked and summed as square roots of
+the squared parts.
 
 A static mode samples its exact law instead. Given the user-side hop,
 its equivalent channel is CN(0, S), so the gain is G = S E_0, and S is a
@@ -35,7 +54,7 @@ Provost, Quadratic Forms in Random Variables, 1992), with i.i.d.
 E_0, E_1, ... ~ Exp(1) and weights nu from one SVD per run
 (`_static_weights`). A trial thus draws K + 1 exponentials, K <= r.
 
-A chunk reads its stream block by block into reused buffers, which
+A chunk reads its streams block by block into reused buffers, which
 gives the same draws as one draw of the whole chunk.
 """
 
@@ -56,6 +75,7 @@ import numpy as np
 from .channel import LinkBudget
 from .correlation import (
     _EIG_CLAMP_REL,
+    _held_correlation,
     CorrelationSqrt,
     SurfaceGeometry,
     build_correlation_matrix,
@@ -75,6 +95,7 @@ __all__ = [
     "grid_root",
     "mode_grid",
     "run_trials",
+    "run_many",
     "estimate_outage",
     "estimate_ergodic_capacity",
     "ks_statistic",
@@ -212,8 +233,12 @@ def mode_grid(geom: SurfaceGeometry, mode) -> SurfaceGeometry:
 
 def grid_root(grid: SurfaceGeometry, kernel: str) -> CorrelationSqrt:
     """Matrix root of a grid's correlation. Its factor has r columns, and
-    every coherent trial on the grid draws 4r normals."""
-    return psd_sqrt(build_correlation_matrix(grid, kernel))
+    every coherent trial on the grid reads 4r normals. The correlation
+    matrix is built unless a caller still holds it."""
+    j = _held_correlation(grid, kernel)
+    if j is None:
+        j = build_correlation_matrix(grid, kernel)
+    return psd_sqrt(j)
 
 
 def _static_weights(factor_sel: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -231,7 +256,9 @@ def _static_weights(factor_sel: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return nu[nu > _EIG_CLAMP_REL * nu[0]]
 
 
-def _resolve_mode(geom: SurfaceGeometry, kernel: str, mode) -> _EnginePlan:
+def _resolve_mode(geom: SurfaceGeometry, kernel: str, mode, factors: dict) -> _EnginePlan:
+    """Checks a mode and forms its plan; factors holds the hop factors
+    of the grids already factored, by grid, and gains this mode's."""
     if isinstance(mode, StaticMode):
         sel = np.asarray(mode.selection, dtype=int)
         phases = np.asarray(mode.phases, dtype=float)
@@ -248,47 +275,92 @@ def _resolve_mode(geom: SurfaceGeometry, kernel: str, mode) -> _EnginePlan:
             raise ValueError(f"m_o must be in [1, {geom.m}], got {mode.m_o}")
     elif not isinstance(mode, RisBaselineMode):
         raise TypeError(f"unsupported mode {type(mode).__name__}")
-    factor = grid_root(mode_grid(geom, mode), kernel).factor
+    grid = mode_grid(geom, mode)
+    if grid not in factors:
+        factors[grid] = grid_root(grid, kernel).factor
+    factor = factors[grid]
     if isinstance(mode, StaticMode):
         return _EnginePlan("static", weights=_static_weights(factor[sel], phases))
     if isinstance(mode, AdaptiveFrisMode):
-        return _EnginePlan("adaptive", factor, m_o=mode.m_o)
-    return _EnginePlan("coherent_all", factor)
+        return _EnginePlan("adaptive", _draw_order(factor), m_o=mode.m_o)
+    return _EnginePlan("coherent_all", _draw_order(factor))
 
 
-def _compute_chunk(plan: _EnginePlan, seed: int, chunk: int, n: int) -> np.ndarray:
-    """Gains for the n trials of one chunk.
+def _draw_order(factor: np.ndarray) -> np.ndarray:
+    """The hop factor's columns in the order the coherent draw reads them:
+    largest eigenvalue first, each signed so that sum_i (i + 1) F_ik > 0.
+    Column k is then close to the same spatial mode on every grid of one
+    aperture, so runs that share a chunk's draw are positively coupled
+    (their common normals drive similar modes)."""
+    f = factor[:, ::-1]
+    moment = np.arange(1, f.shape[0] + 1) @ f
+    return f * np.where(moment < 0.0, -1.0, 1.0)
+
+
+def _column_streams(rng: np.random.Generator, r: int) -> list:
+    """Streams of columns 0..r-1 of a coherent chunk draw: the chunk
+    stream `rng` with counter word 1 set to k + 1 for column k."""
+    state = rng.bit_generator.state["state"]
+    streams = []
+    for k in range(r):
+        counter = state["counter"].copy()
+        counter[1] = k + 1
+        streams.append(np.random.Generator(np.random.Philox(key=state["key"], counter=counter)))
+    return streams
+
+
+def _compute_chunk(plans: list, seed: int, chunk: int, gains: list) -> None:
+    """Writes the gains of every plan for the n trials of one chunk into
+    the matching array of `gains`, each of length n.
 
     The trials are drawn (and for the coherent modes projected and
     combined) in blocks of _BLOCK_TRIALS, in buffers reused from block
     to block, so a chunk holds a few MB whatever its size. Successive
-    fills continue one stream, so the draws are those of a single draw
+    fills continue each stream, so the draws are those of a single draw
     of the whole chunk, and each gain takes the same operations as when
     the whole chunk is computed at once.
+
+    The coherent plans share one block of the largest rank's columns,
+    and each projects its first r rows, so its gains do not depend on
+    the other plans.
     """
-    rng = chunk_rng(seed, chunk)
+    n = len(gains[0])
     starts = list(range(0, n, _BLOCK_TRIALS))
     if len(starts) > 1 and n - starts[-1] < _MIN_LAST_BLOCK:
         starts.pop()
     blocks = list(zip(starts, starts[1:] + [n]))
     b = max(t1 - t0 for t0, t1 in blocks)
-    gains = np.empty(n)
-    if plan.kind == "static":
+    coherent = []
+    for plan, out in zip(plans, gains):
+        if plan.kind != "static":
+            coherent.append((plan, out))
+            continue
         # per trial E_0, E_1 .. E_K; the gain is E_0 sum_k nu_k E_k
+        rng = chunk_rng(seed, chunk)
         e = np.empty((b, plan.weights.size + 1))
         for t0, t1 in blocks:
             k = t1 - t0
             rng.standard_exponential(out=e[:k])
-            gains[t0:t1] = e[:k, 0] * (e[:k, 1:] @ plan.weights)
-        return gains
-    z = np.empty((4 * b, plan.factor.shape[1]))
-    a = np.empty((4 * b, plan.factor.shape[0]))
+            out[t0:t1] = e[:k, 0] * (e[:k, 1:] @ plan.weights)
+    if not coherent:
+        return
+    fills = [
+        stream.standard_normal
+        for stream in _column_streams(
+            chunk_rng(seed, chunk), max(plan.factor.shape[1] for plan, _ in coherent)
+        )
+    ]
+    z = np.empty((len(fills), 4 * b))
+    buf = np.empty(4 * b * max(plan.factor.shape[0] for plan, _ in coherent))
     for t0, t1 in blocks:
         k = t1 - t0
-        rng.standard_normal(out=z[: 4 * k])
-        np.matmul(z[: 4 * k], plan.factor.T, out=a[: 4 * k])
-        gains[t0:t1] = _combine(plan, a[: 4 * k].reshape(k, 4, -1))
-    return gains
+        for fill, row in zip(fills, z[:, : 4 * k]):
+            fill(out=row)
+        for plan, out in coherent:
+            m, r = plan.factor.shape
+            a = buf[: 4 * k * m].reshape(4 * k, m)
+            np.matmul(z[:r, : 4 * k].T, plan.factor.T, out=a)
+            out[t0:t1] = _combine(plan, a.reshape(k, 4, m))
 
 
 def _combine(plan: _EnginePlan, a: np.ndarray) -> np.ndarray:
@@ -308,21 +380,16 @@ def _combine(plan: _EnginePlan, a: np.ndarray) -> np.ndarray:
 
 
 @_one_blas_thread()
-def run_trials(
-    geom: SurfaceGeometry,
-    kernel: str,
-    mode,
-    n: int,
-    seed: int,
-    workers: int | None = None,
-) -> np.ndarray:
-    """Equivalent gains of n independent trials.
+def run_many(kernel: str, runs, n: int, seed: int, workers: int | None = None) -> list:
+    """Equivalent gains of n independent trials for each (geometry, mode)
+    run, in one pass that factors each distinct grid once and draws each
+    chunk's coherent normals once for all runs.
 
     Trials are processed in fixed chunks of CHUNK_TRIALS on a pool of
     `workers` threads (None: one per core this process may run on),
-    which share the plan; numpy releases the interpreter lock in the
+    which share the plans; numpy releases the interpreter lock in the
     draws, products and selections. BLAS is held at one thread for the
-    matrix root and the chunks, so no result bit depends on the worker
+    matrix roots and the chunks, so no result bit depends on the worker
     count or on the machine's core count. If a chunk raises, or the
     wait is interrupted, chunks not yet started are cancelled.
     """
@@ -332,16 +399,38 @@ def run_trials(
         workers = _available_cores()
     elif workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    plan = _resolve_mode(geom, kernel, mode)
-    sizes = [min(CHUNK_TRIALS, n - t0) for t0 in range(0, n, CHUNK_TRIALS)]
-    pool = ThreadPoolExecutor(max_workers=min(workers, len(sizes)))
+    factors = {}
+    plans = [_resolve_mode(geom, kernel, mode, factors) for geom, mode in runs]
+    if not plans:
+        raise ValueError("runs must hold at least one (geometry, mode) pair")
+    gains = [np.empty(n) for _ in plans]
+    starts = range(0, n, CHUNK_TRIALS)
+    pool = ThreadPoolExecutor(max_workers=min(workers, len(starts)))
     try:
         futures = [
-            pool.submit(_compute_chunk, plan, seed, c, k) for c, k in enumerate(sizes)
+            pool.submit(
+                _compute_chunk, plans, seed, c, [g[t0 : t0 + CHUNK_TRIALS] for g in gains]
+            )
+            for c, t0 in enumerate(starts)
         ]
-        return np.concatenate([f.result() for f in futures])
+        for f in futures:
+            f.result()
     finally:
         pool.shutdown(cancel_futures=True)
+    return gains
+
+
+def run_trials(
+    geom: SurfaceGeometry,
+    kernel: str,
+    mode,
+    n: int,
+    seed: int,
+    workers: int | None = None,
+) -> np.ndarray:
+    """Equivalent gains of n independent trials of one mode: `run_many`
+    with a single run."""
+    return run_many(kernel, [(geom, mode)], n, seed, workers)[0]
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,17 @@ times h ~ CN(0, I), the static gain is
 (sum_i |a_u[i]| |a_f[i]|)^2 over the selected elements. The coherent
 engine is tested against it trial by trial, the static engine in law,
 and the correlation tests use its element positions.
-`whole_chunk_gains` restates a whole chunk in the engine's own
-arithmetic but without its trial blocks. `projected_static_gains` keeps
-the static composition the engine used before it drew its static gains
-from their spectral law, and `sample_gain_exponential_mixture` draws one
-static gain at a time by conditioning on the user-side hop.
+`column_normals` and `column_channels` restate the coherent stream
+layout: column k of chunk c is the Philox stream with counter
+(c << 128) | ((k + 1) << 64), and trial t reads positions 4t..4t+3 of
+each of its first r columns. `whole_chunk_gains` restates a whole chunk
+in the engine's own arithmetic but without its trial blocks.
+`trial_major_gains` keeps the coherent composition of artifact version
+3, which read each trial's 4r normals in a row of the chunk stream;
+`projected_static_gains` keeps the static composition the engine used
+before it drew its static gains from their spectral law, and
+`sample_gain_exponential_mixture` draws one static gain at a time by
+conditioning on the user-side hop.
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ def sample_channels(rng: np.random.Generator, m: int) -> ChannelRealization:
     """Draw both hop vectors from a single stream of 4m standard normals.
 
     The first 2m normals form h_f (real parts then imaginary parts), the
-    next 2m form h_u the same way; this is the engine's per-trial row
-    order. Each entry is CN(0, 1).
+    next 2m form h_u the same way, the order of a trial's row in
+    artifact version 3. Each entry is CN(0, 1).
     """
     z = rng.standard_normal(4 * m)
     h_f = (z[:m] + 1j * z[m : 2 * m]) * _RT_HALF
@@ -114,21 +120,34 @@ def pairwise_distance(i: int, j: int, geom) -> float:
     return math.hypot(xi - xj, zi - zj)
 
 
-def whole_chunk_gains(plan, seed: int, chunk: int, n: int) -> np.ndarray:
-    """The engine's gains for one chunk, drawn at once.
+def column_normals(seed: int, chunk: int, n: int, r: int) -> np.ndarray:
+    """The coherent normals of n trials of one chunk, shaped (r, 4n): row
+    k is column k's stream, whose position 4t + j is part j (Re h_f,
+    Im h_f, Re h_u, Im h_u, each times sqrt(2)) of coordinate k of trial
+    t's white hop vectors, which the factor's column k maps to the
+    elements."""
+    z = np.empty((r, 4 * n))
+    for k in range(r):
+        bits = np.random.Philox(key=seed, counter=(chunk << 128) | ((k + 1) << 64))
+        z[k] = np.random.Generator(bits).standard_normal(4 * n)
+    return z
 
-    This is the engine's arithmetic without its trial blocks: for a
-    static mode all n x (K+1) exponentials of the chunk in one draw, for
-    the coherent modes all 4n x r normals in one draw, one projection and
-    one combine. The blocked engine must reproduce it bit for bit.
-    """
-    rng = chunk_rng(seed, chunk)
-    if plan.kind == "static":
-        e = rng.standard_exponential((n, plan.weights.size + 1))
-        return e[:, 0] * (e[:, 1:] @ plan.weights)
-    z = rng.standard_normal((4 * n, plan.factor.shape[1]))
-    # per trial: Re a_f, Im a_f, Re a_u, Im a_u, each times sqrt(2)
-    a = (z @ plan.factor.T).reshape(n, 4, -1)
+
+def column_channels(seed: int, chunk: int, n: int, r: int) -> list:
+    """Both hop vectors of the first n trials of a chunk, read from the
+    coherent column streams, one ChannelRealization per trial."""
+    z = column_normals(seed, chunk, n, r)
+    return [
+        ChannelRealization(
+            h_f=(z[:, 4 * t] + 1j * z[:, 4 * t + 1]) * _RT_HALF,
+            h_u=(z[:, 4 * t + 2] + 1j * z[:, 4 * t + 3]) * _RT_HALF,
+        )
+        for t in range(n)
+    ]
+
+
+def _combine_chunk(plan, a: np.ndarray) -> np.ndarray:
+    """Coherent gains from the projected hops a, shaped (n, 4, M')."""
     np.square(a, out=a)
     power = (a[:, 0] + a[:, 1]) * (a[:, 2] + a[:, 3])
     if plan.kind == "adaptive":
@@ -140,23 +159,50 @@ def whole_chunk_gains(plan, seed: int, chunk: int, n: int) -> np.ndarray:
     return _GAIN_SCALE * amp * amp
 
 
+def whole_chunk_gains(plan, seed: int, chunk: int, n: int) -> np.ndarray:
+    """The engine's gains for one chunk, drawn at once.
+
+    This is the engine's arithmetic without its trial blocks: for a
+    static mode all n x (K+1) exponentials of the chunk in one draw, for
+    the coherent modes each column's 4n normals in one draw, one
+    projection and one combine. The blocked engine must reproduce it bit
+    for bit.
+    """
+    if plan.kind == "static":
+        e = chunk_rng(seed, chunk).standard_exponential((n, plan.weights.size + 1))
+        return e[:, 0] * (e[:, 1:] @ plan.weights)
+    z = column_normals(seed, chunk, n, plan.factor.shape[1])
+    return _combine_chunk(plan, (z.T @ plan.factor.T).reshape(n, 4, -1))
+
+
+def trial_major_gains(plan, seed: int, n: int) -> np.ndarray:
+    """Coherent gains as artifact version 3 drew them: each chunk's trials
+    read 4r normals in a row of `chunk_rng`, trial after trial."""
+    out = []
+    for c, t0 in enumerate(range(0, n, CHUNK_TRIALS)):
+        k = min(CHUNK_TRIALS, n - t0)
+        z = chunk_rng(seed, c).standard_normal((4 * k, plan.factor.shape[1]))
+        out.append(_combine_chunk(plan, (z @ plan.factor.T).reshape(k, 4, -1)))
+    return np.concatenate(out)
+
+
 def projected_static_gains(
     factor_sel: np.ndarray, phases: np.ndarray, seed: int, n: int
 ) -> np.ndarray:
     """Static gains computed from both hops, as artifact version 2 did.
 
-    Each chunk's trials read 4r normals from `chunk_rng` (Re a_f, Im a_f,
-    Re a_u, Im a_u, each times sqrt(2)), project them through the
-    selected factor rows and expand conj(a_u) e^(j phi) a_f into cos and
-    sin terms. A trial shares its normals with the coherent modes' trial
-    of the same seed and index, so the two can be compared trial by trial.
+    Each chunk's trials read their 4r normals from the coherent column
+    streams (`column_normals`), project them through the selected factor
+    rows and expand conj(a_u) e^(j phi) a_f into cos and sin terms. A
+    trial shares its normals with the coherent modes' trial of the same
+    seed and index, so the two can be compared trial by trial.
     """
     cos, sin = np.cos(phases), np.sin(phases)
     out = []
     for c, t0 in enumerate(range(0, n, CHUNK_TRIALS)):
         k = min(CHUNK_TRIALS, n - t0)
-        z = chunk_rng(seed, c).standard_normal((4 * k, factor_sel.shape[1]))
-        a = (z @ factor_sel.T).reshape(k, 4, -1)
+        z = column_normals(seed, c, k, factor_sel.shape[1])
+        a = (z.T @ factor_sel.T).reshape(k, 4, -1)
         f_re, f_im, u_re, u_im = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
         # conj(a_u) a_f = (p + j q) / 2, rotated by e^(j phi) and summed
         p = u_re * f_re + u_im * f_im

@@ -182,6 +182,29 @@ class TestGammaDistribution:
         with pytest.raises(ValueError):
             gamma_quantile(fit, 1.0)
 
+    def test_quantile_matches_plain_bisection(self):
+        # several bisection levels per cdf call decide each step as one
+        # scalar call per midpoint does, so the quantile keeps its bits
+        def plain(fit, p):
+            k, th = fit.shape_k, fit.scale_theta
+            hi = th * (k + 10.0 * math.sqrt(k) + 10.0)
+            while gamma_cdf(fit, hi) < p:
+                hi *= 2.0
+            lo = 0.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if gamma_cdf(fit, mid) < p:
+                    lo = mid
+                else:
+                    hi = mid
+                if hi - lo <= 1e-14 * hi:
+                    break
+            return 0.5 * (lo + hi)
+
+        for fit in (GammaFit(16.39, 2.89), GammaFit(0.4, 7.0), GammaFit(150.0, 0.02)):
+            for p in (1e-12, 0.01, 0.5, 0.999, 1.0 - 1e-12):
+                assert gamma_quantile(fit, p) == plain(fit, p)
+
 
 class TestOutage:
     def test_exponential_case(self):

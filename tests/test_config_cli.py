@@ -240,6 +240,48 @@ class TestCmdOutage:
         for values in by_mode.values():
             assert all(b <= a for a, b in zip(values, values[1:]))
 
+    def test_joint_rows_equal_lone_runs(self, tmp_path):
+        # the modes share each chunk's draw, yet every row is the one the
+        # mode writes when it is configured alone
+        modes = [
+            {"type": "static", "select_x": 2, "select_z": 2},
+            {"type": "ris_baseline", "m_rx": 2, "m_rz": 2},
+            {"type": "adaptive_fris", "m_o": 4},
+        ]
+
+        def data_rows(mode_list, name):
+            out = tmp_path / name
+            cmd_outage(parse(tiny_doc(modes=mode_list)), out)
+            lines = out.read_text(encoding="utf-8").splitlines()
+            return [ln for ln in lines if not ln.startswith(("#", "snr_db"))]
+
+        joint = data_rows(modes, "all.csv")
+        alone = [row for i, m in enumerate(modes) for row in data_rows([m], f"{i}.csv")]
+        assert sorted(joint) == sorted(alone) and len(joint) == 6
+
+    @pytest.mark.parametrize("command", [cmd_outage, cmd_dist])
+    def test_builds_each_grid_once(self, monkeypatch, tmp_path, command):
+        # the analytic curves and the engine share each grid's matrix:
+        # outage builds the 4x4 grid and the RIS 2x2 grid, dist the 4x4
+        import frislink.montecarlo as mc_mod
+
+        built = []
+        for module in (experiments_mod, mc_mod):
+            real = module.build_correlation_matrix
+            monkeypatch.setattr(
+                module,
+                "build_correlation_matrix",
+                lambda g, k, real=real: built.append((g.m_x, g.m_z)) or real(g, k),
+            )
+        modes = [{"type": "static", "select_x": 2, "select_z": 2}]
+        if command is cmd_outage:
+            modes += [
+                {"type": "adaptive_fris", "m_o": 4},
+                {"type": "ris_baseline", "m_rx": 2, "m_rz": 2},
+            ]
+        command(parse(tiny_doc(modes=modes)), tmp_path / "x.csv")
+        assert sorted(built) == ([(2, 2), (4, 4)] if command is cmd_outage else [(4, 4)])
+
     def test_reliability_flag_written(self, tmp_path):
         doc = tiny_doc(snr_grid_db=[0.0, 40.0], trials=500)
         out = tmp_path / "o.csv"
@@ -319,7 +361,7 @@ class TestCmdSweepM:
     def test_checks_every_grid_before_running(self, monkeypatch, tmp_path):
         calls = []
         monkeypatch.setattr(
-            experiments_mod, "run_trials", lambda *a, **k: calls.append(a) or np.ones(8)
+            experiments_mod, "run_many", lambda *a, **k: calls.append(a) or [np.ones(8)] * 4
         )
         doc = tiny_doc(
             snr_grid_db=[30.0],
@@ -356,6 +398,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mode ris(6x6): rank 36, clamped 0, normals_per_trial 144" in out
         assert "sweep 20x20: rank 167, clamped 233, normals_per_trial 668" in out
+        # the coherent runs share one draw as wide as the largest rank's
+        assert "\nshared normals_per_trial 668\n" in out
         import frislink.montecarlo as mc_mod
 
         def boom(j):

@@ -38,15 +38,17 @@ from frislink.montecarlo import (
     estimate_ergodic_capacity,
     estimate_outage,
     ks_statistic,
+    run_many,
     run_trials,
 )
 from oracle import (
+    column_channels,
     effective_channel,
     equivalent_gain_coherent,
     equivalent_gain_static,
     projected_static_gains,
-    sample_channels,
     select_top_products,
+    trial_major_gains,
     whole_chunk_gains,
 )
 
@@ -134,7 +136,7 @@ class TestRunTrials:
             phases = np.random.default_rng(701).uniform(0.0, 2.0 * math.pi, sel.size)
             if not phased:
                 phases = np.zeros(sel.size)
-            nu = _resolve_mode(g, "spherical", StaticMode(sel, phases)).weights
+            nu = _resolve_mode(g, "spherical", StaticMode(sel, phases), {}).weights
             f = psd_sqrt(build_correlation_matrix(g, "spherical")).factor[sel]
             j_sub = f @ f.T  # the clamped block J~
             d = np.exp(1j * phases)
@@ -150,7 +152,7 @@ class TestRunTrials:
         # the engine draws S E from its spectral law; the reference
         # projects both hops' normals and combines them, as artifact
         # version 2 did, and equals the per-trial composition of
-        # sample_channels, effective_channel and equivalent_gain_static
+        # column_channels, effective_channel and equivalent_gain_static
         g = small_geom()
         sel = uniform_grid_selection(g, 3, 3)
         phases = np.random.default_rng(701).uniform(0.0, 2.0 * math.pi, size=len(sel))
@@ -158,9 +160,7 @@ class TestRunTrials:
         got = run_trials(g, "spherical", StaticMode(sel, phases), n, seed=3)
         f = psd_sqrt(build_correlation_matrix(g, "spherical")).factor
         ref = projected_static_gains(f[sel], phases, 4, n)
-        stream = chunk_rng(4, 0)
-        for t in range(64):
-            c = sample_channels(stream, f.shape[1])
+        for t, c in enumerate(column_channels(4, 0, 64, f.shape[1])):
             a_f = effective_channel(f, c.h_f, sel)
             a_u = effective_channel(f, c.h_u, sel)
             want = equivalent_gain_static(a_u, a_f, phases)
@@ -174,10 +174,9 @@ class TestRunTrials:
         g = small_geom()
         mode = AdaptiveFrisMode(m_o=7)
         got = run_trials(g, "spherical", mode, 64, seed=4)
-        f = psd_sqrt(build_correlation_matrix(g, "spherical")).factor
-        stream = chunk_rng(4, 0)
-        for t in range(64):
-            c = sample_channels(stream, f.shape[1])
+        # the factor with its columns in the order the coherent draw reads them
+        f = _resolve_mode(g, "spherical", mode, {}).factor
+        for t, c in enumerate(column_channels(4, 0, 64, f.shape[1])):
             a_f = effective_channel(f, c.h_f, np.arange(g.m))
             a_u = effective_channel(f, c.h_u, np.arange(g.m))
             sel = select_top_products(a_u, a_f, 7)
@@ -247,7 +246,7 @@ class TestRunTrials:
         # so the top-m_o coherent gain bounds each trial's static gain
         g = small_geom()
         sel = uniform_grid_selection(g, 3, 3)
-        f = psd_sqrt(build_correlation_matrix(g, "spherical")).factor
+        f = _resolve_mode(g, "spherical", AdaptiveFrisMode(len(sel)), {}).factor
         static = projected_static_gains(f[sel], np.zeros(len(sel)), 9, 2048)
         adaptive = run_trials(g, "spherical", AdaptiveFrisMode(len(sel)), 2048, seed=9)
         assert np.all(adaptive >= static * (1.0 - 1e-12))
@@ -327,10 +326,111 @@ class TestBlockedChunk:
         # 3616 = 7 blocks and 32 trials; 517 leaves 5 trials past the first
         # block, which must not get a block of their own
         g, mode = dense_case(kind)
-        plan = _resolve_mode(g, "spherical", mode)
+        plan = _resolve_mode(g, "spherical", mode, {})
         for chunk in (0, 3):
-            got = _compute_chunk(plan, 17, chunk, n)
+            got = np.empty(n)
+            _compute_chunk([plan], 17, chunk, [got])
             assert np.array_equal(got, whole_chunk_gains(plan, 17, chunk, n))
+
+
+class TestRunMany:
+    """A command's runs share each chunk's coherent draw; every run's gains
+    stay those of the run alone."""
+
+    @staticmethod
+    def runs():
+        # r = 167 (adaptive, 20x20), 36 (RIS 6x6), 100 (adaptive, 10x10),
+        # 149 (RIS 14x14) and a static mode, which keeps its own stream
+        g, static = dense_case("static")
+        return [
+            (g, AdaptiveFrisMode(m_o=36)),
+            (g, RisBaselineMode(6, 6)),
+            (g.regrid(10, 10), AdaptiveFrisMode(m_o=36)),
+            (g, static),
+            (g, RisBaselineMode(14, 14)),
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_joint_equals_alone(self, workers):
+        runs = self.runs()
+        n = CHUNK_TRIALS + 3214
+        joint = run_many("spherical", runs, n, seed=25, workers=workers)
+        reverse = run_many("spherical", runs[::-1], n, seed=25, workers=workers)[::-1]
+        for (geom, mode), a, b in zip(runs, joint, reverse):
+            alone = run_trials(geom, "spherical", mode, n, seed=25, workers=workers)
+            assert np.array_equal(a, alone) and np.array_equal(b, alone)
+
+    def test_each_grid_factored_once(self, monkeypatch):
+        sizes = []
+        real_psd_sqrt = mc.psd_sqrt
+
+        def counting_psd_sqrt(j):
+            sizes.append(j.shape[0])
+            return real_psd_sqrt(j)
+
+        monkeypatch.setattr(mc, "psd_sqrt", counting_psd_sqrt)
+        g = small_geom()
+        run_many(
+            "spherical",
+            [(g, AdaptiveFrisMode(9)), (g, RisBaselineMode(6, 6)), (g, RisBaselineMode(3, 3))],
+            100,
+            seed=26,
+        )
+        assert sorted(sizes) == [9, 36]
+
+    def test_held_correlation_is_not_built_again(self, monkeypatch):
+        # a matrix the caller still holds is factored as it is; once
+        # released, the engine builds it
+        builds = []
+        real_build = mc.build_correlation_matrix
+
+        def counting_build(grid, kernel):
+            builds.append(grid)
+            return real_build(grid, kernel)
+
+        monkeypatch.setattr(mc, "build_correlation_matrix", counting_build)
+        g = SurfaceGeometry(m_x=5, m_z=7, w_x=1.7, w_z=2.3, wavelength=LAMBDA)
+        held = build_correlation_matrix(g, "spherical")
+        assert not held.flags.writeable
+        want = run_trials(g, "spherical", AdaptiveFrisMode(9), 100, seed=27)
+        assert builds == []
+        del held
+        assert np.array_equal(run_trials(g, "spherical", AdaptiveFrisMode(9), 100, seed=27), want)
+        assert builds == [g]
+
+    def test_draw_order_leads_with_the_largest_mode(self):
+        # the coherent draw reads the factor's columns largest eigenvalue
+        # first, each with a fixed sign; the factor stays a factor of S^2
+        g, mode = dense_case("adaptive")
+        raw = psd_sqrt(build_correlation_matrix(g, "spherical")).factor
+        f = _resolve_mode(g, "spherical", mode, {}).factor
+        power = (f * f).sum(axis=0)
+        assert np.all(np.diff(power) <= 1e-12 * power[0])
+        assert np.all(np.arange(1, g.m + 1) @ f >= 0.0)
+        assert np.allclose(f @ f.T, raw @ raw.T, rtol=0.0, atol=1e-12)
+
+    def test_shared_draws_couple_grids_of_one_aperture(self):
+        # column k drives the k-th largest mode of each grid, so the gains
+        # of a dense adaptive surface and a sparse RIS move together
+        g = SurfaceGeometry(m_x=10, m_z=10, w_x=2.0, w_z=2.0, wavelength=LAMBDA)
+        fris, ris = run_many(
+            "spherical", [(g, AdaptiveFrisMode(16)), (g, RisBaselineMode(4, 4))], 8192, seed=30
+        )
+        assert np.corrcoef(np.log(fris), np.log(ris))[0, 1] > 0.5
+
+    @pytest.mark.parametrize("kind", ["adaptive", "baseline"])
+    def test_coherent_law_matches_trial_major_stream(self, kind):
+        # the column streams sample the law of the trial-major draw of
+        # artifact version 3: two-sample KS at 1e5 vs 1e5, criterion 9's bound
+        g = SurfaceGeometry(m_x=10, m_z=10, w_x=2.0, w_z=2.0, wavelength=LAMBDA)
+        mode = AdaptiveFrisMode(m_o=16) if kind == "adaptive" else RisBaselineMode(4, 4)
+        n = 100_000
+        got = run_trials(g, "spherical", mode, n, seed=28)
+        ref = trial_major_gains(_resolve_mode(g, "spherical", mode, {}), 29, n)
+        both = np.sort(np.concatenate([got, ref]))
+        cdf_got = np.searchsorted(np.sort(got), both, side="right") / n
+        cdf_ref = np.searchsorted(np.sort(ref), both, side="right") / n
+        assert np.max(np.abs(cdf_got - cdf_ref)) <= 0.012
 
 
 class TestThreadWorkers:
@@ -459,11 +559,11 @@ class TestBlasPin:
         caller = get_threads()
         seen = []
 
-        def failing_run_trials(*args, **kwargs):
+        def failing_run_many(*args, **kwargs):
             seen.append(get_threads())
             raise RuntimeError("engine failed")
 
-        monkeypatch.setattr(experiments_mod, "run_trials", failing_run_trials)
+        monkeypatch.setattr(experiments_mod, "run_many", failing_run_many)
         with pytest.raises(RuntimeError, match="engine failed"):
             experiments_mod.cmd_outage(tiny_config(), tmp_path / "o.csv")
         assert seen == [1]
