@@ -1,7 +1,7 @@
 """Command-line front-end.
 
 Exit codes: 0 success, 2 configuration error (also argparse usage
-errors), 3 numerical failure.
+errors) or an output file that cannot be written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -152,6 +152,9 @@ def main(argv=None) -> int:
             output = _COMMANDS[args.command](config, out_path)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return _EXIT_CONFIG
+    except OSError as e:  # the commands touch no file but their output
+        print(f"output error: {e}", file=sys.stderr)
         return _EXIT_CONFIG
     except (
         np.linalg.LinAlgError,

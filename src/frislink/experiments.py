@@ -81,7 +81,7 @@ def _write_csv(path, meta: dict, columns: list, rows) -> None:
 
 def _base_meta(config: ExperimentConfig, command: str) -> dict:
     return {
-        "artifact_version": 4,
+        "artifact_version": 5,
         "tool_version": __version__,
         "command": command,
         "config_hash": config.config_hash,

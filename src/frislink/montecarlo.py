@@ -1,32 +1,44 @@
 """Chunked, reproducible Monte Carlo engine for equivalent-gain sampling.
 
-Reproducibility contract (artifact version 4): trials are processed in
-fixed chunks of CHUNK_TRIALS. Every stream of chunk c is Philox keyed by
-the seed, with c in words 2 and 3 of the 256-bit counter (c << 128), the
-position in word 0, and word 1 naming the stream: 0 is the chunk's own
-stream (`chunk_rng`), from which a static mode's trials read K + 1
-standard exponentials each, trial after trial; k + 1 is column k of the
-coherent draw, and a coherent mode's trial t reads positions 4t..4t+3
-of each of its first r columns (real then imaginary part of coordinate
-k of the white surface-to-user hop h, then of the base-to-surface hop,
-each times sqrt(2), the factor's column k mapping it to the
-elements); 2^63 and
-up are left free for streams a later sampler keys on the same seed and
-chunk. A trial's draws depend only on the seed, its index and its
-mode's rank, and the gains are byte-identical for any worker count:
-parallel runs distribute whole chunks across threads, one per
-available core by default.
+Reproducibility contract (artifact version 5): trials are processed in
+fixed chunks of CHUNK_TRIALS, and a chunk's trials in draw blocks of
+_BLOCK_TRIALS = 128. Every stream of chunk c is Philox keyed by the
+seed, with c in words 2 and 3 of the 256-bit counter (c << 128), the
+position in word 0, and word 1 naming the stream:
 
-`run_many` runs several (grid, mode) pairs in one pass: each chunk
-draws the columns of the largest rank once and each coherent mode
-projects the first r of them, so the runs share their normals (common
-random numbers: Glasserman, Monte Carlo Methods in Financial
-Engineering, 2003, sec. 4.2) and each run's gains are bit for bit those
-of the run alone. Column k drives the k-th largest eigenmode of each
-grid, with a fixed sign (`_draw_order`), so on grids of one aperture
-the shared normals drive similar modes and a command's rows are
-positively correlated, which narrows the spread of their differences;
-the standard error each row reports is still that of its own run.
+  0         the chunk's own stream (`chunk_rng`), from which a static
+            mode's trials read K + 1 standard exponentials each, trial
+            after trial;
+  j + 1     draw block j of the coherent draw (the chunk's trials
+            128 j .. 128 j + 127), read column-major: its first
+            r_max * 512 normals fill r_max columns of 512, column k
+            at positions 512 k .. 512 k + 511, and the block's trial t
+            reads positions 4t .. 4t + 3 of each of its mode's first r
+            columns (real then imaginary part of coordinate k of the
+            white surface-to-user hop h, then of the base-to-surface
+            hop, each times sqrt(2), the factor's column k mapping it to
+            the elements);
+  2^63 up   free, for streams a later sampler keys on the same seed and
+            chunk.
+
+A rank-r mode reads a prefix of each block's stream, and the last block
+of a chunk draws its full r_max x 512 normals however few trials it
+holds, so a trial's draws depend only on the seed, its index and its
+mode's rank. The gains are byte-identical for any worker count:
+parallel runs distribute whole chunks across threads, one per available
+core by default.
+
+`run_many` runs several (grid, mode) pairs in one pass: each draw block
+is filled once, in one call, with the columns of the largest rank, and
+each coherent mode projects the first r of them, so the runs share
+their normals (common random numbers: Glasserman, Monte Carlo Methods
+in Financial Engineering, 2003, sec. 4.2) and each run's gains are bit
+for bit those of the run alone. Column k drives the k-th largest
+eigenmode of each grid, with a fixed sign (`_draw_order`), so on grids
+of one aperture the shared normals drive similar modes and a command's
+rows are positively correlated, which narrows the spread of their
+differences; the standard error each row reports is still that of its
+own run.
 
 Threaded BLAS rounds products differently from single-threaded BLAS, so
 numpy's bundled OpenBLAS is pinned to one thread while a run lasts
@@ -55,7 +67,7 @@ E_0, E_1, ... ~ Exp(1) and weights nu from one SVD per run
 (`_static_weights`). A trial thus draws K + 1 exponentials, K <= r.
 
 A chunk reads its streams block by block into reused buffers, which
-gives the same draws as one draw of the whole chunk.
+gives the same draws as drawing the whole chunk at once.
 """
 
 from __future__ import annotations
@@ -64,6 +76,7 @@ import contextlib
 import ctypes
 import functools
 import glob
+import itertools
 import math
 import os
 import threading
@@ -104,9 +117,9 @@ __all__ = [
 
 CHUNK_TRIALS = 8192
 
-# trials drawn (and projected) at once inside a chunk: (4b, r) normals and
-# (4b, M') projections stay within a few MB at M' = 400, for each of
-# several chunk threads
+# trials per coherent draw block, part of the stream contract, and per
+# projection block: (r, 4b) normals and (4b, M') projections stay within
+# a few MB at M' = 400, for each of several chunk threads
 _BLOCK_TRIALS = 128
 # BLAS multiplies a few rows with other kernels, which round differently,
 # so a last block of fewer trials than this joins the block before it
@@ -297,16 +310,15 @@ def _draw_order(factor: np.ndarray) -> np.ndarray:
     return f * np.where(moment < 0.0, -1.0, 1.0)
 
 
-def _column_streams(rng: np.random.Generator, r: int) -> list:
-    """Streams of columns 0..r-1 of a coherent chunk draw: the chunk
-    stream `rng` with counter word 1 set to k + 1 for column k."""
+def _draw_blocks(rng: np.random.Generator):
+    """Streams of the coherent draw blocks 0, 1, ... of the chunk whose
+    own stream is `rng`: draw block j is that Philox stream with counter
+    word 1 set to j + 1."""
     state = rng.bit_generator.state["state"]
-    streams = []
-    for k in range(r):
-        counter = state["counter"].copy()
-        counter[1] = k + 1
-        streams.append(np.random.Generator(np.random.Philox(key=state["key"], counter=counter)))
-    return streams
+    counter = state["counter"].copy()
+    for j in itertools.count():
+        counter[1] = j + 1
+        yield np.random.Generator(np.random.Philox(key=state["key"], counter=counter))
 
 
 def _compute_chunk(plans: list, seed: int, chunk: int, gains: list) -> None:
@@ -315,12 +327,14 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list) -> None:
 
     The trials are drawn (and for the coherent modes projected and
     combined) in blocks of _BLOCK_TRIALS, in buffers reused from block
-    to block, so a chunk holds a few MB whatever its size. Successive
-    fills continue each stream, so the draws are those of a single draw
-    of the whole chunk, and each gain takes the same operations as when
+    to block, so a chunk holds a few MB whatever its size. The static
+    fills continue the chunk's stream, and each coherent block fills its
+    draw block's columns in one call (a merged last block reads two
+    draw blocks, column by column), so the draws are those of the whole
+    chunk drawn at once, and each gain takes the same operations as when
     the whole chunk is computed at once.
 
-    The coherent plans share one block of the largest rank's columns,
+    The coherent plans share each block's columns of the largest rank,
     and each projects its first r rows, so its gains do not depend on
     the other plans.
     """
@@ -344,18 +358,27 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list) -> None:
             out[t0:t1] = e[:k, 0] * (e[:k, 1:] @ plan.weights)
     if not coherent:
         return
-    fills = [
-        stream.standard_normal
-        for stream in _column_streams(
-            chunk_rng(seed, chunk), max(plan.factor.shape[1] for plan, _ in coherent)
-        )
-    ]
-    z = np.empty((len(fills), 4 * b))
+    r_max = max(plan.factor.shape[1] for plan, _ in coherent)
+    width = 4 * _BLOCK_TRIALS  # normals per column of a draw block
+    streams = _draw_blocks(chunk_rng(seed, chunk))
+    flat = np.empty(r_max * max(width, 4 * b))
     buf = np.empty(4 * b * max(plan.factor.shape[0] for plan, _ in coherent))
     for t0, t1 in blocks:
         k = t1 - t0
-        for fill, row in zip(fills, z[:, : 4 * k]):
-            fill(out=row)
+        if k <= _BLOCK_TRIALS:
+            # a short last block still draws the block's full columns
+            z = flat[: r_max * width].reshape(r_max, width)
+            next(streams).standard_normal(out=z)
+        else:
+            # a merged last block reads two draw blocks, column by column,
+            # each column of the second past its trials discarded
+            z = flat[: r_max * 4 * k].reshape(r_max, 4 * k)
+            for c0 in (0, width):
+                stream = next(streams)
+                for row in z:
+                    part = row[c0 : c0 + width]
+                    stream.standard_normal(out=part)
+                    stream.standard_normal(width - part.size)
         for plan, out in coherent:
             m, r = plan.factor.shape
             a = buf[: 4 * k * m].reshape(4 * k, m)

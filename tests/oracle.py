@@ -10,16 +10,17 @@ times h ~ CN(0, I), the static gain is
 engine is tested against it trial by trial, the static engine in law,
 and the correlation tests use its element positions.
 `column_normals` and `column_channels` restate the coherent stream
-layout: column k of chunk c is the Philox stream with counter
-(c << 128) | ((k + 1) << 64), and trial t reads positions 4t..4t+3 of
-each of its first r columns. `whole_chunk_gains` restates a whole chunk
-in the engine's own arithmetic but without its trial blocks.
-`trial_major_gains` keeps the coherent composition of artifact version
-3, which read each trial's 4r normals in a row of the chunk stream;
-`projected_static_gains` keeps the static composition the engine used
-before it drew its static gains from their spectral law, and
-`sample_gain_exponential_mixture` draws one static gain at a time by
-conditioning on the user-side hop.
+layout: draw block j of chunk c (its trials 128j .. 128j + 127) is the
+Philox stream with counter (c << 128) | ((j + 1) << 64), read
+column-major in columns of 512 normals, and the block's trial t reads
+positions 4t..4t+3 of each of its first r columns. `whole_chunk_gains`
+restates a whole chunk in the engine's own arithmetic but without its
+trial blocks. `trial_major_gains` keeps the coherent composition of
+artifact version 3, which read each trial's 4r normals in a row of the
+chunk stream; `projected_static_gains` keeps the static composition
+the engine used before it drew its static gains from their spectral
+law, and `sample_gain_exponential_mixture` draws one static gain at a
+time by conditioning on the user-side hop.
 """
 
 from __future__ import annotations
@@ -120,22 +121,28 @@ def pairwise_distance(i: int, j: int, geom) -> float:
     return math.hypot(xi - xj, zi - zj)
 
 
+# trials per coherent draw block, fixed by the stream contract
+DRAW_BLOCK = 128
+
+
 def column_normals(seed: int, chunk: int, n: int, r: int) -> np.ndarray:
     """The coherent normals of n trials of one chunk, shaped (r, 4n): row
-    k is column k's stream, whose position 4t + j is part j (Re h_f,
-    Im h_f, Re h_u, Im h_u, each times sqrt(2)) of coordinate k of trial
-    t's white hop vectors, which the factor's column k maps to the
-    elements."""
-    z = np.empty((r, 4 * n))
-    for k in range(r):
-        bits = np.random.Philox(key=seed, counter=(chunk << 128) | ((k + 1) << 64))
-        z[k] = np.random.Generator(bits).standard_normal(4 * n)
-    return z
+    k, position 4t + j is part j (Re h_f, Im h_f, Re h_u, Im h_u, each
+    times sqrt(2)) of coordinate k of trial t's white hop vectors, which
+    the factor's column k maps to the elements. Each draw block's r
+    columns are read from its own stream, one column after the other,
+    and the last block is drawn whole however few trials it holds."""
+    width = 4 * DRAW_BLOCK
+    blocks = []
+    for j in range(-(-n // DRAW_BLOCK)):
+        bits = np.random.Philox(key=seed, counter=(chunk << 128) | ((j + 1) << 64))
+        blocks.append(np.random.Generator(bits).standard_normal(r * width).reshape(r, width))
+    return np.concatenate(blocks, axis=1)[:, : 4 * n]
 
 
 def column_channels(seed: int, chunk: int, n: int, r: int) -> list:
     """Both hop vectors of the first n trials of a chunk, read from the
-    coherent column streams, one ChannelRealization per trial."""
+    coherent draw blocks, one ChannelRealization per trial."""
     z = column_normals(seed, chunk, n, r)
     return [
         ChannelRealization(
@@ -164,7 +171,7 @@ def whole_chunk_gains(plan, seed: int, chunk: int, n: int) -> np.ndarray:
 
     This is the engine's arithmetic without its trial blocks: for a
     static mode all n x (K+1) exponentials of the chunk in one draw, for
-    the coherent modes each column's 4n normals in one draw, one
+    the coherent modes every draw block's normals drawn whole, one
     projection and one combine. The blocked engine must reproduce it bit
     for bit.
     """
@@ -191,8 +198,8 @@ def projected_static_gains(
 ) -> np.ndarray:
     """Static gains computed from both hops, as artifact version 2 did.
 
-    Each chunk's trials read their 4r normals from the coherent column
-    streams (`column_normals`), project them through the selected factor
+    Each chunk's trials read their 4r normals from the coherent draw
+    blocks (`column_normals`), project them through the selected factor
     rows and expand conj(a_u) e^(j phi) a_f into cos and sin terms. A
     trial shares its normals with the coherent modes' trial of the same
     seed and index, so the two can be compared trial by trial.

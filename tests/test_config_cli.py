@@ -545,6 +545,16 @@ class TestCli:
         assert f"config error: modes[0].{message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "x.csv"
+        argv = ["outage", "--preset", "fig3a", "--trials", "256", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("output error: ")
+        assert str(out) in lines[0]
+
     def test_argparse_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["dist", "--config", "a", "--preset", "fig2"])

@@ -43,6 +43,7 @@ from frislink.montecarlo import (
 )
 from oracle import (
     column_channels,
+    column_normals,
     effective_channel,
     equivalent_gain_coherent,
     equivalent_gain_static,
@@ -332,6 +333,17 @@ class TestBlockedChunk:
             _compute_chunk([plan], 17, chunk, [got])
             assert np.array_equal(got, whole_chunk_gains(plan, 17, chunk, n))
 
+    def test_contract_normals_depend_on_trial_and_rank_only(self):
+        # the stream contract the engine is checked against: a trial reads
+        # the same normals in a chunk of t + 1 trials as in a full one, and
+        # rank r reads the first r rows of any larger rank's draw
+        full = column_normals(31, 2, CHUNK_TRIALS, 40)
+        for t in (0, 37, 127, 128, 516, CHUNK_TRIALS - 1):
+            part = column_normals(31, 2, t + 1, 40)
+            assert np.array_equal(part[:, 4 * t : 4 * t + 4], full[:, 4 * t : 4 * t + 4])
+        for r in (1, 17, 39):
+            assert np.array_equal(column_normals(31, 2, 517, r), full[:r, : 4 * 517])
+
 
 class TestRunMany:
     """A command's runs share each chunk's coherent draw; every run's gains
@@ -420,8 +432,9 @@ class TestRunMany:
 
     @pytest.mark.parametrize("kind", ["adaptive", "baseline"])
     def test_coherent_law_matches_trial_major_stream(self, kind):
-        # the column streams sample the law of the trial-major draw of
-        # artifact version 3: two-sample KS at 1e5 vs 1e5, criterion 9's bound
+        # the column-major draw blocks sample the law of the trial-major
+        # draw of artifact version 3: two-sample KS at 1e5 vs 1e5,
+        # criterion 9's bound
         g = SurfaceGeometry(m_x=10, m_z=10, w_x=2.0, w_z=2.0, wavelength=LAMBDA)
         mode = AdaptiveFrisMode(m_o=16) if kind == "adaptive" else RisBaselineMode(4, 4)
         n = 100_000
