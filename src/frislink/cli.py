@@ -22,7 +22,7 @@ from .config import (
     preset_config,
 )
 from .experiments import cmd_capacity, cmd_dist, cmd_outage, cmd_sweep_m
-from .montecarlo import StaticMode, _one_blas_thread, _static_weights, grid_root, mode_grid
+from .montecarlo import RisBaselineMode, _one_blas_thread, plan_runs
 
 _COMMANDS = {
     "dist": cmd_dist,
@@ -95,37 +95,24 @@ def _summary_lines(config: ExperimentConfig) -> list:
 
 
 def _cost_lines(config: ExperimentConfig) -> list:
-    """What each mode's trials cost: the effective rank r of the grid's
-    factor, the eigenvalues clamped to reach it, and the draws per trial:
-    4r normals for the coherent modes, K + 1 exponentials for a static
-    mode whose conditional power has K weights; likewise for each
-    sweep-m grid. The coherent runs of a command share one draw of
-    4 r_max normals a trial, the width of the largest rank. Each
-    distinct grid is factored once, at one BLAS thread as the commands
-    factor it. A last line says whether BLAS could be pinned."""
-    geom = config.geometry
-    entries = [
-        (f"mode {spec.label}", mode_grid(geom, spec.mode), spec.mode) for spec in config.modes
-    ]
-    entries += [
-        (f"sweep {m_x}x{m_z}", geom.regrid(m_x, m_z), None) for m_x, m_z in config.m_grid or ()
-    ]
-    roots = {}
-    lines = []
-    shared = 0
+    """One line per plan the engine runs, for each mode and sweep-m grid
+    (as a coherent run on it): rank r, clamped count, draws per trial (4r
+    normals, or K + 1 exponentials for K static weights); then the shared
+    4 r_max normals a trial and whether BLAS could be pinned."""
+    names = [f"mode {spec.label}" for spec in config.modes]
+    runs = [(config.geometry, spec.mode) for spec in config.modes]
+    for m_x, m_z in config.m_grid or ():
+        names.append(f"sweep {m_x}x{m_z}")
+        runs.append((config.geometry, RisBaselineMode(m_x, m_z)))
     with _one_blas_thread() as pinned:
-        for name, grid, mode in entries:
-            if grid not in roots:
-                roots[grid] = grid_root(grid, config.kernel)
-            root = roots[grid]
-            r = root.factor.shape[1]
-            cost = f"normals_per_trial {4 * r}"
-            if isinstance(mode, StaticMode):
-                k = _static_weights(root.factor[mode.selection], mode.phases).size
-                cost = f"weights {k}, draws_per_trial {k + 1}"
-            else:
-                shared = max(shared, 4 * r)
-            lines.append(f"{name}: rank {r}, clamped {root.clamped_count}, {cost}")
+        plans = plan_runs(config.kernel, runs, {})
+    lines = []
+    for name, plan in zip(names, plans):
+        cost = f"normals_per_trial {plan.draws_per_trial}"
+        if plan.kind == "static":
+            cost = f"weights {plan.weights.size}, draws_per_trial {plan.draws_per_trial}"
+        lines.append(f"{name}: rank {plan.rank}, clamped {plan.clamped}, {cost}")
+    shared = max((p.draws_per_trial for p in plans if p.kind != "static"), default=0)
     if shared:
         lines.append(f"shared normals_per_trial {shared}")
     blas = (

@@ -9,7 +9,6 @@ their Euclidean separation through an isotropic scattering kernel.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,11 +31,6 @@ KERNELS = ("spherical", "cylindrical")
 # Relative eigenvalue floor used when factoring a numerically singular
 # correlation matrix; anything below tol * max_eigenvalue is treated as zero.
 _EIG_CLAMP_REL = 1e-12
-
-# matrices from build_correlation_matrix that a caller still holds, by
-# (grid, kernel): a command that built a grid's matrix for its analytic
-# curves has the engine factor that matrix instead of building it again
-_held = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -107,8 +101,8 @@ def build_correlation_matrix(geom: SurfaceGeometry, kernel: str = "spherical") -
 
     Entries depend only on the absolute index offsets per axis, so the
     kernel is evaluated once per unique offset pair and broadcast. The
-    matrix is read-only: while a caller holds it, `_held_correlation`
-    returns it for the same grid and kernel.
+    matrix is read-only, as a command shares it between its analytic
+    curves and `montecarlo.plan_runs`.
     """
     table = np.empty((geom.m_x, geom.m_z))
     for dx in range(geom.m_x):
@@ -122,13 +116,7 @@ def build_correlation_matrix(geom: SurfaceGeometry, kernel: str = "spherical") -
     off_z = np.abs(row[:, None] - row[None, :])
     j = table[off_x, off_z]
     j.flags.writeable = False
-    _held[geom, kernel] = j
     return j
-
-
-def _held_correlation(geom: SurfaceGeometry, kernel: str) -> np.ndarray | None:
-    """The grid's correlation matrix if a caller still holds it, else None."""
-    return _held.get((geom, kernel))
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,8 +4,9 @@ Each command holds BLAS at one thread while it runs (the analytic
 curves as well as the Monte Carlo), and `workers` (None: one per core)
 spreads its trial chunks over threads; the bytes depend on neither. A
 command builds each grid's correlation matrix once and samples all its
-modes in one `run_many` pass, whose runs share their coherent normals;
-each mode's rows are those it gives when run alone.
+plans in one `run_many` pass, whose runs share their coherent normals;
+each mode's rows are those it gives when run alone. The output is
+written to `<path>.part`, opened before the trials, then moved onto it.
 
 Every artifact starts with #-prefixed provenance lines (config hash,
 seed, tool version; never timestamps), then a column-header row, then
@@ -15,8 +16,10 @@ the same config byte-reproduces the file.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 
 import numpy as np
 
@@ -49,8 +52,9 @@ from .montecarlo import (
     estimate_outage,
     ks_statistic,
     mode_grid,
+    plan_runs,
     run_many,
-    run_trials,
+    run_trials,  # no command calls it: perfbench/tracing.py wraps it here
 )
 
 __all__ = ["cmd_dist", "cmd_outage", "cmd_capacity", "cmd_sweep_m"]
@@ -69,14 +73,25 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _write_csv(path, meta: dict, columns: list, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        for key, value in meta.items():
-            f.write(f"# {key}={value}\n")
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_value(v) for v in row])
+@contextlib.contextmanager
+def _output(path):
+    """`<path>.part`, open; it replaces `path` after the body, or is removed if that raises."""
+    part = f"{path}.part"
+    with open(part, "w", encoding="utf-8", newline="") as f:
+        try:
+            yield f
+            f.close()
+            os.replace(part, path)
+        except BaseException:
+            os.remove(part)
+            raise
+
+
+def _write_csv(f, meta: dict, columns: list, rows) -> None:
+    f.writelines(f"# {key}={value}\n" for key, value in meta.items())
+    writer = csv.writer(f, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_format_value(v) for v in row] for row in rows)
 
 
 def _base_meta(config: ExperimentConfig, command: str) -> dict:
@@ -125,12 +140,8 @@ def _most_square_selection(geom: SurfaceGeometry, m_o: int) -> np.ndarray:
 def _correlations(config: ExperimentConfig) -> dict:
     """Correlation matrix of each distinct grid the modes sample, built
     once per command; the engine factors these same matrices."""
-    out = {}
-    for spec in config.modes:
-        grid = mode_grid(config.geometry, spec.mode)
-        if grid not in out:
-            out[grid] = build_correlation_matrix(grid, config.kernel)
-    return out
+    grids = dict.fromkeys(mode_grid(config.geometry, spec.mode) for spec in config.modes)
+    return {grid: build_correlation_matrix(grid, config.kernel) for grid in grids}
 
 
 def _analytic_block(config: ExperimentConfig, spec: ModeSpec, correlations: dict) -> np.ndarray:
@@ -160,27 +171,26 @@ def cmd_dist(config: ExperimentConfig, out_path, workers: int | None = None) -> 
     spec = statics[0]
     correlations = _correlations(config)
     fit = gamma_fit(_analytic_block(config, spec, correlations))
-    samples = run_trials(
-        config.geometry, config.kernel, spec.mode, config.trials, config.seed,
-        workers=workers,
-    )
-    ecdf = empirical_cdf(samples)
-    ks = ks_statistic(samples, fit)
-    grid = np.linspace(0.0, gamma_quantile(fit, _DIST_QUANTILE), _DIST_GRID_POINTS)
-    meta = _base_meta(config, "dist")
-    meta.update(
-        {
-            "mode": spec.label,
-            "k": format(fit.shape_k, ".17g"),
-            "theta": format(fit.scale_theta, ".17g"),
-            "ks": format(ks, ".17g"),
-        }
-    )
-    rows = [
-        (float(g), gamma_pdf(fit, float(g)), float(cdf), float(emp))
-        for g, cdf, emp in zip(grid, gamma_cdf(fit, grid), ecdf.evaluate(grid))
-    ]
-    _write_csv(out_path, meta, ["g", "analytical_pdf", "analytical_cdf", "empirical_cdf"], rows)
+    plans = plan_runs(config.kernel, [(config.geometry, spec.mode)], correlations)
+    with _output(out_path) as f:
+        (samples,) = run_many(plans, config.trials, config.seed, workers=workers)
+        ecdf = empirical_cdf(samples)
+        ks = ks_statistic(samples, fit)
+        grid = np.linspace(0.0, gamma_quantile(fit, _DIST_QUANTILE), _DIST_GRID_POINTS)
+        meta = _base_meta(config, "dist")
+        meta.update(
+            {
+                "mode": spec.label,
+                "k": format(fit.shape_k, ".17g"),
+                "theta": format(fit.scale_theta, ".17g"),
+                "ks": format(ks, ".17g"),
+            }
+        )
+        rows = [
+            (float(g), gamma_pdf(fit, float(g)), float(cdf), float(emp))
+            for g, cdf, emp in zip(grid, gamma_cdf(fit, grid), ecdf.evaluate(grid))
+        ]
+        _write_csv(f, meta, ["g", "analytical_pdf", "analytical_cdf", "empirical_cdf"], rows)
     return str(out_path)
 
 
@@ -195,13 +205,15 @@ def _write_curves(
     correlations = _correlations(config)
     models = [analytic(_analytic_block(config, spec, correlations)) for spec in config.modes]
     runs = [(config.geometry, spec.mode) for spec in config.modes]
-    gains = run_many(config.kernel, runs, config.trials, config.seed, workers=workers)
-    rows = []
-    for spec, model, samples in zip(config.modes, models, gains):
-        for snr_db in config.snr_grid_db:
-            budget = _budget(config, snr_db)
-            rows.append((snr_db, spec.label, *row(model, samples, budget)))
-    _write_csv(out_path, _base_meta(config, command), ["snr_db", "mode", *columns], rows)
+    plans = plan_runs(config.kernel, runs, correlations)
+    with _output(out_path) as f:
+        gains = run_many(plans, config.trials, config.seed, workers=workers)
+        rows = []
+        for spec, model, samples in zip(config.modes, models, gains):
+            for snr_db in config.snr_grid_db:
+                budget = _budget(config, snr_db)
+                rows.append((snr_db, spec.label, *row(model, samples, budget)))
+        _write_csv(f, _base_meta(config, command), ["snr_db", "mode", *columns], rows)
     return str(out_path)
 
 
@@ -292,28 +304,30 @@ def cmd_sweep_m(config: ExperimentConfig, out_path, workers: int | None = None) 
         (config.geometry.regrid(m_x, m_z), AdaptiveFrisMode(m_o=m_o))
         for m_x, m_z in config.m_grid
     ]
-    ris_samples, *sweep = run_many(config.kernel, runs, config.trials, config.seed, workers=workers)
-    ris_est = estimate_ergodic_capacity(ris_samples, budget)
-    rows = []
-    for (m_x, m_z), samples in zip(config.m_grid, sweep):
-        est = estimate_ergodic_capacity(samples, budget)
-        rows.append(
-            (
-                m_x,
-                m_z,
-                m_x * m_z,
-                est.capacity,
-                est.stderr,
-                ris_est.capacity,
-                ris_est.stderr,
+    plans = plan_runs(config.kernel, runs, {})
+    with _output(out_path) as f:
+        ris_samples, *sweep = run_many(plans, config.trials, config.seed, workers=workers)
+        ris_est = estimate_ergodic_capacity(ris_samples, budget)
+        rows = []
+        for (m_x, m_z), samples in zip(config.m_grid, sweep):
+            est = estimate_ergodic_capacity(samples, budget)
+            rows.append(
+                (
+                    m_x,
+                    m_z,
+                    m_x * m_z,
+                    est.capacity,
+                    est.stderr,
+                    ris_est.capacity,
+                    ris_est.stderr,
+                )
             )
+        meta = _base_meta(config, "sweep-m")
+        meta.update({"m_o": m_o, "snr_db": format(config.snr_grid_db[0], ".17g")})
+        _write_csv(
+            f,
+            meta,
+            ["m_x", "m_z", "m", "fris_capacity", "fris_stderr", "ris_capacity", "ris_stderr"],
+            rows,
         )
-    meta = _base_meta(config, "sweep-m")
-    meta.update({"m_o": m_o, "snr_db": format(config.snr_grid_db[0], ".17g")})
-    _write_csv(
-        out_path,
-        meta,
-        ["m_x", "m_z", "m", "fris_capacity", "fris_stderr", "ris_capacity", "ris_stderr"],
-        rows,
-    )
     return str(out_path)

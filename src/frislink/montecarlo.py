@@ -28,24 +28,24 @@ mode's rank. The gains are byte-identical for any worker count:
 parallel runs distribute whole chunks across threads, one per available
 core by default.
 
-`run_many` runs several (grid, mode) pairs in one pass: each draw block
-is filled once, in one call, with the columns of the largest rank, and
-each coherent mode projects the first r of them, so the runs share
-their normals (common random numbers: Glasserman, Monte Carlo Methods
-in Financial Engineering, 2003, sec. 4.2) and each run's gains are bit
-for bit those of the run alone. Column k drives the k-th largest
-eigenmode of each grid, with a fixed sign (`_draw_order`), so on grids
-of one aperture the shared normals drive similar modes and a command's
-rows are positively correlated, which narrows the spread of their
-differences; the standard error each row reports is still that of its
-own run.
+`run_many` runs the plans of `plan_runs` (which `frislink validate`
+prints) in one pass: each draw block is filled once, in one call, with
+the columns of the largest rank, and each coherent mode projects the
+first r of them, so the runs share their normals (common random numbers:
+Glasserman, Monte Carlo Methods in Financial Engineering, 2003, sec. 4.2)
+and each run's gains are bit for bit those of the run alone. Column k
+drives the k-th largest eigenmode of each grid, with a fixed sign
+(`_draw_order`), so on grids of one aperture the shared normals drive
+similar modes and a command's rows are positively correlated, which
+narrows the spread of their differences; the standard error each row
+reports is still that of its own run.
 
 Threaded BLAS rounds products differently from single-threaded BLAS, so
 numpy's bundled OpenBLAS is pinned to one thread while a run lasts
-(`_one_blas_thread`, entered by `run_many`, the commands and
-`frislink validate`): the bytes are the one-thread bytes on any machine,
-and the parallelism is the chunk threads'. Where the library or its
-thread-count symbols are missing (MKL, a system OpenBLAS) runs go
+(`_one_blas_thread`, entered by `plan_runs`, `run_many`, the commands
+and `frislink validate`): the bytes are the one-thread bytes on any
+machine, and the parallelism is the chunk threads'. Where the library or
+its thread-count symbols are missing (MKL, a system OpenBLAS) runs go
 unpinned, and their bytes may depend on the BLAS thread count.
 
 The coherent modes project each hop through the M x r factor
@@ -88,8 +88,6 @@ import numpy as np
 from .channel import LinkBudget
 from .correlation import (
     _EIG_CLAMP_REL,
-    _held_correlation,
-    CorrelationSqrt,
     SurfaceGeometry,
     build_correlation_matrix,
     psd_sqrt,
@@ -104,9 +102,10 @@ __all__ = [
     "OutageEstimate",
     "CapacityEstimate",
     "EmpiricalCdf",
+    "RunPlan",
     "chunk_rng",
-    "grid_root",
     "mode_grid",
+    "plan_runs",
     "run_trials",
     "run_many",
     "estimate_outage",
@@ -227,13 +226,16 @@ class RisBaselineMode:
 
 
 @dataclass(frozen=True, eq=False)
-class _EnginePlan:
-    """Resolved per-mode inputs shared by the chunk workers."""
+class RunPlan:
+    """One resolved (geometry, mode) run: what `run_many` runs and validate prints."""
 
     kind: str  # 'static' | 'adaptive' | 'coherent_all'
-    factor: np.ndarray | None = None  # coherent: hop factor rows, M' x r
-    weights: np.ndarray | None = None  # static: the K weights of S, descending
+    rank: int  # r, the columns of the sampled grid's factor
+    clamped: int  # eigenvalues of the grid's matrix root clamped to zero
+    draws_per_trial: int  # static: K + 1 exponentials; coherent: 4r normals
+    factor: np.ndarray | None = None  # coherent: hop factor rows in draw order, M' x r
     m_o: int | None = None  # adaptive: elements kept per trial
+    weights: np.ndarray | None = None  # static: the K weights of S, descending
 
 
 def mode_grid(geom: SurfaceGeometry, mode) -> SurfaceGeometry:
@@ -242,16 +244,6 @@ def mode_grid(geom: SurfaceGeometry, mode) -> SurfaceGeometry:
     if isinstance(mode, RisBaselineMode):
         return geom.regrid(mode.m_rx, mode.m_rz)
     return geom
-
-
-def grid_root(grid: SurfaceGeometry, kernel: str) -> CorrelationSqrt:
-    """Matrix root of a grid's correlation. Its factor has r columns, and
-    every coherent trial on the grid reads 4r normals. The correlation
-    matrix is built unless a caller still holds it."""
-    j = _held_correlation(grid, kernel)
-    if j is None:
-        j = build_correlation_matrix(grid, kernel)
-    return psd_sqrt(j)
 
 
 def _static_weights(factor_sel: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -269,9 +261,7 @@ def _static_weights(factor_sel: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return nu[nu > _EIG_CLAMP_REL * nu[0]]
 
 
-def _resolve_mode(geom: SurfaceGeometry, kernel: str, mode, factors: dict) -> _EnginePlan:
-    """Checks a mode and forms its plan; factors holds the hop factors
-    of the grids already factored, by grid, and gains this mode's."""
+def _check_mode(geom: SurfaceGeometry, mode) -> None:
     if isinstance(mode, StaticMode):
         sel = np.asarray(mode.selection, dtype=int)
         phases = np.asarray(mode.phases, dtype=float)
@@ -288,15 +278,33 @@ def _resolve_mode(geom: SurfaceGeometry, kernel: str, mode, factors: dict) -> _E
             raise ValueError(f"m_o must be in [1, {geom.m}], got {mode.m_o}")
     elif not isinstance(mode, RisBaselineMode):
         raise TypeError(f"unsupported mode {type(mode).__name__}")
-    grid = mode_grid(geom, mode)
-    if grid not in factors:
-        factors[grid] = grid_root(grid, kernel).factor
-    factor = factors[grid]
-    if isinstance(mode, StaticMode):
-        return _EnginePlan("static", weights=_static_weights(factor[sel], phases))
-    if isinstance(mode, AdaptiveFrisMode):
-        return _EnginePlan("adaptive", _draw_order(factor), m_o=mode.m_o)
-    return _EnginePlan("coherent_all", _draw_order(factor))
+
+
+@_one_blas_thread()
+def plan_runs(kernel: str, runs, correlations: dict) -> list:
+    """One RunPlan per checked (geometry, mode) run. Each distinct grid is
+    factored once, from its matrix in `correlations` if passed, else from
+    one built here, keeping only its M' x r factor and clamped count."""
+    roots = {}
+    plans = []
+    for geom, mode in runs:
+        _check_mode(geom, mode)
+        grid = mode_grid(geom, mode)
+        if grid not in roots:
+            j = correlations.get(grid)
+            root = psd_sqrt(build_correlation_matrix(grid, kernel) if j is None else j)
+            roots[grid] = root.factor, root.clamped_count
+        factor, clamped = roots[grid]
+        r = factor.shape[1]
+        if isinstance(mode, StaticMode):
+            sel = np.asarray(mode.selection, dtype=int)
+            nu = _static_weights(factor[sel], np.asarray(mode.phases, dtype=float))
+            plans.append(RunPlan("static", r, clamped, nu.size + 1, weights=nu))
+        elif isinstance(mode, AdaptiveFrisMode):
+            plans.append(RunPlan("adaptive", r, clamped, 4 * r, _draw_order(factor), mode.m_o))
+        else:
+            plans.append(RunPlan("coherent_all", r, clamped, 4 * r, _draw_order(factor)))
+    return plans
 
 
 def _draw_order(factor: np.ndarray) -> np.ndarray:
@@ -386,7 +394,7 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list) -> None:
             out[t0:t1] = _combine(plan, a.reshape(k, 4, m))
 
 
-def _combine(plan: _EnginePlan, a: np.ndarray) -> np.ndarray:
+def _combine(plan: RunPlan, a: np.ndarray) -> np.ndarray:
     """Coherent gains of k trials from their projected hops a, shaped
     (k, 4, M'): per trial Re a_f, Im a_f, Re a_u, Im a_u, each times
     sqrt(2). Squares a in place."""
@@ -403,18 +411,18 @@ def _combine(plan: _EnginePlan, a: np.ndarray) -> np.ndarray:
 
 
 @_one_blas_thread()
-def run_many(kernel: str, runs, n: int, seed: int, workers: int | None = None) -> list:
-    """Equivalent gains of n independent trials for each (geometry, mode)
-    run, in one pass that factors each distinct grid once and draws each
-    chunk's coherent normals once for all runs.
+def run_many(plans: list, n: int, seed: int, workers: int | None = None) -> list:
+    """Equivalent gains of n independent trials for each plan from
+    `plan_runs`, in one pass that draws each chunk's coherent normals once.
 
     Trials are processed in fixed chunks of CHUNK_TRIALS on a pool of
     `workers` threads (None: one per core this process may run on),
     which share the plans; numpy releases the interpreter lock in the
     draws, products and selections. BLAS is held at one thread for the
-    matrix roots and the chunks, so no result bit depends on the worker
-    count or on the machine's core count. If a chunk raises, or the
-    wait is interrupted, chunks not yet started are cancelled.
+    chunks, as `plan_runs` holds it for the matrix roots, so no result
+    bit depends on the worker count or on the machine's core count. If
+    a chunk raises, or the wait is interrupted, chunks not yet started
+    are cancelled.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -422,10 +430,8 @@ def run_many(kernel: str, runs, n: int, seed: int, workers: int | None = None) -
         workers = _available_cores()
     elif workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    factors = {}
-    plans = [_resolve_mode(geom, kernel, mode, factors) for geom, mode in runs]
     if not plans:
-        raise ValueError("runs must hold at least one (geometry, mode) pair")
+        raise ValueError("plans must hold at least one run")
     gains = [np.empty(n) for _ in plans]
     starts = range(0, n, CHUNK_TRIALS)
     pool = ThreadPoolExecutor(max_workers=min(workers, len(starts)))
@@ -443,6 +449,7 @@ def run_many(kernel: str, runs, n: int, seed: int, workers: int | None = None) -
     return gains
 
 
+@_one_blas_thread()
 def run_trials(
     geom: SurfaceGeometry,
     kernel: str,
@@ -451,9 +458,8 @@ def run_trials(
     seed: int,
     workers: int | None = None,
 ) -> np.ndarray:
-    """Equivalent gains of n independent trials of one mode: `run_many`
-    with a single run."""
-    return run_many(kernel, [(geom, mode)], n, seed, workers)[0]
+    """Equivalent gains of n independent trials of one mode: `run_many` of its plan."""
+    return run_many(plan_runs(kernel, [(geom, mode)], {}), n, seed, workers)[0]
 
 
 @dataclass(frozen=True)

@@ -259,10 +259,11 @@ class TestCmdOutage:
         alone = [row for i, m in enumerate(modes) for row in data_rows([m], f"{i}.csv")]
         assert sorted(joint) == sorted(alone) and len(joint) == 6
 
-    @pytest.mark.parametrize("command", [cmd_outage, cmd_dist])
+    @pytest.mark.parametrize("command", [cmd_outage, cmd_dist, cmd_capacity, cmd_sweep_m])
     def test_builds_each_grid_once(self, monkeypatch, tmp_path, command):
         # the analytic curves and the engine share each grid's matrix:
-        # outage builds the 4x4 grid and the RIS 2x2 grid, dist the 4x4
+        # outage and capacity build the 4x4 grid and the RIS 2x2 grid,
+        # dist the 4x4, and sweep-m the RIS 2x2 and each sweep grid
         import frislink.montecarlo as mc_mod
 
         built = []
@@ -273,14 +274,21 @@ class TestCmdOutage:
                 "build_correlation_matrix",
                 lambda g, k, real=real: built.append((g.m_x, g.m_z)) or real(g, k),
             )
-        modes = [{"type": "static", "select_x": 2, "select_z": 2}]
-        if command is cmd_outage:
-            modes += [
-                {"type": "adaptive_fris", "m_o": 4},
-                {"type": "ris_baseline", "m_rx": 2, "m_rz": 2},
-            ]
-        command(parse(tiny_doc(modes=modes)), tmp_path / "x.csv")
-        assert sorted(built) == ([(2, 2), (4, 4)] if command is cmd_outage else [(4, 4)])
+        coherent = [
+            {"type": "adaptive_fris", "m_o": 4},
+            {"type": "ris_baseline", "m_rx": 2, "m_rz": 2},
+        ]
+        if command is cmd_sweep_m:
+            doc = tiny_doc(modes=coherent, snr_grid_db=[10.0], m_grid=[[4, 4], [3, 3], [2, 2]])
+            want = [(2, 2), (3, 3), (4, 4)]
+        elif command is cmd_dist:
+            doc = tiny_doc(modes=[{"type": "static", "select_x": 2, "select_z": 2}])
+            want = [(4, 4)]
+        else:
+            doc = tiny_doc(modes=[{"type": "static", "select_x": 2, "select_z": 2}, *coherent])
+            want = [(2, 2), (4, 4)]
+        command(parse(doc), tmp_path / "x.csv")
+        assert sorted(built) == want
 
     def test_reliability_flag_written(self, tmp_path):
         doc = tiny_doc(snr_grid_db=[0.0, 40.0], trials=500)
@@ -545,15 +553,55 @@ class TestCli:
         assert f"config error: modes[0].{message}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+    def test_unwritable_output_exits_2(self, monkeypatch, tmp_path, capsys):
+        # the output is opened before any trial runs
+        calls = []
+        monkeypatch.setattr(experiments_mod, "run_many", lambda *a, **k: calls.append(a))
         out = tmp_path / "absent" / "x.csv"
+        for command, preset in (
+            ("outage", "fig3a"), ("dist", "fig2"), ("capacity", "fig3b"), ("sweep-m", "fig3c"),
+        ):
+            argv = [command, "--preset", preset, "--trials", "256", "--out", str(out)]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("output error: ")
+            assert str(out) in lines[0]
+        assert calls == []
+
+    @pytest.mark.parametrize("failure", [FloatingPointError, KeyboardInterrupt])
+    def test_failed_run_keeps_existing_output(self, monkeypatch, tmp_path, failure):
+        # the output is written beside the path and moved onto it only
+        # when complete, so a run that fails or is interrupted leaves a
+        # file already at the path as it was, and nothing beside it
+        def fail(*a, **k):
+            raise failure("stopped")
+
+        monkeypatch.setattr(experiments_mod, "run_many", fail)
+        out = tmp_path / "x.csv"
+        out.write_text("earlier result\n", encoding="utf-8")
         argv = ["outage", "--preset", "fig3a", "--trials", "256", "--out", str(out)]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("output error: ")
-        assert str(out) in lines[0]
+        if failure is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == 3
+        assert out.read_text(encoding="utf-8") == "earlier result\n"
+        assert os.listdir(tmp_path) == ["x.csv"]
+
+    def test_benchmark_tracer_installs(self):
+        # perfbench/tracing.py wraps frislink functions by module attribute
+        # (experiments.run_trials among them); one that is renamed away
+        # fails here rather than in the benchmark's smoke check
+        src = os.path.dirname(os.path.dirname(frislink.__file__))
+        perfbench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, perfbench]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_argparse_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:

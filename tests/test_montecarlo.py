@@ -32,12 +32,12 @@ from frislink.montecarlo import (
     RisBaselineMode,
     StaticMode,
     _compute_chunk,
-    _resolve_mode,
     chunk_rng,
     empirical_cdf,
     estimate_ergodic_capacity,
     estimate_outage,
     ks_statistic,
+    plan_runs,
     run_many,
     run_trials,
 )
@@ -81,6 +81,11 @@ def dense_case(kind):
     if kind == "adaptive":
         return g, AdaptiveFrisMode(m_o=36)
     return g, RisBaselineMode(6, 6)
+
+
+def plan_of(geom, mode):
+    """The plan the engine runs for one mode on its own."""
+    return plan_runs("spherical", [(geom, mode)], {})[0]
 
 
 def unit_budget(gamma_bar=1.0, rate=1.0):
@@ -137,7 +142,7 @@ class TestRunTrials:
             phases = np.random.default_rng(701).uniform(0.0, 2.0 * math.pi, sel.size)
             if not phased:
                 phases = np.zeros(sel.size)
-            nu = _resolve_mode(g, "spherical", StaticMode(sel, phases), {}).weights
+            nu = plan_of(g, StaticMode(sel, phases)).weights
             f = psd_sqrt(build_correlation_matrix(g, "spherical")).factor[sel]
             j_sub = f @ f.T  # the clamped block J~
             d = np.exp(1j * phases)
@@ -176,7 +181,7 @@ class TestRunTrials:
         mode = AdaptiveFrisMode(m_o=7)
         got = run_trials(g, "spherical", mode, 64, seed=4)
         # the factor with its columns in the order the coherent draw reads them
-        f = _resolve_mode(g, "spherical", mode, {}).factor
+        f = plan_of(g, mode).factor
         for t, c in enumerate(column_channels(4, 0, 64, f.shape[1])):
             a_f = effective_channel(f, c.h_f, np.arange(g.m))
             a_u = effective_channel(f, c.h_u, np.arange(g.m))
@@ -247,7 +252,7 @@ class TestRunTrials:
         # so the top-m_o coherent gain bounds each trial's static gain
         g = small_geom()
         sel = uniform_grid_selection(g, 3, 3)
-        f = _resolve_mode(g, "spherical", AdaptiveFrisMode(len(sel)), {}).factor
+        f = plan_of(g, AdaptiveFrisMode(len(sel))).factor
         static = projected_static_gains(f[sel], np.zeros(len(sel)), 9, 2048)
         adaptive = run_trials(g, "spherical", AdaptiveFrisMode(len(sel)), 2048, seed=9)
         assert np.all(adaptive >= static * (1.0 - 1e-12))
@@ -327,7 +332,7 @@ class TestBlockedChunk:
         # 3616 = 7 blocks and 32 trials; 517 leaves 5 trials past the first
         # block, which must not get a block of their own
         g, mode = dense_case(kind)
-        plan = _resolve_mode(g, "spherical", mode, {})
+        plan = plan_of(g, mode)
         for chunk in (0, 3):
             got = np.empty(n)
             _compute_chunk([plan], 17, chunk, [got])
@@ -366,8 +371,9 @@ class TestRunMany:
     def test_joint_equals_alone(self, workers):
         runs = self.runs()
         n = CHUNK_TRIALS + 3214
-        joint = run_many("spherical", runs, n, seed=25, workers=workers)
-        reverse = run_many("spherical", runs[::-1], n, seed=25, workers=workers)[::-1]
+        joint = run_many(plan_runs("spherical", runs, {}), n, seed=25, workers=workers)
+        reverse = run_many(plan_runs("spherical", runs[::-1], {}), n, seed=25, workers=workers)
+        reverse.reverse()
         for (geom, mode), a, b in zip(runs, joint, reverse):
             alone = run_trials(geom, "spherical", mode, n, seed=25, workers=workers)
             assert np.array_equal(a, alone) and np.array_equal(b, alone)
@@ -382,17 +388,16 @@ class TestRunMany:
 
         monkeypatch.setattr(mc, "psd_sqrt", counting_psd_sqrt)
         g = small_geom()
-        run_many(
+        plan_runs(
             "spherical",
             [(g, AdaptiveFrisMode(9)), (g, RisBaselineMode(6, 6)), (g, RisBaselineMode(3, 3))],
-            100,
-            seed=26,
+            {},
         )
         assert sorted(sizes) == [9, 36]
 
-    def test_held_correlation_is_not_built_again(self, monkeypatch):
-        # a matrix the caller still holds is factored as it is; once
-        # released, the engine builds it
+    def test_passed_matrix_is_factored_without_a_build(self, monkeypatch):
+        # the caller's matrix for a grid is factored as it is; a grid the
+        # caller does not pass is built once, however many runs sample it
         builds = []
         real_build = mc.build_correlation_matrix
 
@@ -402,32 +407,51 @@ class TestRunMany:
 
         monkeypatch.setattr(mc, "build_correlation_matrix", counting_build)
         g = SurfaceGeometry(m_x=5, m_z=7, w_x=1.7, w_z=2.3, wavelength=LAMBDA)
-        held = build_correlation_matrix(g, "spherical")
-        assert not held.flags.writeable
+        passed = real_build(g, "spherical")
+        assert not passed.flags.writeable
+        runs = [(g, AdaptiveFrisMode(9)), (g, RisBaselineMode(3, 3)), (g, RisBaselineMode(3, 3))]
+        plans = plan_runs("spherical", runs, {g: passed})
+        assert builds == [g.regrid(3, 3)]
         want = run_trials(g, "spherical", AdaptiveFrisMode(9), 100, seed=27)
-        assert builds == []
-        del held
-        assert np.array_equal(run_trials(g, "spherical", AdaptiveFrisMode(9), 100, seed=27), want)
-        assert builds == [g]
+        assert builds == [g.regrid(3, 3), g]
+        assert np.array_equal(run_many(plans, 100, seed=27)[0], want)
+        # a matrix unlike the grid's own is what the plan factors
+        (plan,) = plan_runs("spherical", [(g, AdaptiveFrisMode(9))], {g: np.eye(g.m)})
+        assert len(builds) == 2 and (plan.rank, plan.clamped) == (g.m, 0)
+        assert np.allclose(plan.factor @ plan.factor.T, np.eye(g.m), rtol=0.0, atol=1e-12)
+
+    def test_plans_state_rank_clamped_and_draws(self):
+        # 20x20 keeps r = 167 of 400 eigenpairs: a coherent trial reads 4r
+        # normals, a static one K + 1 exponentials; the plans of one grid
+        # share its factor's rank and clamped count
+        g, static = dense_case("static")
+        plans = plan_runs("spherical", [(g, static), (g, AdaptiveFrisMode(36))], {})
+        for plan in plans:
+            assert (plan.rank, plan.clamped) == (167, 233)
+        assert plans[0].kind == "static" and plans[0].factor is None
+        assert plans[0].draws_per_trial == plans[0].weights.size + 1
+        assert plans[1].kind == "adaptive" and plans[1].factor.shape == (400, 167)
+        assert plans[1].draws_per_trial == 4 * 167 and plans[1].m_o == 36
+        with pytest.raises(ValueError, match="at least one run"):
+            run_many([], 10, seed=1)
 
     def test_draw_order_leads_with_the_largest_mode(self):
         # the coherent draw reads the factor's columns largest eigenvalue
         # first, each with a fixed sign; the factor stays a factor of S^2
         g, mode = dense_case("adaptive")
         raw = psd_sqrt(build_correlation_matrix(g, "spherical")).factor
-        f = _resolve_mode(g, "spherical", mode, {}).factor
+        f = plan_of(g, mode).factor
         power = (f * f).sum(axis=0)
         assert np.all(np.diff(power) <= 1e-12 * power[0])
-        assert np.all(np.arange(1, g.m + 1) @ f >= 0.0)
+        assert np.all(np.arange(1, g.m + 1) @ mc._draw_order(raw) >= 0.0)
         assert np.allclose(f @ f.T, raw @ raw.T, rtol=0.0, atol=1e-12)
 
     def test_shared_draws_couple_grids_of_one_aperture(self):
         # column k drives the k-th largest mode of each grid, so the gains
         # of a dense adaptive surface and a sparse RIS move together
         g = SurfaceGeometry(m_x=10, m_z=10, w_x=2.0, w_z=2.0, wavelength=LAMBDA)
-        fris, ris = run_many(
-            "spherical", [(g, AdaptiveFrisMode(16)), (g, RisBaselineMode(4, 4))], 8192, seed=30
-        )
+        plans = plan_runs("spherical", [(g, AdaptiveFrisMode(16)), (g, RisBaselineMode(4, 4))], {})
+        fris, ris = run_many(plans, 8192, seed=30)
         assert np.corrcoef(np.log(fris), np.log(ris))[0, 1] > 0.5
 
     @pytest.mark.parametrize("kind", ["adaptive", "baseline"])
@@ -439,7 +463,7 @@ class TestRunMany:
         mode = AdaptiveFrisMode(m_o=16) if kind == "adaptive" else RisBaselineMode(4, 4)
         n = 100_000
         got = run_trials(g, "spherical", mode, n, seed=28)
-        ref = trial_major_gains(_resolve_mode(g, "spherical", mode, {}), 29, n)
+        ref = trial_major_gains(plan_of(g, mode), 29, n)
         both = np.sort(np.concatenate([got, ref]))
         cdf_got = np.searchsorted(np.sort(got), both, side="right") / n
         cdf_ref = np.searchsorted(np.sort(ref), both, side="right") / n
@@ -587,15 +611,15 @@ class TestBlasPin:
         get_threads, calls = blas_controls
         caller = get_threads()
         seen = []
-        real_run_trials = experiments_mod.run_trials
+        real_run_many = experiments_mod.run_many
 
-        def recording_run_trials(*args, **kwargs):
+        def recording_run_many(*args, **kwargs):
             seen.append(get_threads())
-            out = real_run_trials(*args, **kwargs)
+            out = real_run_many(*args, **kwargs)
             seen.append(get_threads())  # the inner exit keeps the pin
             return out
 
-        monkeypatch.setattr(experiments_mod, "run_trials", recording_run_trials)
+        monkeypatch.setattr(experiments_mod, "run_many", recording_run_many)
         experiments_mod.cmd_dist(tiny_config(), tmp_path / "d.csv")
         assert seen == [1, 1]
         assert get_threads() == caller
@@ -612,15 +636,16 @@ class TestBlasPin:
         calls.clear()
         runs = 4
         barrier = threading.Barrier(runs, timeout=60)
-        real_resolve = mc._resolve_mode
+        real_psd_sqrt = mc.psd_sqrt
         seen = []
 
-        def meeting_resolve(*args):
+        def meeting_psd_sqrt(*args):
+            # each run's plan factors its one grid here
             barrier.wait()
             seen.append(get_threads())
-            return real_resolve(*args)
+            return real_psd_sqrt(*args)
 
-        monkeypatch.setattr(mc, "_resolve_mode", meeting_resolve)
+        monkeypatch.setattr(mc, "psd_sqrt", meeting_psd_sqrt)
         results = [None] * runs
 
         def run(i):
@@ -654,13 +679,13 @@ class TestBlasPin:
             get_threads, set_threads = controls
             before = get_threads()
             seen = []
-            real_resolve = mc._resolve_mode
+            real_psd_sqrt = mc.psd_sqrt
 
-            def recording_resolve(*args):
+            def recording_psd_sqrt(*args):
                 seen.append(get_threads())
-                return real_resolve(*args)
+                return real_psd_sqrt(*args)
 
-            monkeypatch.setattr(mc, "_resolve_mode", recording_resolve)
+            monkeypatch.setattr(mc, "psd_sqrt", recording_psd_sqrt)
             try:
                 # unpinned at the caller's one thread: the pinned bits
                 set_threads(1)
