@@ -153,15 +153,10 @@ def gamma_quantile(fit: GammaFit, p: float) -> float:
                 return 0.5 * (lo + hi)
 
 
-def _gain_threshold(budget: LinkBudget) -> float:
-    """Equivalent-gain level below which the target rate is in outage."""
-    return budget.rate_threshold / budget.snr_scale
-
-
 def outage_probability(fit: GammaFit, budget: LinkBudget) -> float:
     """P(rate target not met) under the Gamma gain surrogate; see
     gain_outage_probability for the law the simulator samples."""
-    return gamma_cdf(fit, _gain_threshold(budget))
+    return gamma_cdf(fit, budget.gain_threshold)
 
 
 def outage_asymptotic(fit: GammaFit, budget: LinkBudget) -> float:
@@ -170,7 +165,7 @@ def outage_asymptotic(fit: GammaFit, budget: LinkBudget) -> float:
     Evaluated in the log domain so deep tails underflow gracefully to 0
     instead of overflowing intermediates.
     """
-    x = _gain_threshold(budget) / fit.scale_theta
+    x = budget.gain_threshold / fit.scale_theta
     if x == 0.0:
         return 0.0
     k = fit.shape_k
@@ -209,7 +204,7 @@ def gain_cdf(fit: GammaFit, g) -> np.ndarray:
 
 def gain_outage_probability(fit: GammaFit, budget: LinkBudget) -> float:
     """P(rate target not met) under the fixed-selection gain law gain_cdf."""
-    return float(gain_cdf(fit, _gain_threshold(budget)))
+    return float(gain_cdf(fit, budget.gain_threshold))
 
 
 def ergodic_capacity_bound(j_sub: np.ndarray, budget: LinkBudget) -> float:

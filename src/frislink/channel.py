@@ -73,3 +73,8 @@ class LinkBudget:
     def rate_threshold(self) -> float:
         """SNR below which the target rate is in outage: 2^R - 1."""
         return 2.0 ** self.rate_target - 1.0
+
+    @property
+    def gain_threshold(self) -> float:
+        """Equivalent gain below which the target rate is in outage."""
+        return self.rate_threshold / self.snr_scale

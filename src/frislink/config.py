@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PathLoss
+from .channel import LinkBudget, PathLoss
 from .correlation import KERNELS, SurfaceGeometry, uniform_grid_selection
 from .montecarlo import AdaptiveFrisMode, RisBaselineMode, StaticMode
 
@@ -100,6 +100,12 @@ class ExperimentConfig:
         doc = {k: v for k, v in self.canonical.items() if k != "output_path"}
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+    def budget(self, snr_db: float) -> LinkBudget:
+        """The link budget at one transmit SNR, in dB."""
+        return LinkBudget(
+            gamma_bar=db_to_linear(snr_db), pathloss=self.pathloss, rate_target=self.rate_target
+        )
 
 
 _TOP_KEYS = {
@@ -182,6 +188,12 @@ def _parse_geometry(doc: dict) -> tuple[SurfaceGeometry, float]:
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    # the correlation kernel's widest argument, 2 pi d / lambda corner to corner
+    corner = math.hypot((m_x - 1) * geom.d_x, (m_z - 1) * geom.d_z)
+    if not math.isfinite(_TWO_PI * corner / geom.wavelength):
+        raise ConfigError(
+            f"geometry: 2 pi times the {w_x!r} x {w_z!r} wavelength aperture's diagonal overflows"
+        )
     return geom, f_c
 
 
@@ -274,6 +286,23 @@ def _parse_m_grid(doc: dict) -> tuple | None:
     return tuple(out)
 
 
+def _check_budgets(config: ExperimentConfig) -> None:
+    """Each SNR point's link budget must give a positive, finite received
+    SNR per unit gain and a finite outage threshold, so that no command
+    runs its trials for curves it cannot compute."""
+    for i, snr_db in enumerate(config.snr_grid_db):
+        try:
+            budget = config.budget(snr_db)
+            ok = 0.0 < budget.snr_scale < math.inf and math.isfinite(budget.gain_threshold)
+        except (ValueError, ArithmeticError):  # 0 or beyond the float range
+            ok = False
+        if not ok:
+            raise ConfigError(
+                f"snr_grid_db[{i}]: at {snr_db!r} dB, pathloss and rate_target give no "
+                "positive, finite received SNR per unit gain with a finite outage threshold"
+            )
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON configuration document."""
     try:
@@ -331,7 +360,7 @@ def parse_config(text: str) -> ExperimentConfig:
         "output_path": output_path,
         "m_grid": [list(p) for p in m_grid] if m_grid else None,
     }
-    return ExperimentConfig(
+    config = ExperimentConfig(
         geometry=geom,
         carrier_frequency_hz=f_c,
         kernel=kernel,
@@ -345,6 +374,8 @@ def parse_config(text: str) -> ExperimentConfig:
         m_grid=m_grid,
         canonical=canonical,
     )
+    _check_budgets(config)
+    return config
 
 
 def load_config(path) -> ExperimentConfig:

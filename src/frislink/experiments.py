@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import math
 import os
 
@@ -34,8 +35,7 @@ from .analysis import (
     outage_asymptotic,
     outage_probability,
 )
-from .channel import LinkBudget
-from .config import ConfigError, ExperimentConfig, ModeSpec, db_to_linear
+from .config import ConfigError, ExperimentConfig, ModeSpec
 from .correlation import (
     SurfaceGeometry,
     build_correlation_matrix,
@@ -75,7 +75,10 @@ def _format_value(v) -> str:
 
 @contextlib.contextmanager
 def _output(path):
-    """`<path>.part`, open; it replaces `path` after the body, or is removed if that raises."""
+    """`<path>.part`, open; it replaces `path` after the body, or is removed if that raises.
+    A directory at `path`, which it could not replace, fails before the body."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     part = f"{path}.part"
     with open(part, "w", encoding="utf-8", newline="") as f:
         try:
@@ -104,14 +107,6 @@ def _base_meta(config: ExperimentConfig, command: str) -> dict:
         "trials": config.trials,
         "kernel": config.kernel,
     }
-
-
-def _budget(config: ExperimentConfig, snr_db: float) -> LinkBudget:
-    return LinkBudget(
-        gamma_bar=db_to_linear(snr_db),
-        pathloss=config.pathloss,
-        rate_target=config.rate_target,
-    )
 
 
 def _most_square_selection(geom: SurfaceGeometry, m_o: int) -> np.ndarray:
@@ -211,7 +206,7 @@ def _write_curves(
         rows = []
         for spec, model, samples in zip(config.modes, models, gains):
             for snr_db in config.snr_grid_db:
-                budget = _budget(config, snr_db)
+                budget = config.budget(snr_db)
                 rows.append((snr_db, spec.label, *row(model, samples, budget)))
         _write_csv(f, _base_meta(config, command), ["snr_db", "mode", *columns], rows)
     return str(out_path)
@@ -285,7 +280,7 @@ def cmd_sweep_m(config: ExperimentConfig, out_path, workers: int | None = None) 
     if len(config.snr_grid_db) != 1:
         raise ConfigError("sweep-m: snr_grid_db must contain exactly one point")
     m_o = adaptives[0].mode.m_o
-    budget = _budget(config, config.snr_grid_db[0])
+    budget = config.budget(config.snr_grid_db[0])
     if baselines:
         ris_mode = baselines[0].mode
     else:

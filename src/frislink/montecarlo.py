@@ -21,12 +21,14 @@ position in word 0, and word 1 naming the stream:
   2^63 up   free, for streams a later sampler keys on the same seed and
             chunk.
 
-A rank-r mode reads a prefix of each block's stream, and the last block
-of a chunk draws its full r_max x 512 normals however few trials it
-holds, so a trial's draws depend only on the seed, its index and its
-mode's rank. The gains are byte-identical for any worker count:
-parallel runs distribute whole chunks across threads, one per available
-core by default.
+A rank-r mode reads a prefix of each block's stream, and every draw
+block, a chunk's last too, draws its full r_max x 512 normals however
+few trials it holds (a last block of fewer than _MIN_LAST_BLOCK trials
+is computed with the one before it, from both draw blocks), so a
+trial's draws depend only on the seed, its index and its mode's rank.
+The gains are byte-identical for any worker count: parallel runs
+distribute whole chunks across threads, one per available core by
+default.
 
 `run_many` runs the plans of `plan_runs` (which `frislink validate`
 prints) in one pass: each draw block is filled once, in one call, with
@@ -76,7 +78,6 @@ import contextlib
 import ctypes
 import functools
 import glob
-import itertools
 import math
 import os
 import threading
@@ -318,15 +319,11 @@ def _draw_order(factor: np.ndarray) -> np.ndarray:
     return f * np.where(moment < 0.0, -1.0, 1.0)
 
 
-def _draw_blocks(rng: np.random.Generator):
-    """Streams of the coherent draw blocks 0, 1, ... of the chunk whose
-    own stream is `rng`: draw block j is that Philox stream with counter
-    word 1 set to j + 1."""
-    state = rng.bit_generator.state["state"]
-    counter = state["counter"].copy()
-    for j in itertools.count():
-        counter[1] = j + 1
-        yield np.random.Generator(np.random.Philox(key=state["key"], counter=counter))
+def _draw_block(seed: int, chunk: int, j: int) -> np.random.Generator:
+    """Stream of coherent draw block j of a chunk: Philox keyed by the
+    seed, with the chunk in counter words 2 and 3 and j + 1 in word 1."""
+    bits = np.random.Philox(key=seed, counter=(chunk << 128) | ((j + 1) << 64))
+    return np.random.Generator(bits)
 
 
 def _compute_chunk(plans: list, seed: int, chunk: int, gains: list) -> None:
@@ -336,11 +333,12 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list) -> None:
     The trials are drawn (and for the coherent modes projected and
     combined) in blocks of _BLOCK_TRIALS, in buffers reused from block
     to block, so a chunk holds a few MB whatever its size. The static
-    fills continue the chunk's stream, and each coherent block fills its
-    draw block's columns in one call (a merged last block reads two
-    draw blocks, column by column), so the draws are those of the whole
-    chunk drawn at once, and each gain takes the same operations as when
-    the whole chunk is computed at once.
+    fills continue the chunk's stream. A coherent block of k trials
+    fills its ceil(k / 128) draw blocks whole, one call each (two for a
+    last block merged with the one before it), sets their columns side
+    by side and projects the first 4k, so the draws are those of the
+    whole chunk drawn at once, and each gain takes the same operations
+    as when the whole chunk is computed at once.
 
     The coherent plans share each block's columns of the largest rank,
     and each projects its first r rows, so its gains do not depend on
@@ -368,25 +366,15 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list) -> None:
         return
     r_max = max(plan.factor.shape[1] for plan, _ in coherent)
     width = 4 * _BLOCK_TRIALS  # normals per column of a draw block
-    streams = _draw_blocks(chunk_rng(seed, chunk))
-    flat = np.empty(r_max * max(width, 4 * b))
+    flat = np.empty(r_max * width * -(-b // _BLOCK_TRIALS))
     buf = np.empty(4 * b * max(plan.factor.shape[0] for plan, _ in coherent))
     for t0, t1 in blocks:
         k = t1 - t0
-        if k <= _BLOCK_TRIALS:
-            # a short last block still draws the block's full columns
-            z = flat[: r_max * width].reshape(r_max, width)
-            next(streams).standard_normal(out=z)
-        else:
-            # a merged last block reads two draw blocks, column by column,
-            # each column of the second past its trials discarded
-            z = flat[: r_max * 4 * k].reshape(r_max, 4 * k)
-            for c0 in (0, width):
-                stream = next(streams)
-                for row in z:
-                    part = row[c0 : c0 + width]
-                    stream.standard_normal(out=part)
-                    stream.standard_normal(width - part.size)
+        fills = flat[: r_max * width * -(-k // _BLOCK_TRIALS)].reshape(-1, r_max, width)
+        for j, fill in enumerate(fills, t0 // _BLOCK_TRIALS):
+            _draw_block(seed, chunk, j).standard_normal(out=fill)
+        # the draw blocks' columns side by side: a view of one, a copy of two
+        z = fills.transpose(1, 0, 2).reshape(r_max, -1)
         for plan, out in coherent:
             m, r = plan.factor.shape
             a = buf[: 4 * k * m].reshape(4 * k, m)
@@ -476,8 +464,7 @@ def estimate_outage(samples: np.ndarray, budget: LinkBudget) -> OutageEstimate:
     n = samples.size
     if n < 1:
         raise ValueError("estimate requires at least one sample")
-    threshold = budget.rate_threshold / budget.snr_scale
-    hits = int(np.count_nonzero(samples <= threshold))
+    hits = int(np.count_nonzero(samples <= budget.gain_threshold))
     p = hits / n
     stderr = math.sqrt(p * (1.0 - p) / n)
     return OutageEstimate(

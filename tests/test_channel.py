@@ -223,6 +223,7 @@ class TestPathLossAndBudget:
         assert budget.rate_threshold == pytest.approx(
             0.07177346253629313, rel=1e-13
         )
+        assert budget.gain_threshold == budget.rate_threshold / budget.snr_scale
 
     def test_budget_validation(self):
         pl = PathLoss(rho=10.0, alpha=2.1, d_f=20.0, d_u=40.0)

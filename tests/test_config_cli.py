@@ -553,22 +553,59 @@ class TestCli:
         assert f"config error: modes[0].{message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section, values, field",
+        [
+            (None, {"snr_grid_db": [-4000, 0]}, "snr_grid_db[0]"),
+            (None, {"snr_grid_db": [0, 4000]}, "snr_grid_db[1]"),
+            ("pathloss", {"alpha": 1000}, "snr_grid_db[0]"),
+            ("pathloss", {"alpha": 2000, "d_f": 0.5}, "snr_grid_db[0]"),
+            ("geometry", {"w_x": 1e308}, "geometry"),
+            # 2 pi hypot(w_x, w_z) is finite, the kernel's argument in metres is not
+            ("geometry", {"w_x": 1e307, "carrier_frequency_hz": 1e6}, "geometry"),
+            (None, {"rate_target": 1e6}, "snr_grid_db[0]"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "outage", "capacity"])
+    def test_budget_out_of_range_exits_2(
+        self, monkeypatch, tmp_path, capsys, command, section, values, field
+    ):
+        # the parser rejects the budget or aperture: no trial runs and no file is left
+        calls = []
+        monkeypatch.setattr(experiments_mod, "run_many", lambda *a, **k: calls.append(a))
+        doc = preset_config("fig3a")
+        if section is None:
+            doc.update(values)
+        else:
+            doc[section] = {**doc.get(section, {}), **values}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error: {field}: ")
+        assert calls == []
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_unwritable_output_exits_2(self, monkeypatch, tmp_path, capsys):
         # the output is opened before any trial runs
         calls = []
         monkeypatch.setattr(experiments_mod, "run_many", lambda *a, **k: calls.append(a))
-        out = tmp_path / "absent" / "x.csv"
-        for command, preset in (
-            ("outage", "fig3a"), ("dist", "fig2"), ("capacity", "fig3b"), ("sweep-m", "fig3c"),
-        ):
-            argv = [command, "--preset", preset, "--trials", "256", "--out", str(out)]
-            assert main(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            lines = captured.err.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("output error: ")
-            assert str(out) in lines[0]
+        for out in (tmp_path / "absent" / "x.csv", tmp_path):  # a missing directory, a directory
+            for command, preset in (
+                ("outage", "fig3a"), ("dist", "fig2"), ("capacity", "fig3b"), ("sweep-m", "fig3c"),
+            ):
+                argv = [command, "--preset", preset, "--trials", "256", "--out", str(out)]
+                assert main(argv) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                lines = captured.err.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("output error: ")
+                assert str(out) in lines[0]
         assert calls == []
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("failure", [FloatingPointError, KeyboardInterrupt])
     def test_failed_run_keeps_existing_output(self, monkeypatch, tmp_path, failure):

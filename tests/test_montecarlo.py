@@ -489,16 +489,17 @@ class TestThreadWorkers:
     def test_failed_chunk_stops_the_run(self, monkeypatch):
         started = []
         lock = threading.Lock()
-        real_chunk_rng = mc.chunk_rng
+        real_draw_block = mc._draw_block
 
-        def failing_chunk_rng(seed, chunk):
-            with lock:
-                started.append(chunk)
-            if chunk == 2:
-                raise RuntimeError("chunk 2 failed")
-            return real_chunk_rng(seed, chunk)
+        def failing_draw_block(seed, chunk, j):
+            if j == 0:  # a chunk's first draw block
+                with lock:
+                    started.append(chunk)
+                if chunk == 2:
+                    raise RuntimeError("chunk 2 failed")
+            return real_draw_block(seed, chunk, j)
 
-        monkeypatch.setattr(mc, "chunk_rng", failing_chunk_rng)
+        monkeypatch.setattr(mc, "_draw_block", failing_draw_block)
         n = 40 * CHUNK_TRIALS
         with pytest.raises(RuntimeError, match="chunk 2 failed"):
             run_trials(small_geom(), "spherical", AdaptiveFrisMode(9), n, seed=19, workers=2)

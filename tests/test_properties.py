@@ -3,6 +3,7 @@ round trip behind the CLI's override path, and the adaptive engine's
 monotonicity in m_o."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from frislink.config import PRESET_NAMES, ConfigError, parse_config, preset_config
-from frislink.correlation import SurfaceGeometry
+from frislink.correlation import SurfaceGeometry, build_correlation_matrix
 from frislink.montecarlo import AdaptiveFrisMode, run_trials
 
 # Integers are small counts or far beyond any index range. Counts between
@@ -174,6 +175,45 @@ class TestParserRejectsOnlyWithConfigError:
         accepted = np.asarray(cfg.modes[0].mode.phases)
         assert accepted.shape == (k_x * k_z,)
         assert np.all((accepted >= 0.0) & (accepted < 2.0 * np.pi))
+
+
+# any finite float, or a moderate positive one so that some documents pass
+_EXTREME = st.floats(allow_nan=False, allow_infinity=False) | st.floats(1e-3, 1e3)
+
+
+class TestAcceptedBudgetsAreFinite:
+    @_SETTINGS
+    @given(
+        geometry=st.fixed_dictionaries(
+            {"w_x": _EXTREME, "w_z": _EXTREME}, optional={"carrier_frequency_hz": _EXTREME}
+        ),
+        kernel=st.sampled_from(["spherical", "cylindrical"]),
+        pathloss=st.fixed_dictionaries(
+            {}, optional={key: _EXTREME for key in ("rho", "alpha", "d_f", "d_u")}
+        ),
+        rate=_EXTREME,
+        snr=st.lists(_EXTREME, min_size=1, max_size=3, unique=True).map(sorted),
+    )
+    def test_extreme_floats(self, geometry, kernel, pathloss, rate, snr):
+        # a parsed config's budgets and correlation matrix are usable, or
+        # the parser rejects it with a ConfigError
+        doc = {
+            "geometry": {"m_x": 3, "m_z": 2, **geometry},
+            "kernel": kernel,
+            "pathloss": pathloss,
+            "rate_target": rate,
+            "snr_grid_db": snr,
+        }
+        try:
+            cfg = parse_config(json.dumps(doc))
+        except ConfigError:
+            return
+        for snr_db in cfg.snr_grid_db:
+            budget = cfg.budget(snr_db)
+            assert 0.0 < budget.snr_scale < math.inf
+            assert math.isfinite(budget.rate_threshold)
+            assert math.isfinite(budget.gain_threshold)
+        assert np.all(np.isfinite(build_correlation_matrix(cfg.geometry, cfg.kernel)))
 
 
 class TestCanonicalRoundTrip:

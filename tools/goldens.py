@@ -1,0 +1,85 @@
+"""Print the SHA-256 of the golden outputs of the checkout this file is in.
+
+    python3 tools/goldens.py
+
+Runs the twelve golden commands in one process against this checkout's
+`src/`, in a temporary directory, and prints one `<name> <sha256>` line
+each: the four presets' CSVs at `--trials 20000 --seed 7`, the four
+presets' `validate` stdouts, and for the version-5 `--config` document
+(CONFIG below) its `validate` stdout, its `outage` and `capacity` CSVs
+at `--seed 5`, and the CSV of its static mode alone under
+`dist --trials 4000 --seed 5`. Equal lines at two commits mean equal
+bytes; CHANGES.md records the expected values.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
+
+from frislink.cli import main  # noqa: E402
+
+CONFIG = {
+    "geometry": {"m_x": 6, "m_z": 5, "w_x": 2, "w_z": 1.5},
+    "modes": [
+        {"type": "static", "select_x": 2, "select_z": 2, "phases": [0, 1.5, 3.0, 6.2]},
+        {"type": "adaptive_fris", "m_o": 4},
+        {"type": "ris_baseline", "m_rx": 3, "m_rz": 3},
+    ],
+    "trials": 9000,
+}
+STATIC_ONLY = {**CONFIG, "modes": CONFIG["modes"][:1]}
+
+PRESET_RUNS = (("dist", "fig2"), ("outage", "fig3a"), ("capacity", "fig3b"), ("sweep-m", "fig3c"))
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _stdout(argv: list) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    if code != 0:
+        raise SystemExit(f"failed: frislink {' '.join(argv)}")
+    return _digest(buf.getvalue().encode("utf-8"))
+
+
+def _csv(argv: list, out: str) -> str:
+    _stdout(argv + ["--out", out])  # the command prints the path
+    with open(out, "rb") as f:
+        return _digest(f.read())
+
+
+def goldens(tmp: str):
+    """(name, sha256) of each golden output, written under tmp."""
+    out = os.path.join(tmp, "out.csv")
+    for command, preset in PRESET_RUNS:
+        argv = [command, "--preset", preset, "--trials", "20000", "--seed", "7"]
+        yield f"{command} --preset {preset}", _csv(argv, out)
+    for _, preset in PRESET_RUNS:
+        yield f"validate --preset {preset}", _stdout(["validate", "--preset", preset])
+    config, static = os.path.join(tmp, "config.json"), os.path.join(tmp, "static.json")
+    for path, doc in ((config, CONFIG), (static, STATIC_ONLY)):
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+    yield "validate --config", _stdout(["validate", "--config", config])
+    for command in ("outage", "capacity"):
+        yield f"{command} --config --seed 5", _csv([command, "--config", config, "--seed", "5"], out)
+    argv = ["dist", "--config", static, "--trials", "4000", "--seed", "5"]
+    yield "dist --config (static mode) --trials 4000 --seed 5", _csv(argv, out)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, digest in goldens(tmp):
+            print(f"{name} {digest}", flush=True)
