@@ -22,7 +22,7 @@ from .config import (
     preset_config,
 )
 from .experiments import cmd_capacity, cmd_dist, cmd_outage, cmd_sweep_m
-from .montecarlo import RisBaselineMode, _one_blas_thread, plan_runs
+from .montecarlo import _RANK_TAIL, RisBaselineMode, _one_blas_thread, plan_runs
 
 _COMMANDS = {
     "dist": cmd_dist,
@@ -95,10 +95,12 @@ def _summary_lines(config: ExperimentConfig) -> list:
 
 
 def _cost_lines(config: ExperimentConfig) -> list:
-    """One line per plan the engine runs, for each mode and sweep-m grid
-    (as a coherent run on it): rank r, clamped count, draws per trial (4r
-    normals, or K + 1 exponentials for K static weights); then the shared
-    4 r_max normals a trial and whether BLAS could be pinned."""
+    """The tail fraction of the trace a coherent run may drop, then one
+    line per plan the engine runs, for each mode and sweep-m grid (as a
+    coherent run on it): rank r (a coherent run's sampled prefix, a static
+    run's full factor), clamped count, draws per trial (4r normals, or
+    K + 1 exponentials for K static weights); then the shared 4 r_max
+    normals a trial and whether BLAS could be pinned."""
     names = [f"mode {spec.label}" for spec in config.modes]
     runs = [(config.geometry, spec.mode) for spec in config.modes]
     for m_x, m_z in config.m_grid or ():
@@ -106,7 +108,7 @@ def _cost_lines(config: ExperimentConfig) -> list:
         runs.append((config.geometry, RisBaselineMode(m_x, m_z)))
     with _one_blas_thread() as pinned:
         plans = plan_runs(config.kernel, runs, {})
-    lines = []
+    lines = [f"rank_tail: {_RANK_TAIL}"]
     for name, plan in zip(names, plans):
         cost = f"normals_per_trial {plan.draws_per_trial}"
         if plan.kind == "static":

@@ -9,9 +9,10 @@ each mode's rows are those it gives when run alone. The output is
 written to `<path>.part`, opened before the trials, then moved onto it.
 
 Every artifact starts with #-prefixed provenance lines (config hash,
-seed, tool version; never timestamps), then a column-header row, then
-data rows with floats printed at 17 significant digits, so re-running
-the same config byte-reproduces the file.
+seed, tool version, the coherent rank tail and, for the commands that
+run coherent modes, each run's sampled rank; never timestamps), then a
+column-header row, then data rows with floats printed at 17 significant
+digits, so re-running the same config byte-reproduces the file.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .montecarlo import (
     AdaptiveFrisMode,
     RisBaselineMode,
     StaticMode,
+    _RANK_TAIL,
     _one_blas_thread,
     empirical_cdf,
     estimate_ergodic_capacity,
@@ -99,14 +101,20 @@ def _write_csv(f, meta: dict, columns: list, rows) -> None:
 
 def _base_meta(config: ExperimentConfig, command: str) -> dict:
     return {
-        "artifact_version": 5,
+        "artifact_version": 6,
         "tool_version": __version__,
         "command": command,
         "config_hash": config.config_hash,
         "seed": config.seed,
         "trials": config.trials,
         "kernel": config.kernel,
+        "rank_tail": _RANK_TAIL,
     }
+
+
+def _ranks(names, plans) -> str:
+    """Each run's sampled rank r, as `name:r` pairs."""
+    return ",".join(f"{name}:{plan.rank}" for name, plan in zip(names, plans))
 
 
 def _most_square_selection(geom: SurfaceGeometry, m_o: int) -> np.ndarray:
@@ -208,7 +216,9 @@ def _write_curves(
             for snr_db in config.snr_grid_db:
                 budget = config.budget(snr_db)
                 rows.append((snr_db, spec.label, *row(model, samples, budget)))
-        _write_csv(f, _base_meta(config, command), ["snr_db", "mode", *columns], rows)
+        meta = _base_meta(config, command)
+        meta["ranks"] = _ranks([spec.label for spec in config.modes], plans)
+        _write_csv(f, meta, ["snr_db", "mode", *columns], rows)
     return str(out_path)
 
 
@@ -319,6 +329,9 @@ def cmd_sweep_m(config: ExperimentConfig, out_path, workers: int | None = None) 
             )
         meta = _base_meta(config, "sweep-m")
         meta.update({"m_o": m_o, "snr_db": format(config.snr_grid_db[0], ".17g")})
+        names = [f"ris({ris_mode.m_rx}x{ris_mode.m_rz})"]
+        names += [f"{adaptives[0].label}@{m_x}x{m_z}" for m_x, m_z in config.m_grid]
+        meta["ranks"] = _ranks(names, plans)
         _write_csv(
             f,
             meta,

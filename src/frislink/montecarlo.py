@@ -1,6 +1,6 @@
 """Chunked, reproducible Monte Carlo engine for equivalent-gain sampling.
 
-Reproducibility contract (artifact version 5): trials are processed in
+Reproducibility contract (artifact version 6): trials are processed in
 fixed chunks of CHUNK_TRIALS, and a chunk's trials in draw blocks of
 _BLOCK_TRIALS = 128. Every stream of chunk c is Philox keyed by the
 seed, with c in words 2 and 3 of the 256-bit counter (c << 128), the
@@ -36,8 +36,9 @@ the columns of the largest rank, and each coherent mode projects the
 first r of them, so the runs share their normals (common random numbers:
 Glasserman, Monte Carlo Methods in Financial Engineering, 2003, sec. 4.2)
 and each run's gains are bit for bit those of the run alone. Column k
-drives the k-th largest eigenmode of each grid, with a fixed sign
-(`_draw_order`), so on grids of one aperture the shared normals drive
+drives the k-th largest eigenmode of each grid, signed so that its first
+entry above 1e-3 of its largest magnitude is positive (`_draw_order`),
+so on grids of one aperture the shared normals drive
 similar modes and a command's rows are positively correlated, which
 narrows the spread of their differences; the standard error each row
 reports is still that of its own run.
@@ -50,23 +51,30 @@ machine, and the parallelism is the chunk threads'. Where the library or
 its thread-count symbols are missing (MKL, a system OpenBLAS) runs go
 unpinned, and their bytes may depend on the BLAS thread count.
 
-The coherent modes project each hop through the M x r factor
-F = U_r sqrt(Lambda_r) of the correlation matrix
-(`CorrelationSqrt.factor`), whose r columns are the eigenpairs the
-matrix root keeps. F @ F.T is the square of the clamped root, so the
-sampled law is that of J^(1/2) h with h ~ CN(0, I), while each trial
-reads 4r normals instead of 4M. All arithmetic is real: one
-(4b x r) @ (r x M') product per block of b trials, the block's first r
-columns transposed times the factor's, gives both parts of both hops,
-and the products |a_f| |a_u| are ranked and summed as square roots of
-the squared parts.
+The coherent modes project each hop through a prefix of the M x r'
+factor F = U_r' sqrt(Lambda_r') of the correlation matrix
+(`CorrelationSqrt.factor`), whose r' columns are the eigenpairs the
+matrix root keeps. In draw order, a run samples the shortest prefix of
+r columns whose dropped columns carry at most _RANK_TAIL = 1e-8 of the
+trace sum_k ||F_k||^2 (`_rank_prefix`): r = 112 of r' = 167 on the
+20 x 20 grid over 3 x 3 wavelengths, whose aperture holds about
+pi L_x L_z / lambda^2 = 28 significant modes (Pizzo, Marzetta &
+Sanguinetti, IEEE JSAC 2020). F @ F.T is the square of the clamped
+root up to that tail, so the sampled law is that of J^(1/2) h with
+h ~ CN(0, I), while each trial reads 4r normals instead of 4M. All arithmetic is
+real: one (4b x r) @ (r x M') product per block of b trials, the
+block's first r columns transposed times the factor's, gives both parts
+of both hops, and the products |a_f| |a_u| (an adaptive mode's m_o
+largest, picked by a threshold) are summed in index order as square
+roots of the squared parts.
 
 A static mode samples its exact law instead. Given the user-side hop,
 its equivalent channel is CN(0, S), so the gain is G = S E_0, and S is a
 quadratic form in circular Gaussians, S = sum_k nu_k E_k (Mathai &
 Provost, Quadratic Forms in Random Variables, 1992), with i.i.d.
 E_0, E_1, ... ~ Exp(1) and weights nu from one SVD per run
-(`_static_weights`). A trial thus draws K + 1 exponentials, K <= r.
+(`_static_weights`), which read the untruncated factor. A trial thus
+draws K + 1 exponentials, K <= r'.
 
 A chunk reads its streams block by block into reused buffers, which
 gives the same draws as drawing the whole chunk at once.
@@ -124,6 +132,10 @@ _BLOCK_TRIALS = 128
 # BLAS multiplies a few rows with other kernels, which round differently,
 # so a last block of fewer trials than this joins the block before it
 _MIN_LAST_BLOCK = 64
+
+# a coherent run samples the shortest prefix of its grid's draw-ordered
+# factor whose dropped columns carry at most this fraction of the trace
+_RANK_TAIL = 1e-8
 
 # estimates with fewer outage events than this are flagged unreliable
 _MIN_RELIABLE_HITS = 50
@@ -231,10 +243,10 @@ class RunPlan:
     """One resolved (geometry, mode) run: what `run_many` runs and validate prints."""
 
     kind: str  # 'static' | 'adaptive' | 'coherent_all'
-    rank: int  # r, the columns of the sampled grid's factor
+    rank: int  # r: coherent, the factor prefix it samples; static, the grid's factor
     clamped: int  # eigenvalues of the grid's matrix root clamped to zero
     draws_per_trial: int  # static: K + 1 exponentials; coherent: 4r normals
-    factor: np.ndarray | None = None  # coherent: hop factor rows in draw order, M' x r
+    factor: np.ndarray | None = None  # coherent: the sampled prefix in draw order, M' x r
     m_o: int | None = None  # adaptive: elements kept per trial
     weights: np.ndarray | None = None  # static: the K weights of S, descending
 
@@ -285,8 +297,10 @@ def _check_mode(geom: SurfaceGeometry, mode) -> None:
 def plan_runs(kernel: str, runs, correlations: dict) -> list:
     """One RunPlan per checked (geometry, mode) run. Each distinct grid is
     factored once, from its matrix in `correlations` if passed, else from
-    one built here, keeping only its M' x r factor and clamped count."""
-    roots = {}
+    one built here, keeping only its M' x r factor and clamped count, and
+    for its coherent runs the prefix of the factor in draw order that
+    they sample."""
+    roots, prefixes = {}, {}
     plans = []
     for geom, mode in runs:
         _check_mode(geom, mode)
@@ -296,27 +310,43 @@ def plan_runs(kernel: str, runs, correlations: dict) -> list:
             root = psd_sqrt(build_correlation_matrix(grid, kernel) if j is None else j)
             roots[grid] = root.factor, root.clamped_count
         factor, clamped = roots[grid]
-        r = factor.shape[1]
         if isinstance(mode, StaticMode):
             sel = np.asarray(mode.selection, dtype=int)
             nu = _static_weights(factor[sel], np.asarray(mode.phases, dtype=float))
-            plans.append(RunPlan("static", r, clamped, nu.size + 1, weights=nu))
-        elif isinstance(mode, AdaptiveFrisMode):
-            plans.append(RunPlan("adaptive", r, clamped, 4 * r, _draw_order(factor), mode.m_o))
+            plans.append(RunPlan("static", factor.shape[1], clamped, nu.size + 1, weights=nu))
+            continue
+        if grid not in prefixes:
+            prefixes[grid] = _rank_prefix(_draw_order(factor))
+        drawn = prefixes[grid]
+        r = drawn.shape[1]
+        if isinstance(mode, AdaptiveFrisMode):
+            plans.append(RunPlan("adaptive", r, clamped, 4 * r, drawn, mode.m_o))
         else:
-            plans.append(RunPlan("coherent_all", r, clamped, 4 * r, _draw_order(factor)))
+            plans.append(RunPlan("coherent_all", r, clamped, 4 * r, drawn))
     return plans
 
 
 def _draw_order(factor: np.ndarray) -> np.ndarray:
     """The hop factor's columns in the order the coherent draw reads them:
-    largest eigenvalue first, each signed so that sum_i (i + 1) F_ik > 0.
-    Column k is then close to the same spatial mode on every grid of one
-    aperture, so runs that share a chunk's draw are positively coupled
-    (their common normals drive similar modes)."""
+    largest eigenvalue first, each signed so that its first entry above
+    1e-3 of the column's largest magnitude (clear of the entries that
+    vanish by symmetry) is positive. Column k is then close to the same
+    spatial mode on every grid of one aperture, so runs that share a
+    chunk's draw are positively coupled (their common normals drive
+    similar modes)."""
     f = factor[:, ::-1]
-    moment = np.arange(1, f.shape[0] + 1) @ f
-    return f * np.where(moment < 0.0, -1.0, 1.0)
+    mag = np.abs(f)
+    lead = np.argmax(mag > 1e-3 * mag.max(axis=0), axis=0)
+    return f * np.where(f[lead, np.arange(f.shape[1])] < 0.0, -1.0, 1.0)
+
+
+def _rank_prefix(ordered: np.ndarray) -> np.ndarray:
+    """The shortest prefix of a draw-ordered factor whose dropped columns
+    carry at most _RANK_TAIL of its trace sum_k ||F_k||^2, contiguous."""
+    power = (ordered * ordered).sum(axis=0)
+    tail = np.cumsum(power[::-1])[::-1]  # tail[k]: power of columns k and up
+    r = int(np.count_nonzero(tail > _RANK_TAIL * tail[0]))
+    return np.ascontiguousarray(ordered[:, :r])
 
 
 def _draw_block(seed: int, chunk: int, j: int) -> np.random.Generator:
@@ -385,15 +415,23 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list) -> None:
 def _combine(plan: RunPlan, a: np.ndarray) -> np.ndarray:
     """Coherent gains of k trials from their projected hops a, shaped
     (k, 4, M'): per trial Re a_f, Im a_f, Re a_u, Im a_u, each times
-    sqrt(2). Squares a in place."""
+    sqrt(2). Squares a in place.
+
+    An adaptive plan keeps each trial's m_o largest products: those above
+    the trial's m_o-th largest, then the lowest-indexed of those equal to
+    it, summed in index order like the rest."""
     np.square(a, out=a)
     # (2 |a_f|^2) (2 |a_u|^2), ordered like the products |a_f| |a_u|
     power = (a[:, 0] + a[:, 1]) * (a[:, 2] + a[:, 3])
-    if plan.kind == "adaptive":
-        cut = power.shape[1] - plan.m_o
-        idx = np.argpartition(power, cut, axis=1)[:, cut:]
-        idx.sort(axis=1)  # fixed index-order summation
-        power = np.take_along_axis(power, idx, axis=1)
+    k, m = power.shape
+    if plan.kind == "adaptive" and plan.m_o < m:
+        thr = np.partition(power, m - plan.m_o, axis=1)[:, m - plan.m_o, None]
+        keep = power >= thr
+        if np.count_nonzero(keep) > k * plan.m_o:  # ties at some threshold
+            for i, extra in enumerate(np.count_nonzero(keep, axis=1) - plan.m_o):
+                if extra:
+                    keep[i, np.flatnonzero(power[i] == thr[i])[-extra:]] = False
+        power = power[keep].reshape(k, plan.m_o)
     amp = np.sqrt(power).sum(axis=1)
     return _GAIN_SCALE * amp * amp
 

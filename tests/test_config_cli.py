@@ -334,10 +334,11 @@ class TestCmdSweepM:
         )
         out = tmp_path / "s.csv"
         cmd_sweep_m(parse(doc), out)
-        lines = [
-            ln for ln in out.read_text(encoding="utf-8").splitlines()
-            if not ln.startswith("#")
-        ]
+        text = out.read_text(encoding="utf-8")
+        # the header states the rank tail and the rank each run samples
+        assert "\n# rank_tail=1e-08\n" in text
+        assert "\n# ranks=ris(2x2):4,fris(Mo=4)@2x2:4,fris(Mo=4)@3x3:9,fris(Mo=4)@4x4:16\n" in text
+        lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
         assert lines[0] == (
             "m_x,m_z,m,fris_capacity,fris_stderr,ris_capacity,ris_stderr"
         )
@@ -400,14 +401,17 @@ class TestCli:
         assert "config_hash:" in out
         assert "20x20 elements" in out
         # the run's cost: r = 167 of 400 eigenpairs kept; the static mode
-        # draws K + 1 exponentials a trial, the coherent modes 4r normals
+        # weighs all of them and draws K + 1 exponentials a trial
+        assert "\nrank_tail: 1e-08\n" in out
         assert "mode static(12x12): rank 167, clamped 233, weights 94, draws_per_trial 95" in out
         assert main(["validate", "--preset", "fig3c"]) == 0
         out = capsys.readouterr().out
+        # a coherent run samples the first r = 112 of the 167, which carry
+        # all but 1e-8 of the trace, and reads 4r normals a trial
         assert "mode ris(6x6): rank 36, clamped 0, normals_per_trial 144" in out
-        assert "sweep 20x20: rank 167, clamped 233, normals_per_trial 668" in out
+        assert "sweep 20x20: rank 112, clamped 233, normals_per_trial 448" in out
         # the coherent runs share one draw as wide as the largest rank's
-        assert "\nshared normals_per_trial 668\n" in out
+        assert "\nshared normals_per_trial 448\n" in out
         import frislink.montecarlo as mc_mod
 
         def boom(j):
@@ -468,7 +472,7 @@ class TestCli:
         monkeypatch.setattr(mc_mod, "psd_sqrt", counting_psd_sqrt)
         assert main(["validate", "--preset", "fig3c"]) == 0
         assert sorted(sizes) == [36, 100, 196, 400]
-        assert capsys.readouterr().out.count("rank 167, clamped 233") == 2
+        assert capsys.readouterr().out.count("rank 112, clamped 233") == 2
 
     def test_validate_config_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -72,7 +72,8 @@ MODE_KINDS = ["static", "adaptive", "baseline"]
 
 def dense_case(kind):
     """The 20x20 reference grid, whose factor keeps r = 167 of 400
-    columns, and one mode of the given kind on it."""
+    columns (a coherent run samples the first 112 in draw order), and one
+    mode of the given kind on it."""
     g = SurfaceGeometry(m_x=20, m_z=20, w_x=3.0, w_z=3.0, wavelength=LAMBDA)
     if kind == "static":
         sel = uniform_grid_selection(g, 12, 12)
@@ -191,8 +192,8 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("kind", ["static", "adaptive", "baseline"])
     def test_worker_count_does_not_change_bits_rank_deficient(self, kind):
-        # 20x20 grid: the factor has r = 167 < M = 400 columns; the last
-        # of the three chunks is ragged
+        # 20x20 grid: the factor has r = 167 < M = 400 columns (112 sampled
+        # by the coherent modes); the last of the three chunks is ragged
         g = SurfaceGeometry(m_x=20, m_z=20, w_x=3.0, w_z=3.0, wavelength=LAMBDA)
         if kind == "static":
             sel = uniform_grid_selection(g, 4, 4)
@@ -356,8 +357,8 @@ class TestRunMany:
 
     @staticmethod
     def runs():
-        # r = 167 (adaptive, 20x20), 36 (RIS 6x6), 100 (adaptive, 10x10),
-        # 149 (RIS 14x14) and a static mode, which keeps its own stream
+        # r = 112 (adaptive, 20x20), 36 (RIS 6x6), 90 (adaptive, 10x10),
+        # 107 (RIS 14x14) and a static mode, which keeps its own stream
         g, static = dense_case("static")
         return [
             (g, AdaptiveFrisMode(m_o=36)),
@@ -421,30 +422,69 @@ class TestRunMany:
         assert np.allclose(plan.factor @ plan.factor.T, np.eye(g.m), rtol=0.0, atol=1e-12)
 
     def test_plans_state_rank_clamped_and_draws(self):
-        # 20x20 keeps r = 167 of 400 eigenpairs: a coherent trial reads 4r
-        # normals, a static one K + 1 exponentials; the plans of one grid
-        # share its factor's rank and clamped count
+        # 20x20 keeps 167 of 400 eigenpairs: a static run weighs all of
+        # them and draws K + 1 exponentials a trial; a coherent run samples
+        # the first r = 112 in draw order and reads 4r normals a trial
         g, static = dense_case("static")
         plans = plan_runs("spherical", [(g, static), (g, AdaptiveFrisMode(36))], {})
-        for plan in plans:
-            assert (plan.rank, plan.clamped) == (167, 233)
+        assert [(plan.rank, plan.clamped) for plan in plans] == [(167, 233), (112, 233)]
         assert plans[0].kind == "static" and plans[0].factor is None
         assert plans[0].draws_per_trial == plans[0].weights.size + 1
-        assert plans[1].kind == "adaptive" and plans[1].factor.shape == (400, 167)
-        assert plans[1].draws_per_trial == 4 * 167 and plans[1].m_o == 36
+        assert plans[1].kind == "adaptive" and plans[1].factor.shape == (400, 112)
+        assert plans[1].draws_per_trial == 4 * 112 and plans[1].m_o == 36
         with pytest.raises(ValueError, match="at least one run"):
             run_many([], 10, seed=1)
 
     def test_draw_order_leads_with_the_largest_mode(self):
         # the coherent draw reads the factor's columns largest eigenvalue
-        # first, each with a fixed sign; the factor stays a factor of S^2
+        # first, each signed so that its first entry above 1e-3 of its
+        # largest magnitude is positive; the ordered factor stays a factor
+        # of S^2, and a plan samples its shortest prefix whose dropped
+        # columns carry at most 1e-8 of the trace
         g, mode = dense_case("adaptive")
-        raw = psd_sqrt(build_correlation_matrix(g, "spherical")).factor
+        with mc._one_blas_thread():  # the eigenvectors plan_runs orders
+            raw = psd_sqrt(build_correlation_matrix(g, "spherical")).factor
+        full = mc._draw_order(raw)
         f = plan_of(g, mode).factor
-        power = (f * f).sum(axis=0)
+        power = (full * full).sum(axis=0)
         assert np.all(np.diff(power) <= 1e-12 * power[0])
-        assert np.all(np.arange(1, g.m + 1) @ mc._draw_order(raw) >= 0.0)
-        assert np.allclose(f @ f.T, raw @ raw.T, rtol=0.0, atol=1e-12)
+        for col in f.T:
+            assert col[np.abs(col) > 1e-3 * np.abs(col).max()][0] > 0.0
+        assert np.allclose(full @ full.T, raw @ raw.T, rtol=0.0, atol=1e-12)
+        r = f.shape[1]
+        assert np.array_equal(f, full[:, :r])
+        assert power[r:].sum() <= 1e-8 * power.sum() < power[r - 1 :].sum()
+
+    @pytest.mark.parametrize("side", [10, 14, 20])
+    def test_truncated_rank_tracks_full_rank(self, side):
+        # a truncated plan reads a prefix of the full rank's normals, so on
+        # one stream its gains stay within 2e-4 of the full rank's, and
+        # their mean error within 1e-5
+        g = dense_case("adaptive")[0].regrid(side, side)
+        plan = plan_of(g, AdaptiveFrisMode(36))
+        with mc._one_blas_thread():  # the eigenvectors plan_runs orders
+            root = psd_sqrt(build_correlation_matrix(g, "spherical"))
+        full = mc._draw_order(root.factor)
+        r = full.shape[1]
+        assert plan.rank < r
+        ref = mc.RunPlan("adaptive", r, root.clamped_count, 4 * r, full, 36)
+        err = whole_chunk_gains(plan, 33, 0, CHUNK_TRIALS) / whole_chunk_gains(
+            ref, 33, 0, CHUNK_TRIALS
+        ) - 1.0
+        assert np.max(np.abs(err)) <= 2e-4 and abs(err.mean()) <= 1e-5
+
+    def test_ties_at_the_threshold_keep_m_o(self):
+        # every element has a twin (repeated factor rows), so each trial's
+        # 5th largest product is tied; the engine keeps 5, the lowest-
+        # indexed of the tied, as select_top_products does
+        f = np.repeat(plan_of(small_geom().regrid(3, 3), RisBaselineMode(3, 3)).factor, 2, axis=0)
+        r = f.shape[1]
+        (got,) = run_many([mc.RunPlan("adaptive", r, 0, 4 * r, f, 5)], 256, seed=34)
+        for t, c in enumerate(column_channels(34, 0, 256, r)):
+            a_f, a_u = f @ c.h_f, f @ c.h_u
+            sel = select_top_products(a_u, a_f, 5)
+            want = equivalent_gain_coherent(a_u[sel], a_f[sel])
+            assert got[t] == pytest.approx(want, rel=1e-10)
 
     def test_shared_draws_couple_grids_of_one_aperture(self):
         # column k drives the k-th largest mode of each grid, so the gains

@@ -5,7 +5,7 @@
 Runs the twelve golden commands in one process against this checkout's
 `src/`, in a temporary directory, and prints one `<name> <sha256>` line
 each: the four presets' CSVs at `--trials 20000 --seed 7`, the four
-presets' `validate` stdouts, and for the version-5 `--config` document
+presets' `validate` stdouts, and for the `--config` document
 (CONFIG below) its `validate` stdout, its `outage` and `capacity` CSVs
 at `--seed 5`, and the CSV of its static mode alone under
 `dist --trials 4000 --seed 5`. Equal lines at two commits mean equal
