@@ -97,10 +97,11 @@ def _summary_lines(config: ExperimentConfig) -> list:
 def _cost_lines(config: ExperimentConfig) -> list:
     """The tail fraction of the trace a coherent run may drop, then one
     line per plan the engine runs, for each mode and sweep-m grid (as a
-    coherent run on it): rank r (a coherent run's sampled prefix, a static
-    run's full factor), clamped count, draws per trial (4r normals, or
-    K + 1 exponentials for K static weights); then the shared 4 r_max
-    normals a trial and whether BLAS could be pinned."""
+    coherent run on it): rank r and clamped count (a coherent run's
+    sampled prefix of its grid's factor and the grid's clamped count, a
+    static run's those of its selection's block), draws per trial (4r
+    normals, or K + 1 exponentials for K static weights); then the shared
+    4 r_max normals a trial and whether BLAS could be pinned."""
     names = [f"mode {spec.label}" for spec in config.modes]
     runs = [(config.geometry, spec.mode) for spec in config.modes]
     for m_x, m_z in config.m_grid or ():

@@ -8,8 +8,9 @@ their Euclidean separation through an isotropic scattering kernel.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -121,21 +122,30 @@ def build_correlation_matrix(geom: SurfaceGeometry, kernel: str = "spherical") -
 
 @dataclass(frozen=True, eq=False)
 class CorrelationSqrt:
-    """Symmetric PSD square root of a correlation matrix, and its rank-r factor.
+    """Rank-r factor of a correlation matrix, and its symmetric PSD square root.
 
-    matrix        the symmetric root S with S @ S ~= J
     factor        the M x r factor F = U_r sqrt(Lambda_r) over the r
                   unclamped eigenpairs, so F @ F.T equals S @ S
     clamped_count eigenvalues treated as zero during factorization (M - r)
+    matrix        the symmetric root S with S @ S ~= J, formed on first read
     """
 
-    matrix: np.ndarray
     factor: np.ndarray
     clamped_count: int
+    # eigenvectors, and the square roots of the eigenvalues with the
+    # clamped ones zero, which `matrix` is formed from
+    _evecs: np.ndarray = field(repr=False)
+    _sqrt_evals: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        root = (self._evecs * self._sqrt_evals) @ self._evecs.T
+        return 0.5 * (root + root.T)  # enforce exact symmetry
 
 
 def psd_sqrt(j: np.ndarray) -> CorrelationSqrt:
-    """Symmetric square root of a correlation matrix via eigendecomposition.
+    """Factor and symmetric square root of a correlation matrix via
+    eigendecomposition.
 
     Dense grids make J numerically rank-deficient; eigenvalues below
     1e-12 * max_eigenvalue are clamped to zero rather than propagated
@@ -157,11 +167,8 @@ def psd_sqrt(j: np.ndarray) -> CorrelationSqrt:
         raise np.linalg.LinAlgError(
             "correlation matrix is indefinite beyond numerical tolerance"
         )
-    safe = np.where(low, 0.0, evals)
-    root = (evecs * np.sqrt(safe)) @ evecs.T
-    root = 0.5 * (root + root.T)  # enforce exact symmetry
     factor = evecs[:, clamped:] * np.sqrt(evals[clamped:])
-    return CorrelationSqrt(matrix=root, factor=factor, clamped_count=clamped)
+    return CorrelationSqrt(factor, clamped, evecs, np.sqrt(np.where(low, 0.0, evals)))
 
 
 def principal_submatrix(j: np.ndarray, selection: np.ndarray) -> np.ndarray:
@@ -180,9 +187,10 @@ def uniform_grid_selection(geom: SurfaceGeometry, k_x: int, k_z: int) -> np.ndar
         raise ValueError(f"k_x must be in [1, {geom.m_x}], got {k_x}")
     if not 1 <= k_z <= geom.m_z:
         raise ValueError(f"k_z must be in [1, {geom.m_z}], got {k_z}")
-    cols = np.unique(np.round(np.linspace(0, geom.m_x - 1, k_x)).astype(int))
-    rows = np.unique(np.round(np.linspace(0, geom.m_z - 1, k_z)).astype(int))
-    if len(cols) != k_x or len(rows) != k_z:
+    # nondecreasing, so a collision is two equal neighbours
+    cols = np.round(np.linspace(0, geom.m_x - 1, k_x)).astype(int)
+    rows = np.round(np.linspace(0, geom.m_z - 1, k_z)).astype(int)
+    if np.any(cols[1:] == cols[:-1]) or np.any(rows[1:] == rows[:-1]):
         raise ValueError(
             f"uniform {k_x}x{k_z} selection collides on a {geom.m_x}x{geom.m_z} grid"
         )

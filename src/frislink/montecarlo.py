@@ -1,6 +1,6 @@
 """Chunked, reproducible Monte Carlo engine for equivalent-gain sampling.
 
-Reproducibility contract (artifact version 6): trials are processed in
+Reproducibility contract (artifact version 7): trials are processed in
 fixed chunks of CHUNK_TRIALS, and a chunk's trials in draw blocks of
 _BLOCK_TRIALS = 128. Every stream of chunk c is Philox keyed by the
 seed, with c in words 2 and 3 of the 256-bit counter (c << 128), the
@@ -73,11 +73,14 @@ its equivalent channel is CN(0, S), so the gain is G = S E_0, and S is a
 quadratic form in circular Gaussians, S = sum_k nu_k E_k (Mathai &
 Provost, Quadratic Forms in Random Variables, 1992), with i.i.d.
 E_0, E_1, ... ~ Exp(1) and weights nu from one SVD per run
-(`_static_weights`), which read the untruncated factor. A trial thus
-draws K + 1 exponentials, K <= r'.
+(`_static_weights`), which read the factor of the selection's own
+principal block J~ = J[sel, sel], so a static-only command never
+factors a whole grid. A trial thus draws K + 1 exponentials, K at most
+the block's rank.
 
 A chunk reads its streams block by block into reused buffers, which
-gives the same draws as drawing the whole chunk at once.
+gives the same draws as drawing the whole chunk at once (and the same
+gains, up to a few ulp on some grids: see `_compute_chunk`).
 """
 
 from __future__ import annotations
@@ -99,6 +102,7 @@ from .correlation import (
     _EIG_CLAMP_REL,
     SurfaceGeometry,
     build_correlation_matrix,
+    principal_submatrix,
     psd_sqrt,
 )
 from .analysis import GammaFit, gamma_cdf
@@ -243,8 +247,8 @@ class RunPlan:
     """One resolved (geometry, mode) run: what `run_many` runs and validate prints."""
 
     kind: str  # 'static' | 'adaptive' | 'coherent_all'
-    rank: int  # r: coherent, the factor prefix it samples; static, the grid's factor
-    clamped: int  # eigenvalues of the grid's matrix root clamped to zero
+    rank: int  # r: coherent, the factor prefix it samples; static, its block's factor
+    clamped: int  # eigenvalues clamped to zero: coherent, the grid's; static, its block's
     draws_per_trial: int  # static: K + 1 exponentials; coherent: 4r normals
     factor: np.ndarray | None = None  # coherent: the sampled prefix in draw order, M' x r
     m_o: int | None = None  # adaptive: elements kept per trial
@@ -259,17 +263,18 @@ def mode_grid(geom: SurfaceGeometry, mode) -> SurfaceGeometry:
     return geom
 
 
-def _static_weights(factor_sel: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Weights nu of a static trial's conditional power S = sum_k nu_k E_k.
+def _static_weights(factor: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Weights nu of a static trial's conditional power S = sum_k nu_k E_k,
+    from the m x r factor F of the selection's block J~ = F F^T.
 
     Given the user-side hop, the equivalent channel is CN(0, S) with
-    S = |B conj(h_u)|^2 for B = F_sel^T D F_sel, D = diag(e^(j phi)),
+    S = |B conj(h_u)|^2 for B = F^T D F, D = diag(e^(j phi)),
     so nu are the squared singular values of B (r x r, complex):
     sum nu = tr(A) and sum nu^2 = tr(A^2) for A = D J~ D^H J~, and
     nu = lambda(J~)^2 at zero phases. Weights at or below
     _EIG_CLAMP_REL times the largest are dropped.
     """
-    b = (factor_sel.T * np.exp(1j * phases)) @ factor_sel
+    b = (factor.T * np.exp(1j * phases)) @ factor
     nu = np.linalg.svd(b, compute_uv=False) ** 2
     return nu[nu > _EIG_CLAMP_REL * nu[0]]
 
@@ -280,7 +285,8 @@ def _check_mode(geom: SurfaceGeometry, mode) -> None:
         phases = np.asarray(mode.phases, dtype=float)
         if sel.ndim != 1 or sel.size == 0:
             raise ValueError("static selection must be a nonempty index vector")
-        if len(np.unique(sel)) != sel.size or sel.min() < 0 or sel.max() >= geom.m:
+        s = np.sort(sel)
+        if np.any(s[1:] == s[:-1]) or s[0] < 0 or s[-1] >= geom.m:
             raise ValueError(
                 f"static selection must be unique indices in [0, {geom.m})"
             )
@@ -295,29 +301,30 @@ def _check_mode(geom: SurfaceGeometry, mode) -> None:
 
 @_one_blas_thread()
 def plan_runs(kernel: str, runs, correlations: dict) -> list:
-    """One RunPlan per checked (geometry, mode) run. Each distinct grid is
-    factored once, from its matrix in `correlations` if passed, else from
-    one built here, keeping only its M' x r factor and clamped count, and
-    for its coherent runs the prefix of the factor in draw order that
-    they sample."""
-    roots, prefixes = {}, {}
+    """One RunPlan per checked (geometry, mode) run. Each grid's matrix is
+    taken from `correlations` if passed, else built here, at most once
+    per call. A static run factors its selection's principal block of
+    that matrix and keeps only its weights; a grid that coherent runs
+    sample is factored whole once, keeping the prefix of its factor in
+    draw order that they sample and its clamped count."""
+    matrices = dict(correlations)
+    prefixes = {}
     plans = []
     for geom, mode in runs:
         _check_mode(geom, mode)
         grid = mode_grid(geom, mode)
-        if grid not in roots:
-            j = correlations.get(grid)
-            root = psd_sqrt(build_correlation_matrix(grid, kernel) if j is None else j)
-            roots[grid] = root.factor, root.clamped_count
-        factor, clamped = roots[grid]
+        if grid not in matrices:
+            matrices[grid] = build_correlation_matrix(grid, kernel)
         if isinstance(mode, StaticMode):
-            sel = np.asarray(mode.selection, dtype=int)
-            nu = _static_weights(factor[sel], np.asarray(mode.phases, dtype=float))
-            plans.append(RunPlan("static", factor.shape[1], clamped, nu.size + 1, weights=nu))
+            root = psd_sqrt(principal_submatrix(matrices[grid], mode.selection))
+            nu = _static_weights(root.factor, np.asarray(mode.phases, dtype=float))
+            r = root.factor.shape[1]
+            plans.append(RunPlan("static", r, root.clamped_count, nu.size + 1, weights=nu))
             continue
         if grid not in prefixes:
-            prefixes[grid] = _rank_prefix(_draw_order(factor))
-        drawn = prefixes[grid]
+            root = psd_sqrt(matrices[grid])
+            prefixes[grid] = _rank_prefix(_draw_order(root.factor)), root.clamped_count
+        drawn, clamped = prefixes[grid]
         r = drawn.shape[1]
         if isinstance(mode, AdaptiveFrisMode):
             plans.append(RunPlan("adaptive", r, clamped, 4 * r, drawn, mode.m_o))
@@ -367,8 +374,12 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list) -> None:
     fills its ceil(k / 128) draw blocks whole, one call each (two for a
     last block merged with the one before it), sets their columns side
     by side and projects the first 4k, so the draws are those of the
-    whole chunk drawn at once, and each gain takes the same operations
-    as when the whole chunk is computed at once.
+    whole chunk drawn at once. The projection of a block is not always
+    that of the whole chunk to the bit: on some grids (14 x 14 of fig3c,
+    M' = 196) BLAS rounds a few gains a few ulp apart (relative 7e-16 at
+    most), while on others (20 x 20) every gain is equal. The blocks are
+    fixed by the trial count alone, so the bytes stay reproducible and
+    do not depend on the worker count.
 
     The coherent plans share each block's columns of the largest rank,
     and each projects its first r rows, so its gains do not depend on

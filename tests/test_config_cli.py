@@ -400,10 +400,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "config_hash:" in out
         assert "20x20 elements" in out
-        # the run's cost: r = 167 of 400 eigenpairs kept; the static mode
-        # weighs all of them and draws K + 1 exponentials a trial
+        # the run's cost: the static mode factors its 144-element block,
+        # which keeps r = 135 eigenpairs, and draws K + 1 exponentials a trial
         assert "\nrank_tail: 1e-08\n" in out
-        assert "mode static(12x12): rank 167, clamped 233, weights 94, draws_per_trial 95" in out
+        assert "mode static(12x12): rank 135, clamped 9, weights 94, draws_per_trial 95" in out
         assert main(["validate", "--preset", "fig3c"]) == 0
         out = capsys.readouterr().out
         # a coherent run samples the first r = 112 of the 167, which carry
@@ -473,6 +473,42 @@ class TestCli:
         assert main(["validate", "--preset", "fig3c"]) == 0
         assert sorted(sizes) == [36, 100, 196, 400]
         assert capsys.readouterr().out.count("rank 112, clamped 233") == 2
+
+    def test_dist_factors_only_the_selection_block(self, monkeypatch, tmp_path):
+        # fig2's static 12x12 selection of the 20x20 grid: the engine
+        # factors the selection's 144 x 144 block, never the whole grid
+        import frislink.montecarlo as mc_mod
+
+        sizes = []
+        real_psd_sqrt = mc_mod.psd_sqrt
+
+        def counting_psd_sqrt(j):
+            sizes.append(j.shape[0])
+            return real_psd_sqrt(j)
+
+        monkeypatch.setattr(mc_mod, "psd_sqrt", counting_psd_sqrt)
+        argv = ["dist", "--preset", "fig2", "--trials", "256", "--out", str(tmp_path / "d.csv")]
+        assert main(argv) == 0
+        assert sizes == [144]
+
+    def test_commands_never_import_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma, a sizeable import no command needs
+        src = os.path.dirname(os.path.dirname(frislink.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = (
+            "import sys\n"
+            "from frislink.cli import main\n"
+            "assert main(['validate', '--preset', 'fig2']) == 0\n"
+            "assert main(['outage', '--preset', 'fig3a', '--trials', '256', '--out', sys.argv[1]]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "o.csv")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_validate_config_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

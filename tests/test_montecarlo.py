@@ -339,6 +339,19 @@ class TestBlockedChunk:
             _compute_chunk([plan], 17, chunk, [got])
             assert np.array_equal(got, whole_chunk_gains(plan, 17, chunk, n))
 
+    @pytest.mark.parametrize("n", [CHUNK_TRIALS, 3616, 517], ids=["full", "ragged", "short-remainder"])
+    def test_matches_whole_chunk_to_rounding_on_14x14(self, n):
+        # on the 14x14 grid (M' = 196) BLAS rounds the blocked projection
+        # of a few trials a few ulp away from the whole-chunk one
+        g = dense_case("adaptive")[0].regrid(14, 14)
+        plan = plan_of(g, AdaptiveFrisMode(m_o=36))
+        for seed in (17, 18):
+            for chunk in (0, 3):
+                got = np.empty(n)
+                _compute_chunk([plan], seed, chunk, [got])
+                want = whole_chunk_gains(plan, seed, chunk, n)
+                np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
+
     def test_contract_normals_depend_on_trial_and_rank_only(self):
         # the stream contract the engine is checked against: a trial reads
         # the same normals in a chunk of t + 1 trials as in a full one, and
@@ -396,6 +409,34 @@ class TestRunMany:
         )
         assert sorted(sizes) == [9, 36]
 
+    def test_static_run_factors_its_block_only(self, monkeypatch):
+        # a static 12x12 selection of the 20x20 grid factors its 144 x 144
+        # block; a coherent run on the same grid adds the whole grid, whose
+        # matrix is built once for both, and the caller's dict is left as
+        # it was
+        sizes, builds = [], []
+        real_psd_sqrt, real_build = mc.psd_sqrt, mc.build_correlation_matrix
+
+        def counting_psd_sqrt(j):
+            sizes.append(j.shape[0])
+            return real_psd_sqrt(j)
+
+        def counting_build(grid, kernel):
+            builds.append(grid)
+            return real_build(grid, kernel)
+
+        monkeypatch.setattr(mc, "psd_sqrt", counting_psd_sqrt)
+        monkeypatch.setattr(mc, "build_correlation_matrix", counting_build)
+        g, static = dense_case("static")
+        correlations = {}
+        plan_runs("spherical", [(g, static)], correlations)
+        assert sizes == [144] and builds == [g]
+        sizes.clear()
+        builds.clear()
+        plan_runs("spherical", [(g, static), (g, AdaptiveFrisMode(36))], correlations)
+        assert sizes == [144, 400] and builds == [g]
+        assert correlations == {}
+
     def test_passed_matrix_is_factored_without_a_build(self, monkeypatch):
         # the caller's matrix for a grid is factored as it is; a grid the
         # caller does not pass is built once, however many runs sample it
@@ -422,12 +463,13 @@ class TestRunMany:
         assert np.allclose(plan.factor @ plan.factor.T, np.eye(g.m), rtol=0.0, atol=1e-12)
 
     def test_plans_state_rank_clamped_and_draws(self):
-        # 20x20 keeps 167 of 400 eigenpairs: a static run weighs all of
-        # them and draws K + 1 exponentials a trial; a coherent run samples
-        # the first r = 112 in draw order and reads 4r normals a trial
+        # a static run factors its 144-element block, which keeps 135
+        # eigenpairs, and draws K + 1 exponentials a trial; 20x20 keeps 167
+        # of 400, and a coherent run samples the first r = 112 in draw
+        # order and reads 4r normals a trial
         g, static = dense_case("static")
         plans = plan_runs("spherical", [(g, static), (g, AdaptiveFrisMode(36))], {})
-        assert [(plan.rank, plan.clamped) for plan in plans] == [(167, 233), (112, 233)]
+        assert [(plan.rank, plan.clamped) for plan in plans] == [(135, 9), (112, 233)]
         assert plans[0].kind == "static" and plans[0].factor is None
         assert plans[0].draws_per_trial == plans[0].weights.size + 1
         assert plans[1].kind == "adaptive" and plans[1].factor.shape == (400, 112)

@@ -1,6 +1,6 @@
 """Property-based tests: what the config parser accepts and rejects, the
-round trip behind the CLI's override path, and the adaptive engine's
-monotonicity in m_o."""
+round trip behind the CLI's override path, the adaptive engine's
+monotonicity in m_o, and the static weights' moments."""
 
 import json
 import math
@@ -11,8 +11,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from frislink.config import PRESET_NAMES, ConfigError, parse_config, preset_config
-from frislink.correlation import SurfaceGeometry, build_correlation_matrix
-from frislink.montecarlo import AdaptiveFrisMode, run_trials
+from frislink.correlation import (
+    SurfaceGeometry,
+    build_correlation_matrix,
+    principal_submatrix,
+)
+from frislink.montecarlo import AdaptiveFrisMode, StaticMode, plan_runs, run_trials
 
 # Integers are small counts or far beyond any index range. Counts between
 # the two are valid and ask for allocations proportional to their size,
@@ -253,3 +257,30 @@ class TestAdaptiveMonotoneInMo:
         lo = run_trials(g, "spherical", AdaptiveFrisMode(m_o=m_o), 200, seed)
         hi = run_trials(g, "spherical", AdaptiveFrisMode(m_o=m_o + 1), 200, seed)
         assert np.all(hi >= lo * (1.0 - 1e-12))
+
+
+class TestStaticWeights:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m_x=st.integers(1, 5),
+        m_z=st.integers(1, 5),
+        pitch=st.floats(0.1, 0.6),
+        kernel=st.sampled_from(["spherical", "cylindrical"]),
+        data=st.data(),
+    )
+    def test_moments_match_the_selection_block(self, m_x, m_z, pitch, kernel, data):
+        # S = sum_k nu_k E_k has sum nu = tr(A) and sum nu^2 = tr(A^2)
+        # for A = D J~ D^H J~, J~ the selection's block of the model matrix
+        g = SurfaceGeometry(m_x=m_x, m_z=m_z, w_x=pitch * m_x, w_z=pitch * m_z,
+                            wavelength=0.125)
+        sel = np.array(data.draw(st.lists(st.integers(0, g.m - 1), min_size=1,
+                                          max_size=g.m, unique=True)))
+        phases = np.array(data.draw(st.lists(st.floats(0.0, 2.0 * math.pi),
+                                             min_size=sel.size, max_size=sel.size)))
+        (plan,) = plan_runs(kernel, [(g, StaticMode(sel, phases))], {})
+        j_sub = principal_submatrix(build_correlation_matrix(g, kernel), sel)
+        d = np.exp(1j * phases)
+        a = (d[:, None] * j_sub * d.conj()[None, :]) @ j_sub
+        nu = plan.weights
+        assert nu.sum() == pytest.approx(np.trace(a).real, rel=1e-10)
+        assert (nu * nu).sum() == pytest.approx(np.trace(a @ a).real, rel=1e-10)

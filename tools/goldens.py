@@ -3,13 +3,16 @@
     python3 tools/goldens.py
 
 Runs the twelve golden commands in one process against this checkout's
-`src/`, in a temporary directory, and prints one `<name> <sha256>` line
-each: the four presets' CSVs at `--trials 20000 --seed 7`, the four
+`src/`, in a temporary directory, and prints one
+`<name> <sha256> body <sha256>` line each, the hash of the whole output
+and of its lines that do not start with `# ` (a CSV without its
+provenance header): the four presets' CSVs at `--trials 20000 --seed 7`, the four
 presets' `validate` stdouts, and for the `--config` document
 (CONFIG below) its `validate` stdout, its `outage` and `capacity` CSVs
 at `--seed 5`, and the CSV of its static mode alone under
-`dist --trials 4000 --seed 5`. Equal lines at two commits mean equal
-bytes; CHANGES.md records the expected values.
+`dist --trials 4000 --seed 5`. Equal hashes at two commits mean equal
+bytes, and equal body hashes alone an output that moved only in its
+header; CHANGES.md records the expected values.
 """
 
 from __future__ import annotations
@@ -42,7 +45,9 @@ PRESET_RUNS = (("dist", "fig2"), ("outage", "fig3a"), ("capacity", "fig3b"), ("s
 
 
 def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    """`<sha256> body <sha256>`: the whole output's hash, then its body's."""
+    body = b"".join(ln for ln in data.splitlines(keepends=True) if not ln.startswith(b"# "))
+    return f"{hashlib.sha256(data).hexdigest()} body {hashlib.sha256(body).hexdigest()}"
 
 
 def _stdout(argv: list) -> str:
@@ -61,7 +66,7 @@ def _csv(argv: list, out: str) -> str:
 
 
 def goldens(tmp: str):
-    """(name, sha256) of each golden output, written under tmp."""
+    """(name, hashes) of each golden output, written under tmp."""
     out = os.path.join(tmp, "out.csv")
     for command, preset in PRESET_RUNS:
         argv = [command, "--preset", preset, "--trials", "20000", "--seed", "7"]
