@@ -101,7 +101,7 @@ def _write_csv(f, meta: dict, columns: list, rows) -> None:
 
 def _base_meta(config: ExperimentConfig, command: str) -> dict:
     return {
-        "artifact_version": 7,
+        "artifact_version": 8,
         "tool_version": __version__,
         "command": command,
         "config_hash": config.config_hash,
@@ -273,7 +273,8 @@ def cmd_sweep_m(config: ExperimentConfig, out_path, workers: int | None = None) 
     """Capacity versus grid density at fixed aperture and fixed m_o.
 
     Requires m_grid, exactly one adaptive mode (supplying m_o), at most
-    one baseline mode (the flat reference), and a single-point SNR grid.
+    one baseline mode (the flat reference), no static mode, and a
+    single-point SNR grid.
     Columns: m_x, m_z, m, fris_capacity, fris_stderr, ris_capacity,
     ris_stderr; the baseline is run once and repeated (it does not
     depend on the sweep density).
@@ -282,10 +283,11 @@ def cmd_sweep_m(config: ExperimentConfig, out_path, workers: int | None = None) 
         raise ConfigError("sweep-m: config requires m_grid")
     adaptives = [s for s in config.modes if isinstance(s.mode, AdaptiveFrisMode)]
     baselines = [s for s in config.modes if isinstance(s.mode, RisBaselineMode)]
-    if len(adaptives) != 1 or len(baselines) > 1:
+    statics = [s for s in config.modes if isinstance(s.mode, StaticMode)]
+    if len(adaptives) != 1 or len(baselines) > 1 or statics:
         raise ConfigError(
-            "sweep-m: config must specify exactly one adaptive_fris mode "
-            "and at most one ris_baseline mode"
+            "sweep-m: config must specify exactly one adaptive_fris mode, "
+            "at most one ris_baseline mode and no static mode"
         )
     if len(config.snr_grid_db) != 1:
         raise ConfigError("sweep-m: snr_grid_db must contain exactly one point")

@@ -1,6 +1,6 @@
 """Chunked, reproducible Monte Carlo engine for equivalent-gain sampling.
 
-Reproducibility contract (artifact version 7): trials are processed in
+Reproducibility contract (artifact version 8): trials are processed in
 fixed chunks of CHUNK_TRIALS, and a chunk's trials in draw blocks of
 _BLOCK_TRIALS = 128. Every stream of chunk c is Philox keyed by the
 seed, with c in words 2 and 3 of the 256-bit counter (c << 128), the
@@ -23,9 +23,8 @@ position in word 0, and word 1 naming the stream:
 
 A rank-r mode reads a prefix of each block's stream, and every draw
 block, a chunk's last too, draws its full r_max x 512 normals however
-few trials it holds (a last block of fewer than _MIN_LAST_BLOCK trials
-is computed with the one before it, from both draw blocks), so a
-trial's draws depend only on the seed, its index and its mode's rank.
+few trials it holds, so a trial's draws depend only on the seed, its
+index and its mode's rank.
 The gains are byte-identical for any worker count: parallel runs
 distribute whole chunks across threads, one per available core by
 default.
@@ -78,9 +77,10 @@ principal block J~ = J[sel, sel], so a static-only command never
 factors a whole grid. A trial thus draws K + 1 exponentials, K at most
 the block's rank.
 
-A chunk reads its streams block by block into reused buffers, which
-gives the same draws as drawing the whole chunk at once (and the same
-gains, up to a few ulp on some grids: see `_compute_chunk`).
+A chunk reads its streams block by block into reused buffers, and
+projects and combines each draw block on its own, which gives the same
+draws as drawing the whole chunk at once (and the same gains, up to a
+few ulp on some grids: see `_compute_chunk`).
 """
 
 from __future__ import annotations
@@ -129,13 +129,11 @@ __all__ = [
 
 CHUNK_TRIALS = 8192
 
-# trials per coherent draw block, part of the stream contract, and per
-# projection block: (r, 4b) normals and (4b, M') projections stay within
-# a few MB at M' = 400, for each of several chunk threads
+# trials per coherent draw block, part of the stream contract; one draw
+# block is one projection block, so its (r_max, 512) normals and
+# (512, M') projections stay within a few MB at M' = 400, for each of
+# several chunk threads
 _BLOCK_TRIALS = 128
-# BLAS multiplies a few rows with other kernels, which round differently,
-# so a last block of fewer trials than this joins the block before it
-_MIN_LAST_BLOCK = 64
 
 # a coherent run samples the shortest prefix of its grid's draw-ordered
 # factor whose dropped columns carry at most this fraction of the trace
@@ -246,12 +244,12 @@ class RisBaselineMode:
 class RunPlan:
     """One resolved (geometry, mode) run: what `run_many` runs and validate prints."""
 
-    kind: str  # 'static' | 'adaptive' | 'coherent_all'
+    kind: str  # 'static' | 'coherent'
     rank: int  # r: coherent, the factor prefix it samples; static, its block's factor
     clamped: int  # eigenvalues clamped to zero: coherent, the grid's; static, its block's
     draws_per_trial: int  # static: K + 1 exponentials; coherent: 4r normals
     factor: np.ndarray | None = None  # coherent: the sampled prefix in draw order, M' x r
-    m_o: int | None = None  # adaptive: elements kept per trial
+    m_o: int | None = None  # coherent: elements kept per trial, M' for the RIS baseline
     weights: np.ndarray | None = None  # static: the K weights of S, descending
 
 
@@ -325,11 +323,9 @@ def plan_runs(kernel: str, runs, correlations: dict) -> list:
             root = psd_sqrt(matrices[grid])
             prefixes[grid] = _rank_prefix(_draw_order(root.factor)), root.clamped_count
         drawn, clamped = prefixes[grid]
-        r = drawn.shape[1]
-        if isinstance(mode, AdaptiveFrisMode):
-            plans.append(RunPlan("adaptive", r, clamped, 4 * r, drawn, mode.m_o))
-        else:
-            plans.append(RunPlan("coherent_all", r, clamped, 4 * r, drawn))
+        m, r = drawn.shape
+        m_o = mode.m_o if isinstance(mode, AdaptiveFrisMode) else m
+        plans.append(RunPlan("coherent", r, clamped, 4 * r, drawn, m_o))
     return plans
 
 
@@ -370,27 +366,25 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list) -> None:
     The trials are drawn (and for the coherent modes projected and
     combined) in blocks of _BLOCK_TRIALS, in buffers reused from block
     to block, so a chunk holds a few MB whatever its size. The static
-    fills continue the chunk's stream. A coherent block of k trials
-    fills its ceil(k / 128) draw blocks whole, one call each (two for a
-    last block merged with the one before it), sets their columns side
-    by side and projects the first 4k, so the draws are those of the
-    whole chunk drawn at once. The projection of a block is not always
-    that of the whole chunk to the bit: on some grids (14 x 14 of fig3c,
-    M' = 196) BLAS rounds a few gains a few ulp apart (relative 7e-16 at
-    most), while on others (20 x 20) every gain is equal. The blocks are
-    fixed by the trial count alone, so the bytes stay reproducible and
-    do not depend on the worker count.
+    fills continue the chunk's stream. Coherent block j is draw block j,
+    filled whole in one call however few trials it holds (a chunk's last
+    block too), of which its k trials project the first 4k columns, so
+    the draws are those of the whole chunk drawn at once. The gains of a
+    block are not always those of the whole chunk to the bit: on some
+    grids (14 x 14 of fig3c, M' = 196) BLAS rounds a few coherent gains
+    a few ulp apart (relative 9e-16 at most), while on others (20 x 20)
+    every one is equal, and a static last block of one trial is a
+    one-row product, which numpy computes as a dot product and which may
+    round its gain an ulp or two apart. The blocks are fixed by the
+    trial count alone, so the bytes stay reproducible and do not depend
+    on the worker count.
 
     The coherent plans share each block's columns of the largest rank,
     and each projects its first r rows, so its gains do not depend on
     the other plans.
     """
     n = len(gains[0])
-    starts = list(range(0, n, _BLOCK_TRIALS))
-    if len(starts) > 1 and n - starts[-1] < _MIN_LAST_BLOCK:
-        starts.pop()
-    blocks = list(zip(starts, starts[1:] + [n]))
-    b = max(t1 - t0 for t0, t1 in blocks)
+    blocks = [(t0, min(t0 + _BLOCK_TRIALS, n)) for t0 in range(0, n, _BLOCK_TRIALS)]
     coherent = []
     for plan, out in zip(plans, gains):
         if plan.kind != "static":
@@ -398,7 +392,7 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list) -> None:
             continue
         # per trial E_0, E_1 .. E_K; the gain is E_0 sum_k nu_k E_k
         rng = chunk_rng(seed, chunk)
-        e = np.empty((b, plan.weights.size + 1))
+        e = np.empty((_BLOCK_TRIALS, plan.weights.size + 1))
         for t0, t1 in blocks:
             k = t1 - t0
             rng.standard_exponential(out=e[:k])
@@ -406,16 +400,11 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list) -> None:
     if not coherent:
         return
     r_max = max(plan.factor.shape[1] for plan, _ in coherent)
-    width = 4 * _BLOCK_TRIALS  # normals per column of a draw block
-    flat = np.empty(r_max * width * -(-b // _BLOCK_TRIALS))
-    buf = np.empty(4 * b * max(plan.factor.shape[0] for plan, _ in coherent))
-    for t0, t1 in blocks:
+    z = np.empty((r_max, 4 * _BLOCK_TRIALS))
+    buf = np.empty(4 * _BLOCK_TRIALS * max(plan.factor.shape[0] for plan, _ in coherent))
+    for j, (t0, t1) in enumerate(blocks):
         k = t1 - t0
-        fills = flat[: r_max * width * -(-k // _BLOCK_TRIALS)].reshape(-1, r_max, width)
-        for j, fill in enumerate(fills, t0 // _BLOCK_TRIALS):
-            _draw_block(seed, chunk, j).standard_normal(out=fill)
-        # the draw blocks' columns side by side: a view of one, a copy of two
-        z = fills.transpose(1, 0, 2).reshape(r_max, -1)
+        _draw_block(seed, chunk, j).standard_normal(out=z)
         for plan, out in coherent:
             m, r = plan.factor.shape
             a = buf[: 4 * k * m].reshape(4 * k, m)
@@ -428,14 +417,14 @@ def _combine(plan: RunPlan, a: np.ndarray) -> np.ndarray:
     (k, 4, M'): per trial Re a_f, Im a_f, Re a_u, Im a_u, each times
     sqrt(2). Squares a in place.
 
-    An adaptive plan keeps each trial's m_o largest products: those above
-    the trial's m_o-th largest, then the lowest-indexed of those equal to
-    it, summed in index order like the rest."""
+    A plan with m_o < M' keeps each trial's m_o largest products: those
+    above the trial's m_o-th largest, then the lowest-indexed of those
+    equal to it, summed in index order like the rest."""
     np.square(a, out=a)
     # (2 |a_f|^2) (2 |a_u|^2), ordered like the products |a_f| |a_u|
     power = (a[:, 0] + a[:, 1]) * (a[:, 2] + a[:, 3])
     k, m = power.shape
-    if plan.kind == "adaptive" and plan.m_o < m:
+    if plan.m_o < m:
         thr = np.partition(power, m - plan.m_o, axis=1)[:, m - plan.m_o, None]
         keep = power >= thr
         if np.count_nonzero(keep) > k * plan.m_o:  # ties at some threshold

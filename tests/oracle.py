@@ -157,7 +157,7 @@ def _combine_chunk(plan, a: np.ndarray) -> np.ndarray:
     """Coherent gains from the projected hops a, shaped (n, 4, M')."""
     np.square(a, out=a)
     power = (a[:, 0] + a[:, 1]) * (a[:, 2] + a[:, 3])
-    if plan.kind == "adaptive":
+    if plan.m_o < power.shape[1]:
         cut = power.shape[1] - plan.m_o
         idx = np.argpartition(power, cut, axis=1)[:, cut:]
         idx.sort(axis=1)
@@ -172,8 +172,12 @@ def whole_chunk_gains(plan, seed: int, chunk: int, n: int) -> np.ndarray:
     This is the engine's arithmetic without its trial blocks: for a
     static mode all n x (K+1) exponentials of the chunk in one draw, for
     the coherent modes every draw block's normals drawn whole, one
-    projection and one combine. The blocked engine must reproduce it bit
-    for bit.
+    projection and one combine. The blocked engine reproduces it bit for
+    bit on the 6x6, 10x10 and 20x20 grids, and for static modes but for a
+    last block of one trial, whose one-row product numpy computes as a
+    dot product (an ulp or two apart); on the 14x14 grid (M' = 196) BLAS
+    rounds a few of its blocked projections a few ulp apart, within
+    2e-15 relative.
     """
     if plan.kind == "static":
         e = chunk_rng(seed, chunk).standard_exponential((n, plan.weights.size + 1))

@@ -384,6 +384,25 @@ class TestCmdSweepM:
             cmd_sweep_m(parse(doc), tmp_path / "z.csv")
         assert calls == []
 
+    def test_rejects_a_static_mode(self, tmp_path, capsys):
+        # the config hash covers every mode, so a static mode the sweep
+        # cannot run is an error, not a silently dropped column
+        doc = tiny_doc(
+            geometry={"m_x": 10, "m_z": 10, "w_x": 1.5, "w_z": 1.5},
+            snr_grid_db=[40.0],
+            modes=[
+                {"type": "adaptive_fris", "m_o": 36},
+                {"type": "static", "select_x": 6, "select_z": 6},
+            ],
+            m_grid=[[6, 6], [10, 10]],
+        )
+        path, out = tmp_path / "cfg.json", tmp_path / "s.csv"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["sweep-m", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: sweep-m: ")
+        assert "static" in err[0] and not out.exists()
+
     def test_rejects_too_small_grid(self, tmp_path):
         doc = tiny_doc(
             snr_grid_db=[30.0],

@@ -330,8 +330,8 @@ class TestBlockedChunk:
         ids=["full", "ragged", "below-one-block", "short-remainder"],
     )
     def test_matches_whole_chunk(self, kind, n):
-        # 3616 = 7 blocks and 32 trials; 517 leaves 5 trials past the first
-        # block, which must not get a block of their own
+        # 3616 = 28 blocks and 32 trials; 517 = 4 blocks and 5 trials,
+        # whose last draw block is projected alone
         g, mode = dense_case(kind)
         plan = plan_of(g, mode)
         for chunk in (0, 3):
@@ -351,6 +351,37 @@ class TestBlockedChunk:
                 _compute_chunk([plan], seed, chunk, [got])
                 want = whole_chunk_gains(plan, seed, chunk, n)
                 np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
+
+    @pytest.mark.parametrize("kind", MODE_KINDS)
+    def test_every_last_block_length_matches_whole_chunk(self, kind):
+        # n = 129 .. 191: one whole block and a last one of 1 .. 63 trials,
+        # projected alone. A static last block of one trial is a one-row
+        # product, which numpy computes as a dot product, not with the
+        # matrix-vector kernel of the whole chunk, so its gain may round
+        # an ulp or two apart
+        g, mode = dense_case(kind)
+        plan = plan_of(g, mode)
+        for n in range(129, 192):
+            for chunk in (0, 3):
+                got = np.empty(n)
+                _compute_chunk([plan], 17, chunk, [got])
+                want = whole_chunk_gains(plan, 17, chunk, n)
+                if kind == "static" and n == 129:
+                    assert np.array_equal(got[:128], want[:128])
+                    np.testing.assert_allclose(got[128], want[128], rtol=5e-16, atol=0.0)
+                else:
+                    assert np.array_equal(got, want), n
+
+    def test_every_last_block_length_to_rounding_on_14x14(self):
+        g = dense_case("adaptive")[0].regrid(14, 14)
+        plan = plan_of(g, AdaptiveFrisMode(m_o=36))
+        for n in range(129, 192):
+            for seed in (17, 18):
+                for chunk in (0, 3):
+                    got = np.empty(n)
+                    _compute_chunk([plan], seed, chunk, [got])
+                    want = whole_chunk_gains(plan, seed, chunk, n)
+                    np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0, err_msg=str(n))
 
     def test_contract_normals_depend_on_trial_and_rank_only(self):
         # the stream contract the engine is checked against: a trial reads
@@ -472,8 +503,11 @@ class TestRunMany:
         assert [(plan.rank, plan.clamped) for plan in plans] == [(135, 9), (112, 233)]
         assert plans[0].kind == "static" and plans[0].factor is None
         assert plans[0].draws_per_trial == plans[0].weights.size + 1
-        assert plans[1].kind == "adaptive" and plans[1].factor.shape == (400, 112)
+        assert plans[1].kind == "coherent" and plans[1].factor.shape == (400, 112)
         assert plans[1].draws_per_trial == 4 * 112 and plans[1].m_o == 36
+        # the RIS baseline is the coherent plan that keeps all M' elements
+        ris = plan_of(g, RisBaselineMode(6, 6))
+        assert ris.kind == "coherent" and ris.m_o == 36 == ris.factor.shape[0]
         with pytest.raises(ValueError, match="at least one run"):
             run_many([], 10, seed=1)
 
@@ -509,7 +543,7 @@ class TestRunMany:
         full = mc._draw_order(root.factor)
         r = full.shape[1]
         assert plan.rank < r
-        ref = mc.RunPlan("adaptive", r, root.clamped_count, 4 * r, full, 36)
+        ref = mc.RunPlan("coherent", r, root.clamped_count, 4 * r, full, 36)
         err = whole_chunk_gains(plan, 33, 0, CHUNK_TRIALS) / whole_chunk_gains(
             ref, 33, 0, CHUNK_TRIALS
         ) - 1.0
@@ -521,7 +555,7 @@ class TestRunMany:
         # indexed of the tied, as select_top_products does
         f = np.repeat(plan_of(small_geom().regrid(3, 3), RisBaselineMode(3, 3)).factor, 2, axis=0)
         r = f.shape[1]
-        (got,) = run_many([mc.RunPlan("adaptive", r, 0, 4 * r, f, 5)], 256, seed=34)
+        (got,) = run_many([mc.RunPlan("coherent", r, 0, 4 * r, f, 5)], 256, seed=34)
         for t, c in enumerate(column_channels(34, 0, 256, r)):
             a_f, a_u = f @ c.h_f, f @ c.h_u
             sel = select_top_products(a_u, a_f, 5)
@@ -601,6 +635,23 @@ class TestThreadWorkers:
         finally:
             tracemalloc.stop()
         assert peak <= 48e6
+
+    def test_peak_memory_with_a_short_tail(self):
+        # a chunk of 191 trials ends in a block of 63, which reuses the
+        # buffers of a whole block, so 8192 + 191 trials peak no higher
+        # than two whole chunks
+        g, mode = dense_case("adaptive")
+        plans = plan_runs("spherical", [(g, mode), (g, RisBaselineMode(6, 6))], {})
+        run_many(plans, 1, seed=20, workers=1)  # one-time allocations of a first run
+        peaks = []
+        for n in (CHUNK_TRIALS + 191, 2 * CHUNK_TRIALS):
+            tracemalloc.start()
+            try:
+                run_many(plans, n, seed=20, workers=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
 
 
 class TestDefaultWorkers:
