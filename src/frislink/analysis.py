@@ -51,11 +51,15 @@ def trace_power(j_sub: np.ndarray, power: int) -> float:
     """tr(J~^p) for p in {2, 4}, via the eigenvalues of the submatrix."""
     if power not in (2, 4):
         raise ValueError(f"power must be 2 or 4, got {power}")
+    return float(np.sum(_eigenvalues(j_sub) ** power))
+
+
+def _eigenvalues(j_sub: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the submatrix, none for an empty one."""
     j_sub = np.asarray(j_sub, dtype=float)
     if j_sub.size == 0:
-        return 0.0
-    evals = np.linalg.eigvalsh(j_sub)
-    return float(np.sum(evals**power))
+        return np.zeros(0)
+    return np.linalg.eigvalsh(j_sub)
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,9 @@ def gamma_fit(j_sub: np.ndarray) -> GammaFit:
     the conditional power S, not those of the gain G = S E (see
     gain_cdf). For an identity block this collapses to k = M_o, theta = 1.
     """
-    t2 = trace_power(j_sub, 2)
-    t4 = trace_power(j_sub, 4)
+    evals = _eigenvalues(j_sub)
+    t2 = float(np.sum(evals**2))
+    t4 = float(np.sum(evals**4))
     if t2 <= 0 or t4 <= 0:
         raise ValueError("correlation block is degenerate: nonpositive trace power")
     return GammaFit(shape_k=t2 * t2 / t4, scale_theta=t4 / t2)

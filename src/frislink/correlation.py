@@ -156,19 +156,28 @@ def psd_sqrt(j: np.ndarray) -> CorrelationSqrt:
     j = np.asarray(j, dtype=float)
     if j.ndim != 2 or j.shape[0] != j.shape[1]:
         raise ValueError(f"correlation matrix must be square, got shape {j.shape}")
+    evals, evecs, low = _clamped_eigh(j)
+    clamped = int(np.count_nonzero(low))
+    factor = evecs[:, clamped:] * np.sqrt(evals[clamped:])
+    return CorrelationSqrt(factor, clamped, evecs, np.sqrt(np.where(low, 0.0, evals)))
+
+
+def _clamped_eigh(j: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors of a symmetric matrix, or of
+    each of a stack of them, with the mask of the eigenvalues below 1e-12
+    times the largest of all, which a factor treats as zero. Raises
+    LinAlgError if no eigenvalue is positive or a clamped one is below
+    -1e-6 times the largest."""
     evals, evecs = np.linalg.eigh(j)
-    peak = float(evals[-1])
+    peak = float(evals.max())
     if peak <= 0:
         raise np.linalg.LinAlgError("correlation matrix has no positive eigenvalue")
-    tol = _EIG_CLAMP_REL * peak
-    low = evals < tol
-    clamped = int(np.count_nonzero(low))
+    low = evals < _EIG_CLAMP_REL * peak
     if np.any(evals[low] < -1e-6 * peak):
         raise np.linalg.LinAlgError(
             "correlation matrix is indefinite beyond numerical tolerance"
         )
-    factor = evecs[:, clamped:] * np.sqrt(evals[clamped:])
-    return CorrelationSqrt(factor, clamped, evecs, np.sqrt(np.where(low, 0.0, evals)))
+    return evals, evecs, low
 
 
 def principal_submatrix(j: np.ndarray, selection: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Chunked, reproducible Monte Carlo engine for equivalent-gain sampling.
 
-Reproducibility contract (artifact version 8): trials are processed in
+Reproducibility contract (artifact version 9): trials are processed in
 fixed chunks of CHUNK_TRIALS, and a chunk's trials in draw blocks of
 _BLOCK_TRIALS = 128. Every stream of chunk c is Philox keyed by the
 seed, with c in words 2 and 3 of the 256-bit counter (c << 128), the
@@ -34,13 +34,14 @@ prints) in one pass: each draw block is filled once, in one call, with
 the columns of the largest rank, and each coherent mode projects the
 first r of them, so the runs share their normals (common random numbers:
 Glasserman, Monte Carlo Methods in Financial Engineering, 2003, sec. 4.2)
-and each run's gains are bit for bit those of the run alone. Column k
-drives the k-th largest eigenmode of each grid, signed so that its first
-entry above 1e-3 of its largest magnitude is positive (`_draw_order`),
-so on grids of one aperture the shared normals drive
-similar modes and a command's rows are positively correlated, which
-narrows the spread of their differences; the standard error each row
-reports is still that of its own run.
+and each run's gains are bit for bit those of the run alone. Runs of one
+grid and one m_o share one plan, computed once a block. Column k drives
+the k-th largest eigenmode of each grid, signed so that its first entry
+above 1e-3 of its largest magnitude is positive (`_grid_factor`), so on
+grids of one aperture the shared normals drive similar modes and a
+command's rows are positively correlated, which narrows the spread of
+their differences; the standard error each row reports is still that of
+its own run.
 
 Threaded BLAS rounds products differently from single-threaded BLAS, so
 numpy's bundled OpenBLAS is pinned to one thread while a run lasts
@@ -50,22 +51,33 @@ machine, and the parallelism is the chunk threads'. Where the library or
 its thread-count symbols are missing (MKL, a system OpenBLAS) runs go
 unpinned, and their bytes may depend on the BLAS thread count.
 
-The coherent modes project each hop through a prefix of the M x r'
-factor F = U_r' sqrt(Lambda_r') of the correlation matrix
-(`CorrelationSqrt.factor`), whose r' columns are the eigenpairs the
-matrix root keeps. In draw order, a run samples the shortest prefix of
-r columns whose dropped columns carry at most _RANK_TAIL = 1e-8 of the
-trace sum_k ||F_k||^2 (`_rank_prefix`): r = 112 of r' = 167 on the
-20 x 20 grid over 3 x 3 wavelengths, whose aperture holds about
-pi L_x L_z / lambda^2 = 28 significant modes (Pizzo, Marzetta &
-Sanguinetti, IEEE JSAC 2020). F @ F.T is the square of the clamped
-root up to that tail, so the sampled law is that of J^(1/2) h with
-h ~ CN(0, I), while each trial reads 4r normals instead of 4M. All arithmetic is
-real: one (4b x r) @ (r x M') product per block of b trials, the
-block's first r columns transposed times the factor's, gives both parts
-of both hops, and the products |a_f| |a_u| (an adaptive mode's m_o
-largest, picked by a threshold) are summed in index order as square
-roots of the squared parts.
+The coherent modes project each hop through a prefix of the M' x r'
+factor F = U_r' sqrt(Lambda_r') of the grid's correlation matrix J,
+whose r' columns are the eigenpairs above the clamp. In draw order, a
+run samples the shortest prefix of r columns whose dropped columns carry
+at most _RANK_TAIL = 1e-8 of the trace sum_k ||F_k||^2
+(`_sampled_prefix`): r = 112 of r' = 167 on the 20 x 20 grid over 3 x 3
+wavelengths, whose aperture holds about pi L_x L_z / lambda^2 = 28
+significant modes (Pizzo, Marzetta & Sanguinetti, IEEE JSAC 2020).
+F @ F.T is the clamped J up to that tail, so the sampled law is that of
+J^(1/2) h with h ~ CN(0, I), while each trial reads 4r normals instead
+of 4M'.
+
+A uniform grid's J is unchanged by the mirror reflection of each axis,
+so it splits into C = 1, 2 or 4 parity classes (even and odd along each
+folded axis) of Q = M' / C elements, whose blocks are eigendecomposed
+apart (Cantoni & Butler, Linear Algebra Appl. 13, 1976;
+`_parity_classes`). Each column of F belongs to one class, and its
+entries at the C mirror images of a base element are its class vector's
+entry times signs +-1/sqrt(C). All arithmetic is real: per block of b
+trials, hop and class, one (2b x r_c) @ (r_c x Q) product of the class's
+columns of the block gives the class's share of both parts of the hop at
+the base elements, and one C x C signed sum of both parts (a GEMM with
+the Sylvester Hadamard matrix; none for C = 1) gives them at every
+image: C times fewer flops than one (4b x r) @ (r x M') product. A
+trial's products (2 |a_f|^2) (2 |a_u|^2) land in any element order, as
+its gain (1/4) (sum sqrt P)^2 sums its m_o largest products P (all of
+them for the RIS baseline) in ascending order (`_combine`).
 
 A static mode samples its exact law instead. Given the user-side hop,
 its equivalent channel is CN(0, S), so the gain is G = S E_0, and S is a
@@ -77,10 +89,11 @@ principal block J~ = J[sel, sel], so a static-only command never
 factors a whole grid. A trial thus draws K + 1 exponentials, K at most
 the block's rank.
 
-A chunk reads its streams block by block into reused buffers, and
+A chunk reads its streams block by block into reused buffers (one
+workspace a thread, which `run_many` makes and its chunks pass on), and
 projects and combines each draw block on its own, which gives the same
-draws as drawing the whole chunk at once (and the same gains, up to a
-few ulp on some grids: see `_compute_chunk`).
+draws and, on the grids tested, the same gains as drawing the whole
+chunk at once (see `_compute_chunk`).
 """
 
 from __future__ import annotations
@@ -91,6 +104,7 @@ import functools
 import glob
 import math
 import os
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -101,6 +115,7 @@ from .channel import LinkBudget
 from .correlation import (
     _EIG_CLAMP_REL,
     SurfaceGeometry,
+    _clamped_eigh,
     build_correlation_matrix,
     principal_submatrix,
     psd_sqrt,
@@ -242,7 +257,12 @@ class RisBaselineMode:
 
 @dataclass(frozen=True, eq=False)
 class RunPlan:
-    """One resolved (geometry, mode) run: what `run_many` runs and validate prints."""
+    """One resolved (geometry, mode) run: what `run_many` runs and validate
+    prints. A coherent plan samples its factor through the parity classes
+    of its grid (`_grid_factor`): `classes` holds, per class, the draw
+    columns it reads and its Q x r_c block, the 1/sqrt(C) of the C
+    classes folded in; a grid that does not fold has one class, the
+    whole factor."""
 
     kind: str  # 'static' | 'coherent'
     rank: int  # r: coherent, the factor prefix it samples; static, its block's factor
@@ -251,6 +271,7 @@ class RunPlan:
     factor: np.ndarray | None = None  # coherent: the sampled prefix in draw order, M' x r
     m_o: int | None = None  # coherent: elements kept per trial, M' for the RIS baseline
     weights: np.ndarray | None = None  # static: the K weights of S, descending
+    classes: tuple | None = None  # coherent: (draw columns, Q x r_c block) per class
 
 
 def mode_grid(geom: SurfaceGeometry, mode) -> SurfaceGeometry:
@@ -303,10 +324,13 @@ def plan_runs(kernel: str, runs, correlations: dict) -> list:
     taken from `correlations` if passed, else built here, at most once
     per call. A static run factors its selection's principal block of
     that matrix and keeps only its weights; a grid that coherent runs
-    sample is factored whole once, keeping the prefix of its factor in
-    draw order that they sample and its clamped count."""
+    sample is factored once through its parity classes, keeping the
+    prefix of its factor in draw order that they sample, its classes'
+    share of it and its clamped count. Coherent runs of one grid and one
+    m_o get one plan object, which `run_many` computes once."""
     matrices = dict(correlations)
-    prefixes = {}
+    roots = {}
+    coherent = {}
     plans = []
     for geom, mode in runs:
         _check_mode(geom, mode)
@@ -319,37 +343,104 @@ def plan_runs(kernel: str, runs, correlations: dict) -> list:
             r = root.factor.shape[1]
             plans.append(RunPlan("static", r, root.clamped_count, nu.size + 1, weights=nu))
             continue
-        if grid not in prefixes:
-            root = psd_sqrt(matrices[grid])
-            prefixes[grid] = _rank_prefix(_draw_order(root.factor)), root.clamped_count
-        drawn, clamped = prefixes[grid]
-        m, r = drawn.shape
-        m_o = mode.m_o if isinstance(mode, AdaptiveFrisMode) else m
-        plans.append(RunPlan("coherent", r, clamped, 4 * r, drawn, m_o))
+        m_o = mode.m_o if isinstance(mode, AdaptiveFrisMode) else grid.m
+        if (grid, m_o) not in coherent:
+            if grid not in roots:
+                full, clamped, classes = _grid_factor(grid, matrices[grid])
+                roots[grid] = (*_sampled_prefix(full, classes), clamped)
+            factor, classes, clamped = roots[grid]
+            r = factor.shape[1]
+            coherent[grid, m_o] = RunPlan(
+                "coherent", r, clamped, 4 * r, factor, m_o, classes=classes
+            )
+        plans.append(coherent[grid, m_o])
     return plans
 
 
-def _draw_order(factor: np.ndarray) -> np.ndarray:
-    """The hop factor's columns in the order the coherent draw reads them:
-    largest eigenvalue first, each signed so that its first entry above
-    1e-3 of the column's largest magnitude (clear of the entries that
-    vanish by symmetry) is positive. Column k is then close to the same
-    spatial mode on every grid of one aperture, so runs that share a
-    chunk's draw are positively coupled (their common normals drive
-    similar modes)."""
-    f = factor[:, ::-1]
-    mag = np.abs(f)
+def _signs(c: int) -> np.ndarray:
+    """The C x C signs (-1)^popcount(n & c) of mirror image n in parity
+    class c, for C = 1, 2 or 4 (the Sylvester Hadamard matrix)."""
+    h = np.ones((1, 1))
+    while len(h) < c:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def _parity_classes(grid: SurfaceGeometry, j: np.ndarray):
+    """The mirror images and parity-class blocks of a grid's matrix J.
+
+    Every axis of even length whose mirror leaves J exactly unchanged is
+    folded (a uniform grid's J is, but a caller's matrix need not be),
+    which makes C = 1, 2 or 4 classes of Q = M' / C elements (Cantoni &
+    Butler, Linear Algebra Appl. 13, 1976). Returns the (C, Q) element
+    indices, row n the images under the mirrors of the set bits of n of
+    the base elements, those in the first half of each folded axis; and
+    the (C, Q, Q) blocks B_c = sum_n s_nc J[base, image n], s = _signs(C).
+    J is the sum over c of T_c B_c T_c^T, where T_c maps a class vector
+    u to the elements, image n of base element q taking s_nc u_q / sqrt(C).
+    """
+    j4 = j.reshape(grid.m_z, grid.m_x, grid.m_z, grid.m_x)
+    images = np.arange(grid.m).reshape(1, grid.m_z, grid.m_x)
+    for axis in (2, 1):  # x, then z
+        mirrored = np.flip(j4, (axis - 1, axis + 1))  # J with both indices mirrored
+        if images.shape[axis] % 2 == 0 and np.array_equal(j4, mirrored):
+            half = np.arange(images.shape[axis] // 2)
+            images = np.concatenate([images, np.flip(images, axis)]).take(half, axis=axis)
+    images = images.reshape(len(images), -1)
+    c, q = images.shape
+    g = j[np.ix_(images[0], images.ravel())].reshape(q, c, q)
+    return images, np.einsum("nc,anb->cab", _signs(c), g)
+
+
+def _grid_factor(grid: SurfaceGeometry, j: np.ndarray):
+    """The factor F of a grid's matrix, F F^T = J up to the clamp, in the
+    order the coherent draw reads its columns, through the parity classes
+    of `_parity_classes`. Returns F (M' x r'), the clamped count and, per
+    class, its columns of F and their Q-vectors as a Q x r_c block (F's
+    entries at image n of the base are s_nc times them).
+
+    Each class block is eigendecomposed; eigenvalues below _EIG_CLAMP_REL
+    times the largest of all classes are clamped, and the others ordered
+    largest first (equal ones in the reverse of their order across the
+    classes, so one class keeps the unfolded factor's order, eigh's
+    reversed). Each column is signed so that its first entry above 1e-3
+    of its largest magnitude (clear of the entries that vanish by
+    symmetry) is positive. Column k is then close to the same spatial
+    mode on every grid of one aperture, so runs that share a chunk's draw
+    are positively coupled (their common normals drive similar modes).
+    """
+    images, blocks = _parity_classes(grid, j)
+    c, q = images.shape
+    evals, evecs, low = _clamped_eigh(blocks)
+    lam = evals.ravel()
+    order = np.argsort(lam, kind="stable")[::-1]
+    order = order[~low.ravel()[order]]
+    cls, pos = np.divmod(order, q)
+    folded = evecs[cls, :, pos].T * np.sqrt(lam[order] / c)
+    full = np.empty((grid.m, order.size))
+    for n, row in zip(images, _signs(c)):
+        full[n] = folded * row[cls]
+    mag = np.abs(full)
     lead = np.argmax(mag > 1e-3 * mag.max(axis=0), axis=0)
-    return f * np.where(f[lead, np.arange(f.shape[1])] < 0.0, -1.0, 1.0)
+    sign = np.where(full[lead, np.arange(order.size)] < 0.0, -1.0, 1.0)
+    folded *= sign
+    members = (np.flatnonzero(cls == i) for i in range(c))
+    classes = tuple((cols, folded[:, cols]) for cols in members)
+    return full * sign, int(np.count_nonzero(low)), classes
 
 
-def _rank_prefix(ordered: np.ndarray) -> np.ndarray:
+def _sampled_prefix(full: np.ndarray, classes: tuple):
     """The shortest prefix of a draw-ordered factor whose dropped columns
-    carry at most _RANK_TAIL of its trace sum_k ||F_k||^2, contiguous."""
-    power = (ordered * ordered).sum(axis=0)
+    carry at most _RANK_TAIL of its trace sum_k ||F_k||^2, and the
+    columns of each class that it keeps."""
+    power = (full * full).sum(axis=0)
     tail = np.cumsum(power[::-1])[::-1]  # tail[k]: power of columns k and up
     r = int(np.count_nonzero(tail > _RANK_TAIL * tail[0]))
-    return np.ascontiguousarray(ordered[:, :r])
+    kept = tuple(
+        (cols[cols < r], np.ascontiguousarray(block[:, : np.count_nonzero(cols < r)]))
+        for cols, block in classes
+    )
+    return np.ascontiguousarray(full[:, :r]), kept
 
 
 def _draw_block(seed: int, chunk: int, j: int) -> np.random.Generator:
@@ -359,36 +450,57 @@ def _draw_block(seed: int, chunk: int, j: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def _compute_chunk(plans: list, seed: int, chunk: int, gains: list) -> None:
+def _workspace(plans: list):
+    """Working buffers for the coherent draw blocks of `plans`, sized by the
+    largest rank, class and grid: the block's normals (r_max x 512), and
+    room for one hop's class shares (2 x 128 x M'_max) and for both hops'
+    parts, the first hop's power kept while the second's parts follow it
+    (3 x 128 x M'_max; the last third first holds a class's gathered
+    columns). None without a coherent plan. Every class must read
+    columns below its plan's rank: the gather does not check."""
+    coherent = [plan for plan in plans if plan.kind != "static"]
+    if not coherent:
+        return None
+    for plan in coherent:
+        if any(cols.size and cols.max() >= plan.rank for cols, _ in plan.classes):
+            raise ValueError(f"a class reads a column past rank {plan.rank}")
+    r_max = max(plan.rank for plan in coherent)
+    c_max = max(cols.size for plan in coherent for cols, _ in plan.classes)
+    m_max = max(plan.factor.shape[0] for plan in coherent)
+    spare = max(m_max, 2 * c_max)
+    return np.empty((r_max, 4 * _BLOCK_TRIALS)), np.empty(_BLOCK_TRIALS * (4 * m_max + spare))
+
+
+def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work) -> None:
     """Writes the gains of every plan for the n trials of one chunk into
     the matching array of `gains`, each of length n.
 
     The trials are drawn (and for the coherent modes projected and
     combined) in blocks of _BLOCK_TRIALS, in buffers reused from block
-    to block, so a chunk holds a few MB whatever its size. The static
-    fills continue the chunk's stream. Coherent block j is draw block j,
-    filled whole in one call however few trials it holds (a chunk's last
-    block too), of which its k trials project the first 4k columns, so
-    the draws are those of the whole chunk drawn at once. The gains of a
-    block are not always those of the whole chunk to the bit: on some
-    grids (14 x 14 of fig3c, M' = 196) BLAS rounds a few coherent gains
-    a few ulp apart (relative 9e-16 at most), while on others (20 x 20)
-    every one is equal, and a static last block of one trial is a
-    one-row product, which numpy computes as a dot product and which may
-    round its gain an ulp or two apart. The blocks are fixed by the
-    trial count alone, so the bytes stay reproducible and do not depend
-    on the worker count.
+    to block and sized by the largest grid, so a chunk holds a few MB
+    whatever its size. The static fills continue the chunk's stream.
+    Coherent block j is draw block j, filled whole in one call however
+    few trials it holds (a chunk's last block too), of which its k trials
+    project the first 4k columns, so the draws are those of the whole
+    chunk drawn at once. A coherent gain does not depend on the block
+    it is computed in: with one BLAS thread, every one tested (3 x 3 to
+    20 x 20 grids, 1 to 8192 trials) equals the whole chunk's to the
+    bit. A static last block of one trial is a one-row product, which
+    numpy computes as a dot product and which may round its gain an ulp
+    or two apart. The blocks are fixed by the trial count alone, so the
+    bytes stay reproducible and do not depend on the worker count.
 
     The coherent plans share each block's columns of the largest rank,
     and each projects its first r rows, so its gains do not depend on
-    the other plans.
+    the other plans; a plan that several runs share is computed once.
+    `work` is the `_workspace(plans)` to compute in.
     """
     n = len(gains[0])
     blocks = [(t0, min(t0 + _BLOCK_TRIALS, n)) for t0 in range(0, n, _BLOCK_TRIALS)]
-    coherent = []
+    coherent = {}  # each distinct plan once, with the arrays its runs fill
     for plan, out in zip(plans, gains):
         if plan.kind != "static":
-            coherent.append((plan, out))
+            coherent.setdefault(plan, []).append(out)
             continue
         # per trial E_0, E_1 .. E_K; the gain is E_0 sum_k nu_k E_k
         rng = chunk_rng(seed, chunk)
@@ -399,40 +511,62 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list) -> None:
             out[t0:t1] = e[:k, 0] * (e[:k, 1:] @ plan.weights)
     if not coherent:
         return
-    r_max = max(plan.factor.shape[1] for plan, _ in coherent)
-    z = np.empty((r_max, 4 * _BLOCK_TRIALS))
-    buf = np.empty(4 * _BLOCK_TRIALS * max(plan.factor.shape[0] for plan, _ in coherent))
+    z, w = work
+    r_max = len(z)
+    signed = [(plan, _signs(len(plan.classes)), outs) for plan, outs in coherent.items()]
     for j, (t0, t1) in enumerate(blocks):
         k = t1 - t0
         _draw_block(seed, chunk, j).standard_normal(out=z)
-        for plan, out in coherent:
-            m, r = plan.factor.shape
-            a = buf[: 4 * k * m].reshape(4 * k, m)
-            np.matmul(z[:r, : 4 * k].T, plan.factor.T, out=a)
-            out[t0:t1] = _combine(plan, a.reshape(k, 4, m))
+        # the block's columns hop-major, zk[h, :, i k + t] holding part i of
+        # hop h of trial t: rewritten over z by way of the workspace (r <= M')
+        zk = z.reshape(-1)[: r_max * 4 * k].reshape(2, r_max, 2 * k)
+        parts = w[: zk.size].reshape(2, r_max, 2, k)
+        np.copyto(parts, z[:, : 4 * k].reshape(r_max, k, 2, 2).transpose(2, 0, 3, 1))
+        zk[...] = parts.reshape(zk.shape)
+        for plan, signs, outs in signed:
+            m = plan.factor.shape[0]
+            c = len(signs)
+            n = k * m
+            shares = w[: 2 * n].reshape(c, 2 * k, m // c)
+            spare = w[4 * n :]
+            # hop f, then hop u: the power of hop h goes to w[(2 + h) n :][:n]
+            for h in (0, 1):
+                # both parts of the hop: class c's share at the base elements
+                for i, (cols, block) in enumerate(plan.classes):
+                    zi = zk[h, : cols.size]
+                    if cols.size and cols[-1] != cols.size - 1:  # not the leading columns
+                        zi = spare[: cols.size * 2 * k].reshape(cols.size, 2 * k)
+                        np.take(zk[h], cols, axis=0, out=zi, mode="clip")  # unbuffered
+                    np.matmul(zi.T, block.T, out=shares[i])
+                # a part at image n of base element q is sum_c s_nc y_c, laid
+                # out trial by trial (with one class, the share itself); the
+                # hop's power (2 |a|^2) is the sum of its parts' squares
+                a = shares.reshape(-1)
+                if c > 1:
+                    a = w[(2 + h) * n : (4 + h) * n]
+                    np.matmul(shares.reshape(c, -1).T, signs, out=a.reshape(-1, c))
+                np.square(a, out=a)
+                np.add(a[:n], a[n:], out=w[(2 + h) * n : (3 + h) * n])
+            f, u = w[2 * n : 3 * n], w[3 * n : 4 * n]
+            power = np.multiply(f, u, out=f).reshape(k, m)
+            gain = _combine(plan, power)
+            for out in outs:
+                out[t0:t1] = gain
 
 
-def _combine(plan: RunPlan, a: np.ndarray) -> np.ndarray:
-    """Coherent gains of k trials from their projected hops a, shaped
-    (k, 4, M'): per trial Re a_f, Im a_f, Re a_u, Im a_u, each times
-    sqrt(2). Squares a in place.
-
-    A plan with m_o < M' keeps each trial's m_o largest products: those
-    above the trial's m_o-th largest, then the lowest-indexed of those
-    equal to it, summed in index order like the rest."""
-    np.square(a, out=a)
-    # (2 |a_f|^2) (2 |a_u|^2), ordered like the products |a_f| |a_u|
-    power = (a[:, 0] + a[:, 1]) * (a[:, 2] + a[:, 3])
-    k, m = power.shape
-    if plan.m_o < m:
-        thr = np.partition(power, m - plan.m_o, axis=1)[:, m - plan.m_o, None]
-        keep = power >= thr
-        if np.count_nonzero(keep) > k * plan.m_o:  # ties at some threshold
-            for i, extra in enumerate(np.count_nonzero(keep, axis=1) - plan.m_o):
-                if extra:
-                    keep[i, np.flatnonzero(power[i] == thr[i])[-extra:]] = False
-        power = power[keep].reshape(k, plan.m_o)
-    amp = np.sqrt(power).sum(axis=1)
+def _combine(plan: RunPlan, power: np.ndarray) -> np.ndarray:
+    """Coherent gains of k trials from their products, shaped (k, M'):
+    per trial and element (2 |a_f|^2) (2 |a_u|^2), in any element order.
+    The gain is (1/4) (sum sqrt P)^2 over the m_o largest products P,
+    summed in ascending order, so neither the element order nor which of
+    several tied products is kept changes a bit. Sorts each row's m_o
+    largest in place: a plan with m_o < M' partitions them off first."""
+    cut = power.shape[1] - plan.m_o
+    if cut:
+        power.partition(cut, axis=1)
+    kept = power[:, cut:]
+    kept.sort(axis=1)
+    amp = np.sqrt(kept, out=kept).sum(axis=1)
     return _GAIN_SCALE * amp * amp
 
 
@@ -460,14 +594,23 @@ def run_many(plans: list, n: int, seed: int, workers: int | None = None) -> list
         raise ValueError("plans must hold at least one run")
     gains = [np.empty(n) for _ in plans]
     starts = range(0, n, CHUNK_TRIALS)
-    pool = ThreadPoolExecutor(max_workers=min(workers, len(starts)))
+    threads = min(workers, len(starts))
+    # one workspace a thread, made by the caller and handed from chunk to
+    # chunk, so the chunks reuse it instead of allocating their own
+    idle = queue.SimpleQueue()
+    for _ in range(threads):
+        idle.put(_workspace(plans))
+
+    def compute(c: int, t0: int) -> None:
+        work = idle.get()
+        try:
+            _compute_chunk(plans, seed, c, [g[t0 : t0 + CHUNK_TRIALS] for g in gains], work)
+        finally:
+            idle.put(work)
+
+    pool = ThreadPoolExecutor(max_workers=threads)
     try:
-        futures = [
-            pool.submit(
-                _compute_chunk, plans, seed, c, [g[t0 : t0 + CHUNK_TRIALS] for g in gains]
-            )
-            for c, t0 in enumerate(starts)
-        ]
+        futures = [pool.submit(compute, c, t0) for c, t0 in enumerate(starts)]
         for f in futures:
             f.result()
     finally:
@@ -534,16 +677,36 @@ def estimate_ergodic_capacity(
 
 
 def ks_statistic(samples: np.ndarray, fit: GammaFit) -> float:
-    """Two-sided Kolmogorov-Smirnov distance to the Gamma surrogate."""
+    """Two-sided Kolmogorov-Smirnov distance to the Gamma surrogate.
+
+    The cdf F is evaluated first at every 64th sorted sample and the last.
+    F is monotone, so a sample i between two of those, a and b, has
+    (i + 1)/n - F_i <= b/n - F_a and F_i - i/n <= F_b - (a + 1)/n; only
+    the gaps whose bound reaches the largest distance found, less 1e-12,
+    are evaluated in full. `gamma_cdf` rounds each value independently of
+    the array it comes in, so the result is the same double as evaluating
+    F at every sample.
+    """
     s = np.sort(np.asarray(samples, dtype=float))
     n = s.size
     if n < 1:
         raise ValueError("ks_statistic requires at least one sample")
-    f = gamma_cdf(fit, s)
-    grid = np.arange(n, dtype=float)
-    d_plus = np.max((grid + 1.0) / n - f)
-    d_minus = np.max(f - grid / n)
-    return float(max(d_plus, d_minus))
+
+    def distance(i: np.ndarray, f: np.ndarray) -> np.ndarray:
+        return np.maximum((i + 1.0) / n - f, f - i / n)
+
+    edge = np.arange(0, n, 64)
+    if edge[-1] != n - 1:
+        edge = np.append(edge, n - 1)
+    f = gamma_cdf(fit, s[edge])
+    d = distance(edge, f).max()
+    a, b = edge[:-1], edge[1:]
+    bound = np.maximum(b / n - f[:-1], f[1:] - (a + 1) / n)
+    gaps = np.flatnonzero((bound >= d - 1e-12) & (b - a > 1))
+    if gaps.size:
+        inner = np.concatenate([np.arange(a[g] + 1, b[g]) for g in gaps])
+        d = max(d, distance(inner, gamma_cdf(fit, s[inner])).max())
+    return float(d)
 
 
 @dataclass(frozen=True, eq=False)

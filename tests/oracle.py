@@ -14,13 +14,18 @@ layout: draw block j of chunk c (its trials 128j .. 128j + 127) is the
 Philox stream with counter (c << 128) | ((j + 1) << 64), read
 column-major in columns of 512 normals, and the block's trial t reads
 positions 4t..4t+3 of each of its first r columns. `whole_chunk_gains`
-restates a whole chunk in the engine's own arithmetic but without its
-trial blocks. `trial_major_gains` keeps the coherent composition of
-artifact version 3, which read each trial's 4r normals in a row of the
-chunk stream; `projected_static_gains` keeps the static composition
-the engine used before it drew its static gains from their spectral
-law, and `sample_gain_exponential_mixture` draws one static gain at a
-time by conditioning on the user-side hop.
+restates a whole chunk in the engine's own arithmetic (artifact version
+9: one projection per parity class of the grid's mirror symmetries,
+their signed sums at each mirror image, and each trial's m_o largest
+products summed in ascending order) but without its trial blocks, and
+`plain_factor_gains` the same gains through the unfolded factor.
+`trial_major_gains` keeps the coherent composition of artifact version
+3, which read each trial's 4r normals in a row of the chunk stream;
+`projected_static_gains` keeps the static composition the engine used
+before it drew its static gains from their spectral law, and
+`sample_gain_exponential_mixture` draws one static gain at a time by
+conditioning on the user-side hop (`sample_gains_exponential_mixture`
+many at once, with the same draws).
 """
 
 from __future__ import annotations
@@ -153,37 +158,58 @@ def column_channels(seed: int, chunk: int, n: int, r: int) -> list:
     ]
 
 
-def _combine_chunk(plan, a: np.ndarray) -> np.ndarray:
-    """Coherent gains from the projected hops a, shaped (n, 4, M')."""
+def _products(a: np.ndarray) -> np.ndarray:
+    """Per trial and element (2 |a_f|^2) (2 |a_u|^2) from the projected hops
+    a, shaped (n, 4, M') or (C, n, 4, Q): Re a_f, Im a_f, Re a_u, Im a_u,
+    each times sqrt(2). Squares a in place."""
     np.square(a, out=a)
-    power = (a[:, 0] + a[:, 1]) * (a[:, 2] + a[:, 3])
-    if plan.m_o < power.shape[1]:
-        cut = power.shape[1] - plan.m_o
-        idx = np.argpartition(power, cut, axis=1)[:, cut:]
-        idx.sort(axis=1)
-        power = np.take_along_axis(power, idx, axis=1)
-    amp = np.sqrt(power).sum(axis=1)
+    return (a[..., 0, :] + a[..., 1, :]) * (a[..., 2, :] + a[..., 3, :])
+
+
+def _combine_chunk(plan, power: np.ndarray) -> np.ndarray:
+    """Coherent gains from the products power, shaped (n, M') in any
+    element order: each row sorted whole, its m_o largest summed as square
+    roots from the smallest up."""
+    kept = np.sort(power, axis=1)[:, power.shape[1] - plan.m_o :]
+    amp = np.sqrt(kept).sum(axis=1)
     return _GAIN_SCALE * amp * amp
+
+
+def _signs(c: int) -> np.ndarray:
+    """(-1)^popcount(n & k) for n, k < c: the sign of class k at mirror image n."""
+    parity = [[bin(n & k).count("1") % 2 for k in range(c)] for n in range(c)]
+    return 1.0 - 2.0 * np.array(parity, dtype=float)
 
 
 def whole_chunk_gains(plan, seed: int, chunk: int, n: int) -> np.ndarray:
     """The engine's gains for one chunk, drawn at once.
 
     This is the engine's arithmetic without its trial blocks: for a
-    static mode all n x (K+1) exponentials of the chunk in one draw, for
+    static mode all n x (K+1) exponentials of the chunk in one draw; for
     the coherent modes every draw block's normals drawn whole, one
-    projection and one combine. The blocked engine reproduces it bit for
-    bit on the 6x6, 10x10 and 20x20 grids, and for static modes but for a
-    last block of one trial, whose one-row product numpy computes as a
-    dot product (an ulp or two apart); on the 14x14 grid (M' = 196) BLAS
-    rounds a few of its blocked projections a few ulp apart, within
-    2e-15 relative.
+    projection per parity class, one signed sum of the classes at each
+    mirror image, and one combine. With one BLAS thread the blocked
+    engine reproduces it bit for bit on the 3x3, 5x4, 6x5, 6x6, 10x10,
+    14x14 and 20x20 grids of the 3 x 3 wavelength aperture, at the trial
+    counts tested (1, 37, 129 to 191, 517, 3616 and 8192), and for
+    static modes but for a last block of one trial, whose one-row product
+    numpy computes as a dot product (an ulp or two apart).
     """
     if plan.kind == "static":
         e = chunk_rng(seed, chunk).standard_exponential((n, plan.weights.size + 1))
         return e[:, 0] * (e[:, 1:] @ plan.weights)
     z = column_normals(seed, chunk, n, plan.factor.shape[1])
-    return _combine_chunk(plan, (z.T @ plan.factor.T).reshape(n, 4, -1))
+    y = np.stack([z[cols].T @ block.T for cols, block in plan.classes])
+    c, _, q = y.shape
+    a = (_signs(c) @ y.reshape(c, -1)).reshape(c, n, 4, q)
+    return _combine_chunk(plan, _products(a).transpose(1, 0, 2).reshape(n, c * q))
+
+
+def plain_factor_gains(plan, seed: int, chunk: int, n: int) -> np.ndarray:
+    """Coherent gains of one chunk through the unfolded factor, z.T @ F.T,
+    with no parity classes: the reference the folded projection is held to."""
+    z = column_normals(seed, chunk, n, plan.factor.shape[1])
+    return _combine_chunk(plan, _products((z.T @ plan.factor.T).reshape(n, 4, -1)))
 
 
 def trial_major_gains(plan, seed: int, n: int) -> np.ndarray:
@@ -193,7 +219,7 @@ def trial_major_gains(plan, seed: int, n: int) -> np.ndarray:
     for c, t0 in enumerate(range(0, n, CHUNK_TRIALS)):
         k = min(CHUNK_TRIALS, n - t0)
         z = chunk_rng(seed, c).standard_normal((4 * k, plan.factor.shape[1]))
-        out.append(_combine_chunk(plan, (z @ plan.factor.T).reshape(k, 4, -1)))
+        out.append(_combine_chunk(plan, _products((z @ plan.factor.T).reshape(k, 4, -1))))
     return np.concatenate(out)
 
 
@@ -246,3 +272,31 @@ def sample_gain_exponential_mixture(
     w = sqrt_j[sel, :].T @ v
     scale = float(np.real(np.vdot(w, w)))
     return scale * float(rng.standard_exponential())
+
+
+def sample_gains_exponential_mixture(
+    rng: np.random.Generator,
+    sqrt_j: np.ndarray,
+    selection: np.ndarray,
+    phases: np.ndarray,
+    n: int,
+) -> np.ndarray:
+    """n draws of `sample_gain_exponential_mixture`, making its RNG calls in
+    the same order, draw after draw, with the algebra of up to 1024 draws
+    at a time stacked into matrix products: the same gains to rounding."""
+    m = sqrt_j.shape[0]
+    rows = sqrt_j[np.asarray(selection, dtype=int), :]
+    rot = np.exp(1j * np.asarray(phases, dtype=float))
+    width = min(n, 1024)
+    z = np.empty((width, 2 * m))
+    e = np.empty(width)
+    out = np.empty(n)
+    for t0 in range(0, n, width):
+        k = min(width, n - t0)
+        for i in range(k):
+            z[i] = rng.standard_normal(2 * m)
+            e[i] = rng.standard_exponential()
+        h_u = (z[:k, :m] + 1j * z[:k, m:]) / math.sqrt(2.0)
+        w = (np.conj(h_u @ rows.T) * rot) @ rows
+        out[t0 : t0 + k] = (w.real * w.real + w.imag * w.imag).sum(axis=1) * e[:k]
+    return out

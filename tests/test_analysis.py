@@ -34,6 +34,7 @@ from oracle import (
     equivalent_gain_static,
     sample_channels,
     sample_gain_exponential_mixture,
+    sample_gains_exponential_mixture,
 )
 
 LAMBDA = 0.12491352416666666
@@ -360,6 +361,18 @@ class TestExponentialMixtureSampler:
         a = sample_gain_exponential_mixture(np.random.default_rng(9), s, sel, ph)
         b = sample_gain_exponential_mixture(np.random.default_rng(9), s, sel, ph)
         assert a == b
+
+    def test_batched_draws_match_per_draw(self):
+        # the batched sampler makes the per-draw RNG calls in their order,
+        # across its 1024-draw batches, and stacks only the algebra
+        g = SurfaceGeometry(m_x=4, m_z=4, w_x=1.5, w_z=1.5, wavelength=LAMBDA)
+        s = psd_sqrt(build_correlation_matrix(g)).matrix
+        sel = uniform_grid_selection(g, 3, 3)
+        ph = np.random.default_rng(606).uniform(0.0, 2.0 * math.pi, size=len(sel))
+        rng = np.random.default_rng(607)
+        want = np.array([sample_gain_exponential_mixture(rng, s, sel, ph) for _ in range(2100)])
+        got = sample_gains_exponential_mixture(np.random.default_rng(607), s, sel, ph, 2100)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_uncorrelated_single_element_mean(self):
         # J = I, one element: gain is Exp(1) * Exp(1) product with mean 1

@@ -478,17 +478,18 @@ class TestCli:
 
     def test_validate_factors_each_grid_once(self, monkeypatch, capsys):
         # fig3c samples 20x20 (fris mode and sweep), 6x6 (ris mode and
-        # sweep), 10x10 and 14x14
+        # sweep), 10x10 and 14x14; _grid_factor factors a coherent grid
+        # through its parity classes
         import frislink.montecarlo as mc_mod
 
         sizes = []
-        real_psd_sqrt = mc_mod.psd_sqrt
+        real_grid_factor = mc_mod._grid_factor
 
-        def counting_psd_sqrt(j):
+        def counting_grid_factor(grid, j):
             sizes.append(j.shape[0])
-            return real_psd_sqrt(j)
+            return real_grid_factor(grid, j)
 
-        monkeypatch.setattr(mc_mod, "psd_sqrt", counting_psd_sqrt)
+        monkeypatch.setattr(mc_mod, "_grid_factor", counting_grid_factor)
         assert main(["validate", "--preset", "fig3c"]) == 0
         assert sorted(sizes) == [36, 100, 196, 400]
         assert capsys.readouterr().out.count("rank 112, clamped 233") == 2

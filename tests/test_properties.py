@@ -1,6 +1,7 @@
 """Property-based tests: what the config parser accepts and rejects, the
 round trip behind the CLI's override path, the adaptive engine's
-monotonicity in m_o, and the static weights' moments."""
+monotonicity in m_o, the static weights' moments, and the bracketed KS
+statistic."""
 
 import json
 import math
@@ -16,7 +17,8 @@ from frislink.correlation import (
     build_correlation_matrix,
     principal_submatrix,
 )
-from frislink.montecarlo import AdaptiveFrisMode, StaticMode, plan_runs, run_trials
+from frislink.analysis import GammaFit, gamma_cdf
+from frislink.montecarlo import AdaptiveFrisMode, StaticMode, ks_statistic, plan_runs, run_trials
 
 # Integers are small counts or far beyond any index range. Counts between
 # the two are valid and ask for allocations proportional to their size,
@@ -284,3 +286,37 @@ class TestStaticWeights:
         nu = plan.weights
         assert nu.sum() == pytest.approx(np.trace(a).real, rel=1e-10)
         assert (nu * nu).sum() == pytest.approx(np.trace(a @ a).real, rel=1e-10)
+
+
+class TestBracketedKs:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        shape_k=st.floats(0.3, 60.0),
+        scale=st.floats(0.5, 40.0),
+        law=st.sampled_from(["fit", "other"]),
+        ties=st.sampled_from(["none", "rounded", "equal"]),
+    )
+    def test_equals_evaluation_at_every_sample(self, n, seed, shape_k, scale, law, ties):
+        # ks_statistic evaluates the cdf at every 64th sorted sample and
+        # in the gaps its bounds cannot rule out; evaluating it at every
+        # sample gives the same double, for samples of the fitted law (a
+        # small distance, which any sample may attain) and of another,
+        # for one sample, for samples with ties and for samples all equal
+        rng = np.random.default_rng(seed)
+        if law == "fit":
+            samples = rng.gamma(shape_k, scale, n)
+        else:
+            samples = rng.gamma(rng.uniform(0.5, 40.0), rng.uniform(0.5, 40.0), n)
+            samples *= rng.exponential(1.0, n)
+        if ties == "rounded":
+            samples = np.round(samples, -1)
+        elif ties == "equal":
+            samples = np.full(n, samples[0])
+        fit = GammaFit(shape_k, scale)
+        s = np.sort(samples)
+        f = gamma_cdf(fit, s)
+        grid = np.arange(n, dtype=float)
+        want = max(np.max((grid + 1.0) / n - f), np.max(f - grid / n))
+        assert ks_statistic(samples, fit) == want
