@@ -93,19 +93,21 @@ def gamma_fit(j_sub: np.ndarray) -> GammaFit:
     return GammaFit(shape_k=t2 * t2 / t4, scale_theta=t4 / t2)
 
 
-def gamma_pdf(fit: GammaFit, g: float) -> float:
-    """Gamma density at gain g, evaluated in the log domain."""
-    if g < 0:
-        return 0.0
+def gamma_pdf(fit: GammaFit, g):
+    """Gamma density at gain g, vectorised over g: a float for scalar g,
+    else an array of g's shape. It is formed in the log domain with
+    libm's log and exp per element, as special._gamma_prefactor is, so
+    no element's bits depend on the array it comes in."""
+    g = np.asarray(g, dtype=float)
     k, th = fit.shape_k, fit.scale_theta
-    if g == 0.0:
-        if k > 1.0:
-            return 0.0
-        if k == 1.0:
-            return 1.0 / th
-        return math.inf
-    log_pdf = (k - 1.0) * math.log(g) - g / th - ln_gamma(k) - k * math.log(th)
-    return math.exp(log_pdf)
+    at_zero = 0.0 if k > 1.0 else 1.0 / th if k == 1.0 else math.inf
+    out = np.where(g == 0.0, at_zero, 0.0)
+    inner = ~(g <= 0.0)  # nan included
+    gi = g[inner]
+    ln_g = np.array(list(map(math.log, gi.tolist())))
+    log_pdf = (k - 1.0) * ln_g - gi / th - ln_gamma(k) - k * math.log(th)
+    out[inner] = list(map(math.exp, log_pdf.tolist()))
+    return float(out) if out.ndim == 0 else out
 
 
 def gamma_cdf(fit: GammaFit, g):

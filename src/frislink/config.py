@@ -77,7 +77,6 @@ class ExperimentConfig:
     """Validated, fully-defaulted experiment description."""
 
     geometry: SurfaceGeometry
-    carrier_frequency_hz: float
     kernel: str
     pathloss: PathLoss
     rate_target: float
@@ -362,7 +361,6 @@ def parse_config(text: str) -> ExperimentConfig:
     }
     config = ExperimentConfig(
         geometry=geom,
-        carrier_frequency_hz=f_c,
         kernel=kernel,
         pathloss=pathloss,
         rate_target=rate,

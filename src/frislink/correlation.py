@@ -3,7 +3,8 @@
 Elements sit on a rectangular grid in the x-z plane, indexed row-major
 from the origin: index i maps to column i % m_x (x axis) and row
 i // m_x (z axis). Correlation between two elements depends only on
-their Euclidean separation through an isotropic scattering kernel.
+their Euclidean separation through an isotropic scattering kernel; a
+grid's matrix is one kernel call on its table of offset distances.
 """
 
 from __future__ import annotations
@@ -79,14 +80,16 @@ class SurfaceGeometry:
         return replace(self, m_x=m_x, m_z=m_z)
 
 
-def jakes_coefficient(distance: float, wavelength: float, kernel: str = "spherical") -> float:
-    """Spatial correlation of two elements a given distance apart.
+def jakes_coefficient(distance, wavelength: float, kernel: str = "spherical"):
+    """Spatial correlation of elements a given distance apart, vectorised
+    over the distance: a float for a scalar, else an array of its shape.
 
     Isotropic scattering in 3-D gives sin(u)/u and in the azimuth plane
     J0(u), with u = 2 pi d / lambda.
     """
-    if distance < 0:
-        raise ValueError(f"distance must be nonnegative, got {distance!r}")
+    distance = np.asarray(distance, dtype=float)
+    if np.any(distance < 0):
+        raise ValueError(f"distance must be nonnegative, got {float(distance.min())!r}")
     if wavelength <= 0:
         raise ValueError(f"wavelength must be positive, got {wavelength!r}")
     u = 2.0 * math.pi * distance / wavelength
@@ -100,16 +103,14 @@ def jakes_coefficient(distance: float, wavelength: float, kernel: str = "spheric
 def build_correlation_matrix(geom: SurfaceGeometry, kernel: str = "spherical") -> np.ndarray:
     """M x M element correlation matrix for the given grid and kernel.
 
-    Entries depend only on the absolute index offsets per axis, so the
-    kernel is evaluated once per unique offset pair and broadcast. The
-    matrix is read-only, as a command shares it between its analytic
-    curves and `montecarlo.plan_runs`.
+    Entries depend only on the absolute index offsets per axis, so one
+    kernel call evaluates the m_x x m_z table of offset distances, which
+    is then broadcast. The matrix is read-only, as a command shares it
+    between its analytic curves and `montecarlo.plan_runs`.
     """
-    table = np.empty((geom.m_x, geom.m_z))
-    for dx in range(geom.m_x):
-        for dz in range(geom.m_z):
-            d = math.hypot(dx * geom.d_x, dz * geom.d_z)
-            table[dx, dz] = jakes_coefficient(d, geom.wavelength, kernel)
+    dist = [[math.hypot(dx * geom.d_x, dz * geom.d_z) for dz in range(geom.m_z)]
+            for dx in range(geom.m_x)]
+    table = jakes_coefficient(dist, geom.wavelength, kernel)
     idx = np.arange(geom.m)
     col = idx % geom.m_x
     row = idx // geom.m_x

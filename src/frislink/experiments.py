@@ -101,7 +101,7 @@ def _write_csv(f, meta: dict, columns: list, rows) -> None:
 
 def _base_meta(config: ExperimentConfig, command: str) -> dict:
     return {
-        "artifact_version": 9,
+        "artifact_version": 10,
         "tool_version": __version__,
         "command": command,
         "config_hash": config.config_hash,
@@ -189,10 +189,8 @@ def cmd_dist(config: ExperimentConfig, out_path, workers: int | None = None) -> 
                 "ks": format(ks, ".17g"),
             }
         )
-        rows = [
-            (float(g), gamma_pdf(fit, float(g)), float(cdf), float(emp))
-            for g, cdf, emp in zip(grid, gamma_cdf(fit, grid), ecdf.evaluate(grid))
-        ]
+        columns = (grid, gamma_pdf(fit, grid), gamma_cdf(fit, grid), ecdf.evaluate(grid))
+        rows = zip(*(column.tolist() for column in columns))
         _write_csv(f, meta, ["g", "analytical_pdf", "analytical_cdf", "empirical_cdf"], rows)
     return str(out_path)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from frislink.correlation import (
+    KERNELS,
     SurfaceGeometry,
     build_correlation_matrix,
     jakes_coefficient,
@@ -151,6 +152,20 @@ class TestBuildCorrelationMatrix:
             assert dense_j[i, j] == pytest.approx(
                 jakes_coefficient(d, dense_geom.wavelength), rel=1e-14, abs=1e-14
             )
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_every_entry_is_the_kernel_at_its_distance(self, dense_geom, kernel):
+        # bit for bit: entry (i, j) is the scalar kernel at the hypot of
+        # the two elements' per-axis offsets
+        g = dense_geom
+        col, row = np.arange(g.m) % g.m_x, np.arange(g.m) // g.m_x
+        off_x = np.abs(col[:, None] - col[None, :]) * g.d_x
+        off_z = np.abs(row[:, None] - row[None, :]) * g.d_z
+        dist = [list(map(math.hypot, xs, zs)) for xs, zs in zip(off_x.tolist(), off_z.tolist())]
+        unique = {d for row_dist in dist for d in row_dist}
+        kernel_at = {d: jakes_coefficient(d, g.wavelength, kernel) for d in unique}
+        expected = np.array([[kernel_at[d] for d in row_dist] for row_dist in dist])
+        assert build_correlation_matrix(g, kernel).tobytes() == expected.tobytes()
 
     def test_axis_transpose_consistency(self):
         # swapping the grid axes permutes indices without changing the spectrum

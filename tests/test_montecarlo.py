@@ -240,7 +240,7 @@ class TestRunTrials:
                 assert np.all(cur >= prev * (1.0 - 1e-12))
             prev = cur
 
-    def test_adaptive_dominates_static_per_trial(self):
+    def test_adaptive_dominates_static_in_sorted_order(self):
         # the static engine draws its gains from its exact law on the
         # chunk's own exponential stream, independent of the coherent
         # normals, so trial t of one does not bound trial t of the other

@@ -1,7 +1,7 @@
 """Property-based tests: what the config parser accepts and rejects, the
 round trip behind the CLI's override path, the adaptive engine's
-monotonicity in m_o, the static weights' moments, and the bracketed KS
-statistic."""
+monotonicity in m_o, the static weights' moments, the bracketed KS
+statistic, and the array functions' agreement with their scalar calls."""
 
 import json
 import math
@@ -15,9 +15,11 @@ from frislink.config import PRESET_NAMES, ConfigError, parse_config, preset_conf
 from frislink.correlation import (
     SurfaceGeometry,
     build_correlation_matrix,
+    jakes_coefficient,
     principal_submatrix,
 )
-from frislink.analysis import GammaFit, gamma_cdf
+from frislink.analysis import GammaFit, gamma_cdf, gamma_pdf
+from frislink.special import bessel_j0_cylindrical, bessel_j0_spherical
 from frislink.montecarlo import AdaptiveFrisMode, StaticMode, ks_statistic, plan_runs, run_trials
 
 # Integers are small counts or far beyond any index range. Counts between
@@ -320,3 +322,46 @@ class TestBracketedKs:
         grid = np.arange(n, dtype=float)
         want = max(np.max((grid + 1.0) / n - f), np.max(f - grid / n))
         assert ks_statistic(samples, fit) == want
+
+
+# 0, both sides of the cylindrical kernel's split at 17 and of the sinc
+# cutoff 1e-4, negatives, and magnitudes up to 1e300
+_ARGS = st.lists(
+    st.sampled_from([0.0, -0.0, 17.0, math.nextafter(17.0, 18.0), 1e-4,
+                     math.nextafter(1e-4, 0.0), 1e300])
+    | st.floats(-20.0, 20.0)
+    | st.floats(16.9, 17.1)
+    | st.floats(-2e-4, 2e-4)
+    | st.floats(-1e300, 1e300),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestArrayCallsMatchScalarCalls:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        xs=_ARGS,
+        wavelength=st.floats(1e-2, 10.0),
+        shape_k=st.floats(0.1, 1e3),
+        scale=st.floats(1e-3, 1e3),
+    )
+    def test_bit_for_bit(self, xs, wavelength, shape_k, scale):
+        # each element of an array call rounds as its scalar call does,
+        # which returns a float
+        fit = GammaFit(shape_k, scale)
+        distances = [abs(x) for x in xs]
+        calls = [
+            (bessel_j0_spherical, xs),
+            (bessel_j0_cylindrical, xs),
+            (lambda d: jakes_coefficient(d, wavelength, "spherical"), distances),
+            (lambda d: jakes_coefficient(d, wavelength, "cylindrical"), distances),
+            (lambda g: gamma_pdf(fit, g), xs),
+        ]
+        for f, args in calls:
+            scalars = [f(v) for v in args]
+            assert all(type(v) is float for v in scalars)
+            out = f(np.array(args))
+            assert out.shape == (len(args),)
+            assert out.tobytes() == np.array(scalars).tobytes()

@@ -182,8 +182,8 @@ class TestCylindricalBessel:
         xs = np.concatenate(
             [
                 np.linspace(0.0, 30.0, 1500),
-                np.linspace(7.9, 8.1, 200),  # series / bridge seam
-                np.linspace(16.9, 17.1, 200),  # bridge / asymptotic seam
+                np.linspace(7.9, 8.1, 200),  # inside the midpoint rule's range
+                np.linspace(16.9, 17.1, 200),  # midpoint rule / asymptotic seam
                 np.geomspace(17.0, 1000.0, 300),
             ]
         )
@@ -195,6 +195,18 @@ class TestCylindricalBessel:
     def test_even(self):
         for x in (0.3, 4.0, 9.5, 25.0, 400.0):
             assert bessel_j0_cylindrical(x) == bessel_j0_cylindrical(-x)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_arguments_stay_inside_the_envelope(self):
+        # the expansion's amplitude bounds |J0|; at 1e300 its terms
+        # underflow and nothing overflows
+        x = np.array([1.5e9, 1e300])
+        v = bessel_j0_cylindrical(x)
+        assert np.all(np.isfinite(v))
+        assert np.all(np.abs(v) <= np.sqrt(2.0 / (np.pi * x)) * (1.0 + 1e-12))
+        # at the largest double 8 k x and pi x overflow: the amplitude
+        # goes to its limit 0, within 1e-154 of the true value
+        assert abs(bessel_j0_cylindrical(np.finfo(float).max)) <= 1e-154
 
 
 class TestLnBesselK:

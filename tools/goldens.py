@@ -2,7 +2,7 @@
 
     python3 tools/goldens.py
 
-Runs the twelve golden commands in one process against this checkout's
+Runs the fourteen golden commands in one process against this checkout's
 `src/`, in a temporary directory, and prints one
 `<name> <sha256> body <sha256>` line each, the hash of the whole output
 and of its lines that do not start with `# ` (a CSV without its
@@ -10,7 +10,9 @@ provenance header): the four presets' CSVs at `--trials 20000 --seed 7`, the fou
 presets' `validate` stdouts, and for the `--config` document
 (CONFIG below) its `validate` stdout, its `outage` and `capacity` CSVs
 at `--seed 5`, and the CSV of its static mode alone under
-`dist --trials 4000 --seed 5`. Equal hashes at two commits mean equal
+`dist --trials 4000 --seed 5`, then for the same document under the
+cylindrical kernel (CYLINDRICAL) its `validate` stdout and its
+`capacity` CSV at `--seed 5`. Equal hashes at two commits mean equal
 bytes, and equal body hashes alone an output that moved only in its
 header; CHANGES.md records the expected values.
 """
@@ -40,6 +42,7 @@ CONFIG = {
     "trials": 9000,
 }
 STATIC_ONLY = {**CONFIG, "modes": CONFIG["modes"][:1]}
+CYLINDRICAL = {**CONFIG, "kernel": "cylindrical"}
 
 PRESET_RUNS = (("dist", "fig2"), ("outage", "fig3a"), ("capacity", "fig3b"), ("sweep-m", "fig3c"))
 
@@ -74,7 +77,8 @@ def goldens(tmp: str):
     for _, preset in PRESET_RUNS:
         yield f"validate --preset {preset}", _stdout(["validate", "--preset", preset])
     config, static = os.path.join(tmp, "config.json"), os.path.join(tmp, "static.json")
-    for path, doc in ((config, CONFIG), (static, STATIC_ONLY)):
+    cylindrical = os.path.join(tmp, "cylindrical.json")
+    for path, doc in ((config, CONFIG), (static, STATIC_ONLY), (cylindrical, CYLINDRICAL)):
         with open(path, "w", encoding="utf-8") as f:
             json.dump(doc, f)
     yield "validate --config", _stdout(["validate", "--config", config])
@@ -82,6 +86,9 @@ def goldens(tmp: str):
         yield f"{command} --config --seed 5", _csv([command, "--config", config, "--seed", "5"], out)
     argv = ["dist", "--config", static, "--trials", "4000", "--seed", "5"]
     yield "dist --config (static mode) --trials 4000 --seed 5", _csv(argv, out)
+    yield "validate --config (cylindrical)", _stdout(["validate", "--config", cylindrical])
+    argv = ["capacity", "--config", cylindrical, "--seed", "5"]
+    yield "capacity --config (cylindrical) --seed 5", _csv(argv, out)
 
 
 if __name__ == "__main__":
