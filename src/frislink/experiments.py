@@ -177,7 +177,6 @@ def cmd_dist(config: ExperimentConfig, out_path, workers: int | None = None) -> 
     plans = plan_runs(config.kernel, [(config.geometry, spec.mode)], correlations)
     with _output(out_path) as f:
         (samples,) = run_many(plans, config.trials, config.seed, workers=workers)
-        ecdf = empirical_cdf(samples)
         ks = ks_statistic(samples, fit)
         grid = np.linspace(0.0, gamma_quantile(fit, _DIST_QUANTILE), _DIST_GRID_POINTS)
         meta = _base_meta(config, "dist")
@@ -189,7 +188,7 @@ def cmd_dist(config: ExperimentConfig, out_path, workers: int | None = None) -> 
                 "ks": format(ks, ".17g"),
             }
         )
-        columns = (grid, gamma_pdf(fit, grid), gamma_cdf(fit, grid), ecdf.evaluate(grid))
+        columns = (grid, gamma_pdf(fit, grid), gamma_cdf(fit, grid), empirical_cdf(samples, grid))
         rows = zip(*(column.tolist() for column in columns))
         _write_csv(f, meta, ["g", "analytical_pdf", "analytical_cdf", "empirical_cdf"], rows)
     return str(out_path)

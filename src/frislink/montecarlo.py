@@ -129,7 +129,6 @@ __all__ = [
     "RisBaselineMode",
     "OutageEstimate",
     "CapacityEstimate",
-    "EmpiricalCdf",
     "RunPlan",
     "chunk_rng",
     "mode_grid",
@@ -618,7 +617,6 @@ def run_many(plans: list, n: int, seed: int, workers: int | None = None) -> list
     return gains
 
 
-@_one_blas_thread()
 def run_trials(
     geom: SurfaceGeometry,
     kernel: str,
@@ -709,21 +707,10 @@ def ks_statistic(samples: np.ndarray, fit: GammaFit) -> float:
     return float(d)
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalCdf:
-    """Right-continuous empirical distribution of a sample set."""
-
-    sorted_values: np.ndarray
-
-    def evaluate(self, g) -> np.ndarray:
-        """Fraction of samples at or below g (vectorized)."""
-        pos = np.searchsorted(self.sorted_values, g, side="right")
-        return pos / self.sorted_values.size
-
-
-def empirical_cdf(samples: np.ndarray) -> EmpiricalCdf:
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 1:
+def empirical_cdf(samples: np.ndarray, g) -> np.ndarray:
+    """Fraction of the samples at or below each g: their right-continuous
+    empirical distribution."""
+    s = np.sort(np.asarray(samples, dtype=float))
+    if s.size < 1:
         raise ValueError("empirical_cdf requires at least one sample")
-    return EmpiricalCdf(sorted_values=np.sort(samples))
-
+    return np.searchsorted(s, g, side="right") / s.size

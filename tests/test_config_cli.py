@@ -172,6 +172,20 @@ class TestParseConfig:
             preset_config("fig9")
 
 
+class TestPublicNames:
+    def test_package_reexports_each_module_all_once(self):
+        # each public name is declared once, in its module's __all__
+        modules = [
+            getattr(frislink, m)
+            for m in ("special", "correlation", "channel", "analysis", "montecarlo", "config", "experiments")
+        ]
+        declared = [(m, n) for m in modules for n in m.__all__]
+        assert frislink.__all__ == [n for _, n in declared]
+        assert len(set(frislink.__all__)) == len(declared)
+        for module, name in declared:
+            assert getattr(frislink, name) is getattr(module, name)
+
+
 class TestDbConversion:
     def test_known_points(self):
         assert db_to_linear(0.0) == 1.0
@@ -667,7 +681,9 @@ class TestCli:
         assert calls == []
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("failure", [FloatingPointError, KeyboardInterrupt])
+    @pytest.mark.parametrize(
+        "failure", [FloatingPointError, OverflowError, np.linalg.LinAlgError, KeyboardInterrupt]
+    )
     def test_failed_run_keeps_existing_output(self, monkeypatch, tmp_path, failure):
         # the output is written beside the path and moved onto it only
         # when complete, so a run that fails or is interrupted leaves a

@@ -1008,15 +1008,15 @@ class TestKsStatistic:
 
 class TestEmpiricalCdf:
     def test_step_values(self):
-        cdf = empirical_cdf(np.array([3.0, 1.0, 2.0]))
-        assert cdf.evaluate(0.5) == 0.0
-        assert cdf.evaluate(1.0) == pytest.approx(1 / 3)
-        assert cdf.evaluate(2.5) == pytest.approx(2 / 3)
-        assert cdf.evaluate(3.0) == 1.0
-        out = cdf.evaluate(np.array([0.0, 1.5, 10.0]))
+        samples = np.array([3.0, 1.0, 2.0])
+        assert empirical_cdf(samples, 0.5) == 0.0
+        assert empirical_cdf(samples, 1.0) == pytest.approx(1 / 3)
+        assert empirical_cdf(samples, 2.5) == pytest.approx(2 / 3)
+        assert empirical_cdf(samples, 3.0) == 1.0
+        out = empirical_cdf(samples, np.array([0.0, 1.5, 10.0]))
         assert np.allclose(out, [0.0, 1 / 3, 1.0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            empirical_cdf(np.array([]))
+            empirical_cdf(np.array([]), 0.0)
 

@@ -5,10 +5,11 @@ statistic, and the array functions' agreement with their scalar calls."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from frislink.config import PRESET_NAMES, ConfigError, parse_config, preset_config
@@ -112,11 +113,16 @@ def _modes(m_x, m_z):
 
 _POSITIVE = st.integers(1, 50) | st.floats(1e-3, 1e3)
 
+# the parser's refusal of a link budget whose received SNR per unit gain
+# or outage threshold leaves the float range (`config._check_budgets`)
+_BUDGET_REJECTION = re.compile(r"snr_grid_db\[\d+\]: at \S+ dB, ")
+
 
 @st.composite
 def valid_documents(draw):
     """Documents the parser accepts: only geometry is required, ints may
-    stand for floats, and static modes may carry explicit phases."""
+    stand for floats, and static modes may carry explicit phases. A draw
+    whose budgets the parser refuses is rejected; any other refusal fails."""
     m_x, m_z = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     geometry = {"m_x": m_x, "m_z": m_z, "w_x": draw(_POSITIVE), "w_z": draw(_POSITIVE)}
     if draw(st.booleans()):
@@ -147,6 +153,12 @@ def valid_documents(draw):
             mode["phases"] = draw(
                 st.lists(st.integers(0, 6) | st.floats(0.0, 6.28), min_size=n, max_size=n)
             )
+    try:
+        parse_config(json.dumps(doc))
+    except ConfigError as e:
+        if not _BUDGET_REJECTION.match(str(e)):
+            raise
+        reject()
     return doc
 
 
@@ -235,6 +247,19 @@ class TestCanonicalRoundTrip:
         again = parse_config(json.dumps(cfg.canonical))
         assert again.canonical == cfg.canonical
         assert again.config_hash == cfg.config_hash
+
+    def test_overflowing_threshold_is_a_budget_rejection(self):
+        # (2^1000 - 1) / snr_scale overflows: `valid_documents` drew this
+        # document before it rejected the budgets the parser refuses
+        doc = {"geometry": {"m_x": 1, "m_z": 1, "w_x": 1, "w_z": 1}, "pathloss": {"d_f": 984.0},
+               "rate_target": 1000.0, "snr_grid_db": [-34]}
+        with pytest.raises(ConfigError) as e:
+            parse_config(json.dumps(doc))
+        assert str(e.value) == (
+            "snr_grid_db[0]: at -34.0 dB, pathloss and rate_target give no positive, finite "
+            "received SNR per unit gain with a finite outage threshold"
+        )
+        assert _BUDGET_REJECTION.match(str(e.value))
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_presets(self, name):

@@ -14,7 +14,12 @@ at `--seed 5`, and the CSV of its static mode alone under
 cylindrical kernel (CYLINDRICAL) its `validate` stdout and its
 `capacity` CSV at `--seed 5`. Equal hashes at two commits mean equal
 bytes, and equal body hashes alone an output that moved only in its
-header; CHANGES.md records the expected values.
+header.
+
+`tools/goldens.txt` holds the expected lines of the current artifact
+version: the script exits 1, after naming each printed line that differs
+from its line there, if any does. A change that moves an artifact on
+purpose rewrites that file, and CHANGES.md says why each line moved.
 """
 
 from __future__ import annotations
@@ -26,9 +31,11 @@ import json
 import os
 import sys
 import tempfile
+from itertools import zip_longest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 sys.path.insert(0, SRC)
+EXPECTED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "goldens.txt")
 
 from frislink.cli import main  # noqa: E402
 
@@ -92,6 +99,16 @@ def goldens(tmp: str):
 
 
 if __name__ == "__main__":
+    with open(EXPECTED, encoding="utf-8") as f:
+        expected = f.read().splitlines()
     with tempfile.TemporaryDirectory() as tmp:
+        printed = []
         for name, digest in goldens(tmp):
-            print(f"{name} {digest}", flush=True)
+            printed.append(f"{name} {digest}")
+            print(printed[-1], flush=True)
+    differ = False
+    for i, (got, want) in enumerate(zip_longest(printed, expected), 1):
+        if got != want:
+            differ = True
+            print(f"line {i} differs from tools/goldens.txt: {got} (expected {want})", file=sys.stderr)
+    sys.exit(1 if differ else 0)
