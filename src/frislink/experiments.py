@@ -196,18 +196,20 @@ def cmd_dist(config: ExperimentConfig, out_path, workers: int | None = None) -> 
 
 def _write_curves(
     config: ExperimentConfig, out_path, workers: int | None, command: str, columns: list,
-    analytic, row,
+    analytic, row, threshold=None,
 ) -> str:
     """One row per mode and SNR point: snr_db, the mode label, then
     row(model, samples, budget), where model = analytic(correlation block)
     is formed once per mode. The modes' gains are sampled in one joint
-    run and reused across the SNR grid (only the threshold moves)."""
+    run and reused across the SNR grid (only the threshold moves); a
+    `threshold` passed on to `run_many` lets it screen trials whose gains
+    exceed it, for rows that only count gains at or below it."""
     correlations = _correlations(config)
     models = [analytic(_analytic_block(config, spec, correlations)) for spec in config.modes]
     runs = [(config.geometry, spec.mode) for spec in config.modes]
     plans = plan_runs(config.kernel, runs, correlations)
     with _output(out_path) as f:
-        gains = run_many(plans, config.trials, config.seed, workers=workers)
+        gains = run_many(plans, config.trials, config.seed, workers, threshold)
         rows = []
         for spec, model, samples in zip(config.modes, models, gains):
             for snr_db in config.snr_grid_db:
@@ -249,7 +251,10 @@ def cmd_outage(config: ExperimentConfig, out_path, workers: int | None = None) -
     mc_stderr, hits, reliable.
     """
     columns = ["analytical_po", "asymptotic_po", "mc_outage", "mc_stderr", "hits", "reliable"]
-    return _write_curves(config, out_path, workers, "outage", columns, gamma_fit, _outage_row)
+    threshold = max(config.budget(snr_db).gain_threshold for snr_db in config.snr_grid_db)
+    return _write_curves(
+        config, out_path, workers, "outage", columns, gamma_fit, _outage_row, threshold
+    )
 
 
 @_one_blas_thread()

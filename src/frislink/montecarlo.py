@@ -94,6 +94,22 @@ workspace a thread, which `run_many` makes and its chunks pass on), and
 projects and combines each draw block on its own, which gives the same
 draws and, on the grids tested, the same gains as drawing the whole
 chunk at once (see `_compute_chunk`).
+
+`frislink outage` counts only the gains at or below its largest
+threshold x, so it passes x to `run_many`, and each coherent plan
+screens its draw blocks first (`_lower_bound`): from the block's normals
+and the factor rows of a fixed set S of s = min(m_o, 16) elements evenly
+spaced over the grid, each trial gets L = (1/4) (sum_{i in S} sqrt P_i)^2.
+Its gain sums the m_o largest sqrt P, which dominate any m_o of them, so
+it is at least L, up to the rounding by which the two routes to the same
+products differ (about 1e-15 of L on the grids tested). A block whose every L
+exceeds x (1 + 1e-9) is written +inf; any other is computed as without a
+threshold, to the bit. Every count at or below x, and so every hit,
+`mc_outage`, `mc_stderr` and CSV byte, is the one without screening. A
+plan that fails the first four blocks of a chunk stops screening it. On
+fig3a at 0 dB (x = 8.02, smallest L of a block about 24, smallest gain
+about 1,900 for fris and 190 for ris) every block passes, and a chunk is
+then mostly its normal fill.
 """
 
 from __future__ import annotations
@@ -159,6 +175,13 @@ _MIN_RELIABLE_HITS = 50
 # each hop entry is (x + j y) / sqrt(2), so a product of two entries
 # carries a factor 1/2 and the gain, its square, a factor 1/4
 _GAIN_SCALE = 0.25
+
+# elements, at most, whose products bound a screened coherent trial's gain
+_SCREEN_ELEMENTS = 16
+
+# a plan whose screen fails this many blocks of a chunk before any passes
+# computes the rest of the chunk without it
+_SCREEN_PROBES = 4
 
 
 # process-wide BLAS pin: entries in progress, and the thread count the
@@ -455,8 +478,10 @@ def _workspace(plans: list):
     room for one hop's class shares (2 x 128 x M'_max) and for both hops'
     parts, the first hop's power kept while the second's parts follow it
     (3 x 128 x M'_max; the last third first holds a class's gathered
-    columns). None without a coherent plan. Every class must read
-    columns below its plan's rank: the gather does not check."""
+    columns); and no less than a screen's parts and hop powers need
+    (6 x 128 x s_max, `_lower_bound`). None without a coherent plan.
+    Every class must read columns below its plan's rank: the gather does
+    not check."""
     coherent = [plan for plan in plans if plan.kind != "static"]
     if not coherent:
         return None
@@ -466,11 +491,43 @@ def _workspace(plans: list):
     r_max = max(plan.rank for plan in coherent)
     c_max = max(cols.size for plan in coherent for cols, _ in plan.classes)
     m_max = max(plan.factor.shape[0] for plan in coherent)
-    spare = max(m_max, 2 * c_max)
-    return np.empty((r_max, 4 * _BLOCK_TRIALS)), np.empty(_BLOCK_TRIALS * (4 * m_max + spare))
+    s_max = max(min(plan.m_o, _SCREEN_ELEMENTS) for plan in coherent)
+    size = max(4 * m_max + max(m_max, 2 * c_max), 6 * s_max)
+    return np.empty((r_max, 4 * _BLOCK_TRIALS)), np.empty(_BLOCK_TRIALS * size)
 
 
-def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work) -> None:
+def _screen_rows(plan: RunPlan) -> np.ndarray:
+    """The r x s transpose of the factor rows of a coherent plan's screen
+    set S: s = min(m_o, _SCREEN_ELEMENTS) elements evenly spaced in grid
+    order."""
+    m = plan.factor.shape[0]
+    s = min(plan.m_o, _SCREEN_ELEMENTS)
+    return np.ascontiguousarray(plan.factor[np.arange(s) * m // s].T)
+
+
+def _lower_bound(z: np.ndarray, k: int, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per trial of the k of a filled draw block z, the lower bound
+    L = (1/4) (sum_{i in S} sqrt P_i)^2 of its coherent gain, from the
+    products P of the s elements whose factor rows are `rows`
+    (`_screen_rows`). The gain sums the m_o largest sqrt P, which
+    dominate any m_o of them, and s <= m_o. Computed in the workspace w,
+    whose first k entries it returns."""
+    r, s = rows.shape
+    n = k * s
+    parts = w[: 4 * n].reshape(4 * k, s)  # row 4t + 2h + i: part i of hop h of trial t
+    np.matmul(z[:r, : 4 * k].T, rows, out=parts)
+    np.square(parts, out=parts)
+    parts = parts.reshape(k, 2, 2, s)
+    hops = w[4 * n : 6 * n].reshape(k, 2, s)
+    np.add(parts[:, :, 0], parts[:, :, 1], out=hops)
+    power = np.multiply(hops[:, 0], hops[:, 1], out=w[:n].reshape(k, s))
+    amp = np.sqrt(power, out=power).sum(axis=1, out=w[n : n + k])
+    amp *= amp
+    amp *= _GAIN_SCALE
+    return amp
+
+
+def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work, screen=None) -> None:
     """Writes the gains of every plan for the n trials of one chunk into
     the matching array of `gains`, each of length n.
 
@@ -493,6 +550,13 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work) -> Non
     and each projects its first r rows, so its gains do not depend on
     the other plans; a plan that several runs share is computed once.
     `work` is the `_workspace(plans)` to compute in.
+
+    `screen`, if passed, is (bar, rows): a coherent plan whose every
+    trial in a block has `_lower_bound` above bar, from its `rows[plan]`,
+    writes +inf for the block's trials instead of computing them. A plan
+    that fails the first _SCREEN_PROBES blocks of the chunk stops
+    screening it, so a threshold that no block clears costs a plan four
+    screens a chunk.
     """
     n = len(gains[0])
     blocks = [(t0, min(t0 + _BLOCK_TRIALS, n)) for t0 in range(0, n, _BLOCK_TRIALS)]
@@ -513,16 +577,35 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work) -> Non
     z, w = work
     r_max = len(z)
     signed = [(plan, _signs(len(plan.classes)), outs) for plan, outs in coherent.items()]
+    # blocks each plan may still fail before it stops screening the chunk:
+    # all of them once one has passed
+    tries = dict.fromkeys(coherent, _SCREEN_PROBES)
     for j, (t0, t1) in enumerate(blocks):
         k = t1 - t0
         _draw_block(seed, chunk, j).standard_normal(out=z)
+        exact = signed
+        if screen is not None:
+            bar, rows = screen
+            exact = []
+            for item in signed:
+                plan = item[0]
+                if tries[plan] > 0:
+                    if _lower_bound(z, k, rows[plan], w).min() > bar:
+                        tries[plan] = math.inf
+                        for out in item[2]:
+                            out[t0:t1] = np.inf
+                        continue
+                    tries[plan] -= 1
+                exact.append(item)
+            if not exact:
+                continue
         # the block's columns hop-major, zk[h, :, i k + t] holding part i of
         # hop h of trial t: rewritten over z by way of the workspace (r <= M')
         zk = z.reshape(-1)[: r_max * 4 * k].reshape(2, r_max, 2 * k)
         parts = w[: zk.size].reshape(2, r_max, 2, k)
         np.copyto(parts, z[:, : 4 * k].reshape(r_max, k, 2, 2).transpose(2, 0, 3, 1))
         zk[...] = parts.reshape(zk.shape)
-        for plan, signs, outs in signed:
+        for plan, signs, outs in exact:
             m = plan.factor.shape[0]
             c = len(signs)
             n = k * m
@@ -570,7 +653,9 @@ def _combine(plan: RunPlan, power: np.ndarray) -> np.ndarray:
 
 
 @_one_blas_thread()
-def run_many(plans: list, n: int, seed: int, workers: int | None = None) -> list:
+def run_many(
+    plans: list, n: int, seed: int, workers: int | None = None, threshold: float | None = None
+) -> list:
     """Equivalent gains of n independent trials for each plan from
     `plan_runs`, in one pass that draws each chunk's coherent normals once.
 
@@ -582,6 +667,11 @@ def run_many(plans: list, n: int, seed: int, workers: int | None = None) -> list
     bit depends on the worker count or on the machine's core count. If
     a chunk raises, or the wait is interrupted, chunks not yet started
     are cancelled.
+
+    With a `threshold`, a caller that only counts gains at or below it
+    lets the coherent plans screen their draw blocks: a block whose every
+    trial's lower bound exceeds threshold (1 + 1e-9) reads +inf for those
+    trials, and every other gain is the one computed without a threshold.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -592,6 +682,10 @@ def run_many(plans: list, n: int, seed: int, workers: int | None = None) -> list
     if not plans:
         raise ValueError("plans must hold at least one run")
     gains = [np.empty(n) for _ in plans]
+    screen = None
+    if threshold is not None:
+        rows = {plan: _screen_rows(plan) for plan in plans if plan.kind != "static"}
+        screen = threshold * (1.0 + 1e-9), rows
     starts = range(0, n, CHUNK_TRIALS)
     threads = min(workers, len(starts))
     # one workspace a thread, made by the caller and handed from chunk to
@@ -603,7 +697,8 @@ def run_many(plans: list, n: int, seed: int, workers: int | None = None) -> list
     def compute(c: int, t0: int) -> None:
         work = idle.get()
         try:
-            _compute_chunk(plans, seed, c, [g[t0 : t0 + CHUNK_TRIALS] for g in gains], work)
+            chunk = [g[t0 : t0 + CHUNK_TRIALS] for g in gains]
+            _compute_chunk(plans, seed, c, chunk, work, screen)
         finally:
             idle.put(work)
 

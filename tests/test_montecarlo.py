@@ -16,7 +16,7 @@ import frislink.montecarlo as mc
 from frislink.analysis import GammaFit, gamma_cdf, gamma_fit, trace_power
 from frislink.channel import LinkBudget, PathLoss
 from frislink.cli import main
-from frislink.config import parse_config
+from frislink.config import parse_config, preset_config
 from frislink.correlation import (
     SurfaceGeometry,
     build_correlation_matrix,
@@ -681,6 +681,120 @@ class TestRunMany:
         cdf_got = np.searchsorted(np.sort(got), both, side="right") / n
         cdf_ref = np.searchsorted(np.sort(ref), both, side="right") / n
         assert np.max(np.abs(cdf_got - cdf_ref)) <= 0.012
+
+
+# the `--config` document of tools/goldens.py
+GOLDEN_CONFIG = {
+    "geometry": {"m_x": 6, "m_z": 5, "w_x": 2, "w_z": 1.5},
+    "modes": [
+        {"type": "static", "select_x": 2, "select_z": 2, "phases": [0, 1.5, 3.0, 6.2]},
+        {"type": "adaptive_fris", "m_o": 4},
+        {"type": "ris_baseline", "m_rx": 3, "m_rz": 3},
+    ],
+    "trials": 9000,
+}
+
+
+def config_plans(doc):
+    """A document's parsed config and the plans of its modes."""
+    cfg = parse_config(json.dumps(doc))
+    return cfg, plan_runs(cfg.kernel, [(cfg.geometry, spec.mode) for spec in cfg.modes], {})
+
+
+def screened_shares(plans, n, seed, x):
+    """The share of each plan's trials that `run_many` with threshold x
+    screens, after checking that the screened run keeps every count the
+    outage rows read and is the same at 1, 2 and 3 workers."""
+    plain = run_many(plans, n, seed, workers=1)
+    screened = [run_many(plans, n, seed, workers=w, threshold=x) for w in (1, 2, 3)]
+    for other in screened[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(screened[0], other))
+    shares = []
+    for got, want in zip(screened[0], plain):
+        kept = np.isfinite(got)
+        # a computed gain keeps its bits, and a screened one exceeds x
+        assert np.array_equal(got[kept], want[kept])
+        assert np.all(got[~kept] == np.inf) and np.all(want[~kept] > x)
+        # the same gains at or below x: the same count at or below any x' <= x
+        assert np.array_equal(np.sort(got[got <= x]), np.sort(want[want <= x]))
+        shares.append(float(np.mean(~kept)))
+    return shares
+
+
+class TestScreenedRuns:
+    """With a threshold, `run_many` writes +inf for the draw blocks whose
+    every trial's screen bound exceeds it; the outage counts stay those
+    of the run without one."""
+
+    def test_fig3a_at_0_db_screens_every_block(self):
+        cfg, plans = config_plans(preset_config("fig3a"))
+        x = cfg.budget(0.0).gain_threshold
+        assert x == pytest.approx(8.0206, abs=1e-4)
+        assert screened_shares(plans, CHUNK_TRIALS + 300, 37, x) == [1.0, 1.0]
+
+    def test_config_at_0_db_screens_some_blocks(self):
+        # ris(3x3) has 11 trials in outage in 9000; its screen sums all 9
+        # elements, so a block passes when none of its trials is in
+        # outage; fris(Mo=4)'s four fixed elements bound too loosely, and
+        # the static mode is never screened
+        cfg, plans = config_plans(GOLDEN_CONFIG)
+        x = cfg.budget(0.0).gain_threshold
+        static, fris, ris = screened_shares(plans, 9000, 5, x)
+        assert static == 0.0 and fris == 0.0 and 0.5 < ris < 1.0
+        (ris_gains,) = run_many(plans[2:], 9000, 5)
+        assert np.count_nonzero(ris_gains <= x) == 11
+
+    def test_fig3a_at_minus_40_db_screens_no_block(self):
+        cfg, plans = config_plans(preset_config("fig3a"))
+        x = cfg.budget(-40.0).gain_threshold
+        assert screened_shares(plans, CHUNK_TRIALS + 300, 38, x) == [0.0, 0.0]
+
+    @pytest.mark.parametrize("x, screened", [(0.01, "all"), (1.0, "some"), (100.0, "none")])
+    def test_lone_2x2_ris(self, x, screened):
+        # the screen's parts and hop powers (6 x 128 x 4) outgrow the
+        # engine's own buffers on a 4-element grid; the workspace holds them
+        (plan,) = plan_runs("spherical", [(small_geom(), RisBaselineMode(2, 2))], {})
+        assert mc._workspace([plan])[1].size == 6 * 128 * 4
+        (share,) = screened_shares([plan], CHUNK_TRIALS + 300, 39, x)
+        assert {"all": share == 1.0, "some": 0.0 < share < 1.0, "none": share == 0.0}[screened]
+
+    def test_a_plan_that_keeps_failing_stops_screening(self, monkeypatch):
+        # a plan screens every block of a chunk once one has passed, and
+        # only the first four of a chunk whose first four all fail
+        calls = []
+        real_lower_bound = mc._lower_bound
+
+        def counting_lower_bound(z, k, rows, w):
+            calls.append(rows.shape)
+            return real_lower_bound(z, k, rows, w)
+
+        monkeypatch.setattr(mc, "_lower_bound", counting_lower_bound)
+        cfg, plans = config_plans(preset_config("fig3a"))
+        n = 2 * CHUNK_TRIALS
+        for snr_db, blocks in ((0.0, 64), (-40.0, 4)):
+            calls.clear()
+            run_many(plans, n, 40, workers=1, threshold=cfg.budget(snr_db).gain_threshold)
+            assert sorted(calls) == sorted([(36, 16), (112, 16)] * 2 * blocks)
+
+    @pytest.mark.parametrize("grid", [[-4.0, -2.0, 0.0], [0.0, 10.0]], ids=str)
+    def test_outage_csv_equals_the_unscreened_one(self, monkeypatch, tmp_path, grid):
+        # cmd_outage passes its largest threshold; without it, the bytes
+        # are the same
+        doc = {**GOLDEN_CONFIG, "snr_grid_db": grid, "trials": 3000}
+        cfg = parse_config(json.dumps(doc))
+        passed = []
+        real_run_many = experiments_mod.run_many
+
+        def unscreened(plans, n, seed, workers=None, threshold=None):
+            passed.append(threshold)
+            return real_run_many(plans, n, seed, workers)
+
+        experiments_mod.cmd_outage(cfg, tmp_path / "screened.csv")
+        monkeypatch.setattr(experiments_mod, "run_many", unscreened)
+        experiments_mod.cmd_outage(cfg, tmp_path / "plain.csv")
+        experiments_mod.cmd_capacity(cfg, tmp_path / "capacity.csv")
+        assert passed == [cfg.budget(grid[0]).gain_threshold, None]
+        assert (tmp_path / "screened.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 class TestThreadWorkers:

@@ -1,7 +1,8 @@
 """Property-based tests: what the config parser accepts and rejects, the
 round trip behind the CLI's override path, the adaptive engine's
-monotonicity in m_o, the static weights' moments, the bracketed KS
-statistic, and the array functions' agreement with their scalar calls."""
+monotonicity in m_o, the outage screen's lower bound, the static
+weights' moments, the bracketed KS statistic, and the array functions'
+agreement with their scalar calls."""
 
 import json
 import math
@@ -9,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 from frislink.config import PRESET_NAMES, ConfigError, parse_config, preset_config
@@ -21,7 +22,16 @@ from frislink.correlation import (
 )
 from frislink.analysis import GammaFit, gamma_cdf, gamma_pdf
 from frislink.special import bessel_j0_cylindrical, bessel_j0_spherical
-from frislink.montecarlo import AdaptiveFrisMode, StaticMode, ks_statistic, plan_runs, run_trials
+import frislink.montecarlo as mc
+from frislink.montecarlo import (
+    AdaptiveFrisMode,
+    RisBaselineMode,
+    StaticMode,
+    ks_statistic,
+    plan_runs,
+    run_many,
+    run_trials,
+)
 
 # Integers are small counts or far beyond any index range. Counts between
 # the two are valid and ask for allocations proportional to their size,
@@ -286,6 +296,42 @@ class TestAdaptiveMonotoneInMo:
         lo = run_trials(g, "spherical", AdaptiveFrisMode(m_o=m_o), 200, seed)
         hi = run_trials(g, "spherical", AdaptiveFrisMode(m_o=m_o + 1), 200, seed)
         assert np.all(hi >= lo * (1.0 - 1e-12))
+
+
+class TestScreenBound:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m_x=st.integers(1, 7),
+        m_z=st.integers(1, 6),
+        pitch=st.floats(0.1, 0.6),
+        kernel=st.sampled_from(["spherical", "cylindrical"]),
+        m_o=st.integers(1, 42),
+        ris=st.none() | st.tuples(st.integers(1, 7), st.integers(1, 6)),
+        seed=st.integers(0, 2**64),
+    )
+    @example(m_x=6, m_z=5, pitch=0.3, kernel="spherical", m_o=4, ris=(3, 3), seed=5)
+    @example(m_x=7, m_z=5, pitch=0.2, kernel="cylindrical", m_o=35, ris=None, seed=6)
+    @example(m_x=1, m_z=1, pitch=0.5, kernel="spherical", m_o=1, ris=None, seed=7)
+    def test_never_exceeds_the_gain(self, m_x, m_z, pitch, kernel, m_o, ris, seed):
+        # the screen sums sqrt P over s <= m_o fixed elements, which the
+        # m_o largest dominate, so on folding and non-folding grids alike
+        # each trial's bound stays at or below its gain, up to rounding
+        g = SurfaceGeometry(m_x=m_x, m_z=m_z, w_x=pitch * m_x, w_z=pitch * m_z,
+                            wavelength=0.125)
+        mode = AdaptiveFrisMode(m_o=min(m_o, g.m)) if ris is None else RisBaselineMode(*ris)
+        (plan,) = plan_runs(kernel, [(g, mode)], {})
+        n = 300  # blocks of 128, 128 and 44 trials
+        (gains,) = run_many([plan], n, seed, workers=1)
+        rows = mc._screen_rows(plan)
+        z, w = mc._workspace([plan])
+        bound = np.empty(n)
+        with mc._one_blas_thread():
+            for j, t0 in enumerate(range(0, n, 128)):
+                k = min(128, n - t0)
+                mc._draw_block(seed, 0, j).standard_normal(out=z)
+                bound[t0 : t0 + k] = mc._lower_bound(z, k, rows, w)
+        assert np.all(bound > 0.0)
+        assert np.all(bound <= gains * (1.0 + 1e-12))
 
 
 class TestStaticWeights:

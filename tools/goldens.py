@@ -2,7 +2,7 @@
 
     python3 tools/goldens.py
 
-Runs the fourteen golden commands in one process against this checkout's
+Runs the fifteen golden commands in one process against this checkout's
 `src/`, in a temporary directory, and prints one
 `<name> <sha256> body <sha256>` line each, the hash of the whole output
 and of its lines that do not start with `# ` (a CSV without its
@@ -12,7 +12,11 @@ presets' `validate` stdouts, and for the `--config` document
 at `--seed 5`, and the CSV of its static mode alone under
 `dist --trials 4000 --seed 5`, then for the same document under the
 cylindrical kernel (CYLINDRICAL) its `validate` stdout and its
-`capacity` CSV at `--seed 5`. Equal hashes at two commits mean equal
+`capacity` CSV at `--seed 5`, and last its `outage` CSV at `--seed 5`
+over SNR_GRID, where each coherent mode has between 1 % and 99 % of its
+trials in outage at some point (the screened outage run then falls back
+to the exact gains in every block that holds one). Equal hashes at two
+commits mean equal
 bytes, and equal body hashes alone an output that moved only in its
 header.
 
@@ -50,6 +54,8 @@ CONFIG = {
 }
 STATIC_ONLY = {**CONFIG, "modes": CONFIG["modes"][:1]}
 CYLINDRICAL = {**CONFIG, "kernel": "cylindrical"}
+# fris(Mo=4) 1.6 % in outage at -4 dB, ris(3x3) 1.4 % at -2 dB
+SNR_GRID = {**CONFIG, "snr_grid_db": [-4, -2, 0]}
 
 PRESET_RUNS = (("dist", "fig2"), ("outage", "fig3a"), ("capacity", "fig3b"), ("sweep-m", "fig3c"))
 
@@ -85,7 +91,9 @@ def goldens(tmp: str):
         yield f"validate --preset {preset}", _stdout(["validate", "--preset", preset])
     config, static = os.path.join(tmp, "config.json"), os.path.join(tmp, "static.json")
     cylindrical = os.path.join(tmp, "cylindrical.json")
-    for path, doc in ((config, CONFIG), (static, STATIC_ONLY), (cylindrical, CYLINDRICAL)):
+    snr_grid = os.path.join(tmp, "snr_grid.json")
+    docs = ((config, CONFIG), (static, STATIC_ONLY), (cylindrical, CYLINDRICAL), (snr_grid, SNR_GRID))
+    for path, doc in docs:
         with open(path, "w", encoding="utf-8") as f:
             json.dump(doc, f)
     yield "validate --config", _stdout(["validate", "--config", config])
@@ -96,6 +104,8 @@ def goldens(tmp: str):
     yield "validate --config (cylindrical)", _stdout(["validate", "--config", cylindrical])
     argv = ["capacity", "--config", cylindrical, "--seed", "5"]
     yield "capacity --config (cylindrical) --seed 5", _csv(argv, out)
+    argv = ["outage", "--config", snr_grid, "--seed", "5"]
+    yield "outage --config (snr_grid_db [-4, -2, 0]) --seed 5", _csv(argv, out)
 
 
 if __name__ == "__main__":
