@@ -1,115 +1,26 @@
 """Chunked, reproducible Monte Carlo engine for equivalent-gain sampling.
 
-Reproducibility contract (artifact version 9): trials are processed in
-fixed chunks of CHUNK_TRIALS, and a chunk's trials in draw blocks of
-_BLOCK_TRIALS = 128. Every stream of chunk c is Philox keyed by the
-seed, with c in words 2 and 3 of the 256-bit counter (c << 128), the
-position in word 0, and word 1 naming the stream:
+The stream and byte contract (artifact version 11) is stated once, in
+README "Determinism": the fixed chunks of CHUNK_TRIALS and draw blocks of
+_BLOCK_TRIALS, the Philox counter of each stream, the column-major read
+of a draw block in a plan's own layout and, for a run with a threshold,
+in the screen-first layout, the BLAS pin, and the sampled laws. This
+module implements it:
 
-  0         the chunk's own stream (`chunk_rng`), from which a static
-            mode's trials read K + 1 standard exponentials each, trial
-            after trial;
-  j + 1     draw block j of the coherent draw (the chunk's trials
-            128 j .. 128 j + 127), read column-major: its first
-            r_max * 512 normals fill r_max columns of 512, column k
-            at positions 512 k .. 512 k + 511, and the block's trial t
-            reads positions 4t .. 4t + 3 of each of its mode's first r
-            columns (real then imaginary part of coordinate k of the
-            white surface-to-user hop h, then of the base-to-surface
-            hop, each times sqrt(2), the factor's column k mapping it to
-            the elements);
-  2^63 up   free, for streams a later sampler keys on the same seed and
-            chunk.
-
-A rank-r mode reads a prefix of each block's stream, and every draw
-block, a chunk's last too, draws its full r_max x 512 normals however
-few trials it holds, so a trial's draws depend only on the seed, its
-index and its mode's rank.
-The gains are byte-identical for any worker count: parallel runs
-distribute whole chunks across threads, one per available core by
-default.
-
-`run_many` runs the plans of `plan_runs` (which `frislink validate`
-prints) in one pass: each draw block is filled once, in one call, with
-the columns of the largest rank, and each coherent mode projects the
-first r of them, so the runs share their normals (common random numbers:
-Glasserman, Monte Carlo Methods in Financial Engineering, 2003, sec. 4.2)
-and each run's gains are bit for bit those of the run alone. Runs of one
-grid and one m_o share one plan, computed once a block. Column k drives
-the k-th largest eigenmode of each grid, signed so that its first entry
-above 1e-3 of its largest magnitude is positive (`_grid_factor`), so on
-grids of one aperture the shared normals drive similar modes and a
-command's rows are positively correlated, which narrows the spread of
-their differences; the standard error each row reports is still that of
-its own run.
-
-Threaded BLAS rounds products differently from single-threaded BLAS, so
-numpy's bundled OpenBLAS is pinned to one thread while a run lasts
-(`_one_blas_thread`, entered by `plan_runs`, `run_many`, the commands
-and `frislink validate`): the bytes are the one-thread bytes on any
-machine, and the parallelism is the chunk threads'. Where the library or
-its thread-count symbols are missing (MKL, a system OpenBLAS) runs go
-unpinned, and their bytes may depend on the BLAS thread count.
-
-The coherent modes project each hop through a prefix of the M' x r'
-factor F = U_r' sqrt(Lambda_r') of the grid's correlation matrix J,
-whose r' columns are the eigenpairs above the clamp. In draw order, a
-run samples the shortest prefix of r columns whose dropped columns carry
-at most _RANK_TAIL = 1e-8 of the trace sum_k ||F_k||^2
-(`_sampled_prefix`): r = 112 of r' = 167 on the 20 x 20 grid over 3 x 3
-wavelengths, whose aperture holds about pi L_x L_z / lambda^2 = 28
-significant modes (Pizzo, Marzetta & Sanguinetti, IEEE JSAC 2020).
-F @ F.T is the clamped J up to that tail, so the sampled law is that of
-J^(1/2) h with h ~ CN(0, I), while each trial reads 4r normals instead
-of 4M'.
-
-A uniform grid's J is unchanged by the mirror reflection of each axis,
-so it splits into C = 1, 2 or 4 parity classes (even and odd along each
-folded axis) of Q = M' / C elements, whose blocks are eigendecomposed
-apart (Cantoni & Butler, Linear Algebra Appl. 13, 1976;
-`_parity_classes`). Each column of F belongs to one class, and its
-entries at the C mirror images of a base element are its class vector's
-entry times signs +-1/sqrt(C). All arithmetic is real: per block of b
-trials, hop and class, one (2b x r_c) @ (r_c x Q) product of the class's
-columns of the block gives the class's share of both parts of the hop at
-the base elements, and one C x C signed sum of both parts (a GEMM with
-the Sylvester Hadamard matrix; none for C = 1) gives them at every
-image: C times fewer flops than one (4b x r) @ (r x M') product. A
-trial's products (2 |a_f|^2) (2 |a_u|^2) land in any element order, as
-its gain (1/4) (sum sqrt P)^2 sums its m_o largest products P (all of
-them for the RIS baseline) in ascending order (`_combine`).
-
-A static mode samples its exact law instead. Given the user-side hop,
-its equivalent channel is CN(0, S), so the gain is G = S E_0, and S is a
-quadratic form in circular Gaussians, S = sum_k nu_k E_k (Mathai &
-Provost, Quadratic Forms in Random Variables, 1992), with i.i.d.
-E_0, E_1, ... ~ Exp(1) and weights nu from one SVD per run
-(`_static_weights`), which read the factor of the selection's own
-principal block J~ = J[sel, sel], so a static-only command never
-factors a whole grid. A trial thus draws K + 1 exponentials, K at most
-the block's rank.
-
-A chunk reads its streams block by block into reused buffers (one
-workspace a thread, which `run_many` makes and its chunks pass on), and
-projects and combines each draw block on its own, which gives the same
-draws and, on the grids tested, the same gains as drawing the whole
-chunk at once (see `_compute_chunk`).
-
-`frislink outage` counts only the gains at or below its largest
-threshold x, so it passes x to `run_many`, and each coherent plan
-screens its draw blocks first (`_lower_bound`): from the block's normals
-and the factor rows of a fixed set S of s = min(m_o, 16) elements evenly
-spaced over the grid, each trial gets L = (1/4) (sum_{i in S} sqrt P_i)^2.
-Its gain sums the m_o largest sqrt P, which dominate any m_o of them, so
-it is at least L, up to the rounding by which the two routes to the same
-products differ (about 1e-15 of L on the grids tested). A block whose every L
-exceeds x (1 + 1e-9) is written +inf; any other is computed as without a
-threshold, to the bit. Every count at or below x, and so every hit,
-`mc_outage`, `mc_stderr` and CSV byte, is the one without screening. A
-plan that fails the first four blocks of a chunk stops screening it. On
-fig3a at 0 dB (x = 8.02, smallest L of a block about 24, smallest gain
-about 1,900 for fris and 190 for ris) every block passes, and a chunk is
-then mostly its normal fill.
+  `plan_runs`        one RunPlan per run: a static mode's weights
+                     (`_static_weights`), or a coherent grid's factor
+                     through its mirror parity classes (`_parity_classes`,
+                     `_grid_factor`) cut to its sampled prefix
+                     (`_sampled_prefix`);
+  `run_many`         the plans in one pass over the chunks, on threads
+                     that each compute in one `_workspace`;
+  `_compute_chunk`   one chunk, block by block: a static mode's
+                     exponentials, each coherent plan's class projections,
+                     signed sums and `_combine`;
+  `_screen_layout`,  with a threshold, each coherent plan's rotated
+  `_lower_bound`     classes and screen, which clear a block from its
+                     screen columns (16 at most) before its other normals
+                     are drawn.
 """
 
 from __future__ import annotations
@@ -176,12 +87,9 @@ _MIN_RELIABLE_HITS = 50
 # carries a factor 1/2 and the gain, its square, a factor 1/4
 _GAIN_SCALE = 0.25
 
-# elements, at most, whose products bound a screened coherent trial's gain
+# elements, at most, whose products bound a screened coherent trial's
+# gain, and so draw columns, at most, of a block's screen
 _SCREEN_ELEMENTS = 16
-
-# a plan whose screen fails this many blocks of a chunk before any passes
-# computes the rest of the chunk without it
-_SCREEN_PROBES = 4
 
 
 # process-wide BLAS pin: entries in progress, and the thread count the
@@ -496,22 +404,55 @@ def _workspace(plans: list):
     return np.empty((r_max, 4 * _BLOCK_TRIALS)), np.empty(_BLOCK_TRIALS * size)
 
 
-def _screen_rows(plan: RunPlan) -> np.ndarray:
-    """The r x s transpose of the factor rows of a coherent plan's screen
-    set S: s = min(m_o, _SCREEN_ELEMENTS) elements evenly spaced in grid
-    order."""
-    m = plan.factor.shape[0]
-    s = min(plan.m_o, _SCREEN_ELEMENTS)
-    return np.ascontiguousarray(plan.factor[np.arange(s) * m // s].T)
+def _screen_layout(plan: RunPlan):
+    """The screen-first layout of a coherent plan, which a run with a
+    threshold reads its draw blocks in: its classes as (draw columns,
+    rotated Q x r_c block), and the s x |S| matrix of its screen.
+
+    The screen set S is the first min(m_o, 16) of the C mirror images of
+    b = ceil(min(m_o, 16) / C) base elements, the ((2i + 1) Q) // (2b)-th
+    rows of the class blocks for i < b, taken image by image: on a grid
+    that does not fold, min(m_o, 16) single elements (all of a 3 x 3
+    RIS). Each class block B_c is rotated, B'_c = B_c Q_c, by the r_c x
+    r_c orthogonal Q factor of the Householder QR of [B_c[base]^T | I];
+    so B'_c B'_c^T = B_c B_c^T, the law is unchanged, and B'_c's rows at
+    the base reach only its first s_c = min(b, r_c) columns (their
+    entries beyond, rounding, are set to 0). Class c reads draw columns
+    o_c .. o_c + s_c - 1 (o_c = s_0 + .. + s_(c-1), s = sum s_c <= 16)
+    for its screen coordinates, and its other r_c - s_c from column s on,
+    all classes' in the draw order of the columns they had in the plan's
+    own layout: a permutation of the plan's r columns. The screen matrix
+    maps the s screen columns to the parts at S: its entry for column
+    o_c + i and image n of the q-th base element is s_nc B'_c[base_q, i]."""
+    c = len(plan.classes)
+    q = plan.factor.shape[0] // c
+    width = min(plan.m_o, _SCREEN_ELEMENTS)
+    b = -(-width // c)
+    base = (2 * np.arange(b) + 1) * q // (2 * b)
+    signs = _signs(c)
+    cuts = [min(b, cols.size) for cols, _ in plan.classes]
+    trailing = np.sort(np.concatenate([cols[s:] for (cols, _), s in zip(plan.classes, cuts)]))
+    classes, screen = [], []
+    offset = 0
+    for (cols, block), s, sign in zip(plan.classes, cuts, signs.T):
+        basis = np.linalg.qr(np.hstack([block[base].T, np.eye(cols.size)]))[0]
+        block = block @ basis
+        block[base, s:] = 0.0
+        screen.append(np.kron(sign, block[base, :s].T))
+        tail = sum(cuts) + np.searchsorted(trailing, cols[s:])
+        classes.append((np.concatenate([offset + np.arange(s), tail]), block))
+        offset += s
+    return tuple(classes), np.ascontiguousarray(np.concatenate(screen)[:, :width])
 
 
 def _lower_bound(z: np.ndarray, k: int, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per trial of the k of a filled draw block z, the lower bound
-    L = (1/4) (sum_{i in S} sqrt P_i)^2 of its coherent gain, from the
-    products P of the s elements whose factor rows are `rows`
-    (`_screen_rows`). The gain sums the m_o largest sqrt P, which
-    dominate any m_o of them, and s <= m_o. Computed in the workspace w,
-    whose first k entries it returns."""
+    """Per trial of the k of a draw block z whose screen columns are
+    filled, the lower bound L = (1/4) (sum_{i in S} sqrt P_i)^2 of its
+    coherent gain, from the products P of the elements of a screen set
+    S, whose parts are the block's first r columns times `rows` (r x |S|,
+    `_screen_layout`). The gain sums the m_o largest sqrt P, which
+    dominate any m_o of them, and |S| <= m_o. Computed in the workspace
+    w, whose first k entries it returns."""
     r, s = rows.shape
     n = k * s
     parts = w[: 4 * n].reshape(4 * k, s)  # row 4t + 2h + i: part i of hop h of trial t
@@ -547,16 +488,24 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work, screen
     bytes stay reproducible and do not depend on the worker count.
 
     The coherent plans share each block's columns of the largest rank,
-    and each projects its first r rows, so its gains do not depend on
-    the other plans; a plan that several runs share is computed once.
+    and each projects its first r rows (in the screen-first layout, in
+    another order), so its gains do not depend on the other plans; a
+    plan that several runs share is computed once.
     `work` is the `_workspace(plans)` to compute in.
 
-    `screen`, if passed, is (bar, rows): a coherent plan whose every
-    trial in a block has `_lower_bound` above bar, from its `rows[plan]`,
-    writes +inf for the block's trials instead of computing them. A plan
-    that fails the first _SCREEN_PROBES blocks of the chunk stops
-    screening it, so a threshold that no block clears costs a plan four
-    screens a chunk.
+    `screen`, if passed, is (bar, layouts): each coherent plan reads the
+    blocks in its screen-first layout `layouts[plan]` = (classes, rows)
+    (`_screen_layout`). A block's first columns, as many as the widest
+    screen reads, are drawn first, and a plan whose every trial in it has
+    `_lower_bound` above bar, from its `rows`, writes +inf for the
+    block's trials instead of computing them; the other columns are
+    drawn only if some plan computes the block, and a block that no plan
+    screens is drawn whole in one call.
+    Until one block passes, a plan screens only blocks 0, 1, 3, 7, ..,
+    2^i - 1 of the chunk, and every block after: a threshold that no
+    block clears costs a plan seven screens of a chunk's 64 blocks, and
+    a chunk whose first blocks hold gains below it is still screened
+    once one passes.
     """
     n = len(gains[0])
     blocks = [(t0, min(t0 + _BLOCK_TRIALS, n)) for t0 in range(0, n, _BLOCK_TRIALS)]
@@ -576,36 +525,49 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work, screen
         return
     z, w = work
     r_max = len(z)
-    signed = [(plan, _signs(len(plan.classes)), outs) for plan, outs in coherent.items()]
-    # blocks each plan may still fail before it stops screening the chunk:
-    # all of them once one has passed
-    tries = dict.fromkeys(coherent, _SCREEN_PROBES)
+    # each plan once, with the classes it reads the block through and its screen
+    layouts = screen[1] if screen is not None else {}
+    signed = []
+    for plan, outs in coherent.items():
+        classes, rows = layouts.get(plan, (plan.classes, None))
+        signed.append((plan, classes, rows, _signs(len(classes)), outs))
+    # the screen columns of every plan, drawn before the rest
+    head = max((rows.shape[0] for _, rows in layouts.values()), default=0)
+    # the block each plan screens next: 2 j + 1 after block j fails, and
+    # every block (-1) once one has passed
+    due = dict.fromkeys(coherent, 0)
     for j, (t0, t1) in enumerate(blocks):
         k = t1 - t0
-        _draw_block(seed, chunk, j).standard_normal(out=z)
+        draw = _draw_block(seed, chunk, j)
         exact = signed
-        if screen is not None:
-            bar, rows = screen
+        if screen is None or all(due[plan] > j for plan in due):
+            draw.standard_normal(out=z)
+        else:
+            # the screen columns; the others only if a plan computes the
+            # block, the bits of one fill of both
+            draw.standard_normal(out=z[:head])
             exact = []
             for item in signed:
-                plan = item[0]
-                if tries[plan] > 0:
-                    if _lower_bound(z, k, rows[plan], w).min() > bar:
-                        tries[plan] = math.inf
-                        for out in item[2]:
+                plan, _, rows, _, outs = item
+                if due[plan] <= j:
+                    if _lower_bound(z, k, rows, w).min() > screen[0]:
+                        due[plan] = -1
+                        for out in outs:
                             out[t0:t1] = np.inf
                         continue
-                    tries[plan] -= 1
+                    if due[plan] >= 0:
+                        due[plan] = 2 * j + 1
                 exact.append(item)
             if not exact:
                 continue
+            draw.standard_normal(out=z[head:])
         # the block's columns hop-major, zk[h, :, i k + t] holding part i of
-        # hop h of trial t: rewritten over z by way of the workspace (r <= M')
+        # hop h of trial t: rewritten over z by way of the workspace
         zk = z.reshape(-1)[: r_max * 4 * k].reshape(2, r_max, 2 * k)
         parts = w[: zk.size].reshape(2, r_max, 2, k)
         np.copyto(parts, z[:, : 4 * k].reshape(r_max, k, 2, 2).transpose(2, 0, 3, 1))
         zk[...] = parts.reshape(zk.shape)
-        for plan, signs, outs in exact:
+        for plan, classes, _, signs, outs in exact:
             m = plan.factor.shape[0]
             c = len(signs)
             n = k * m
@@ -614,7 +576,7 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work, screen
             # hop f, then hop u: the power of hop h goes to w[(2 + h) n :][:n]
             for h in (0, 1):
                 # both parts of the hop: class c's share at the base elements
-                for i, (cols, block) in enumerate(plan.classes):
+                for i, (cols, block) in enumerate(classes):
                     zi = zk[h, : cols.size]
                     if cols.size and cols[-1] != cols.size - 1:  # not the leading columns
                         zi = spare[: cols.size * 2 * k].reshape(cols.size, 2 * k)
@@ -669,9 +631,12 @@ def run_many(
     are cancelled.
 
     With a `threshold`, a caller that only counts gains at or below it
-    lets the coherent plans screen their draw blocks: a block whose every
+    lets the coherent plans screen their draw blocks, which they then read
+    in the screen-first layout (`_screen_layout`): a block whose every
     trial's lower bound exceeds threshold (1 + 1e-9) reads +inf for those
-    trials, and every other gain is the one computed without a threshold.
+    trials, and every other gain is the one that layout gives at threshold
+    inf, which screens no block. Those are other draws of the same law than
+    the gains without a threshold.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -684,8 +649,8 @@ def run_many(
     gains = [np.empty(n) for _ in plans]
     screen = None
     if threshold is not None:
-        rows = {plan: _screen_rows(plan) for plan in plans if plan.kind != "static"}
-        screen = threshold * (1.0 + 1e-9), rows
+        layouts = {plan: _screen_layout(plan) for plan in plans if plan.kind != "static"}
+        screen = threshold * (1.0 + 1e-9), layouts
     starts = range(0, n, CHUNK_TRIALS)
     threads = min(workers, len(starts))
     # one workspace a thread, made by the caller and handed from chunk to

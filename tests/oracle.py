@@ -13,7 +13,13 @@ and the correlation tests use its element positions.
 layout: draw block j of chunk c (its trials 128j .. 128j + 127) is the
 Philox stream with counter (c << 128) | ((j + 1) << 64), read
 column-major in columns of 512 normals, and the block's trial t reads
-positions 4t..4t+3 of each of its first r columns. `whole_chunk_gains`
+positions 4t..4t+3 of each of its first r columns. `screen_first_factor`
+restates the layout a run with a threshold reads the same streams in
+(artifact version 11): each parity class block rotated so that the
+screen set's rows reach only the first s <= 16 columns, with the other
+coordinates after them, as one factor F' whose columns `column_normals`
+fills; `class_factor` assembles a plan's classes into such a factor.
+`whole_chunk_gains`
 restates a whole chunk in the engine's own arithmetic (artifact version
 9: one projection per parity class of the grid's mirror symmetries,
 their signed sums at each mirror image, and each trial's m_o largest
@@ -156,6 +162,57 @@ def column_channels(seed: int, chunk: int, n: int, r: int) -> list:
         )
         for t in range(n)
     ]
+
+
+# elements, at most, of a screen set, and so draw columns, at most, at
+# the head of a draw block in the screen-first layout
+SCREEN_COLUMNS = 16
+
+
+def class_factor(classes, images: np.ndarray, width: int) -> np.ndarray:
+    """The M' x width factor that a plan's classes, (draw columns, Q x r_c
+    block) each, make on its grid: s_nc times class c's block at the rows
+    images[n] and the class's draw columns, zero in the columns no class
+    reads."""
+    c = len(images)
+    f = np.zeros((images.size, width))
+    for k, (cols, block) in enumerate(classes):
+        for n, row in enumerate(images):
+            f[np.ix_(row, cols)] = _signs(c)[n, k] * block
+    return f
+
+
+def screen_first_factor(plan, images: np.ndarray):
+    """The M' x r factor F' that a run with a threshold reads a coherent
+    plan's draw blocks through, and its screen set S: the first
+    min(m_o, 16) of the mirror images (rows of `images`, from
+    `_parity_classes`) of b = ceil(min(m_o, 16) / C) base elements, the
+    ((2i + 1) Q) // (2b)-th of the Q for i < b, image by image.
+
+    Each class block B_c is rotated by the orthogonal Q factor of the QR
+    of [B_c[base]^T | I], and its base rows are set to 0 past its first
+    s_c = min(b, r_c) columns. Draw column o_c + i, o_c the screen
+    columns of the classes before c, carries its screen coordinate i; its
+    other r_c - s_c go to columns s = sum s_c and up, all classes' in the
+    order of the plan's own draw columns they replace. So the parts at S
+    read only the first s columns, and the block stream read column-major
+    is `column_normals` of r columns: a fill of the first columns and a
+    second of the rest give the bits of one fill of both."""
+    c, q = images.shape
+    width = min(plan.m_o, SCREEN_COLUMNS)
+    b = -(-width // c)
+    base = (2 * np.arange(b) + 1) * q // (2 * b)
+    cuts = [min(b, cols.size) for cols, _ in plan.classes]
+    order = sorted(col for (cols, _), s in zip(plan.classes, cuts) for col in cols[s:])
+    classes = []
+    for k, ((cols, block), s) in enumerate(zip(plan.classes, cuts)):
+        basis = np.linalg.qr(np.hstack([block[base].T, np.eye(cols.size)]))[0]
+        block = block @ basis
+        block[base, s:] = 0.0
+        drawn = [sum(cuts[:k]) + i for i in range(s)]
+        drawn += [sum(cuts) + order.index(col) for col in cols[s:]]
+        classes.append((np.array(drawn, dtype=int), block))
+    return class_factor(classes, images, plan.rank), images[:, base].ravel()[:width]
 
 
 def _products(a: np.ndarray) -> np.ndarray:

@@ -49,6 +49,7 @@ from oracle import (
     equivalent_gain_static,
     plain_factor_gains,
     projected_static_gains,
+    screen_first_factor,
     select_top_products,
     trial_major_gains,
     whole_chunk_gains,
@@ -704,8 +705,10 @@ def config_plans(doc):
 def screened_shares(plans, n, seed, x):
     """The share of each plan's trials that `run_many` with threshold x
     screens, after checking that the screened run keeps every count the
-    outage rows read and is the same at 1, 2 and 3 workers."""
-    plain = run_many(plans, n, seed, workers=1)
+    outage rows read and is the same at 1, 2 and 3 workers. The reference
+    is the run at threshold inf, which reads the same screen-first layout
+    and screens no block."""
+    plain = run_many(plans, n, seed, workers=1, threshold=math.inf)
     screened = [run_many(plans, n, seed, workers=w, threshold=x) for w in (1, 2, 3)]
     for other in screened[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(screened[0], other))
@@ -722,9 +725,10 @@ def screened_shares(plans, n, seed, x):
 
 
 class TestScreenedRuns:
-    """With a threshold, `run_many` writes +inf for the draw blocks whose
-    every trial's screen bound exceeds it; the outage counts stay those
-    of the run without one."""
+    """With a threshold, `run_many` reads every coherent draw block in the
+    screen-first layout and writes +inf for the blocks whose every
+    trial's screen bound exceeds it; the outage counts stay those of the
+    same layout with no block screened."""
 
     def test_fig3a_at_0_db_screens_every_block(self):
         cfg, plans = config_plans(preset_config("fig3a"))
@@ -733,16 +737,17 @@ class TestScreenedRuns:
         assert screened_shares(plans, CHUNK_TRIALS + 300, 37, x) == [1.0, 1.0]
 
     def test_config_at_0_db_screens_some_blocks(self):
-        # ris(3x3) has 11 trials in outage in 9000; its screen sums all 9
+        # ris(3x3) has 24 trials in outage in 9000; its screen sums all 9
         # elements, so a block passes when none of its trials is in
-        # outage; fris(Mo=4)'s four fixed elements bound too loosely, and
-        # the static mode is never screened
+        # outage. Each of chunk 0's first four blocks holds one, and its
+        # probe of block 7 passes; fris(Mo=4)'s four elements bound too
+        # loosely, and the static mode is never screened
         cfg, plans = config_plans(GOLDEN_CONFIG)
         x = cfg.budget(0.0).gain_threshold
         static, fris, ris = screened_shares(plans, 9000, 5, x)
         assert static == 0.0 and fris == 0.0 and 0.5 < ris < 1.0
-        (ris_gains,) = run_many(plans[2:], 9000, 5)
-        assert np.count_nonzero(ris_gains <= x) == 11
+        (ris_gains,) = run_many(plans[2:], 9000, 5, threshold=math.inf)
+        assert np.count_nonzero(ris_gains <= x) == 24
 
     def test_fig3a_at_minus_40_db_screens_no_block(self):
         cfg, plans = config_plans(preset_config("fig3a"))
@@ -752,15 +757,19 @@ class TestScreenedRuns:
     @pytest.mark.parametrize("x, screened", [(0.01, "all"), (1.0, "some"), (100.0, "none")])
     def test_lone_2x2_ris(self, x, screened):
         # the screen's parts and hop powers (6 x 128 x 4) outgrow the
-        # engine's own buffers on a 4-element grid; the workspace holds them
+        # engine's own buffers on a 4-element grid; the workspace holds
+        # them. Its one orbit of four images is the whole grid, so every
+        # column is a screen column and no trailing row is drawn
         (plan,) = plan_runs("spherical", [(small_geom(), RisBaselineMode(2, 2))], {})
         assert mc._workspace([plan])[1].size == 6 * 128 * 4
+        _, rows = mc._screen_layout(plan)
+        assert rows.shape == (plan.rank, 4)
         (share,) = screened_shares([plan], CHUNK_TRIALS + 300, 39, x)
         assert {"all": share == 1.0, "some": 0.0 < share < 1.0, "none": share == 0.0}[screened]
 
     def test_a_plan_that_keeps_failing_stops_screening(self, monkeypatch):
         # a plan screens every block of a chunk once one has passed, and
-        # only the first four of a chunk whose first four all fail
+        # only blocks 0, 1, 3, 7, 15, 31 and 63 of a chunk where all fail
         calls = []
         real_lower_bound = mc._lower_bound
 
@@ -771,15 +780,69 @@ class TestScreenedRuns:
         monkeypatch.setattr(mc, "_lower_bound", counting_lower_bound)
         cfg, plans = config_plans(preset_config("fig3a"))
         n = 2 * CHUNK_TRIALS
-        for snr_db, blocks in ((0.0, 64), (-40.0, 4)):
+        for snr_db, blocks in ((0.0, 64), (-40.0, 7)):
             calls.clear()
             run_many(plans, n, 40, workers=1, threshold=cfg.budget(snr_db).gain_threshold)
-            assert sorted(calls) == sorted([(36, 16), (112, 16)] * 2 * blocks)
+            # 16 screen columns to 4 orbits of 4 images, on both grids
+            assert calls == [(16, 16)] * 2 * 2 * blocks
+
+    def test_a_cleared_block_draws_no_trailing_rows(self, monkeypatch):
+        # every block of fig3a at 0 dB clears both plans' screens, so each
+        # draw block fills its 16 screen columns and nothing else; at
+        # -40 dB a screened block (0, 1, 3, .., 63 of a chunk) then fills
+        # the 96 other rows fris reads, and the rest fill all 112 at once
+        fills = []
+        real_draw_block = mc._draw_block
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, out):
+                fills.append(out.shape)
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(mc, "_draw_block", lambda *a: Recording(real_draw_block(*a)))
+        cfg, plans = config_plans(preset_config("fig3a"))
+        screened = [j in (0, 1, 3, 7, 15, 31, 63) for j in [*range(64), 0, 1, 2]]
+        cleared = [[(16, 512)] for _ in screened]
+        failed = [[(16, 512), (96, 512)] if s else [(112, 512)] for s in screened]
+        for snr_db, each in ((0.0, cleared), (-40.0, failed)):
+            fills.clear()
+            run_many(plans, CHUNK_TRIALS + 300, 41, workers=1,
+                     threshold=cfg.budget(snr_db).gain_threshold)
+            assert fills == [shape for block in each for shape in block]
+
+    @pytest.mark.parametrize(
+        "doc", [preset_config("fig3a"), GOLDEN_CONFIG], ids=["fig3a", "config"]
+    )
+    def test_gains_match_the_complex_oracle_through_the_rotated_factor(self, doc):
+        # trial by trial, a coherent gain of a run with a threshold is the
+        # complex gain of the block's normals, read as `column_normals`,
+        # through the rotated factor F' of the screen-first layout: a
+        # computed one to 1e-10, a screened one above the threshold
+        cfg, plans = config_plans(doc)
+        x = cfg.budget(0.0).gain_threshold
+        n = 300
+        screened = run_many(plans, n, 42, threshold=x)
+        computed = run_many(plans, n, 42, threshold=math.inf)
+        for spec, plan, got, full in zip(cfg.modes, plans, screened, computed):
+            if plan.kind == "static":
+                continue
+            grid = mc.mode_grid(cfg.geometry, spec.mode)
+            images, _ = mc._parity_classes(grid, build_correlation_matrix(grid, cfg.kernel))
+            f, _ = screen_first_factor(plan, images)
+            for t, c in enumerate(column_channels(42, 0, n, f.shape[1])):
+                a_f, a_u = f @ c.h_f, f @ c.h_u
+                sel = select_top_products(a_u, a_f, plan.m_o)
+                want = equivalent_gain_coherent(a_u[sel], a_f[sel])
+                assert full[t] == pytest.approx(want, rel=1e-10)
+                assert got[t] == full[t] or (got[t] == math.inf and want > x)
 
     @pytest.mark.parametrize("grid", [[-4.0, -2.0, 0.0], [0.0, 10.0]], ids=str)
     def test_outage_csv_equals_the_unscreened_one(self, monkeypatch, tmp_path, grid):
-        # cmd_outage passes its largest threshold; without it, the bytes
-        # are the same
+        # cmd_outage passes its largest threshold; at threshold inf, which
+        # reads the same layout and screens nothing, the bytes are the same
         doc = {**GOLDEN_CONFIG, "snr_grid_db": grid, "trials": 3000}
         cfg = parse_config(json.dumps(doc))
         passed = []
@@ -787,7 +850,7 @@ class TestScreenedRuns:
 
         def unscreened(plans, n, seed, workers=None, threshold=None):
             passed.append(threshold)
-            return real_run_many(plans, n, seed, workers)
+            return real_run_many(plans, n, seed, workers, None if threshold is None else math.inf)
 
         experiments_mod.cmd_outage(cfg, tmp_path / "screened.csv")
         monkeypatch.setattr(experiments_mod, "run_many", unscreened)

@@ -32,6 +32,7 @@ from frislink.montecarlo import (
     run_many,
     run_trials,
 )
+from oracle import class_factor, screen_first_factor
 
 # Integers are small counts or far beyond any index range. Counts between
 # the two are valid and ask for allocations proportional to their size,
@@ -313,22 +314,34 @@ class TestScreenBound:
     @example(m_x=7, m_z=5, pitch=0.2, kernel="cylindrical", m_o=35, ris=None, seed=6)
     @example(m_x=1, m_z=1, pitch=0.5, kernel="spherical", m_o=1, ris=None, seed=7)
     def test_never_exceeds_the_gain(self, m_x, m_z, pitch, kernel, m_o, ris, seed):
-        # the screen sums sqrt P over s <= m_o fixed elements, which the
-        # m_o largest dominate, so on folding and non-folding grids alike
-        # each trial's bound stays at or below its gain, up to rounding
+        # the screen-first layout rotates each class block without moving
+        # the law, F' F'^T = F F^T, and leaves the screen set S's rows of F'
+        # zero past the screen columns; the screen sums sqrt P over S, at
+        # most m_o elements, which the m_o largest dominate, so on folding
+        # and non-folding grids alike each trial's bound stays at or below
+        # the gain that layout computes, up to rounding
         g = SurfaceGeometry(m_x=m_x, m_z=m_z, w_x=pitch * m_x, w_z=pitch * m_z,
                             wavelength=0.125)
         mode = AdaptiveFrisMode(m_o=min(m_o, g.m)) if ris is None else RisBaselineMode(*ris)
         (plan,) = plan_runs(kernel, [(g, mode)], {})
-        n = 300  # blocks of 128, 128 and 44 trials
-        (gains,) = run_many([plan], n, seed, workers=1)
-        rows = mc._screen_rows(plan)
+        grid = mc.mode_grid(g, mode)
+        images, _ = mc._parity_classes(grid, build_correlation_matrix(grid, kernel))
+        with mc._one_blas_thread():
+            classes, rows = mc._screen_layout(plan)
         z, w = mc._workspace([plan])
+        f = class_factor(classes, images, plan.rank)
+        gram = plan.factor @ plan.factor.T
+        assert np.max(np.abs(f @ f.T - gram)) <= 1e-12 * np.max(np.abs(gram))
+        _, screen = screen_first_factor(plan, images)
+        assert rows.shape[1] == screen.size == min(plan.m_o, 16)
+        assert np.all(f[screen.ravel(), rows.shape[0] :] == 0.0)
+        n = 300  # blocks of 128, 128 and 44 trials
+        (gains,) = run_many([plan], n, seed, workers=1, threshold=math.inf)
         bound = np.empty(n)
         with mc._one_blas_thread():
             for j, t0 in enumerate(range(0, n, 128)):
                 k = min(128, n - t0)
-                mc._draw_block(seed, 0, j).standard_normal(out=z)
+                mc._draw_block(seed, 0, j).standard_normal(out=z[:16])
                 bound[t0 : t0 + k] = mc._lower_bound(z, k, rows, w)
         assert np.all(bound > 0.0)
         assert np.all(bound <= gains * (1.0 + 1e-12))
