@@ -417,6 +417,56 @@ class TestCmdSweepM:
         assert len(err) == 1 and err[0].startswith("config error: sweep-m: ")
         assert "static" in err[0] and not out.exists()
 
+    @pytest.mark.parametrize(
+        "modes",
+        [
+            [{"type": "adaptive_fris", "m_o": 4}, {"type": "adaptive_fris", "m_o": 9}],
+            [
+                {"type": "adaptive_fris", "m_o": 4},
+                {"type": "ris_baseline", "m_rx": 2, "m_rz": 2},
+                {"type": "ris_baseline", "m_rx": 3, "m_rz": 3},
+            ],
+        ],
+        ids=["two_adaptive", "two_baselines"],
+    )
+    def test_rejects_a_second_adaptive_or_baseline_mode(self, modes, tmp_path):
+        doc = tiny_doc(snr_grid_db=[30.0], modes=modes, m_grid=[[4, 4]])
+        with pytest.raises(
+            ConfigError,
+            match="exactly one adaptive_fris mode, at most one ris_baseline mode and no static",
+        ):
+            cmd_sweep_m(parse(doc), tmp_path / "x.csv")
+
+    def test_non_square_m_o_needs_a_baseline(self, tmp_path):
+        doc = tiny_doc(
+            snr_grid_db=[30.0], modes=[{"type": "adaptive_fris", "m_o": 6}], m_grid=[[4, 4]]
+        )
+        with pytest.raises(ConfigError, match="ris_baseline mode required when m_o is not square"):
+            cmd_sweep_m(parse(doc), tmp_path / "x.csv")
+        doc["modes"].append({"type": "ris_baseline", "m_rx": 2, "m_rz": 3})
+        out = tmp_path / "s.csv"
+        cmd_sweep_m(parse(doc), out)
+        assert "\n# ranks=ris(2x3):6,fris(Mo=6)@4x4:16\n" in out.read_text(encoding="utf-8")
+
+    def test_adaptive_mode_on_every_element_beside_a_baseline(self, tmp_path):
+        # an adaptive mode keeping all M' = 16 elements samples what the
+        # 4x4 baseline does, yet it stays the sweep's adaptive mode
+        doc = tiny_doc(
+            snr_grid_db=[30.0],
+            modes=[
+                {"type": "adaptive_fris", "m_o": 16},
+                {"type": "ris_baseline", "m_rx": 4, "m_rz": 4},
+            ],
+            m_grid=[[4, 4], [5, 5]],
+        )
+        out = tmp_path / "s.csv"
+        cmd_sweep_m(parse(doc), out)
+        text = out.read_text(encoding="utf-8")
+        assert "\n# m_o=16\n" in text
+        assert "\n# ranks=ris(4x4):16,fris(Mo=16)@4x4:16,fris(Mo=16)@5x5:25\n" in text
+        rows = [ln.split(",") for ln in text.splitlines()[-2:]]
+        assert rows[0][3] == rows[0][5]  # the 4x4 row: the same run twice
+
     def test_rejects_too_small_grid(self, tmp_path):
         doc = tiny_doc(
             snr_grid_db=[30.0],
