@@ -22,7 +22,7 @@ from .config import (
     preset_config,
 )
 from .experiments import cmd_capacity, cmd_dist, cmd_outage, cmd_sweep_m
-from .montecarlo import _RANK_TAIL, RisBaselineMode, _one_blas_thread, plan_runs
+from .montecarlo import _RANK_TAIL, CoherentMode, _one_blas_thread, plan_runs
 
 _COMMANDS = {
     "dist": cmd_dist,
@@ -103,10 +103,10 @@ def _cost_lines(config: ExperimentConfig) -> list:
     normals, or K + 1 exponentials for K static weights); then the shared
     4 r_max normals a trial and whether BLAS could be pinned."""
     names = [f"mode {spec.label}" for spec in config.modes]
-    runs = [(config.geometry, spec.mode) for spec in config.modes]
+    runs = [(spec.grid, spec.mode) for spec in config.modes]
     for m_x, m_z in config.m_grid or ():
         names.append(f"sweep {m_x}x{m_z}")
-        runs.append((config.geometry, RisBaselineMode(m_x, m_z)))
+        runs.append((config.geometry.regrid(m_x, m_z), CoherentMode(m_x * m_z)))
     with _one_blas_thread() as pinned:
         plans = plan_runs(config.kernel, runs, {})
     lines = [f"rank_tail: {_RANK_TAIL}"]

@@ -36,7 +36,7 @@ import numpy as np
 
 from .channel import LinkBudget, PathLoss
 from .correlation import KERNELS, SurfaceGeometry, uniform_grid_selection
-from .montecarlo import AdaptiveFrisMode, RisBaselineMode, StaticMode
+from .montecarlo import CoherentMode, StaticMode
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -66,10 +66,11 @@ def db_to_linear(db: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ModeSpec:
-    """One simulation mode plus its stable CSV label."""
+    """One simulation mode, the grid it samples and its stable CSV label."""
 
     label: str
-    mode: object  # StaticMode | AdaptiveFrisMode | RisBaselineMode
+    mode: object  # StaticMode | CoherentMode
+    grid: SurfaceGeometry  # a RIS baseline's own grid, else the full one
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,20 +248,19 @@ def _parse_mode(raw: dict, index: int, geom: SurfaceGeometry) -> ModeSpec:
             raise ConfigError(f"{section}: {e}") from e
         phases = _parse_phases(raw.get("phases", "zero"), section, len(sel))
         label = f"static({k_x}x{k_z})"
-        return ModeSpec(label=label, mode=StaticMode(selection=sel, phases=phases))
+        return ModeSpec(label, StaticMode(selection=sel, phases=phases), geom)
     if kind == "adaptive_fris":
         _reject_unknown(raw, {"type", "m_o"}, section)
         m_o = _require_int(raw.get("m_o"), f"{section}.m_o")
         if m_o > geom.m:
             raise ConfigError(f"{section}.m_o: exceeds element count {geom.m}")
-        return ModeSpec(label=f"fris(Mo={m_o})", mode=AdaptiveFrisMode(m_o=m_o))
+        return ModeSpec(f"fris(Mo={m_o})", CoherentMode(m_o), geom)
     if kind == "ris_baseline":
         _reject_unknown(raw, {"type", "m_rx", "m_rz"}, section)
         m_rx = _require_int(raw.get("m_rx"), f"{section}.m_rx")
         m_rz = _require_int(raw.get("m_rz"), f"{section}.m_rz")
-        return ModeSpec(
-            label=f"ris({m_rx}x{m_rz})", mode=RisBaselineMode(m_rx=m_rx, m_rz=m_rz)
-        )
+        # every element of its own grid over the same aperture
+        return ModeSpec(f"ris({m_rx}x{m_rz})", CoherentMode(m_rx * m_rz), geom.regrid(m_rx, m_rz))
     raise ConfigError(
         f"{section}.type: expected static | adaptive_fris | ris_baseline, got {kind!r}"
     )

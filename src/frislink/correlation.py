@@ -9,9 +9,8 @@ grid's matrix is one kernel call on its table of offset distances.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -123,30 +122,19 @@ def build_correlation_matrix(geom: SurfaceGeometry, kernel: str = "spherical") -
 
 @dataclass(frozen=True, eq=False)
 class CorrelationSqrt:
-    """Rank-r factor of a correlation matrix, and its symmetric PSD square root.
+    """Rank-r factor of a correlation matrix.
 
     factor        the M x r factor F = U_r sqrt(Lambda_r) over the r
-                  unclamped eigenpairs, so F @ F.T equals S @ S
+                  unclamped eigenpairs, so F @ F.T ~= J
     clamped_count eigenvalues treated as zero during factorization (M - r)
-    matrix        the symmetric root S with S @ S ~= J, formed on first read
     """
 
     factor: np.ndarray
     clamped_count: int
-    # eigenvectors, and the square roots of the eigenvalues with the
-    # clamped ones zero, which `matrix` is formed from
-    _evecs: np.ndarray = field(repr=False)
-    _sqrt_evals: np.ndarray = field(repr=False)
-
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        root = (self._evecs * self._sqrt_evals) @ self._evecs.T
-        return 0.5 * (root + root.T)  # enforce exact symmetry
 
 
 def psd_sqrt(j: np.ndarray) -> CorrelationSqrt:
-    """Factor and symmetric square root of a correlation matrix via
-    eigendecomposition.
+    """Rank-r factor of a correlation matrix via eigendecomposition.
 
     Dense grids make J numerically rank-deficient; eigenvalues below
     1e-12 * max_eigenvalue are clamped to zero rather than propagated
@@ -160,7 +148,7 @@ def psd_sqrt(j: np.ndarray) -> CorrelationSqrt:
     evals, evecs, low = _clamped_eigh(j)
     clamped = int(np.count_nonzero(low))
     factor = evecs[:, clamped:] * np.sqrt(evals[clamped:])
-    return CorrelationSqrt(factor, clamped, evecs, np.sqrt(np.where(low, 0.0, evals)))
+    return CorrelationSqrt(factor, clamped)
 
 
 def _clamped_eigh(j: np.ndarray):

@@ -44,8 +44,7 @@ from .correlation import (
     uniform_grid_selection,
 )
 from .montecarlo import (
-    AdaptiveFrisMode,
-    RisBaselineMode,
+    CoherentMode,
     StaticMode,
     _RANK_TAIL,
     _one_blas_thread,
@@ -53,7 +52,6 @@ from .montecarlo import (
     estimate_ergodic_capacity,
     estimate_outage,
     ks_statistic,
-    mode_grid,
     plan_runs,
     run_many,
     run_trials,  # no command calls it: perfbench/tracing.py wraps it here
@@ -120,8 +118,9 @@ def _ranks(names, plans) -> str:
 def _most_square_selection(geom: SurfaceGeometry, m_o: int) -> np.ndarray:
     """Uniform subgrid with m_o elements, factored as square as possible.
 
-    Used for the analytical curves of the adaptive mode, whose actual
-    per-realization selection has no fixed correlation block.
+    Used for the analytical curves of a coherent mode, whose actual
+    per-realization selection has no fixed correlation block; for a RIS,
+    m_o = M' and the subgrid is the whole grid in index order.
     """
     best = None
     for k_x in range(1, m_o + 1):
@@ -143,21 +142,19 @@ def _most_square_selection(geom: SurfaceGeometry, m_o: int) -> np.ndarray:
 def _correlations(config: ExperimentConfig) -> dict:
     """Correlation matrix of each distinct grid the modes sample, built
     once per command; the engine factors these same matrices."""
-    grids = dict.fromkeys(mode_grid(config.geometry, spec.mode) for spec in config.modes)
+    grids = dict.fromkeys(spec.grid for spec in config.modes)
     return {grid: build_correlation_matrix(grid, config.kernel) for grid in grids}
 
 
-def _analytic_block(config: ExperimentConfig, spec: ModeSpec, correlations: dict) -> np.ndarray:
-    """Correlation block behind a mode's analytical curves."""
+def _analytic_block(spec: ModeSpec, correlations: dict) -> np.ndarray:
+    """Correlation block behind a mode's analytical curves: a static mode's
+    selection, or the most square m_o subgrid of a coherent mode's grid."""
     mode = spec.mode
-    j = correlations[mode_grid(config.geometry, mode)]
     if isinstance(mode, StaticMode):
-        return principal_submatrix(j, mode.selection)
-    if isinstance(mode, AdaptiveFrisMode):
-        return principal_submatrix(j, _most_square_selection(config.geometry, mode.m_o))
-    if isinstance(mode, RisBaselineMode):
-        return j
-    raise TypeError(f"unsupported mode {type(mode).__name__}")
+        selection = mode.selection
+    else:
+        selection = _most_square_selection(spec.grid, mode.m_o)
+    return principal_submatrix(correlations[spec.grid], selection)
 
 
 @_one_blas_thread()
@@ -173,8 +170,8 @@ def cmd_dist(config: ExperimentConfig, out_path, workers: int | None = None) -> 
         raise ConfigError("dist: config must specify exactly one static mode")
     spec = statics[0]
     correlations = _correlations(config)
-    fit = gamma_fit(_analytic_block(config, spec, correlations))
-    plans = plan_runs(config.kernel, [(config.geometry, spec.mode)], correlations)
+    fit = gamma_fit(_analytic_block(spec, correlations))
+    plans = plan_runs(config.kernel, [(spec.grid, spec.mode)], correlations)
     with _output(out_path) as f:
         (samples,) = run_many(plans, config.trials, config.seed, workers=workers)
         ks = ks_statistic(samples, fit)
@@ -205,8 +202,8 @@ def _write_curves(
     `threshold` passed on to `run_many` lets it screen trials whose gains
     exceed it, for rows that only count gains at or below it."""
     correlations = _correlations(config)
-    models = [analytic(_analytic_block(config, spec, correlations)) for spec in config.modes]
-    runs = [(config.geometry, spec.mode) for spec in config.modes]
+    models = [analytic(_analytic_block(spec, correlations)) for spec in config.modes]
+    runs = [(spec.grid, spec.mode) for spec in config.modes]
     plans = plan_runs(config.kernel, runs, correlations)
     with _output(out_path) as f:
         gains = run_many(plans, config.trials, config.seed, workers, threshold)
@@ -283,10 +280,12 @@ def cmd_sweep_m(config: ExperimentConfig, out_path, workers: int | None = None) 
     """
     if config.m_grid is None:
         raise ConfigError("sweep-m: config requires m_grid")
-    adaptives = [s for s in config.modes if isinstance(s.mode, AdaptiveFrisMode)]
-    baselines = [s for s in config.modes if isinstance(s.mode, RisBaselineMode)]
-    statics = [s for s in config.modes if isinstance(s.mode, StaticMode)]
-    if len(adaptives) != 1 or len(baselines) > 1 or statics:
+    # the document's types tell the adaptive mode from the baseline, which
+    # may sample the same grid with the same m_o
+    types = [raw["type"] for raw in config.canonical["modes"]]
+    adaptives = [s for s, t in zip(config.modes, types) if t == "adaptive_fris"]
+    baselines = [s for s, t in zip(config.modes, types) if t == "ris_baseline"]
+    if len(adaptives) != 1 or len(baselines) > 1 or "static" in types:
         raise ConfigError(
             "sweep-m: config must specify exactly one adaptive_fris mode, "
             "at most one ris_baseline mode and no static mode"
@@ -296,22 +295,21 @@ def cmd_sweep_m(config: ExperimentConfig, out_path, workers: int | None = None) 
     m_o = adaptives[0].mode.m_o
     budget = config.budget(config.snr_grid_db[0])
     if baselines:
-        ris_mode = baselines[0].mode
+        ris_grid, ris_mode = baselines[0].grid, baselines[0].mode
     else:
         side = math.isqrt(m_o)
         if side * side != m_o:
             raise ConfigError(
                 "sweep-m: ris_baseline mode required when m_o is not square"
             )
-        ris_mode = RisBaselineMode(m_rx=side, m_rz=side)
+        ris_grid, ris_mode = config.geometry.regrid(side, side), CoherentMode(m_o)
     for m_x, m_z in config.m_grid:
         if m_x * m_z < m_o:
             raise ConfigError(
                 f"sweep-m: grid {m_x}x{m_z} has fewer than m_o={m_o} elements"
             )
-    runs = [(config.geometry, ris_mode)] + [
-        (config.geometry.regrid(m_x, m_z), AdaptiveFrisMode(m_o=m_o))
-        for m_x, m_z in config.m_grid
+    runs = [(ris_grid, ris_mode)] + [
+        (config.geometry.regrid(m_x, m_z), adaptives[0].mode) for m_x, m_z in config.m_grid
     ]
     plans = plan_runs(config.kernel, runs, {})
     with _output(out_path) as f:
@@ -333,7 +331,7 @@ def cmd_sweep_m(config: ExperimentConfig, out_path, workers: int | None = None) 
             )
         meta = _base_meta(config, "sweep-m")
         meta.update({"m_o": m_o, "snr_db": format(config.snr_grid_db[0], ".17g")})
-        names = [f"ris({ris_mode.m_rx}x{ris_mode.m_rz})"]
+        names = [f"ris({ris_grid.m_x}x{ris_grid.m_z})"]
         names += [f"{adaptives[0].label}@{m_x}x{m_z}" for m_x, m_z in config.m_grid]
         meta["ranks"] = _ranks(names, plans)
         _write_csv(

@@ -7,6 +7,9 @@ of a draw block in a plan's own layout and, for a run with a threshold,
 in the screen-first layout, the BLAS pin, and the sampled laws. This
 module implements it:
 
+  `StaticMode`,      the two mode kinds; a run is a (grid, mode) pair,
+  `CoherentMode`     and a conventional RIS is the coherent mode with
+                     m_o = M' on its own grid;
   `plan_runs`        one RunPlan per run: a static mode's weights
                      (`_static_weights`), or a coherent grid's factor
                      through its mirror parity classes (`_parity_classes`,
@@ -52,13 +55,11 @@ from .analysis import GammaFit, gamma_cdf
 __all__ = [
     "CHUNK_TRIALS",
     "StaticMode",
-    "AdaptiveFrisMode",
-    "RisBaselineMode",
+    "CoherentMode",
     "OutageEstimate",
     "CapacityEstimate",
     "RunPlan",
     "chunk_rng",
-    "mode_grid",
     "plan_runs",
     "run_trials",
     "run_many",
@@ -170,24 +171,16 @@ class StaticMode:
 
 
 @dataclass(frozen=True)
-class AdaptiveFrisMode:
-    """Per-realization top-m_o element activation with coherent phases."""
+class CoherentMode:
+    """Per-realization top-m_o element activation with coherent phases. A
+    conventional RIS is this mode with every element of its own grid on."""
 
     m_o: int
 
 
-@dataclass(frozen=True)
-class RisBaselineMode:
-    """Conventional surface: its own m_rx x m_rz grid over the same
-    aperture, all elements active with coherent phases."""
-
-    m_rx: int
-    m_rz: int
-
-
 @dataclass(frozen=True, eq=False)
 class RunPlan:
-    """One resolved (geometry, mode) run: what `run_many` runs and validate
+    """One resolved (grid, mode) run: what `run_many` runs and validate
     prints. A coherent plan samples its factor through the parity classes
     of its grid (`_grid_factor`): `classes` holds, per class, the draw
     columns it reads and its Q x r_c block, the 1/sqrt(C) of the C
@@ -199,17 +192,9 @@ class RunPlan:
     clamped: int  # eigenvalues clamped to zero: coherent, the grid's; static, its block's
     draws_per_trial: int  # static: K + 1 exponentials; coherent: 4r normals
     factor: np.ndarray | None = None  # coherent: the sampled prefix in draw order, M' x r
-    m_o: int | None = None  # coherent: elements kept per trial, M' for the RIS baseline
+    m_o: int | None = None  # coherent: elements kept per trial, M' for a RIS
     weights: np.ndarray | None = None  # static: the K weights of S, descending
     classes: tuple | None = None  # coherent: (draw columns, Q x r_c block) per class
-
-
-def mode_grid(geom: SurfaceGeometry, mode) -> SurfaceGeometry:
-    """The grid a mode samples: the RIS baseline's own grid, otherwise
-    the full grid."""
-    if isinstance(mode, RisBaselineMode):
-        return geom.regrid(mode.m_rx, mode.m_rz)
-    return geom
 
 
 def _static_weights(factor: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -241,16 +226,15 @@ def _check_mode(geom: SurfaceGeometry, mode) -> None:
             )
         if phases.shape != sel.shape or not np.all(np.isfinite(phases)):
             raise ValueError("phases must be finite and match the selection length")
-    elif isinstance(mode, AdaptiveFrisMode):
-        if not 1 <= mode.m_o <= geom.m:
-            raise ValueError(f"m_o must be in [1, {geom.m}], got {mode.m_o}")
-    elif not isinstance(mode, RisBaselineMode):
+    elif not isinstance(mode, CoherentMode):
         raise TypeError(f"unsupported mode {type(mode).__name__}")
+    elif not 1 <= mode.m_o <= geom.m:
+        raise ValueError(f"m_o must be in [1, {geom.m}], got {mode.m_o}")
 
 
 @_one_blas_thread()
 def plan_runs(kernel: str, runs, correlations: dict) -> list:
-    """One RunPlan per checked (geometry, mode) run. Each grid's matrix is
+    """One RunPlan per checked (grid, mode) run. Each grid's matrix is
     taken from `correlations` if passed, else built here, at most once
     per call. A static run factors its selection's principal block of
     that matrix and keeps only its weights; a grid that coherent runs
@@ -262,9 +246,8 @@ def plan_runs(kernel: str, runs, correlations: dict) -> list:
     roots = {}
     coherent = {}
     plans = []
-    for geom, mode in runs:
-        _check_mode(geom, mode)
-        grid = mode_grid(geom, mode)
+    for grid, mode in runs:
+        _check_mode(grid, mode)
         if grid not in matrices:
             matrices[grid] = build_correlation_matrix(grid, kernel)
         if isinstance(mode, StaticMode):
@@ -273,17 +256,16 @@ def plan_runs(kernel: str, runs, correlations: dict) -> list:
             r = root.factor.shape[1]
             plans.append(RunPlan("static", r, root.clamped_count, nu.size + 1, weights=nu))
             continue
-        m_o = mode.m_o if isinstance(mode, AdaptiveFrisMode) else grid.m
-        if (grid, m_o) not in coherent:
+        if (grid, mode) not in coherent:
             if grid not in roots:
                 full, clamped, classes = _grid_factor(grid, matrices[grid])
                 roots[grid] = (*_sampled_prefix(full, classes), clamped)
             factor, classes, clamped = roots[grid]
             r = factor.shape[1]
-            coherent[grid, m_o] = RunPlan(
-                "coherent", r, clamped, 4 * r, factor, m_o, classes=classes
+            coherent[grid, mode] = RunPlan(
+                "coherent", r, clamped, 4 * r, factor, mode.m_o, classes=classes
             )
-        plans.append(coherent[grid, m_o])
+        plans.append(coherent[grid, mode])
     return plans
 
 

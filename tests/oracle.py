@@ -8,7 +8,8 @@ times h ~ CN(0, I), the static gain is
 |sum_i conj(a_u[i]) e^(j phi_i) a_f[i]|^2, and the coherent gain is
 (sum_i |a_u[i]| |a_f[i]|)^2 over the selected elements. The coherent
 engine is tested against it trial by trial, the static engine in law,
-and the correlation tests use its element positions.
+and the correlation tests use its element positions and its symmetric
+root of J (`symmetric_sqrt`).
 `column_normals` and `column_channels` restate the coherent stream
 layout: draw block j of chunk c (its trials 128j .. 128j + 127) is the
 Philox stream with counter (c << 128) | ((j + 1) << 64), read
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from frislink.correlation import _clamped_eigh
 from frislink.montecarlo import _GAIN_SCALE, CHUNK_TRIALS, chunk_rng
 
 _RT_HALF = 1.0 / math.sqrt(2.0)
@@ -65,6 +67,15 @@ def sample_channels(rng: np.random.Generator, m: int) -> ChannelRealization:
     h_f = (z[:m] + 1j * z[m : 2 * m]) * _RT_HALF
     h_u = (z[2 * m : 3 * m] + 1j * z[3 * m :]) * _RT_HALF
     return ChannelRealization(h_f=h_f, h_u=h_u)
+
+
+def symmetric_sqrt(j: np.ndarray) -> np.ndarray:
+    """The symmetric PSD square root S of a correlation matrix, S S ~= J:
+    U sqrt(Lambda) U^T over all its eigenpairs, with the eigenvalues that
+    `psd_sqrt` clamps set to zero, made exactly symmetric."""
+    evals, evecs, low = _clamped_eigh(np.asarray(j, dtype=float))
+    root = (evecs * np.sqrt(np.where(low, 0.0, evals))) @ evecs.T
+    return 0.5 * (root + root.T)
 
 
 def effective_channel(

@@ -23,10 +23,9 @@ import pytest
 
 import conftest
 from frislink import (
-    AdaptiveFrisMode,
+    CoherentMode,
     LinkBudget,
     PathLoss,
-    RisBaselineMode,
     StaticMode,
     SurfaceGeometry,
     bessel_j0_cylindrical,
@@ -50,13 +49,12 @@ from frislink import (
     parse_config,
     path_loss_factor,
     principal_submatrix,
-    psd_sqrt,
     reg_lower_inc_gamma,
     run_trials,
     trace_power,
     uniform_grid_selection,
 )
-from oracle import sample_gains_exponential_mixture
+from oracle import sample_gains_exponential_mixture, symmetric_sqrt
 
 SPEED_OF_LIGHT = 2.99792458e8
 LAMBDA = SPEED_OF_LIGHT / 2.4e9
@@ -114,7 +112,7 @@ def corr_full():
 
 @pytest.fixture(scope="module")
 def sqrt_full(corr_full):
-    return psd_sqrt(corr_full)
+    return symmetric_sqrt(corr_full)
 
 
 @pytest.fixture(scope="module")
@@ -246,8 +244,8 @@ def test_criterion_05_capacity_bound(corr_full, static144):
 
 def test_criterion_06_outage_gap_at_40db():
     t0 = time.perf_counter()
-    fris = run_trials(GEOM, KERNEL, AdaptiveFrisMode(m_o=36), 1_000_000, seed=SEED_TREND)
-    ris = run_trials(GEOM, KERNEL, RisBaselineMode(m_rx=6, m_rz=6), 1_000_000, seed=SEED_TREND)
+    fris = run_trials(GEOM, KERNEL, CoherentMode(m_o=36), 1_000_000, seed=SEED_TREND)
+    ris = run_trials(GEOM.regrid(6, 6), KERNEL, CoherentMode(m_o=36), 1_000_000, seed=SEED_TREND)
     elapsed = time.perf_counter() - t0
     budget = _budget(40.0)
     ef = estimate_outage(fris, budget)
@@ -267,8 +265,8 @@ def test_criterion_06_outage_gap_at_40db():
 
 def test_criterion_07_capacity_levels_at_40db():
     budget = _budget(40.0)
-    fris = run_trials(GEOM, KERNEL, AdaptiveFrisMode(m_o=16), 100_000, seed=SEED_CAPACITY)
-    ris = run_trials(GEOM, KERNEL, RisBaselineMode(m_rx=4, m_rz=4), 100_000, seed=SEED_CAPACITY)
+    fris = run_trials(GEOM, KERNEL, CoherentMode(m_o=16), 100_000, seed=SEED_CAPACITY)
+    ris = run_trials(GEOM.regrid(4, 4), KERNEL, CoherentMode(m_o=16), 100_000, seed=SEED_CAPACITY)
     cf = estimate_ergodic_capacity(fris, budget).capacity
     cr = estimate_ergodic_capacity(ris, budget).capacity
     ok = abs(cf - 11.8) <= 1.0 and abs(cr - 8.8) <= 1.0
@@ -286,9 +284,9 @@ def test_criterion_08_density_sweep_trend():
     ris_caps = []
     for m_x, m_z in densities:
         geom = SurfaceGeometry(m_x=m_x, m_z=m_z, w_x=3.0, w_z=3.0, wavelength=LAMBDA)
-        g = run_trials(geom, KERNEL, AdaptiveFrisMode(m_o=36), 100_000, seed=SEED_SWEEP)
+        g = run_trials(geom, KERNEL, CoherentMode(m_o=36), 100_000, seed=SEED_SWEEP)
         fris_caps.append(estimate_ergodic_capacity(g, budget))
-        r = run_trials(geom, KERNEL, RisBaselineMode(m_rx=6, m_rz=6), 100_000, seed=SEED_SWEEP)
+        r = run_trials(geom.regrid(6, 6), KERNEL, CoherentMode(m_o=36), 100_000, seed=SEED_SWEEP)
         ris_caps.append(estimate_ergodic_capacity(r, budget).capacity)
     rising = all(
         b.capacity >= a.capacity - 3.0 * math.hypot(a.stderr, b.stderr)
@@ -309,7 +307,7 @@ def test_criterion_08_density_sweep_trend():
 def test_criterion_09_mixture_sampler_law(sqrt_full, static144):
     rng = np.random.default_rng(SEED_MIXTURE)
     phases = np.zeros(SEL144.size)
-    mixture = sample_gains_exponential_mixture(rng, sqrt_full.matrix, SEL144, phases, 100_000)
+    mixture = sample_gains_exponential_mixture(rng, sqrt_full, SEL144, phases, 100_000)
     ks = _two_sample_ks(mixture, static144[0])
     ok = ks <= 0.012
     _record(9, ok, f"two-sample KS {ks:.4f} at 1e5 vs 1e5 draws (bound 0.012)")
@@ -400,7 +398,7 @@ def test_criterion_11_kernel_identities(corr_full, sqrt_full):
         else:
             lo = mid
     root_err = abs(0.5 * (lo + hi) - 2.404825557695773)
-    residual = float(np.max(np.abs(sqrt_full.matrix @ sqrt_full.matrix - corr_full)))
+    residual = float(np.max(np.abs(sqrt_full @ sqrt_full - corr_full)))
     ok = (
         exp_err <= 1e-12
         and rec_err <= 1e-12

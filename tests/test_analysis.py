@@ -26,7 +26,6 @@ from frislink.correlation import (
     SurfaceGeometry,
     build_correlation_matrix,
     principal_submatrix,
-    psd_sqrt,
     uniform_grid_selection,
 )
 from oracle import (
@@ -35,6 +34,7 @@ from oracle import (
     sample_channels,
     sample_gain_exponential_mixture,
     sample_gains_exponential_mixture,
+    symmetric_sqrt,
 )
 
 LAMBDA = 0.12491352416666666
@@ -355,7 +355,7 @@ class TestCapacity:
 
 class TestExponentialMixtureSampler:
     def test_deterministic(self):
-        s = psd_sqrt(J2).matrix
+        s = symmetric_sqrt(J2)
         sel = np.arange(2)
         ph = np.zeros(2)
         a = sample_gain_exponential_mixture(np.random.default_rng(9), s, sel, ph)
@@ -366,7 +366,7 @@ class TestExponentialMixtureSampler:
         # the batched sampler makes the per-draw RNG calls in their order,
         # across its 1024-draw batches, and stacks only the algebra
         g = SurfaceGeometry(m_x=4, m_z=4, w_x=1.5, w_z=1.5, wavelength=LAMBDA)
-        s = psd_sqrt(build_correlation_matrix(g)).matrix
+        s = symmetric_sqrt(build_correlation_matrix(g))
         sel = uniform_grid_selection(g, 3, 3)
         ph = np.random.default_rng(606).uniform(0.0, 2.0 * math.pi, size=len(sel))
         rng = np.random.default_rng(607)
@@ -390,7 +390,7 @@ class TestExponentialMixtureSampler:
     def test_matches_direct_sampler_in_law(self):
         # two-sample KS between the mixture draw and the direct draw
         g = SurfaceGeometry(m_x=4, m_z=4, w_x=1.5, w_z=1.5, wavelength=LAMBDA)
-        s = psd_sqrt(build_correlation_matrix(g)).matrix
+        s = symmetric_sqrt(build_correlation_matrix(g))
         sel = uniform_grid_selection(g, 3, 3)
         rng = np.random.default_rng(604)
         ph = rng.uniform(0.0, 2.0 * math.pi, size=len(sel))

@@ -10,7 +10,6 @@ from frislink.channel import LinkBudget, PathLoss, path_loss_factor
 from frislink.correlation import (
     SurfaceGeometry,
     build_correlation_matrix,
-    psd_sqrt,
 )
 from oracle import (
     effective_channel,
@@ -19,13 +18,14 @@ from oracle import (
     ris_baseline_gain,
     sample_channels,
     select_top_products,
+    symmetric_sqrt,
 )
 
 
 @pytest.fixture(scope="module")
 def small_sqrt():
     g = SurfaceGeometry(m_x=2, m_z=2, w_x=0.8, w_z=0.8, wavelength=0.125)
-    return psd_sqrt(build_correlation_matrix(g)).matrix
+    return symmetric_sqrt(build_correlation_matrix(g))
 
 
 class TestSampleChannels:

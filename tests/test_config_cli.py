@@ -20,8 +20,9 @@ from frislink.config import (
     preset_config,
     PRESET_NAMES,
 )
+from frislink.correlation import build_correlation_matrix
 from frislink.experiments import cmd_capacity, cmd_dist, cmd_outage, cmd_sweep_m
-from frislink.montecarlo import AdaptiveFrisMode, RisBaselineMode, StaticMode
+from frislink.montecarlo import CoherentMode, StaticMode
 
 MINIMAL = {"geometry": {"m_x": 2, "m_z": 2, "w_x": 1.0, "w_z": 1.0}}
 
@@ -170,6 +171,28 @@ class TestParseConfig:
         assert fig3c.m_grid == ((6, 6), (10, 10), (14, 14), (20, 20))
         with pytest.raises(ConfigError):
             preset_config("fig9")
+
+    @pytest.mark.parametrize("m_rx,m_rz", [(3, 3), (4, 4), (6, 6), (2, 5)])
+    def test_ris_baseline_is_a_coherent_mode_on_its_own_grid(self, m_rx, m_rz):
+        # the parser alone picks each mode's grid: a RIS keeps every
+        # element of its own grid over the aperture, the other modes sample
+        # the full grid; the RIS's analytic block is its whole matrix
+        doc = preset_config("fig3b")
+        doc["modes"] = [
+            {"type": "static", "select_x": 4, "select_z": 4},
+            {"type": "adaptive_fris", "m_o": 16},
+            {"type": "ris_baseline", "m_rx": m_rx, "m_rz": m_rz},
+        ]
+        cfg = parse(doc)
+        static, fris, ris = cfg.modes
+        assert static.grid == fris.grid == cfg.geometry
+        assert fris.mode == CoherentMode(m_o=16)
+        assert ris.label == f"ris({m_rx}x{m_rz})"
+        assert ris.grid == cfg.geometry.regrid(m_rx, m_rz)
+        assert ris.mode == CoherentMode(m_o=m_rx * m_rz)
+        j = build_correlation_matrix(ris.grid, cfg.kernel)
+        block = experiments_mod._analytic_block(ris, experiments_mod._correlations(cfg))
+        assert np.array_equal(block, j)
 
 
 class TestPublicNames:

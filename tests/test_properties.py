@@ -24,8 +24,7 @@ from frislink.analysis import GammaFit, gamma_cdf, gamma_pdf
 from frislink.special import bessel_j0_cylindrical, bessel_j0_spherical
 import frislink.montecarlo as mc
 from frislink.montecarlo import (
-    AdaptiveFrisMode,
-    RisBaselineMode,
+    CoherentMode,
     StaticMode,
     ks_statistic,
     plan_runs,
@@ -294,8 +293,8 @@ class TestAdaptiveMonotoneInMo:
         m_o = min(m_o, m_x * m_z - 1)
         g = SurfaceGeometry(m_x=m_x, m_z=m_z, w_x=pitch * m_x, w_z=pitch * m_z,
                             wavelength=0.125)
-        lo = run_trials(g, "spherical", AdaptiveFrisMode(m_o=m_o), 200, seed)
-        hi = run_trials(g, "spherical", AdaptiveFrisMode(m_o=m_o + 1), 200, seed)
+        lo = run_trials(g, "spherical", CoherentMode(m_o=m_o), 200, seed)
+        hi = run_trials(g, "spherical", CoherentMode(m_o=m_o + 1), 200, seed)
         assert np.all(hi >= lo * (1.0 - 1e-12))
 
 
@@ -322,9 +321,11 @@ class TestScreenBound:
         # the gain that layout computes, up to rounding
         g = SurfaceGeometry(m_x=m_x, m_z=m_z, w_x=pitch * m_x, w_z=pitch * m_z,
                             wavelength=0.125)
-        mode = AdaptiveFrisMode(m_o=min(m_o, g.m)) if ris is None else RisBaselineMode(*ris)
-        (plan,) = plan_runs(kernel, [(g, mode)], {})
-        grid = mc.mode_grid(g, mode)
+        if ris is None:
+            grid, mode = g, CoherentMode(m_o=min(m_o, g.m))
+        else:
+            grid, mode = g.regrid(*ris), CoherentMode(m_o=ris[0] * ris[1])
+        (plan,) = plan_runs(kernel, [(grid, mode)], {})
         images, _ = mc._parity_classes(grid, build_correlation_matrix(grid, kernel))
         with mc._one_blas_thread():
             classes, rows = mc._screen_layout(plan)
