@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkBudget
-from .special import ln_bessel_k, ln_gamma, reg_lower_inc_gamma
+from .special import _gamma_prefactor, ln_bessel_k, ln_gamma, reg_lower_inc_gamma
 
 __all__ = [
     "GammaFit",
@@ -95,18 +95,16 @@ def gamma_fit(j_sub: np.ndarray) -> GammaFit:
 
 def gamma_pdf(fit: GammaFit, g):
     """Gamma density at gain g, vectorised over g: a float for scalar g,
-    else an array of g's shape. It is formed in the log domain with
-    libm's log and exp per element, as special._gamma_prefactor is, so
-    no element's bits depend on the array it comes in."""
+    else an array of g's shape. Inside (0, +inf) it is
+    special._gamma_prefactor at g / theta, divided by g, so no element's
+    bits depend on the array it comes in; +inf gives 0 and nan stays nan."""
     g = np.asarray(g, dtype=float)
     k, th = fit.shape_k, fit.scale_theta
+    x = g / th
     at_zero = 0.0 if k > 1.0 else 1.0 / th if k == 1.0 else math.inf
-    out = np.where(g == 0.0, at_zero, 0.0)
-    inner = ~(g <= 0.0)  # nan included
-    gi = g[inner]
-    ln_g = np.array(list(map(math.log, gi.tolist())))
-    log_pdf = (k - 1.0) * ln_g - gi / th - ln_gamma(k) - k * math.log(th)
-    out[inner] = list(map(math.exp, log_pdf.tolist()))
+    out = np.where(x == 0.0, at_zero, 0.0)
+    inner = ~((x <= 0.0) | (x == math.inf))  # nan included
+    out[inner] = _gamma_prefactor(k, x[inner]) / g[inner]
     return float(out) if out.ndim == 0 else out
 
 
@@ -176,10 +174,7 @@ def outage_asymptotic(fit: GammaFit, budget: LinkBudget) -> float:
     if x == 0.0:
         return 0.0
     k = fit.shape_k
-    log_tail = k * math.log(x) - ln_gamma(k + 1.0)
-    if log_tail < -745.0:  # below double underflow
-        return 0.0
-    return math.exp(log_tail)
+    return math.exp(k * math.log(x) - ln_gamma(k + 1.0))
 
 
 def gain_cdf(fit: GammaFit, g) -> np.ndarray:

@@ -99,7 +99,7 @@ def _write_csv(f, meta: dict, columns: list, rows) -> None:
 
 def _base_meta(config: ExperimentConfig, command: str) -> dict:
     return {
-        "artifact_version": 11,
+        "artifact_version": 12,
         "tool_version": __version__,
         "command": command,
         "config_hash": config.config_hash,

@@ -1,6 +1,6 @@
 """Chunked, reproducible Monte Carlo engine for equivalent-gain sampling.
 
-The stream and byte contract (artifact version 11) is stated once, in
+The stream and byte contract (artifact version 12) is stated once, in
 README "Determinism": the fixed chunks of CHUNK_TRIALS and draw blocks of
 _BLOCK_TRIALS, the Philox counter of each stream, the column-major read
 of a draw block in a plan's own layout and, for a run with a threshold,

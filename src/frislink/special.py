@@ -1,7 +1,7 @@
 """Special functions backing the closed-form link statistics.
 
-Self-contained double-precision kernels: log-gamma via a Lanczos sum,
-the regularized lower incomplete gamma via the classic series /
+Double-precision kernels: log-gamma from the standard library's
+math.lgamma, the regularized lower incomplete gamma via the classic series /
 continued-fraction split, the spherical (sin x / x) and cylindrical
 (midpoint rule up to 17, large-argument expansion beyond) Bessel J0
 kernels of the spatial correlation model, and the log of the modified
@@ -23,22 +23,6 @@ __all__ = [
     "ln_bessel_k",
 ]
 
-# Lanczos coefficients, g = 7, 9 terms (Godfrey tabulation).
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
 # Iteration caps; both expansions converge long before these are hit.
 _MAX_SERIES_ITER = 2000
 _MAX_CF_ITER = 2000
@@ -46,19 +30,12 @@ _PREFACTOR_BLOCK = 2048
 
 
 def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for real x > 0."""
+    """Natural log of the gamma function for real x > 0: the standard
+    library's math.lgamma, which also accepts negative non-integers."""
     x = float(x)
     if not x > 0.0:  # also rejects nan
         raise ValueError(f"ln_gamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        # Shift into the well-conditioned region: ln G(x) = ln G(x+1) - ln x.
-        return ln_gamma(x + 1.0) - math.log(x)
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def _gamma_prefactor(k: float, x: np.ndarray) -> np.ndarray:
@@ -140,9 +117,9 @@ def reg_lower_inc_gamma(k: float, x):
     """Regularized lower incomplete gamma P(k, x) for k > 0 and x >= 0,
     vectorised over x: a float for scalar x, else an array of x's shape.
 
-    Elements below k + 1 take the series and the others the continued
-    fraction; each iterates until its own stopping rule holds, so its
-    value does not depend on the other elements.
+    Elements below k + 1 take the series and the finite others the
+    continued fraction; each iterates until its own stopping rule holds,
+    so its value does not depend on the other elements. P(k, +inf) = 1.
     """
     k = float(k)
     if not k > 0.0:
@@ -152,9 +129,9 @@ def reg_lower_inc_gamma(k: float, x):
     if bad.size:
         raise ValueError(f"reg_lower_inc_gamma requires x >= 0, got x={float(bad[0])!r}")
     flat = xs.ravel()
-    out = np.zeros(flat.shape)
+    out = np.where(flat == math.inf, 1.0, 0.0)
     series = (flat > 0.0) & (flat < k + 1.0)
-    fraction = flat >= k + 1.0
+    fraction = (flat >= k + 1.0) & (flat < math.inf)
     if series.any():
         out[series] = _lower_series(k, flat[series])
     if fraction.any():

@@ -168,6 +168,34 @@ class TestGammaDistribution:
         assert got[0] == 0.0 and got[1] == 0.0
         assert isinstance(gamma_cdf(fit, 40.0), float)
 
+    def test_pdf_vectorised(self):
+        # an array of gains, negatives, 0, 1e-300 and +inf included, gives scalar calls' bits
+        rng = np.random.default_rng(608)
+        for k in (0.5, 1.0, 16.39):
+            fit = GammaFit(k, 2.89)
+            g = np.concatenate([[-1.0, 0.0, 1e-300, 1e6, math.inf], rng.gamma(k, 2.89, 300)])
+            got = gamma_pdf(fit, g)
+            assert np.array_equal(got, [gamma_pdf(fit, float(v)) for v in g])
+            assert got[0] == 0.0 and got[4] == 0.0
+        assert isinstance(gamma_pdf(fit, 40.0), float)
+
+    @pytest.mark.filterwarnings("error")
+    def test_plus_inf(self):
+        # the cdf is 1 and the density 0 at +inf, without iterating or warning
+        fit = GammaFit(16.39, 2.89)
+        assert gamma_cdf(fit, math.inf) == 1.0
+        assert np.array_equal(gamma_cdf(fit, np.array([math.inf, 0.0])), [1.0, 0.0])
+        assert gamma_pdf(fit, math.inf) == 0.0
+        assert np.array_equal(gamma_pdf(fit, np.array([math.inf, -math.inf])), [0.0, 0.0])
+
+    def test_nan(self):
+        fit = GammaFit(16.39, 2.89)
+        with pytest.raises(ValueError):
+            gamma_cdf(fit, math.nan)
+        assert math.isnan(gamma_pdf(fit, math.nan))
+        got = gamma_pdf(fit, np.array([40.0, math.nan]))
+        assert got[0] == gamma_pdf(fit, 40.0) and math.isnan(got[1])
+
     def test_cdf_monotone(self):
         fit = GammaFit(25.7, 21.8)
         grid = np.linspace(0.0, 3000.0, 500)
