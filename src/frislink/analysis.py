@@ -168,13 +168,18 @@ def outage_asymptotic(fit: GammaFit, budget: LinkBudget) -> float:
     """High-SNR outage tail: x^k / Gamma(k+1) at x = threshold / theta.
 
     Evaluated in the log domain so deep tails underflow gracefully to 0
-    instead of overflowing intermediates.
+    instead of overflowing intermediates, and a tail beyond the double
+    range (far below the high-SNR regime, where the asymptote exceeds 1
+    anyway) is +inf.
     """
     x = budget.gain_threshold / fit.scale_theta
     if x == 0.0:
         return 0.0
     k = fit.shape_k
-    return math.exp(k * math.log(x) - ln_gamma(k + 1.0))
+    try:
+        return math.exp(k * math.log(x) - ln_gamma(k + 1.0))
+    except OverflowError:
+        return math.inf
 
 
 def gain_cdf(fit: GammaFit, g) -> np.ndarray:

@@ -104,18 +104,17 @@ def build_correlation_matrix(geom: SurfaceGeometry, kernel: str = "spherical") -
 
     Entries depend only on the absolute index offsets per axis, so one
     kernel call evaluates the m_x x m_z table of offset distances, which
-    is then broadcast. The matrix is read-only, as a command shares it
-    between its analytic curves and `montecarlo.plan_runs`.
+    one gather through the two axes' offset matrices spreads over J. The
+    matrix is read-only, as a command shares it between its analytic
+    curves and `montecarlo.plan_runs`.
     """
     dist = [[math.hypot(dx * geom.d_x, dz * geom.d_z) for dz in range(geom.m_z)]
             for dx in range(geom.m_x)]
     table = jakes_coefficient(dist, geom.wavelength, kernel)
-    idx = np.arange(geom.m)
-    col = idx % geom.m_x
-    row = idx // geom.m_x
-    off_x = np.abs(col[:, None] - col[None, :])
-    off_z = np.abs(row[:, None] - row[None, :])
-    j = table[off_x, off_z]
+    ox = np.abs(np.subtract.outer(np.arange(geom.m_x), np.arange(geom.m_x)))
+    oz = np.abs(np.subtract.outer(np.arange(geom.m_z), np.arange(geom.m_z)))
+    # entry (row z, col x; row z', col x') of the m_z x m_x x m_z x m_x gather
+    j = table[ox[None, :, None, :], oz[:, None, :, None]].reshape(geom.m, geom.m)
     j.flags.writeable = False
     return j
 

@@ -18,8 +18,8 @@ module implements it:
   `run_many`         the plans in one pass over the chunks, on threads
                      that each compute in one `_workspace`;
   `_compute_chunk`   one chunk, block by block: a static mode's
-                     exponentials, each coherent plan's class projections,
-                     signed sums and `_combine`;
+                     exponentials, each coherent plan's projection of its
+                     class stack (`_stack`), signed sums and `_combine`;
   `_screen_layout`,  with a threshold, each coherent plan's rotated
   `_lower_bound`     classes and screen, which clear a block from its
                      screen columns (16 at most) before its other normals
@@ -182,10 +182,12 @@ class CoherentMode:
 class RunPlan:
     """One resolved (grid, mode) run: what `run_many` runs and validate
     prints. A coherent plan samples its factor through the parity classes
-    of its grid (`_grid_factor`): `classes` holds, per class, the draw
-    columns it reads and its Q x r_c block, the 1/sqrt(C) of the C
-    classes folded in; a grid that does not fold has one class, the
-    whole factor."""
+    of its grid (`_grid_factor`): `classes` is their padded stack
+    (`_stack`), idx (C x r_pad), the draw columns each class reads, and
+    blocks (C x r_pad x Q), each class's Q x r_c block transposed, the
+    1/sqrt(C) of the C classes folded in, r_pad the largest class rank;
+    past its own rank r_c, a class reads column 0 through a zero row. A
+    grid that does not fold has one class, the whole factor."""
 
     kind: str  # 'static' | 'coherent'
     rank: int  # r: coherent, the factor prefix it samples; static, its block's factor
@@ -194,7 +196,7 @@ class RunPlan:
     factor: np.ndarray | None = None  # coherent: the sampled prefix in draw order, M' x r
     m_o: int | None = None  # coherent: elements kept per trial, M' for a RIS
     weights: np.ndarray | None = None  # static: the K weights of S, descending
-    classes: tuple | None = None  # coherent: (draw columns, Q x r_c block) per class
+    classes: tuple | None = None  # coherent: (idx, blocks), the padded class stack
 
 
 def _static_weights(factor: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -307,9 +309,10 @@ def _parity_classes(grid: SurfaceGeometry, j: np.ndarray):
 def _grid_factor(grid: SurfaceGeometry, j: np.ndarray):
     """The factor F of a grid's matrix, F F^T = J up to the clamp, in the
     order the coherent draw reads its columns, through the parity classes
-    of `_parity_classes`. Returns F (M' x r'), the clamped count and, per
-    class, its columns of F and their Q-vectors as a Q x r_c block (F's
-    entries at image n of the base are s_nc times them).
+    of `_parity_classes`. Returns F (M' x r'), the clamped count and the
+    stack (`_stack`) of the classes: each one's columns of F and their
+    Q-vectors, r_c rows of Q (F's entries at image n of the base are s_nc
+    times them).
 
     Each class block is eigendecomposed; eigenvalues below _EIG_CLAMP_REL
     times the largest of all classes are clamped, and the others ordered
@@ -337,22 +340,44 @@ def _grid_factor(grid: SurfaceGeometry, j: np.ndarray):
     sign = np.where(full[lead, np.arange(order.size)] < 0.0, -1.0, 1.0)
     folded *= sign
     members = (np.flatnonzero(cls == i) for i in range(c))
-    classes = tuple((cols, folded[:, cols]) for cols in members)
+    classes = _stack([(cols, folded[:, cols].T) for cols in members])
     return full * sign, int(np.count_nonzero(low)), classes
+
+
+def _stack(classes: list) -> tuple:
+    """The padded stack of C classes, each (draw columns, r_c x Q rows):
+    idx (C x r_pad), each class's columns, and blocks (C x r_pad x Q), its
+    rows, r_pad = max r_c, padded past r_c with column 0 and zero rows. A
+    real row is never zero (its class block has full column rank), so the
+    stack alone gives back each r_c (`_unstack`); and the zero rows add
+    exact zeros to a class's dot products, so its projection keeps its
+    bits."""
+    r_pad = max(cols.size for cols, _ in classes)
+    idx = np.zeros((len(classes), r_pad), dtype=np.intp)
+    blocks = np.zeros((len(classes), r_pad, classes[0][1].shape[1]))
+    for i, (cols, rows) in enumerate(classes):
+        idx[i, : cols.size] = cols
+        blocks[i, : cols.size] = rows
+    return idx, blocks
+
+
+def _unstack(classes: tuple) -> list:
+    """Each class of a stack (`_stack`) as (draw columns, r_c x Q rows),
+    views of its real entries."""
+    idx, blocks = classes
+    ranks = np.count_nonzero(blocks.any(axis=2), axis=1)
+    return [(cols[:r], rows[:r]) for cols, rows, r in zip(idx, blocks, ranks)]
 
 
 def _sampled_prefix(full: np.ndarray, classes: tuple):
     """The shortest prefix of a draw-ordered factor whose dropped columns
-    carry at most _RANK_TAIL of its trace sum_k ||F_k||^2, and the
-    columns of each class that it keeps."""
+    carry at most _RANK_TAIL of its trace sum_k ||F_k||^2, and the stack
+    of the columns of each class that it keeps."""
     power = (full * full).sum(axis=0)
     tail = np.cumsum(power[::-1])[::-1]  # tail[k]: power of columns k and up
     r = int(np.count_nonzero(tail > _RANK_TAIL * tail[0]))
-    kept = tuple(
-        (cols[cols < r], np.ascontiguousarray(block[:, : np.count_nonzero(cols < r)]))
-        for cols, block in classes
-    )
-    return np.ascontiguousarray(full[:, :r]), kept
+    kept = [(cols[cols < r], rows[: np.count_nonzero(cols < r)]) for cols, rows in _unstack(classes)]
+    return np.ascontiguousarray(full[:, :r]), _stack(kept)
 
 
 def _draw_block(seed: int, chunk: int, j: int) -> np.random.Generator:
@@ -364,32 +389,33 @@ def _draw_block(seed: int, chunk: int, j: int) -> np.random.Generator:
 
 def _workspace(plans: list):
     """Working buffers for the coherent draw blocks of `plans`, sized by the
-    largest rank, class and grid: the block's normals (r_max x 512), and
-    room for one hop's class shares (2 x 128 x M'_max) and for both hops'
-    parts, the first hop's power kept while the second's parts follow it
-    (3 x 128 x M'_max; the last third first holds a class's gathered
-    columns); and no less than a screen's parts and hop powers need
-    (6 x 128 x s_max, `_lower_bound`). None without a coherent plan.
-    Every class must read columns below its plan's rank: the gather does
-    not check."""
+    largest rank and grid: the block's normals (r_max x 512), and room for
+    one hop's class shares (2 x 128 x M'_max) and for both hops' parts,
+    the first hop's power kept while the second's parts follow it
+    (3 x 128 x M'_max; a hop's gathered columns, C r_pad <= C Q = M' rows
+    of 2 x 128, first fill the room its parts take next); and no less
+    than a screen's parts and hop powers need (6 x 128 x s_max,
+    `_lower_bound`). None without a coherent plan. Every entry of a
+    plan's `idx` must be a column below its rank: the gather does not
+    check."""
     coherent = [plan for plan in plans if plan.kind != "static"]
     if not coherent:
         return None
     for plan in coherent:
-        if any(cols.size and cols.max() >= plan.rank for cols, _ in plan.classes):
+        if plan.classes[0].max() >= plan.rank:
             raise ValueError(f"a class reads a column past rank {plan.rank}")
     r_max = max(plan.rank for plan in coherent)
-    c_max = max(cols.size for plan in coherent for cols, _ in plan.classes)
     m_max = max(plan.factor.shape[0] for plan in coherent)
     s_max = max(min(plan.m_o, _SCREEN_ELEMENTS) for plan in coherent)
-    size = max(4 * m_max + max(m_max, 2 * c_max), 6 * s_max)
+    size = max(5 * m_max, 6 * s_max)
     return np.empty((r_max, 4 * _BLOCK_TRIALS)), np.empty(_BLOCK_TRIALS * size)
 
 
 def _screen_layout(plan: RunPlan):
     """The screen-first layout of a coherent plan, which a run with a
-    threshold reads its draw blocks in: its classes as (draw columns,
-    rotated Q x r_c block), and the s x |S| matrix of its screen.
+    threshold reads its draw blocks in: the stack (`_stack`) of its
+    classes' draw columns and rotated blocks, and the s x |S| matrix of
+    its screen.
 
     The screen set S is the first min(m_o, 16) of the C mirror images of
     b = ceil(min(m_o, 16) / C) base elements, the ((2i + 1) Q) // (2b)-th
@@ -406,25 +432,27 @@ def _screen_layout(plan: RunPlan):
     own layout: a permutation of the plan's r columns. The screen matrix
     maps the s screen columns to the parts at S: its entry for column
     o_c + i and image n of the q-th base element is s_nc B'_c[base_q, i]."""
-    c = len(plan.classes)
+    own = _unstack(plan.classes)
+    c = len(own)
     q = plan.factor.shape[0] // c
     width = min(plan.m_o, _SCREEN_ELEMENTS)
     b = -(-width // c)
     base = (2 * np.arange(b) + 1) * q // (2 * b)
     signs = _signs(c)
-    cuts = [min(b, cols.size) for cols, _ in plan.classes]
-    trailing = np.sort(np.concatenate([cols[s:] for (cols, _), s in zip(plan.classes, cuts)]))
+    cuts = [min(b, cols.size) for cols, _ in own]
+    trailing = np.sort(np.concatenate([cols[s:] for (cols, _), s in zip(own, cuts)]))
     classes, screen = [], []
     offset = 0
-    for (cols, block), s, sign in zip(plan.classes, cuts, signs.T):
+    for (cols, rows), s, sign in zip(own, cuts, signs.T):
+        block = np.ascontiguousarray(rows.T)
         basis = np.linalg.qr(np.hstack([block[base].T, np.eye(cols.size)]))[0]
         block = block @ basis
         block[base, s:] = 0.0
         screen.append(np.kron(sign, block[base, :s].T))
         tail = sum(cuts) + np.searchsorted(trailing, cols[s:])
-        classes.append((np.concatenate([offset + np.arange(s), tail]), block))
+        classes.append((np.concatenate([offset + np.arange(s), tail]), block.T))
         offset += s
-    return tuple(classes), np.ascontiguousarray(np.concatenate(screen)[:, :width])
+    return _stack(classes), np.ascontiguousarray(np.concatenate(screen)[:, :width])
 
 
 def _lower_bound(z: np.ndarray, k: int, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -472,11 +500,15 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work, screen
     The coherent plans share each block's columns of the largest rank,
     and each projects its first r rows (in the screen-first layout, in
     another order), so its gains do not depend on the other plans; a
-    plan that several runs share is computed once.
+    plan that several runs share is computed once. A plan projects a hop
+    through its class stack (`_stack`): one gather of the idx rows of
+    the hop's columns and one batched (2k x r_pad) @ (r_pad x Q) product
+    of its C classes, whose zero padding rows leave each class's shares
+    the bits of its own r_c-term products; then a C x C Hadamard sum.
     `work` is the `_workspace(plans)` to compute in.
 
     `screen`, if passed, is (bar, layouts): each coherent plan reads the
-    blocks in its screen-first layout `layouts[plan]` = (classes, rows)
+    blocks in its screen-first layout `layouts[plan]` = (stack, rows)
     (`_screen_layout`). A block's first columns, as many as the widest
     screen reads, are drawn first, and a plan whose every trial in it has
     `_lower_bound` above bar, from its `rows`, writes +inf for the
@@ -507,12 +539,12 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work, screen
         return
     z, w = work
     r_max = len(z)
-    # each plan once, with the classes it reads the block through and its screen
+    # each plan once, with the class stack it reads the block through and its screen
     layouts = screen[1] if screen is not None else {}
     signed = []
     for plan, outs in coherent.items():
-        classes, rows = layouts.get(plan, (plan.classes, None))
-        signed.append((plan, classes, rows, _signs(len(classes)), outs))
+        (idx, class_blocks), rows = layouts.get(plan, (plan.classes, None))
+        signed.append((plan, idx.ravel(), class_blocks, rows, _signs(len(idx)), outs))
     # the screen columns of every plan, drawn before the rest
     head = max((rows.shape[0] for _, rows in layouts.values()), default=0)
     # the block each plan screens next: 2 j + 1 after block j fails, and
@@ -530,7 +562,7 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work, screen
             draw.standard_normal(out=z[:head])
             exact = []
             for item in signed:
-                plan, _, rows, _, outs = item
+                plan, _, _, rows, _, outs = item
                 if due[plan] <= j:
                     if _lower_bound(z, k, rows, w).min() > screen[0]:
                         due[plan] = -1
@@ -549,21 +581,18 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work, screen
         parts = w[: zk.size].reshape(2, r_max, 2, k)
         np.copyto(parts, z[:, : 4 * k].reshape(r_max, k, 2, 2).transpose(2, 0, 3, 1))
         zk[...] = parts.reshape(zk.shape)
-        for plan, classes, _, signs, outs in exact:
+        for plan, idx, class_blocks, _, signs, outs in exact:
             m = plan.factor.shape[0]
-            c = len(signs)
+            c, r_pad, q = class_blocks.shape
             n = k * m
-            shares = w[: 2 * n].reshape(c, 2 * k, m // c)
-            spare = w[4 * n :]
+            shares = w[: 2 * n].reshape(c, 2 * k, q)
             # hop f, then hop u: the power of hop h goes to w[(2 + h) n :][:n]
             for h in (0, 1):
-                # both parts of the hop: class c's share at the base elements
-                for i, (cols, block) in enumerate(classes):
-                    zi = zk[h, : cols.size]
-                    if cols.size and cols[-1] != cols.size - 1:  # not the leading columns
-                        zi = spare[: cols.size * 2 * k].reshape(cols.size, 2 * k)
-                        np.take(zk[h], cols, axis=0, out=zi, mode="clip")  # unbuffered
-                    np.matmul(zi.T, block.T, out=shares[i])
+                # both parts of the hop: every class's share at the base
+                # elements, from its columns gathered where the parts go next
+                zg = w[(2 + h) * n :][: idx.size * 2 * k].reshape(c, r_pad, 2 * k)
+                np.take(zk[h], idx, axis=0, out=zg.reshape(-1, 2 * k), mode="clip")  # unbuffered
+                np.matmul(zg.transpose(0, 2, 1), class_blocks, out=shares)
                 # a part at image n of base element q is sum_c s_nc y_c, laid
                 # out trial by trial (with one class, the share itself); the
                 # hop's power (2 |a|^2) is the sum of its parts' squares

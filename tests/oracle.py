@@ -19,7 +19,8 @@ restates the layout a run with a threshold reads the same streams in
 (artifact version 11): each parity class block rotated so that the
 screen set's rows reach only the first s <= 16 columns, with the other
 coordinates after them, as one factor F' whose columns `column_normals`
-fills; `class_factor` assembles a plan's classes into such a factor.
+fills; `class_factor` assembles a plan's classes into such a factor, and
+`class_blocks` takes each class out of a plan's padded stack of them.
 `whole_chunk_gains`
 restates a whole chunk in the engine's own arithmetic (artifact version
 9: one projection per parity class of the grid's mirror symmetries,
@@ -180,6 +181,15 @@ def column_channels(seed: int, chunk: int, n: int, r: int) -> list:
 SCREEN_COLUMNS = 16
 
 
+def class_blocks(stack) -> list:
+    """Each class of a padded class stack (idx, blocks), as (draw columns,
+    Q x r_c block): its first r_c entries, r_c its count of nonzero rows
+    (a real row is never zero, and the rows past r_c are padding)."""
+    idx, blocks = stack
+    ranks = np.count_nonzero(blocks.any(axis=2), axis=1)
+    return [(cols[:r], rows[:r].T) for cols, rows, r in zip(idx, blocks, ranks)]
+
+
 def class_factor(classes, images: np.ndarray, width: int) -> np.ndarray:
     """The M' x width factor that a plan's classes, (draw columns, Q x r_c
     block) each, make on its grid: s_nc times class c's block at the rows
@@ -213,12 +223,13 @@ def screen_first_factor(plan, images: np.ndarray):
     width = min(plan.m_o, SCREEN_COLUMNS)
     b = -(-width // c)
     base = (2 * np.arange(b) + 1) * q // (2 * b)
-    cuts = [min(b, cols.size) for cols, _ in plan.classes]
-    order = sorted(col for (cols, _), s in zip(plan.classes, cuts) for col in cols[s:])
+    own = class_blocks(plan.classes)
+    cuts = [min(b, cols.size) for cols, _ in own]
+    order = sorted(col for (cols, _), s in zip(own, cuts) for col in cols[s:])
     classes = []
-    for k, ((cols, block), s) in enumerate(zip(plan.classes, cuts)):
+    for k, ((cols, block), s) in enumerate(zip(own, cuts)):
         basis = np.linalg.qr(np.hstack([block[base].T, np.eye(cols.size)]))[0]
-        block = block @ basis
+        block = np.ascontiguousarray(block) @ basis
         block[base, s:] = 0.0
         drawn = [sum(cuts[:k]) + i for i in range(s)]
         drawn += [sum(cuts) + order.index(col) for col in cols[s:]]
@@ -255,8 +266,9 @@ def whole_chunk_gains(plan, seed: int, chunk: int, n: int) -> np.ndarray:
     This is the engine's arithmetic without its trial blocks: for a
     static mode all n x (K+1) exponentials of the chunk in one draw; for
     the coherent modes every draw block's normals drawn whole, one
-    projection per parity class, one signed sum of the classes at each
-    mirror image, and one combine. With one BLAS thread the blocked
+    projection per parity class through its r_c real rows alone (the
+    engine's stacked product pads them with zero rows), one signed sum
+    of the classes at each mirror image, and one combine. With one BLAS thread the blocked
     engine reproduces it bit for bit on the 3x3, 5x4, 6x5, 6x6, 10x10,
     14x14 and 20x20 grids of the 3 x 3 wavelength aperture, at the trial
     counts tested (1, 37, 129 to 191, 517, 3616 and 8192), and for
@@ -267,7 +279,7 @@ def whole_chunk_gains(plan, seed: int, chunk: int, n: int) -> np.ndarray:
         e = chunk_rng(seed, chunk).standard_exponential((n, plan.weights.size + 1))
         return e[:, 0] * (e[:, 1:] @ plan.weights)
     z = column_normals(seed, chunk, n, plan.factor.shape[1])
-    y = np.stack([z[cols].T @ block.T for cols, block in plan.classes])
+    y = np.stack([z[cols].T @ block.T for cols, block in class_blocks(plan.classes)])
     c, _, q = y.shape
     a = (_signs(c) @ y.reshape(c, -1)).reshape(c, n, 4, q)
     return _combine_chunk(plan, _products(a).transpose(1, 0, 2).reshape(n, c * q))

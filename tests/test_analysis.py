@@ -293,6 +293,12 @@ class TestOutage:
         fit = GammaFit(144.0, 20.0)
         assert outage_asymptotic(fit, unit_budget(gamma_bar=1e12)) == 0.0
 
+    def test_tail_beyond_the_double_range_is_inf(self):
+        # k ln x - ln Gamma(k + 1) = 144 ln(5e10) - ln(144!) is about 2,972,
+        # past ln(DBL_MAX) = 709.8
+        fit = GammaFit(144.0, 20.0)
+        assert outage_asymptotic(fit, unit_budget(gamma_bar=1e-12)) == math.inf
+
 
 class TestGainLaw:
     def test_exponential_shape_closed_form(self):

@@ -682,6 +682,26 @@ class TestCli:
         assert main(["dist", "--config", str(path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_asymptote_beyond_the_double_range_reads_inf(self, tmp_path):
+        # at -300 dB the tail x^k / Gamma(k + 1) of fris(Mo=36) on a 6x6
+        # grid exceeds the double range: its cell prints inf, the command
+        # exits 0, and the 0 dB row keeps a finite tail
+        doc = {
+            "geometry": {"m_x": 6, "m_z": 6, "w_x": 3, "w_z": 3},
+            "modes": [{"type": "adaptive_fris", "m_o": 36}],
+            "snr_grid_db": [-300, 0],
+            "trials": 200,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert main(["outage", "--config", str(path), "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")]
+        assert rows[0][3] == "asymptotic_po"
+        assert rows[1][:4] == ["-300", "fris(Mo=36)", "1", "inf"]
+        assert rows[2][0] == "0" and math.isfinite(float(rows[2][3]))
+
     @pytest.mark.parametrize(
         "phases, command, message",
         [

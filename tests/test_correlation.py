@@ -157,7 +157,17 @@ class TestBuildCorrelationMatrix:
     def test_every_entry_is_the_kernel_at_its_distance(self, dense_geom, kernel):
         # bit for bit: entry (i, j) is the scalar kernel at the hypot of
         # the two elements' per-axis offsets
-        g = dense_geom
+        self.check_every_entry(dense_geom, kernel)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_every_entry_on_a_non_square_grid(self, kernel):
+        # unequal axis lengths and pitches: a gather that mixed up the x
+        # and z offsets would move entries
+        g = SurfaceGeometry(m_x=6, m_z=5, w_x=2.0, w_z=1.5, wavelength=0.125)
+        self.check_every_entry(g, kernel)
+
+    @staticmethod
+    def check_every_entry(g, kernel):
         col, row = np.arange(g.m) % g.m_x, np.arange(g.m) // g.m_x
         off_x = np.abs(col[:, None] - col[None, :]) * g.d_x
         off_z = np.abs(row[:, None] - row[None, :]) * g.d_z

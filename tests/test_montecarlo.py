@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -418,7 +419,7 @@ class TestParityFold:
         g = dense_case("adaptive")[0].regrid(*shape)
         for m_o in sorted({min(36, g.m), g.m}):
             plan = plan_of(g, CoherentMode(m_o))
-            assert len(plan.classes) == classes
+            assert len(plan.classes[0]) == classes
             got = np.empty(3616)
             _compute_chunk([plan], 41, 1, [got], mc._workspace([plan]))
             want = plain_factor_gains(plan, 41, 1, 3616)
@@ -429,7 +430,8 @@ class TestParityFold:
         # a class that reads a column past its rank is refused before a draw
         f = plan_of(small_geom().regrid(3, 3), CoherentMode(9)).factor
         r = f.shape[1] - 1
-        plan = mc.RunPlan("coherent", r, 0, 4 * r, f[:, :r], 5, classes=((np.arange(r + 1), f),))
+        classes = mc._stack([(np.arange(r + 1), f.T)])
+        plan = mc.RunPlan("coherent", r, 0, 4 * r, f[:, :r], 5, classes=classes)
         with pytest.raises(ValueError, match="past rank"):
             run_many([plan], 16, seed=1)
 
@@ -452,9 +454,67 @@ class TestParityFold:
         for weight, classes in ((1.0 + 0.1 * row, 2), (1.0 + 0.1 * row + 0.03 * col, 1)):
             scaled = weight[:, None] * j * weight[None, :]
             (plan,) = plan_runs("spherical", [(g, CoherentMode(9))], {g: scaled})
-            assert len(plan.classes) == classes
+            assert len(plan.classes[0]) == classes
             f = plan.factor
             assert np.allclose(f @ f.T, scaled, rtol=0.0, atol=1e-12 * np.abs(scaled).max())
+
+
+def stack_case(name):
+    """A grid and coherent mode for the class-stack tests: 20x20 and 14x14
+    fold into four classes of unequal ranks, the `--config` document's 6x5
+    grid (its fris(Mo=4)) into two, and its RIS 3x3 not at all."""
+    if name in ("20x20", "14x14"):
+        g = dense_case("adaptive")[0]
+        return (g if name == "20x20" else g.regrid(14, 14)), CoherentMode(36)
+    spec = parse_config(json.dumps(GOLDEN_CONFIG)).modes[1 if name == "6x5" else 2]
+    return spec.grid, spec.mode
+
+
+class TestClassStack:
+    """A coherent plan keeps its parity classes as one zero-padded stack,
+    which the engine projects with one gather and one batched product a
+    hop; the oracle projects each class through its real rows alone."""
+
+    CASES = [("20x20", 4), ("14x14", 4), ("6x5", 2), ("3x3", 1)]
+
+    @pytest.mark.parametrize("name, classes", CASES, ids=[name for name, _ in CASES])
+    def test_padding_rows_are_zero(self, name, classes):
+        # in the plan's own layout and the screen-first one, each class's
+        # nonzero rows lead its block and the rest are exactly zero, every
+        # idx entry is a column below the rank, and the real entries read
+        # each of the plan's r columns once
+        plan = plan_of(*stack_case(name))
+        with mc._one_blas_thread():
+            screen_stack, _ = mc._screen_layout(plan)
+        for idx, blocks in (plan.classes, screen_stack):
+            c, r_pad, q = blocks.shape
+            assert c == classes and idx.shape == (c, r_pad) and c * q == plan.factor.shape[0]
+            real = blocks.any(axis=2)
+            ranks = real.sum(axis=1)
+            padding = np.arange(r_pad)[None, :] >= ranks[:, None]
+            assert r_pad == ranks.max() and np.array_equal(real, ~padding)
+            assert np.all(blocks[padding] == 0.0)
+            assert np.all((idx >= 0) & (idx < plan.rank))
+            assert np.array_equal(np.sort(idx[~padding]), np.arange(plan.rank))
+        if name == "20x20":
+            assert sorted(ranks, reverse=True) == [31, 28, 28, 25]
+
+    @pytest.mark.parametrize("name", [name for name, _ in CASES])
+    def test_stacked_projection_equals_the_per_class_one(self, name):
+        # bit for bit, in both layouts: a chunk of 517 trials, four full
+        # blocks and a last one of 5, of the plan's own layout, and the
+        # screen-first layout's 517 trials of a run that screens nothing
+        plan = plan_of(*stack_case(name))
+        n = 517
+        for chunk in (0, 3):
+            got = np.empty(n)
+            _compute_chunk([plan], 23, chunk, [got], mc._workspace([plan]))
+            assert np.array_equal(got, whole_chunk_gains(plan, 23, chunk, n))
+        with mc._one_blas_thread():
+            screen_stack, _ = mc._screen_layout(plan)
+        (got,) = run_many([plan], n, 23, workers=1, threshold=math.inf)
+        rotated = replace(plan, classes=screen_stack)
+        assert np.array_equal(got, whole_chunk_gains(rotated, 23, 0, n))
 
 
 class TestRunMany:
@@ -629,7 +689,7 @@ class TestRunMany:
         # select_top_products keeps the lowest-indexed
         f = np.repeat(plan_of(small_geom().regrid(3, 3), CoherentMode(9)).factor, 2, axis=0)
         r = f.shape[1]
-        plan = mc.RunPlan("coherent", r, 0, 4 * r, f, 5, classes=((np.arange(r), f),))
+        plan = mc.RunPlan("coherent", r, 0, 4 * r, f, 5, classes=mc._stack([(np.arange(r), f.T)]))
         (got,) = run_many([plan], 256, seed=34)
         for t, c in enumerate(column_channels(34, 0, 256, r)):
             a_f, a_u = f @ c.h_f, f @ c.h_u

@@ -31,7 +31,7 @@ from frislink.montecarlo import (
     run_many,
     run_trials,
 )
-from oracle import class_factor, screen_first_factor
+from oracle import class_blocks, class_factor, screen_first_factor
 
 # Integers are small counts or far beyond any index range. Counts between
 # the two are valid and ask for allocations proportional to their size,
@@ -330,7 +330,7 @@ class TestScreenBound:
         with mc._one_blas_thread():
             classes, rows = mc._screen_layout(plan)
         z, w = mc._workspace([plan])
-        f = class_factor(classes, images, plan.rank)
+        f = class_factor(class_blocks(classes), images, plan.rank)
         gram = plan.factor @ plan.factor.T
         assert np.max(np.abs(f @ f.T - gram)) <= 1e-12 * np.max(np.abs(gram))
         _, screen = screen_first_factor(plan, images)
