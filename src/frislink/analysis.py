@@ -10,11 +10,6 @@ of S (exact when J~ has equal eigenvalues). The Gamma pdf/cdf/quantile
 and the Gamma outage and its x^k tail are the paper's surrogate for G.
 They are far too narrow for G itself, whose variance is
 tr(J~^2)^2 + 2 tr(J~^4).
-
-Mixing the exponential over the Gamma S gives the law of G that the
-simulator samples, the K-distribution (Jakeman & Pusey, IEEE TAP 1976):
-gain_cdf and gain_outage_probability. With the same (k, theta) its mean
-tr(J~^2) and variance tr(J~^2)^2 + 2 tr(J~^4) are exact.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkBudget
-from .special import _gamma_prefactor, ln_bessel_k, ln_gamma, reg_lower_inc_gamma
+from .special import _gamma_prefactor, ln_gamma, reg_lower_inc_gamma
 
 __all__ = [
     "GammaFit",
@@ -36,8 +31,6 @@ __all__ = [
     "gamma_quantile",
     "outage_probability",
     "outage_asymptotic",
-    "gain_cdf",
-    "gain_outage_probability",
     "ergodic_capacity_bound",
     "ergodic_capacity_asymptotic",
 ]
@@ -82,8 +75,8 @@ def gamma_fit(j_sub: np.ndarray) -> GammaFit:
 
     k = tr(J~^2)^2 / tr(J~^4) and theta = tr(J~^4) / tr(J~^2), so that
     Gamma(k, theta) has the exact mean tr(J~^2) and variance tr(J~^4) of
-    the conditional power S, not those of the gain G = S E (see
-    gain_cdf). For an identity block this collapses to k = M_o, theta = 1.
+    the conditional power S, not those of the gain G = S E. For an
+    identity block this collapses to k = M_o, theta = 1.
     """
     evals = _eigenvalues(j_sub)
     t2 = float(np.sum(evals**2))
@@ -159,8 +152,7 @@ def gamma_quantile(fit: GammaFit, p: float) -> float:
 
 
 def outage_probability(fit: GammaFit, budget: LinkBudget) -> float:
-    """P(rate target not met) under the Gamma gain surrogate; see
-    gain_outage_probability for the law the simulator samples."""
+    """P(rate target not met) under the Gamma gain surrogate."""
     return gamma_cdf(fit, budget.gain_threshold)
 
 
@@ -180,38 +172,6 @@ def outage_asymptotic(fit: GammaFit, budget: LinkBudget) -> float:
         return math.exp(k * math.log(x) - ln_gamma(k + 1.0))
     except OverflowError:
         return math.inf
-
-
-def gain_cdf(fit: GammaFit, g) -> np.ndarray:
-    """Distribution function of the fixed-selection gain G = S E, vectorised over g.
-
-    With S ~ Gamma(k, theta) from gamma_fit and z = g / theta,
-    F(g) = 1 - (2 / Gamma(k)) z^(k/2) K_k(2 sqrt(z)). The complement is
-    formed in the log domain, so F carries an absolute error of about
-    1e-13: values far below that (the deepest tails) are not resolved.
-    Its high-SNR tail is z / (k - 1) for k > 1, diversity order 1.
-    """
-    g = np.asarray(g, dtype=float)
-    if np.isnan(g).any():
-        raise ValueError("gain_cdf requires non-nan gains")
-    k = fit.shape_k
-    z = g / fit.scale_theta
-    out = np.where(z > 0.0, 1.0, 0.0)
-    inner = (z > 0.0) & np.isfinite(z)
-    zi = z[inner]
-    ln_tail = (
-        math.log(2.0)
-        - ln_gamma(k)
-        + 0.5 * k * np.log(zi)
-        + ln_bessel_k(k, 2.0 * np.sqrt(zi))
-    )
-    out[inner] = -np.expm1(np.minimum(ln_tail, 0.0))
-    return out
-
-
-def gain_outage_probability(fit: GammaFit, budget: LinkBudget) -> float:
-    """P(rate target not met) under the fixed-selection gain law gain_cdf."""
-    return float(gain_cdf(fit, budget.gain_threshold))
 
 
 def ergodic_capacity_bound(j_sub: np.ndarray, budget: LinkBudget) -> float:

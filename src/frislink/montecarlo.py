@@ -11,10 +11,10 @@ module implements it:
   `CoherentMode`     and a conventional RIS is the coherent mode with
                      m_o = M' on its own grid;
   `plan_runs`        one RunPlan per run: a static mode's weights
-                     (`_static_weights`), or a coherent grid's factor
-                     through its mirror parity classes (`_parity_classes`,
-                     `_grid_factor`) cut to its sampled prefix
-                     (`_sampled_prefix`);
+                     (`_static_weights`), or the class stack of a coherent
+                     grid's factor, cut to its sampled prefix, through its
+                     mirror parity classes (`_parity_classes`,
+                     `_grid_factor`);
   `run_many`         the plans in one pass over the chunks, on threads
                      that each compute in one `_workspace`;
   `_compute_chunk`   one chunk, block by block: a static mode's
@@ -182,18 +182,18 @@ class CoherentMode:
 class RunPlan:
     """One resolved (grid, mode) run: what `run_many` runs and validate
     prints. A coherent plan samples its factor through the parity classes
-    of its grid (`_grid_factor`): `classes` is their padded stack
-    (`_stack`), idx (C x r_pad), the draw columns each class reads, and
-    blocks (C x r_pad x Q), each class's Q x r_c block transposed, the
-    1/sqrt(C) of the C classes folded in, r_pad the largest class rank;
-    past its own rank r_c, a class reads column 0 through a zero row. A
-    grid that does not fold has one class, the whole factor."""
+    of its grid (`_grid_factor`), and keeps only them: `classes` is their
+    padded stack (`_stack`), idx (C x r_pad), the draw columns each class
+    reads, and blocks (C x r_pad x Q), each class's Q x r_c block
+    transposed, the 1/sqrt(C) of the C classes folded in, r_pad the
+    largest class rank; past its own rank r_c, a class reads column 0
+    through a zero row. The grid has M' = C Q elements. A grid that does
+    not fold has one class, the whole factor."""
 
     kind: str  # 'static' | 'coherent'
     rank: int  # r: coherent, the factor prefix it samples; static, its block's factor
     clamped: int  # eigenvalues clamped to zero: coherent, the grid's; static, its block's
     draws_per_trial: int  # static: K + 1 exponentials; coherent: 4r normals
-    factor: np.ndarray | None = None  # coherent: the sampled prefix in draw order, M' x r
     m_o: int | None = None  # coherent: elements kept per trial, M' for a RIS
     weights: np.ndarray | None = None  # static: the K weights of S, descending
     classes: tuple | None = None  # coherent: (idx, blocks), the padded class stack
@@ -240,10 +240,11 @@ def plan_runs(kernel: str, runs, correlations: dict) -> list:
     taken from `correlations` if passed, else built here, at most once
     per call. A static run factors its selection's principal block of
     that matrix and keeps only its weights; a grid that coherent runs
-    sample is factored once through its parity classes, keeping the
-    prefix of its factor in draw order that they sample, its classes'
-    share of it and its clamped count. Coherent runs of one grid and one
-    m_o get one plan object, which `run_many` computes once."""
+    sample is factored once through its parity classes, keeping the rank
+    of the prefix of its factor in draw order that they sample, the stack
+    of its classes' share of that prefix and its clamped count. Coherent
+    runs of one grid and one m_o get one plan object, which `run_many`
+    computes once."""
     matrices = dict(correlations)
     roots = {}
     coherent = {}
@@ -260,13 +261,9 @@ def plan_runs(kernel: str, runs, correlations: dict) -> list:
             continue
         if (grid, mode) not in coherent:
             if grid not in roots:
-                full, clamped, classes = _grid_factor(grid, matrices[grid])
-                roots[grid] = (*_sampled_prefix(full, classes), clamped)
-            factor, classes, clamped = roots[grid]
-            r = factor.shape[1]
-            coherent[grid, mode] = RunPlan(
-                "coherent", r, clamped, 4 * r, factor, mode.m_o, classes=classes
-            )
+                roots[grid] = _grid_factor(grid, matrices[grid])
+            r, clamped, classes = roots[grid]
+            coherent[grid, mode] = RunPlan("coherent", r, clamped, 4 * r, mode.m_o, classes=classes)
         plans.append(coherent[grid, mode])
     return plans
 
@@ -309,10 +306,12 @@ def _parity_classes(grid: SurfaceGeometry, j: np.ndarray):
 def _grid_factor(grid: SurfaceGeometry, j: np.ndarray):
     """The factor F of a grid's matrix, F F^T = J up to the clamp, in the
     order the coherent draw reads its columns, through the parity classes
-    of `_parity_classes`. Returns F (M' x r'), the clamped count and the
-    stack (`_stack`) of the classes: each one's columns of F and their
-    Q-vectors, r_c rows of Q (F's entries at image n of the base are s_nc
-    times them).
+    of `_parity_classes`, cut to the shortest prefix whose dropped columns
+    carry at most _RANK_TAIL of its trace sum_k ||F_k||^2. Returns the
+    prefix's rank r, the clamped count and the stack (`_stack`) of the
+    classes: each one's columns of the prefix and their Q-vectors, r_c
+    rows of Q (F's entries at image n of the base are s_nc times them, so
+    each column's power is C times its class row's, which gives the cut).
 
     Each class block is eigendecomposed; eigenvalues below _EIG_CLAMP_REL
     times the largest of all classes are clamped, and the others ordered
@@ -320,9 +319,11 @@ def _grid_factor(grid: SurfaceGeometry, j: np.ndarray):
     classes, so one class keeps the unfolded factor's order, eigh's
     reversed). Each column is signed so that its first entry above 1e-3
     of its largest magnitude (clear of the entries that vanish by
-    symmetry) is positive. Column k is then close to the same spatial
-    mode on every grid of one aperture, so runs that share a chunk's draw
-    are positively coupled (their common normals drive similar modes).
+    symmetry) is positive: a base element precedes its mirror images in
+    row-major order, so that entry is the first such one of its class
+    row. Column k is then close to the same spatial mode on every grid of
+    one aperture, so runs that share a chunk's draw are positively
+    coupled (their common normals drive similar modes).
     """
     images, blocks = _parity_classes(grid, j)
     c, q = images.shape
@@ -332,16 +333,16 @@ def _grid_factor(grid: SurfaceGeometry, j: np.ndarray):
     order = order[~low.ravel()[order]]
     cls, pos = np.divmod(order, q)
     folded = evecs[cls, :, pos].T * np.sqrt(lam[order] / c)
-    full = np.empty((grid.m, order.size))
-    for n, row in zip(images, _signs(c)):
-        full[n] = folded * row[cls]
-    mag = np.abs(full)
+    mag = np.abs(folded)
     lead = np.argmax(mag > 1e-3 * mag.max(axis=0), axis=0)
-    sign = np.where(full[lead, np.arange(order.size)] < 0.0, -1.0, 1.0)
+    sign = np.where(folded[lead, np.arange(order.size)] < 0.0, -1.0, 1.0)
     folded *= sign
-    members = (np.flatnonzero(cls == i) for i in range(c))
+    power = (folded * folded).sum(axis=0)  # each column's power, over C
+    tail = np.cumsum(power[::-1])[::-1]  # tail[k]: power of columns k and up
+    r = int(np.count_nonzero(tail > _RANK_TAIL * tail[0]))
+    members = (np.flatnonzero(cls[:r] == i) for i in range(c))
     classes = _stack([(cols, folded[:, cols].T) for cols in members])
-    return full * sign, int(np.count_nonzero(low)), classes
+    return r, int(np.count_nonzero(low)), classes
 
 
 def _stack(classes: list) -> tuple:
@@ -369,17 +370,6 @@ def _unstack(classes: tuple) -> list:
     return [(cols[:r], rows[:r]) for cols, rows, r in zip(idx, blocks, ranks)]
 
 
-def _sampled_prefix(full: np.ndarray, classes: tuple):
-    """The shortest prefix of a draw-ordered factor whose dropped columns
-    carry at most _RANK_TAIL of its trace sum_k ||F_k||^2, and the stack
-    of the columns of each class that it keeps."""
-    power = (full * full).sum(axis=0)
-    tail = np.cumsum(power[::-1])[::-1]  # tail[k]: power of columns k and up
-    r = int(np.count_nonzero(tail > _RANK_TAIL * tail[0]))
-    kept = [(cols[cols < r], rows[: np.count_nonzero(cols < r)]) for cols, rows in _unstack(classes)]
-    return np.ascontiguousarray(full[:, :r]), _stack(kept)
-
-
 def _draw_block(seed: int, chunk: int, j: int) -> np.random.Generator:
     """Stream of coherent draw block j of a chunk: Philox keyed by the
     seed, with the chunk in counter words 2 and 3 and j + 1 in word 1."""
@@ -389,7 +379,8 @@ def _draw_block(seed: int, chunk: int, j: int) -> np.random.Generator:
 
 def _workspace(plans: list):
     """Working buffers for the coherent draw blocks of `plans`, sized by the
-    largest rank and grid: the block's normals (r_max x 512), and room for
+    largest rank and grid (M' = C Q, from each class stack's shape): the
+    block's normals (r_max x 512), and room for
     one hop's class shares (2 x 128 x M'_max) and for both hops' parts,
     the first hop's power kept while the second's parts follow it
     (3 x 128 x M'_max; a hop's gathered columns, C r_pad <= C Q = M' rows
@@ -405,7 +396,7 @@ def _workspace(plans: list):
         if plan.classes[0].max() >= plan.rank:
             raise ValueError(f"a class reads a column past rank {plan.rank}")
     r_max = max(plan.rank for plan in coherent)
-    m_max = max(plan.factor.shape[0] for plan in coherent)
+    m_max = max(plan.classes[1][:, 0].size for plan in coherent)  # C x Q
     s_max = max(min(plan.m_o, _SCREEN_ELEMENTS) for plan in coherent)
     size = max(5 * m_max, 6 * s_max)
     return np.empty((r_max, 4 * _BLOCK_TRIALS)), np.empty(_BLOCK_TRIALS * size)
@@ -434,7 +425,7 @@ def _screen_layout(plan: RunPlan):
     o_c + i and image n of the q-th base element is s_nc B'_c[base_q, i]."""
     own = _unstack(plan.classes)
     c = len(own)
-    q = plan.factor.shape[0] // c
+    q = plan.classes[1].shape[2]
     width = min(plan.m_o, _SCREEN_ELEMENTS)
     b = -(-width // c)
     base = (2 * np.arange(b) + 1) * q // (2 * b)
@@ -582,8 +573,8 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work, screen
         np.copyto(parts, z[:, : 4 * k].reshape(r_max, k, 2, 2).transpose(2, 0, 3, 1))
         zk[...] = parts.reshape(zk.shape)
         for plan, idx, class_blocks, _, signs, outs in exact:
-            m = plan.factor.shape[0]
             c, r_pad, q = class_blocks.shape
+            m = c * q
             n = k * m
             shares = w[: 2 * n].reshape(c, 2 * k, q)
             # hop f, then hop u: the power of hop h goes to w[(2 + h) n :][:n]

@@ -5,7 +5,7 @@ math.lgamma, the regularized lower incomplete gamma via the classic series /
 continued-fraction split, the spherical (sin x / x) and cylindrical
 (midpoint rule up to 17, large-argument expansion beyond) Bessel J0
 kernels of the spatial correlation model, and the log of the modified
-Bessel function K_nu behind the exact gain law. All but log-gamma are
+Bessel function K_nu, which the exact gain laws need. All but log-gamma are
 vectorised over x, and an element's bits do not depend on its array.
 """
 

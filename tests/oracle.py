@@ -19,9 +19,10 @@ restates the layout a run with a threshold reads the same streams in
 (artifact version 11): each parity class block rotated so that the
 screen set's rows reach only the first s <= 16 columns, with the other
 coordinates after them, as one factor F' whose columns `column_normals`
-fills; `class_factor` assembles a plan's classes into such a factor, and
-`class_blocks` takes each class out of a plan's padded stack of them.
-`whole_chunk_gains`
+fills; `class_factor` assembles a plan's classes into such a factor,
+`class_blocks` takes each class out of a plan's padded stack of them, and
+`plan_factor` assembles a plan's own stack into the dense factor it
+samples. `whole_chunk_gains`
 restates a whole chunk in the engine's own arithmetic (artifact version
 9: one projection per parity class of the grid's mirror symmetries,
 their signed sums at each mirror image, and each trial's m_o largest
@@ -33,7 +34,8 @@ products summed in ascending order) but without its trial blocks, and
 before it drew its static gains from their spectral law, and
 `sample_gain_exponential_mixture` draws one static gain at a time by
 conditioning on the user-side hop (`sample_gains_exponential_mixture`
-many at once, with the same draws).
+many at once, with the same draws), and `gain_cdf` is the law of those
+gains, the K-distribution, with its outage `gain_outage_probability`.
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 
 from frislink.correlation import _clamped_eigh
-from frislink.montecarlo import _GAIN_SCALE, CHUNK_TRIALS, chunk_rng
+from frislink.montecarlo import _GAIN_SCALE, CHUNK_TRIALS, _parity_classes, chunk_rng
 
 _RT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -203,6 +206,14 @@ def class_factor(classes, images: np.ndarray, width: int) -> np.ndarray:
     return f
 
 
+def plan_factor(plan, grid, j: np.ndarray) -> np.ndarray:
+    """The dense M' x r factor a coherent plan samples, in draw order: its
+    class stack assembled at the mirror images of `_parity_classes` of the
+    grid and the matrix j it was planned from."""
+    images, _ = _parity_classes(grid, j)
+    return class_factor(class_blocks(plan.classes), images, plan.rank)
+
+
 def screen_first_factor(plan, images: np.ndarray):
     """The M' x r factor F' that a run with a threshold reads a coherent
     plan's draw blocks through, and its screen set S: the first
@@ -278,28 +289,30 @@ def whole_chunk_gains(plan, seed: int, chunk: int, n: int) -> np.ndarray:
     if plan.kind == "static":
         e = chunk_rng(seed, chunk).standard_exponential((n, plan.weights.size + 1))
         return e[:, 0] * (e[:, 1:] @ plan.weights)
-    z = column_normals(seed, chunk, n, plan.factor.shape[1])
+    z = column_normals(seed, chunk, n, plan.rank)
     y = np.stack([z[cols].T @ block.T for cols, block in class_blocks(plan.classes)])
     c, _, q = y.shape
     a = (_signs(c) @ y.reshape(c, -1)).reshape(c, n, 4, q)
     return _combine_chunk(plan, _products(a).transpose(1, 0, 2).reshape(n, c * q))
 
 
-def plain_factor_gains(plan, seed: int, chunk: int, n: int) -> np.ndarray:
-    """Coherent gains of one chunk through the unfolded factor, z.T @ F.T,
-    with no parity classes: the reference the folded projection is held to."""
-    z = column_normals(seed, chunk, n, plan.factor.shape[1])
-    return _combine_chunk(plan, _products((z.T @ plan.factor.T).reshape(n, 4, -1)))
+def plain_factor_gains(plan, factor: np.ndarray, seed: int, chunk: int, n: int) -> np.ndarray:
+    """Coherent gains of one chunk through the plan's unfolded factor
+    (`plan_factor`), z.T @ F.T, with no parity classes: the reference the
+    folded projection is held to."""
+    z = column_normals(seed, chunk, n, plan.rank)
+    return _combine_chunk(plan, _products((z.T @ factor.T).reshape(n, 4, -1)))
 
 
-def trial_major_gains(plan, seed: int, n: int) -> np.ndarray:
-    """Coherent gains as artifact version 3 drew them: each chunk's trials
-    read 4r normals in a row of `chunk_rng`, trial after trial."""
+def trial_major_gains(plan, factor: np.ndarray, seed: int, n: int) -> np.ndarray:
+    """Coherent gains as artifact version 3 drew them, through the plan's
+    unfolded factor (`plan_factor`): each chunk's trials read 4r normals
+    in a row of `chunk_rng`, trial after trial."""
     out = []
     for c, t0 in enumerate(range(0, n, CHUNK_TRIALS)):
         k = min(CHUNK_TRIALS, n - t0)
-        z = chunk_rng(seed, c).standard_normal((4 * k, plan.factor.shape[1]))
-        out.append(_combine_chunk(plan, _products((z @ plan.factor.T).reshape(k, 4, -1))))
+        z = chunk_rng(seed, c).standard_normal((4 * k, plan.rank))
+        out.append(_combine_chunk(plan, _products((z @ factor.T).reshape(k, 4, -1))))
     return np.concatenate(out)
 
 
@@ -380,3 +393,38 @@ def sample_gains_exponential_mixture(
         w = (np.conj(h_u @ rows.T) * rot) @ rows
         out[t0 : t0 + k] = (w.real * w.real + w.imag * w.imag).sum(axis=1) * e[:k]
     return out
+
+
+def gain_cdf(fit, g) -> np.ndarray:
+    """Distribution function of the fixed-selection gain G = S E,
+    vectorised over g: the K-distribution (Jakeman & Pusey, IEEE TAP
+    1976), the exponential E mixed over S ~ Gamma(k, theta) of
+    `gamma_fit`, whose mean tr(J~^2) and variance tr(J~^2)^2 + 2 tr(J~^4)
+    are exact.
+
+    With z = g / theta, F(g) = 1 - (2 / Gamma(k)) z^(k/2) K_k(2 sqrt(z)),
+    K_k(x) = kve(k, x) e^(-x). The complement is formed in the log
+    domain, so F carries an absolute error of about 1e-13: values far
+    below that (the deepest tails) are not resolved. Its high-SNR tail is
+    z / (k - 1) for k > 1, diversity order 1. A z at which K_k overflows
+    (for k = 144, z below about 0.17) is refused rather than read as F = 0.
+    """
+    g = np.asarray(g, dtype=float)
+    if np.isnan(g).any():
+        raise ValueError("gain_cdf requires non-nan gains")
+    k = fit.shape_k
+    z = g / fit.scale_theta
+    out = np.where(z > 0.0, 1.0, 0.0)
+    inner = (z > 0.0) & np.isfinite(z)
+    x = 2.0 * np.sqrt(z[inner])
+    kve = scipy.special.kve(k, x)
+    if np.isinf(kve).any():
+        raise ValueError(f"K_{k} overflows at a gain of {g[inner][np.isinf(kve)].max()}")
+    ln_tail = math.log(2.0) - math.lgamma(k) + k * np.log(0.5 * x) + np.log(kve) - x
+    out[inner] = -np.expm1(np.minimum(ln_tail, 0.0))
+    return out
+
+
+def gain_outage_probability(fit, budget) -> float:
+    """P(rate target not met) under the fixed-selection gain law `gain_cdf`."""
+    return float(gain_cdf(fit, budget.gain_threshold))

@@ -40,8 +40,6 @@ from frislink import (
     ergodic_capacity_bound,
     estimate_ergodic_capacity,
     estimate_outage,
-    gain_cdf,
-    gain_outage_probability,
     gamma_fit,
     ln_gamma,
     outage_asymptotic,
@@ -54,7 +52,12 @@ from frislink import (
     trace_power,
     uniform_grid_selection,
 )
-from oracle import sample_gains_exponential_mixture, symmetric_sqrt
+from oracle import (
+    gain_cdf,
+    gain_outage_probability,
+    sample_gains_exponential_mixture,
+    symmetric_sqrt,
+)
 
 SPEED_OF_LIGHT = 2.99792458e8
 LAMBDA = SPEED_OF_LIGHT / 2.4e9

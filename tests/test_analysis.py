@@ -15,8 +15,6 @@ from frislink.analysis import (
     gamma_fit,
     gamma_pdf,
     gamma_quantile,
-    gain_cdf,
-    gain_outage_probability,
     outage_asymptotic,
     outage_probability,
     trace_power,
@@ -31,6 +29,8 @@ from frislink.correlation import (
 from oracle import (
     effective_channel,
     equivalent_gain_static,
+    gain_cdf,
+    gain_outage_probability,
     sample_channels,
     sample_gain_exponential_mixture,
     sample_gains_exponential_mixture,

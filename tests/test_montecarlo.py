@@ -48,6 +48,7 @@ from oracle import (
     equivalent_gain_coherent,
     equivalent_gain_static,
     plain_factor_gains,
+    plan_factor,
     projected_static_gains,
     screen_first_factor,
     select_top_products,
@@ -89,6 +90,11 @@ def dense_case(kind):
 def plan_of(geom, mode):
     """The plan the engine runs for one mode on its own."""
     return plan_runs("spherical", [(geom, mode)], {})[0]
+
+
+def factor_of(geom, mode):
+    """The dense factor, in draw order, of a coherent mode's `plan_of`."""
+    return plan_factor(plan_of(geom, mode), geom, build_correlation_matrix(geom, "spherical"))
 
 
 def unit_budget(gamma_bar=1.0, rate=1.0):
@@ -184,7 +190,7 @@ class TestRunTrials:
         mode = CoherentMode(m_o=7)
         got = run_trials(g, "spherical", mode, 64, seed=4)
         # the factor with its columns in the order the coherent draw reads them
-        f = plan_of(g, mode).factor
+        f = factor_of(g, mode)
         for t, c in enumerate(column_channels(4, 0, 64, f.shape[1])):
             a_f = effective_channel(f, c.h_f, np.arange(g.m))
             a_u = effective_channel(f, c.h_u, np.arange(g.m))
@@ -262,7 +268,7 @@ class TestRunTrials:
         # so the top-m_o coherent gain bounds each trial's static gain
         g = small_geom()
         sel = uniform_grid_selection(g, 3, 3)
-        f = plan_of(g, CoherentMode(len(sel))).factor
+        f = factor_of(g, CoherentMode(len(sel)))
         static = projected_static_gains(f[sel], np.zeros(len(sel)), 9, 2048)
         adaptive = run_trials(g, "spherical", CoherentMode(len(sel)), 2048, seed=9)
         assert np.all(adaptive >= static * (1.0 - 1e-12))
@@ -422,16 +428,17 @@ class TestParityFold:
             assert len(plan.classes[0]) == classes
             got = np.empty(3616)
             _compute_chunk([plan], 41, 1, [got], mc._workspace([plan]))
-            want = plain_factor_gains(plan, 41, 1, 3616)
+            f = factor_of(g, CoherentMode(m_o))
+            want = plain_factor_gains(plan, f, 41, 1, 3616)
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_workspace_refuses_a_class_past_the_rank(self):
         # the engine gathers each class's columns unchecked, so a plan with
         # a class that reads a column past its rank is refused before a draw
-        f = plan_of(small_geom().regrid(3, 3), CoherentMode(9)).factor
+        f = factor_of(small_geom().regrid(3, 3), CoherentMode(9))
         r = f.shape[1] - 1
         classes = mc._stack([(np.arange(r + 1), f.T)])
-        plan = mc.RunPlan("coherent", r, 0, 4 * r, f[:, :r], 5, classes=classes)
+        plan = mc.RunPlan("coherent", r, 0, 4 * r, 5, classes=classes)
         with pytest.raises(ValueError, match="past rank"):
             run_many([plan], 16, seed=1)
 
@@ -455,7 +462,7 @@ class TestParityFold:
             scaled = weight[:, None] * j * weight[None, :]
             (plan,) = plan_runs("spherical", [(g, CoherentMode(9))], {g: scaled})
             assert len(plan.classes[0]) == classes
-            f = plan.factor
+            f = plan_factor(plan, g, scaled)
             assert np.allclose(f @ f.T, scaled, rtol=0.0, atol=1e-12 * np.abs(scaled).max())
 
 
@@ -483,12 +490,13 @@ class TestClassStack:
         # nonzero rows lead its block and the rest are exactly zero, every
         # idx entry is a column below the rank, and the real entries read
         # each of the plan's r columns once
-        plan = plan_of(*stack_case(name))
+        grid, mode = stack_case(name)
+        plan = plan_of(grid, mode)
         with mc._one_blas_thread():
             screen_stack, _ = mc._screen_layout(plan)
         for idx, blocks in (plan.classes, screen_stack):
             c, r_pad, q = blocks.shape
-            assert c == classes and idx.shape == (c, r_pad) and c * q == plan.factor.shape[0]
+            assert c == classes and idx.shape == (c, r_pad) and c * q == grid.m
             real = blocks.any(axis=2)
             ranks = real.sum(axis=1)
             padding = np.arange(r_pad)[None, :] >= ranks[:, None]
@@ -622,7 +630,8 @@ class TestRunMany:
         # a matrix unlike the grid's own is what the plan factors
         (plan,) = plan_runs("spherical", [(g, CoherentMode(9))], {g: np.eye(g.m)})
         assert len(builds) == 2 and (plan.rank, plan.clamped) == (g.m, 0)
-        assert np.allclose(plan.factor @ plan.factor.T, np.eye(g.m), rtol=0.0, atol=1e-12)
+        f = plan_factor(plan, g, np.eye(g.m))
+        assert np.allclose(f @ f.T, np.eye(g.m), rtol=0.0, atol=1e-12)
 
     def test_plans_state_rank_clamped_and_draws(self):
         # a static run factors its 144-element block, which keeps 135
@@ -632,30 +641,32 @@ class TestRunMany:
         g, static = dense_case("static")
         plans = plan_runs("spherical", [(g, static), (g, CoherentMode(36))], {})
         assert [(plan.rank, plan.clamped) for plan in plans] == [(135, 9), (112, 233)]
-        assert plans[0].kind == "static" and plans[0].factor is None
+        assert plans[0].kind == "static" and plans[0].classes is None
         assert plans[0].draws_per_trial == plans[0].weights.size + 1
-        assert plans[1].kind == "coherent" and plans[1].factor.shape == (400, 112)
+        assert plans[1].kind == "coherent" and plans[1].classes[1][:, 0].size == 400
         assert plans[1].draws_per_trial == 4 * 112 and plans[1].m_o == 36
         # the RIS baseline is the coherent plan that keeps all M' elements
         ris = plan_of(g.regrid(6, 6), CoherentMode(36))
-        assert ris.kind == "coherent" and ris.m_o == 36 == ris.factor.shape[0]
+        assert ris.kind == "coherent" and ris.m_o == 36 == ris.classes[1][:, 0].size
         with pytest.raises(ValueError, match="at least one run"):
             run_many([], 10, seed=1)
 
-    def test_draw_order_leads_with_the_largest_mode(self):
+    def test_draw_order_leads_with_the_largest_mode(self, monkeypatch):
         # the coherent draw reads the factor's columns largest eigenvalue
         # first, each signed so that its first entry above 1e-3 of its
         # largest magnitude is positive; the ordered factor, formed from
         # the grid's parity classes, stays a factor of the clamped J (that
         # of the unfolded root, whose degenerate pairs eigh may mix across
         # classes), and a plan samples its shortest prefix whose dropped
-        # columns carry at most 1e-8 of the trace
+        # columns carry at most 1e-8 of the trace; with no tail dropped,
+        # the plan keeps every column
         g, mode = dense_case("adaptive")
         j = build_correlation_matrix(g, "spherical")
         with mc._one_blas_thread():  # the eigenvectors plan_runs orders
             raw = psd_sqrt(j).factor
-            full = mc._grid_factor(g, j)[0]
-        f = plan_of(g, mode).factor
+        f = factor_of(g, mode)
+        monkeypatch.setattr(mc, "_RANK_TAIL", 0.0)
+        full = factor_of(g, mode)
         power = (full * full).sum(axis=0)
         assert np.all(np.diff(power) <= 1e-12 * power[0])
         for col in full.T:
@@ -666,17 +677,16 @@ class TestRunMany:
         assert power[r:].sum() <= 1e-8 * power.sum() < power[r - 1 :].sum()
 
     @pytest.mark.parametrize("side", [10, 14, 20])
-    def test_truncated_rank_tracks_full_rank(self, side):
+    def test_truncated_rank_tracks_full_rank(self, side, monkeypatch):
         # a truncated plan reads a prefix of the full rank's normals, so on
         # one stream its gains stay within 2e-4 of those of the folded
-        # full-rank factor, and their mean error within 1e-5
+        # full-rank factor (a plan that drops no tail), and their mean
+        # error within 1e-5
         g = dense_case("adaptive")[0].regrid(side, side)
         plan = plan_of(g, CoherentMode(36))
-        with mc._one_blas_thread():  # the eigenvectors plan_runs orders
-            full, clamped, classes = mc._grid_factor(g, build_correlation_matrix(g, "spherical"))
-        r = full.shape[1]
-        assert plan.rank < r
-        ref = mc.RunPlan("coherent", r, clamped, 4 * r, full, 36, classes=classes)
+        monkeypatch.setattr(mc, "_RANK_TAIL", 0.0)
+        ref = plan_of(g, CoherentMode(36))
+        assert plan.rank < ref.rank and plan.clamped + ref.rank == g.m
         err = whole_chunk_gains(plan, 33, 0, CHUNK_TRIALS) / whole_chunk_gains(
             ref, 33, 0, CHUNK_TRIALS
         ) - 1.0
@@ -687,9 +697,9 @@ class TestRunMany:
         # 5th largest product is tied; the engine sums the 5 largest values
         # in ascending order, the same whichever of the tied it keeps, and
         # select_top_products keeps the lowest-indexed
-        f = np.repeat(plan_of(small_geom().regrid(3, 3), CoherentMode(9)).factor, 2, axis=0)
+        f = np.repeat(factor_of(small_geom().regrid(3, 3), CoherentMode(9)), 2, axis=0)
         r = f.shape[1]
-        plan = mc.RunPlan("coherent", r, 0, 4 * r, f, 5, classes=mc._stack([(np.arange(r), f.T)]))
+        plan = mc.RunPlan("coherent", r, 0, 4 * r, 5, classes=mc._stack([(np.arange(r), f.T)]))
         (got,) = run_many([plan], 256, seed=34)
         for t, c in enumerate(column_channels(34, 0, 256, r)):
             a_f, a_u = f @ c.h_f, f @ c.h_u
@@ -740,7 +750,7 @@ class TestRunMany:
         mode = CoherentMode(m_o=16)
         n = 100_000
         got = run_trials(g, "spherical", mode, n, seed=28)
-        ref = trial_major_gains(plan_of(g, mode), 29, n)
+        ref = trial_major_gains(plan_of(g, mode), factor_of(g, mode), 29, n)
         both = np.sort(np.concatenate([got, ref]))
         cdf_got = np.searchsorted(np.sort(got), both, side="right") / n
         cdf_ref = np.searchsorted(np.sort(ref), both, side="right") / n

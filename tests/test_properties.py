@@ -1,6 +1,7 @@
 """Property-based tests: what the config parser accepts and rejects, the
 round trip behind the CLI's override path, the adaptive engine's
-monotonicity in m_o, the outage screen's lower bound, the static
+monotonicity in m_o, a coherent plan's signed, truncated class stack,
+the outage screen's lower bound, the static
 weights' moments, the bracketed KS statistic, and the array functions'
 agreement with their scalar calls."""
 
@@ -31,7 +32,7 @@ from frislink.montecarlo import (
     run_many,
     run_trials,
 )
-from oracle import class_blocks, class_factor, screen_first_factor
+from oracle import class_blocks, class_factor, plan_factor, screen_first_factor
 
 # Integers are small counts or far beyond any index range. Counts between
 # the two are valid and ask for allocations proportional to their size,
@@ -298,6 +299,41 @@ class TestAdaptiveMonotoneInMo:
         assert np.all(hi >= lo * (1.0 - 1e-12))
 
 
+class TestPlanFactor:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m_x=st.integers(1, 8),
+        m_z=st.integers(1, 8),
+        pitch=st.floats(-3.0, 0.5).map(lambda e: 10.0**e),  # in wavelengths
+        kernel=st.sampled_from(["spherical", "cylindrical"]),
+    )
+    @example(m_x=4, m_z=4, pitch=0.002, kernel="spherical")
+    @example(m_x=20, m_z=20, pitch=0.15, kernel="cylindrical")
+    @example(m_x=5, m_z=3, pitch=0.5, kernel="spherical")
+    def test_stack_is_the_signed_prefix_of_the_clamped_root(self, m_x, m_z, pitch, kernel):
+        # the dense factor F assembled from a plan's class stack, on
+        # folding and non-folding grids, and at a pitch (4x4, 0.002) where
+        # the class odd along both axes keeps no column: each column's
+        # lead entry, its first above 1e-3 of its largest magnitude, is
+        # positive; F F^T is the clamped J up to the dropped tail; and r
+        # is the shortest prefix of J's eigenvalues, largest first, whose
+        # dropped tail is at most 1e-8 of the trace, to 1e-6 of it at the cut
+        g = SurfaceGeometry(m_x=m_x, m_z=m_z, w_x=pitch * m_x, w_z=pitch * m_z,
+                            wavelength=0.125)
+        j = build_correlation_matrix(g, kernel)
+        (plan,) = plan_runs(kernel, [(g, CoherentMode(1))], {})
+        f = plan_factor(plan, g, j)
+        for col in f.T:
+            mag = np.abs(col)
+            assert col[np.argmax(mag > 1e-3 * mag.max())] > 0.0
+        lam = np.linalg.eigvalsh(j)[::-1]
+        lam[lam < 1e-12 * lam[0]] = 0.0
+        tail = np.append(np.cumsum(lam[::-1])[::-1], 0.0)  # tail[k]: eigenvalues k and up
+        r, cut = plan.rank, 1e-8 * tail[0]
+        assert tail[r] <= cut * (1.0 + 1e-6) and tail[r - 1] > cut * (1.0 - 1e-6)
+        assert np.max(np.abs(f @ f.T - j)) <= tail[r] + 1e-12 * g.m * lam[0]
+
+
 class TestScreenBound:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -331,7 +367,8 @@ class TestScreenBound:
             classes, rows = mc._screen_layout(plan)
         z, w = mc._workspace([plan])
         f = class_factor(class_blocks(classes), images, plan.rank)
-        gram = plan.factor @ plan.factor.T
+        own = class_factor(class_blocks(plan.classes), images, plan.rank)
+        gram = own @ own.T
         assert np.max(np.abs(f @ f.T - gram)) <= 1e-12 * np.max(np.abs(gram))
         _, screen = screen_first_factor(plan, images)
         assert rows.shape[1] == screen.size == min(plan.m_o, 16)
