@@ -127,8 +127,6 @@ _PATHLOSS_KEYS = {"rho", "alpha", "d_f", "d_u"}
 _DEFAULT_PATHLOSS = {"rho": 10.0, "alpha": 2.1, "d_f": 20.0, "d_u": 40.0}
 _DEFAULT_SNR_GRID = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0]
 
-# element indices are int64; larger grids would wrap silently
-_MAX_ELEMENTS = 2**63
 # Philox keys are 128 bits
 _MAX_SEED = 2**128
 
@@ -175,8 +173,6 @@ def _parse_geometry(doc: dict) -> tuple[SurfaceGeometry, float]:
     _reject_unknown(g, _GEOMETRY_KEYS, "geometry")
     m_x = _require_int(g.get("m_x"), "geometry.m_x")
     m_z = _require_int(g.get("m_z"), "geometry.m_z")
-    if m_x * m_z >= _MAX_ELEMENTS:
-        raise ConfigError(f"geometry: {m_x}x{m_z} elements exceed the index range")
     w_x = _require_number(g, "geometry", "w_x")
     w_z = _require_number(g, "geometry", "w_z")
     f_c = _require_number(g, "geometry", "carrier_frequency_hz", default=2.4e9)
@@ -233,6 +229,13 @@ def _parse_phases(raw, section: str, count: int) -> np.ndarray:
     return np.array(phases)
 
 
+def _regrid(geom: SurfaceGeometry, m_x: int, m_z: int, section: str) -> SurfaceGeometry:
+    try:
+        return geom.regrid(m_x, m_z)
+    except ValueError as e:
+        raise ConfigError(f"{section}: {e}") from e
+
+
 def _parse_mode(raw: dict, index: int, geom: SurfaceGeometry) -> ModeSpec:
     section = f"modes[{index}]"
     if not isinstance(raw, dict):
@@ -260,13 +263,14 @@ def _parse_mode(raw: dict, index: int, geom: SurfaceGeometry) -> ModeSpec:
         m_rx = _require_int(raw.get("m_rx"), f"{section}.m_rx")
         m_rz = _require_int(raw.get("m_rz"), f"{section}.m_rz")
         # every element of its own grid over the same aperture
-        return ModeSpec(f"ris({m_rx}x{m_rz})", CoherentMode(m_rx * m_rz), geom.regrid(m_rx, m_rz))
+        grid = _regrid(geom, m_rx, m_rz, section)
+        return ModeSpec(f"ris({m_rx}x{m_rz})", CoherentMode(m_rx * m_rz), grid)
     raise ConfigError(
         f"{section}.type: expected static | adaptive_fris | ris_baseline, got {kind!r}"
     )
 
 
-def _parse_m_grid(doc: dict) -> tuple | None:
+def _parse_m_grid(doc: dict, geom: SurfaceGeometry) -> tuple | None:
     raw = doc.get("m_grid")
     if raw is None:
         return None
@@ -276,12 +280,10 @@ def _parse_m_grid(doc: dict) -> tuple | None:
     for i, pair in enumerate(raw):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f"m_grid[{i}]: must be a [m_x, m_z] pair")
-        out.append(
-            (
-                _require_int(pair[0], f"m_grid[{i}][0]"),
-                _require_int(pair[1], f"m_grid[{i}][1]"),
-            )
-        )
+        m_x = _require_int(pair[0], f"m_grid[{i}][0]")
+        m_z = _require_int(pair[1], f"m_grid[{i}][1]")
+        _regrid(geom, m_x, m_z, f"m_grid[{i}]")
+        out.append((m_x, m_z))
     return tuple(out)
 
 
@@ -336,7 +338,7 @@ def parse_config(text: str) -> ExperimentConfig:
     output_path = doc.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError(f"output_path: must be a string or null, got {output_path!r}")
-    m_grid = _parse_m_grid(doc)
+    m_grid = _parse_m_grid(doc, geom)
     canonical = {
         "geometry": {
             "m_x": geom.m_x,

@@ -33,6 +33,9 @@ KERNELS = ("spherical", "cylindrical")
 # correlation matrix; anything below tol * max_eigenvalue is treated as zero.
 _EIG_CLAMP_REL = 1e-12
 
+# element indices are int64; larger grids would wrap silently
+_MAX_ELEMENTS = 2**63
+
 
 @dataclass(frozen=True)
 class SurfaceGeometry:
@@ -54,6 +57,8 @@ class SurfaceGeometry:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"geometry.{name}: must be a positive integer, got {v!r}")
+        if int(self.m_x) * int(self.m_z) >= _MAX_ELEMENTS:
+            raise ValueError(f"geometry: {self.m_x}x{self.m_z} elements exceed the index range")
         for name in ("w_x", "w_z", "wavelength"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):

@@ -18,8 +18,9 @@ module implements it:
   `run_many`         the plans in one pass over the chunks, on threads
                      that each compute in one `_workspace`;
   `_compute_chunk`   one chunk, block by block: a static mode's
-                     exponentials, each coherent plan's projection of its
-                     class stack (`_stack`), signed sums and `_combine`;
+                     exponentials (`_static_gains`), and each coherent
+                     plan's `_products` of the block's normals through its
+                     class stack (`_stack`), which `_combine` sums;
   `_screen_layout`,  with a threshold, each coherent plan's rotated
   `_lower_bound`     classes and screen, which clear a block from its
                      screen columns (16 at most) before its other normals
@@ -268,12 +269,15 @@ def plan_runs(kernel: str, runs, correlations: dict) -> list:
     return plans
 
 
+@functools.cache
 def _signs(c: int) -> np.ndarray:
     """The C x C signs (-1)^popcount(n & c) of mirror image n in parity
-    class c, for C = 1, 2 or 4 (the Sylvester Hadamard matrix)."""
+    class c, for C = 1, 2 or 4 (the Sylvester Hadamard matrix), built
+    once per C and read-only."""
     h = np.ones((1, 1))
     while len(h) < c:
         h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
     return h
 
 
@@ -469,134 +473,130 @@ def _lower_bound(z: np.ndarray, k: int, rows: np.ndarray, w: np.ndarray) -> np.n
     return amp
 
 
+def _static_gains(plan: RunPlan, seed: int, chunk: int, out: np.ndarray) -> None:
+    """A static plan's gains E_0 sum_k nu_k E_k for one chunk, into out:
+    per trial E_0, E_1 .. E_K, read block by block from the chunk's stream."""
+    rng = chunk_rng(seed, chunk)
+    e = np.empty((_BLOCK_TRIALS, plan.weights.size + 1))
+    for t0 in range(0, len(out), _BLOCK_TRIALS):
+        k = min(_BLOCK_TRIALS, len(out) - t0)
+        rng.standard_exponential(out=e[:k])
+        out[t0 : t0 + k] = e[:k, 0] * (e[:k, 1:] @ plan.weights)
+
+
+def _products(zk: np.ndarray, k: int, classes: tuple, w: np.ndarray) -> np.ndarray:
+    """The (k, M') products P = (2 |a_f|^2) (2 |a_u|^2) of k trials from
+    their hop-major normals zk (zk[h, :, i k + t]: part i of hop h of
+    trial t, a row per draw column) through a class stack (`_stack`).
+    Per hop: one gather of the idx rows, one batched (2k x r_pad) @
+    (r_pad x Q) product of the C classes, whose zero padding rows leave
+    each class's shares the bits of its own r_c-term products, and a
+    C x C Hadamard sum to the parts at each mirror image; the hop's power
+    is the sum of its parts' squares. Computed in, and returned as a view
+    of, the workspace w (`_workspace`); the gather does not check idx."""
+    idx, blocks = classes
+    c, r_pad, q = blocks.shape
+    n = k * c * q
+    shares = w[: 2 * n].reshape(c, 2 * k, q)
+    # hop f, then hop u: the power of hop h goes to w[(2 + h) n :][:n]
+    for h in (0, 1):
+        # both parts of the hop: every class's share at the base elements,
+        # from its columns gathered where the parts go next
+        zg = w[(2 + h) * n :][: idx.size * 2 * k].reshape(c, r_pad, 2 * k)
+        np.take(zk[h], idx.ravel(), axis=0, out=zg.reshape(-1, 2 * k), mode="clip")  # unbuffered
+        np.matmul(zg.transpose(0, 2, 1), blocks, out=shares)
+        # a part at image n of base element q is sum_c s_nc y_c, laid out
+        # trial by trial (with one class, the share itself)
+        a = shares.reshape(-1)
+        if c > 1:
+            a = w[(2 + h) * n : (4 + h) * n]
+            np.matmul(shares.reshape(c, -1).T, _signs(c), out=a.reshape(-1, c))
+        np.square(a, out=a)
+        np.add(a[:n], a[n:], out=w[(2 + h) * n : (3 + h) * n])
+    f, u = w[2 * n : 3 * n], w[3 * n : 4 * n]
+    return np.multiply(f, u, out=f).reshape(k, c * q)
+
+
 def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work, screen=None) -> None:
     """Writes the gains of every plan for the n trials of one chunk into
     the matching array of `gains`, each of length n.
 
-    The trials are drawn (and for the coherent modes projected and
-    combined) in blocks of _BLOCK_TRIALS, in buffers reused from block
-    to block and sized by the largest grid, so a chunk holds a few MB
-    whatever its size. The static fills continue the chunk's stream.
-    Coherent block j is draw block j, filled whole in one call however
-    few trials it holds (a chunk's last block too), of which its k trials
-    project the first 4k columns, so the draws are those of the whole
-    chunk drawn at once. A coherent gain does not depend on the block
-    it is computed in: with one BLAS thread, every one tested (3 x 3 to
-    20 x 20 grids, 1 to 8192 trials) equals the whole chunk's to the
-    bit. A static last block of one trial is a one-row product, which
-    numpy computes as a dot product and which may round its gain an ulp
-    or two apart. The blocks are fixed by the trial count alone, so the
-    bytes stay reproducible and do not depend on the worker count.
+    The trials are drawn in blocks of _BLOCK_TRIALS into buffers reused
+    from block to block, so a chunk holds a few MB whatever its size; the
+    static fills (`_static_gains`) continue the chunk's stream. Coherent
+    block j is draw block j, its r_max columns filled however few trials
+    it holds, of which its k trials read the first 4k positions, so the
+    draws are those of the whole chunk drawn at once. With one BLAS
+    thread every coherent gain tested (3 x 3 to 20 x 20 grids, 1 to 8192
+    trials) equals the whole chunk's to the bit; a static last block of
+    one trial is a one-row product, which numpy computes as a dot product
+    and may round an ulp or two apart. The blocks are fixed by the trial
+    count alone, so the bytes do not depend on the worker count.
 
-    The coherent plans share each block's columns of the largest rank,
-    and each projects its first r rows (in the screen-first layout, in
-    another order), so its gains do not depend on the other plans; a
-    plan that several runs share is computed once. A plan projects a hop
-    through its class stack (`_stack`): one gather of the idx rows of
-    the hop's columns and one batched (2k x r_pad) @ (r_pad x Q) product
-    of its C classes, whose zero padding rows leave each class's shares
-    the bits of its own r_c-term products; then a C x C Hadamard sum.
-    `work` is the `_workspace(plans)` to compute in.
+    A block's columns are rewritten hop-major, and each coherent plan
+    that computes it `_combine`s their `_products` through its own class
+    stack, whatever the other plans; a plan that several runs share is
+    computed once. `work` is the `_workspace(plans)` to compute in.
 
     `screen`, if passed, is (bar, layouts): each coherent plan reads the
-    blocks in its screen-first layout `layouts[plan]` = (stack, rows)
-    (`_screen_layout`). A block's first columns, as many as the widest
-    screen reads, are drawn first, and a plan whose every trial in it has
-    `_lower_bound` above bar, from its `rows`, writes +inf for the
-    block's trials instead of computing them; the other columns are
-    drawn only if some plan computes the block, and a block that no plan
-    screens is drawn whole in one call.
-    Until one block passes, a plan screens only blocks 0, 1, 3, 7, ..,
-    2^i - 1 of the chunk, and every block after: a threshold that no
-    block clears costs a plan seven screens of a chunk's 64 blocks, and
-    a chunk whose first blocks hold gains below it is still screened
-    once one passes.
+    blocks through its screen-first layout `layouts[plan]` = (stack,
+    rows) (`_screen_layout`). Each block first fills as many columns as
+    the widest screen reads (none without a screen). A plan whose every
+    trial in the block has `_lower_bound` above bar, from its `rows`,
+    writes +inf for them instead of computing them; the other columns
+    are filled only if some plan computes the block, and the two fills
+    give the bits of one fill of both. Until one block passes, a plan
+    screens only blocks 0, 1, 3, 7, .., 2^i - 1 of the chunk, and every
+    block after: a threshold that no block clears costs a plan seven
+    screens of a chunk's 64 blocks.
     """
-    n = len(gains[0])
-    blocks = [(t0, min(t0 + _BLOCK_TRIALS, n)) for t0 in range(0, n, _BLOCK_TRIALS)]
     coherent = {}  # each distinct plan once, with the arrays its runs fill
     for plan, out in zip(plans, gains):
-        if plan.kind != "static":
+        if plan.kind == "static":
+            _static_gains(plan, seed, chunk, out)
+        else:
             coherent.setdefault(plan, []).append(out)
-            continue
-        # per trial E_0, E_1 .. E_K; the gain is E_0 sum_k nu_k E_k
-        rng = chunk_rng(seed, chunk)
-        e = np.empty((_BLOCK_TRIALS, plan.weights.size + 1))
-        for t0, t1 in blocks:
-            k = t1 - t0
-            rng.standard_exponential(out=e[:k])
-            out[t0:t1] = e[:k, 0] * (e[:k, 1:] @ plan.weights)
     if not coherent:
         return
     z, w = work
-    r_max = len(z)
-    # each plan once, with the class stack it reads the block through and its screen
-    layouts = screen[1] if screen is not None else {}
-    signed = []
-    for plan, outs in coherent.items():
-        (idx, class_blocks), rows = layouts.get(plan, (plan.classes, None))
-        signed.append((plan, idx.ravel(), class_blocks, rows, _signs(len(idx)), outs))
-    # the screen columns of every plan, drawn before the rest
-    head = max((rows.shape[0] for _, rows in layouts.values()), default=0)
-    # the block each plan screens next: 2 j + 1 after block j fails, and
-    # every block (-1) once one has passed
-    due = dict.fromkeys(coherent, 0)
-    for j, (t0, t1) in enumerate(blocks):
-        k = t1 - t0
+    n = len(gains[0])
+    # each plan's class stack and screen rows; all screen columns come first
+    if screen is None:
+        bar, layouts = None, {plan: (plan.classes, None) for plan in coherent}
+    else:
+        bar, layouts = screen
+    head = 0 if bar is None else max(rows.shape[0] for _, rows in layouts.values())
+    # the block each plan screens next: 2 j + 1 after block j fails, every
+    # block (-1) once one has passed, and none without a screen
+    due = dict.fromkeys(coherent, math.inf if bar is None else 0)
+    for j, t0 in enumerate(range(0, n, _BLOCK_TRIALS)):
+        k = min(_BLOCK_TRIALS, n - t0)
+        t1 = t0 + k
         draw = _draw_block(seed, chunk, j)
-        exact = signed
-        if screen is None or all(due[plan] > j for plan in due):
-            draw.standard_normal(out=z)
-        else:
-            # the screen columns; the others only if a plan computes the
-            # block, the bits of one fill of both
-            draw.standard_normal(out=z[:head])
-            exact = []
-            for item in signed:
-                plan, _, _, rows, _, outs = item
-                if due[plan] <= j:
-                    if _lower_bound(z, k, rows, w).min() > screen[0]:
-                        due[plan] = -1
-                        for out in outs:
-                            out[t0:t1] = np.inf
-                        continue
-                    if due[plan] >= 0:
-                        due[plan] = 2 * j + 1
-                exact.append(item)
-            if not exact:
-                continue
-            draw.standard_normal(out=z[head:])
+        draw.standard_normal(out=z[:head])
+        exact = []
+        for plan, outs in coherent.items():
+            if due[plan] <= j:
+                if _lower_bound(z, k, layouts[plan][1], w).min() > bar:
+                    due[plan] = -1
+                    for out in outs:
+                        out[t0:t1] = np.inf
+                    continue
+                if due[plan] >= 0:
+                    due[plan] = 2 * j + 1
+            exact.append(plan)
+        if not exact:
+            continue
+        draw.standard_normal(out=z[head:])
         # the block's columns hop-major, zk[h, :, i k + t] holding part i of
         # hop h of trial t: rewritten over z by way of the workspace
-        zk = z.reshape(-1)[: r_max * 4 * k].reshape(2, r_max, 2 * k)
-        parts = w[: zk.size].reshape(2, r_max, 2, k)
-        np.copyto(parts, z[:, : 4 * k].reshape(r_max, k, 2, 2).transpose(2, 0, 3, 1))
+        parts = w[: len(z) * 4 * k].reshape(2, -1, 2, k)
+        np.copyto(parts, z[:, : 4 * k].reshape(-1, k, 2, 2).transpose(2, 0, 3, 1))
+        zk = z.reshape(-1)[: parts.size].reshape(2, -1, 2 * k)
         zk[...] = parts.reshape(zk.shape)
-        for plan, idx, class_blocks, _, signs, outs in exact:
-            c, r_pad, q = class_blocks.shape
-            m = c * q
-            n = k * m
-            shares = w[: 2 * n].reshape(c, 2 * k, q)
-            # hop f, then hop u: the power of hop h goes to w[(2 + h) n :][:n]
-            for h in (0, 1):
-                # both parts of the hop: every class's share at the base
-                # elements, from its columns gathered where the parts go next
-                zg = w[(2 + h) * n :][: idx.size * 2 * k].reshape(c, r_pad, 2 * k)
-                np.take(zk[h], idx, axis=0, out=zg.reshape(-1, 2 * k), mode="clip")  # unbuffered
-                np.matmul(zg.transpose(0, 2, 1), class_blocks, out=shares)
-                # a part at image n of base element q is sum_c s_nc y_c, laid
-                # out trial by trial (with one class, the share itself); the
-                # hop's power (2 |a|^2) is the sum of its parts' squares
-                a = shares.reshape(-1)
-                if c > 1:
-                    a = w[(2 + h) * n : (4 + h) * n]
-                    np.matmul(shares.reshape(c, -1).T, signs, out=a.reshape(-1, c))
-                np.square(a, out=a)
-                np.add(a[:n], a[n:], out=w[(2 + h) * n : (3 + h) * n])
-            f, u = w[2 * n : 3 * n], w[3 * n : 4 * n]
-            power = np.multiply(f, u, out=f).reshape(k, m)
-            gain = _combine(plan, power)
-            for out in outs:
+        for plan in exact:
+            gain = _combine(plan, _products(zk, k, layouts[plan][0], w))
+            for out in coherent[plan]:
                 out[t0:t1] = gain
 
 

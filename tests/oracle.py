@@ -26,7 +26,8 @@ samples. `whole_chunk_gains`
 restates a whole chunk in the engine's own arithmetic (artifact version
 9: one projection per parity class of the grid's mirror symmetries,
 their signed sums at each mirror image, and each trial's m_o largest
-products summed in ascending order) but without its trial blocks, and
+products summed in ascending order) but without its trial blocks, by
+`class_gains`, which takes the normals of any source, and
 `plain_factor_gains` the same gains through the unfolded factor.
 `trial_major_gains` keeps the coherent composition of artifact version
 3, which read each trial's 4r normals in a row of the chunk stream;
@@ -289,7 +290,16 @@ def whole_chunk_gains(plan, seed: int, chunk: int, n: int) -> np.ndarray:
     if plan.kind == "static":
         e = chunk_rng(seed, chunk).standard_exponential((n, plan.weights.size + 1))
         return e[:, 0] * (e[:, 1:] @ plan.weights)
-    z = column_normals(seed, chunk, n, plan.rank)
+    return class_gains(plan, column_normals(seed, chunk, n, plan.rank))
+
+
+def class_gains(plan, z: np.ndarray) -> np.ndarray:
+    """Coherent gains of the n trials whose normals z holds, shaped (r, 4n)
+    as `column_normals` gives them, whatever their source: one projection
+    z[cols].T @ block.T per class of the plan's stack, through its r_c real
+    rows alone, one signed sum of the classes at each mirror image, and
+    one combine."""
+    n = z.shape[1] // 4
     y = np.stack([z[cols].T @ block.T for cols, block in class_blocks(plan.classes)])
     c, _, q = y.shape
     a = (_signs(c) @ y.reshape(c, -1)).reshape(c, n, 4, q)

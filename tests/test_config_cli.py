@@ -153,6 +153,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="parse error"):
             parse_config('{"geometry": {}, "trials": ' + "1" * 5000 + "}")
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"modes": [{"type": "ris_baseline", "m_rx": 2**62, "m_rz": 4}]}, r"modes\[0\]"),
+            ({"m_grid": [[4, 4], [2**62, 4]]}, r"m_grid\[1\]"),
+            ({"m_grid": [[2**31, 2**32]]}, r"m_grid\[0\]"),
+        ],
+    )
+    def test_regridded_element_range(self, overrides, field):
+        # the geometry's own grid is not the only one that could pass the
+        # int64 index range: a RIS grid and a sweep grid are checked too
+        with pytest.raises(ConfigError, match=f"{field}: geometry: .* index range"):
+            parse(tiny_doc(**overrides))
+        assert parse(tiny_doc(m_grid=[[2**31, 2**31 - 1]])).m_grid == ((2**31, 2**31 - 1),)
+
     def test_hash_stable_and_sensitive(self):
         a = parse(tiny_doc()).config_hash
         b = parse(tiny_doc()).config_hash
@@ -755,6 +770,25 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith(f"config error: {field}: ")
         assert calls == []
         assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize(
+        "overrides, command, field",
+        [
+            ({"modes": [{"type": "ris_baseline", "m_rx": 2**62, "m_rz": 4}]}, "validate", "modes[0]"),
+            ({"m_grid": [[2**62, 4]]}, "validate", "m_grid[0]"),
+            ({"m_grid": [[2**62, 4]], "snr_grid_db": [10.0]}, "sweep-m", "m_grid[0]"),
+        ],
+    )
+    def test_regridded_element_range_exits_2(self, tmp_path, capsys, overrides, command, field):
+        # the parser refuses the grid before any command builds its
+        # distance table, which takes minutes at this size
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_doc(**overrides)), encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field}: geometry: 4611686018427387904x4 elements" in err
+        assert not out.exists()
 
     def test_unwritable_output_exits_2(self, monkeypatch, tmp_path, capsys):
         # the output is opened before any trial runs

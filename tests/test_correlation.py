@@ -37,6 +37,11 @@ class TestSurfaceGeometry:
         assert (sub.w_x, sub.w_z, sub.wavelength) == (3.0, 2.0, 0.125)
         with pytest.raises(ValueError, match="m_z"):
             g.regrid(6, 0)
+        # element indices are int64: a regridded surface keeps the range too
+        for m_x, m_z in ((2**62, 4), (np.int64(2**62), np.int64(4)), (2**63, 1)):
+            with pytest.raises(ValueError, match="index range"):
+                g.regrid(m_x, m_z)
+        assert g.regrid(2**62, 1).m == 2**62
 
     def test_spacing(self):
         g = SurfaceGeometry(m_x=20, m_z=20, w_x=3.0, w_z=3.0, wavelength=0.125)

@@ -42,6 +42,7 @@ from frislink.montecarlo import (
     run_trials,
 )
 from oracle import (
+    class_gains,
     column_channels,
     column_normals,
     effective_channel,
@@ -524,6 +525,25 @@ class TestClassStack:
         rotated = replace(plan, classes=screen_stack)
         assert np.array_equal(got, whole_chunk_gains(rotated, 23, 0, n))
 
+    @pytest.mark.parametrize("k", [128, 5])
+    @pytest.mark.parametrize("name", [name for name, _ in CASES])
+    def test_products_of_normals_the_engine_did_not_draw(self, name, k):
+        # `_products` then `_combine` evaluate a block's normals from any
+        # source: on numpy's default generator, in the plan's own layout
+        # and the screen-first one, a whole block and a short one give the
+        # oracle's per-class gains bit for bit
+        plan = plan_of(*stack_case(name))
+        r = plan.rank
+        z = np.random.default_rng(0).standard_normal((r, 4 * k))
+        # hop-major: zk[h, :, i k + t] holds part i of hop h of trial t
+        zk = z.reshape(r, k, 2, 2).transpose(2, 0, 3, 1).reshape(2, r, 2 * k)
+        with mc._one_blas_thread():
+            screen_stack, _ = mc._screen_layout(plan)
+            for stack in (plan.classes, screen_stack):
+                w = mc._workspace([plan])[1]
+                got = mc._combine(plan, mc._products(zk, k, stack, w))
+                assert np.array_equal(got, class_gains(replace(plan, classes=stack), z))
+
 
 class TestRunMany:
     """A command's runs share each chunk's coherent draw; every run's gains
@@ -862,8 +882,8 @@ class TestScreenedRuns:
     def test_a_cleared_block_draws_no_trailing_rows(self, monkeypatch):
         # every block of fig3a at 0 dB clears both plans' screens, so each
         # draw block fills its 16 screen columns and nothing else; at
-        # -40 dB a screened block (0, 1, 3, .., 63 of a chunk) then fills
-        # the 96 other rows fris reads, and the rest fill all 112 at once
+        # -40 dB every block, screened (0, 1, 3, .., 63 of a chunk) or not,
+        # then fills the 96 other rows fris reads
         fills = []
         real_draw_block = mc._draw_block
 
@@ -877,9 +897,9 @@ class TestScreenedRuns:
 
         monkeypatch.setattr(mc, "_draw_block", lambda *a: Recording(real_draw_block(*a)))
         cfg, plans = config_plans(preset_config("fig3a"))
-        screened = [j in (0, 1, 3, 7, 15, 31, 63) for j in [*range(64), 0, 1, 2]]
-        cleared = [[(16, 512)] for _ in screened]
-        failed = [[(16, 512), (96, 512)] if s else [(112, 512)] for s in screened]
+        blocks = [*range(64), 0, 1, 2]  # chunk 0's, then the 300-trial chunk 1's
+        cleared = [[(16, 512)] for _ in blocks]
+        failed = [[(16, 512), (96, 512)] for _ in blocks]
         for snr_db, each in ((0.0, cleared), (-40.0, failed)):
             fills.clear()
             run_many(plans, CHUNK_TRIALS + 300, 41, workers=1,
