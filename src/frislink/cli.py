@@ -1,7 +1,8 @@
 """Command-line front-end.
 
 Exit codes: 0 success, 2 configuration error (also argparse usage
-errors) or an output file that cannot be written, 3 numerical failure.
+errors, and a grid or trial count too large for memory) or an output
+file that cannot be written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def _cost_lines(config: ExperimentConfig) -> list:
         names.append(f"sweep {m_x}x{m_z}")
         runs.append((config.geometry.regrid(m_x, m_z), CoherentMode(m_x * m_z)))
     with _one_blas_thread() as pinned:
-        plans = plan_runs(config.kernel, runs, {})
+        plans = plan_runs(config.kernel, runs)
     lines = [f"rank_tail: {_RANK_TAIL}"]
     for name, plan in zip(names, plans):
         cost = f"normals_per_trial {plan.draws_per_trial}"
@@ -142,6 +143,9 @@ def main(argv=None) -> int:
             output = _COMMANDS[args.command](config, out_path)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return _EXIT_CONFIG
+    except MemoryError as e:  # a grid or trial count larger than the machine can hold
+        print(f"config error: out of memory: {e}", file=sys.stderr)
         return _EXIT_CONFIG
     except OSError as e:  # the commands touch no file but their output
         print(f"output error: {e}", file=sys.stderr)

@@ -108,18 +108,26 @@ def build_correlation_matrix(geom: SurfaceGeometry, kernel: str = "spherical") -
     """M x M element correlation matrix for the given grid and kernel.
 
     Entries depend only on the absolute index offsets per axis, so one
-    kernel call evaluates the m_x x m_z table of offset distances, which
-    one gather through the two axes' offset matrices spreads over J. The
-    matrix is read-only, as a command shares it between its analytic
-    curves and `montecarlo.plan_runs`.
+    kernel call evaluates the m_x x m_z table of offset distances, and J
+    is copied from strided windows of that table mirrored to signed
+    offsets. So J is exactly symmetric under the mirror of either axis,
+    which `montecarlo._parity_classes` folds by the grid's shape alone;
+    the matrix is read-only so that it stays so. J is allocated first: a
+    grid whose matrix the machine cannot hold raises MemoryError before
+    the table is filled.
     """
+    try:
+        j = np.empty((geom.m, geom.m))
+    except ValueError as e:  # past numpy's size limit
+        raise MemoryError(f"a {geom.m_x}x{geom.m_z} grid's correlation matrix is too large") from e
     dist = [[math.hypot(dx * geom.d_x, dz * geom.d_z) for dz in range(geom.m_z)]
             for dx in range(geom.m_x)]
     table = jakes_coefficient(dist, geom.wavelength, kernel)
-    ox = np.abs(np.subtract.outer(np.arange(geom.m_x), np.arange(geom.m_x)))
-    oz = np.abs(np.subtract.outer(np.arange(geom.m_z), np.arange(geom.m_z)))
-    # entry (row z, col x; row z', col x') of the m_z x m_x x m_z x m_x gather
-    j = table[ox[None, :, None, :], oz[:, None, :, None]].reshape(geom.m, geom.m)
+    sx, sz = (np.abs(np.arange(1 - m, m)) for m in (geom.m_x, geom.m_z))
+    # wide[m_z - 1 + z' - z, m_x - 1 + x' - x] is entry (row z, col x; row z', col x')
+    wide = table[sx[None, :], sz[:, None]]
+    windows = np.lib.stride_tricks.sliding_window_view(wide, (geom.m_z, geom.m_x))
+    j.reshape(geom.m_z, geom.m_x, geom.m_z, geom.m_x)[...] = windows[::-1, ::-1]
     j.flags.writeable = False
     return j
 

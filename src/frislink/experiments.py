@@ -3,10 +3,12 @@
 Each command holds BLAS at one thread while it runs (the analytic
 curves as well as the Monte Carlo), and `workers` (None: one per core)
 spreads its trial chunks over threads; the bytes depend on neither. A
-command builds each grid's correlation matrix once and samples all its
-plans in one `run_many` pass, whose runs share their coherent normals;
-each mode's rows are those it gives when run alone. The output is
-written to `<path>.part`, opened before the trials, then moved onto it.
+command slices each mode's analytic block from its grid's correlation
+matrix, then plans all its runs at once (`plan_runs` builds each grid's
+matrix once more) and samples them in one `run_many` pass, whose runs
+share their coherent normals; each mode's rows are those it gives when
+run alone. The output is written to `<path>.part`, opened before the
+trials, then moved onto it.
 
 Every artifact starts with #-prefixed provenance lines (config hash,
 seed, tool version, the coherent rank tail and, for the commands that
@@ -139,22 +141,16 @@ def _most_square_selection(geom: SurfaceGeometry, m_o: int) -> np.ndarray:
     return uniform_grid_selection(geom, best[1], best[2])
 
 
-def _correlations(config: ExperimentConfig) -> dict:
-    """Correlation matrix of each distinct grid the modes sample, built
-    once per command; the engine factors these same matrices."""
-    grids = dict.fromkeys(spec.grid for spec in config.modes)
-    return {grid: build_correlation_matrix(grid, config.kernel) for grid in grids}
-
-
-def _analytic_block(spec: ModeSpec, correlations: dict) -> np.ndarray:
+def _analytic_block(spec: ModeSpec, kernel: str) -> np.ndarray:
     """Correlation block behind a mode's analytical curves: a static mode's
-    selection, or the most square m_o subgrid of a coherent mode's grid."""
+    selection, or the most square m_o subgrid of a coherent mode's grid,
+    sliced from the grid's matrix."""
     mode = spec.mode
     if isinstance(mode, StaticMode):
         selection = mode.selection
     else:
         selection = _most_square_selection(spec.grid, mode.m_o)
-    return principal_submatrix(correlations[spec.grid], selection)
+    return principal_submatrix(build_correlation_matrix(spec.grid, kernel), selection)
 
 
 @_one_blas_thread()
@@ -169,9 +165,8 @@ def cmd_dist(config: ExperimentConfig, out_path, workers: int | None = None) -> 
     if len(config.modes) != 1 or len(statics) != 1:
         raise ConfigError("dist: config must specify exactly one static mode")
     spec = statics[0]
-    correlations = _correlations(config)
-    fit = gamma_fit(_analytic_block(spec, correlations))
-    plans = plan_runs(config.kernel, [(spec.grid, spec.mode)], correlations)
+    fit = gamma_fit(_analytic_block(spec, config.kernel))
+    plans = plan_runs(config.kernel, [(spec.grid, spec.mode)])
     with _output(out_path) as f:
         (samples,) = run_many(plans, config.trials, config.seed, workers=workers)
         ks = ks_statistic(samples, fit)
@@ -201,10 +196,9 @@ def _write_curves(
     run and reused across the SNR grid (only the threshold moves); a
     `threshold` passed on to `run_many` lets it screen trials whose gains
     exceed it, for rows that only count gains at or below it."""
-    correlations = _correlations(config)
-    models = [analytic(_analytic_block(spec, correlations)) for spec in config.modes]
+    models = [analytic(_analytic_block(spec, config.kernel)) for spec in config.modes]
     runs = [(spec.grid, spec.mode) for spec in config.modes]
-    plans = plan_runs(config.kernel, runs, correlations)
+    plans = plan_runs(config.kernel, runs)
     with _output(out_path) as f:
         gains = run_many(plans, config.trials, config.seed, workers, threshold)
         rows = []
@@ -311,7 +305,7 @@ def cmd_sweep_m(config: ExperimentConfig, out_path, workers: int | None = None) 
     runs = [(ris_grid, ris_mode)] + [
         (config.geometry.regrid(m_x, m_z), adaptives[0].mode) for m_x, m_z in config.m_grid
     ]
-    plans = plan_runs(config.kernel, runs, {})
+    plans = plan_runs(config.kernel, runs)
     with _output(out_path) as f:
         ris_samples, *sweep = run_many(plans, config.trials, config.seed, workers=workers)
         ris_est = estimate_ergodic_capacity(ris_samples, budget)

@@ -236,17 +236,16 @@ def _check_mode(geom: SurfaceGeometry, mode) -> None:
 
 
 @_one_blas_thread()
-def plan_runs(kernel: str, runs, correlations: dict) -> list:
+def plan_runs(kernel: str, runs) -> list:
     """One RunPlan per checked (grid, mode) run. Each grid's matrix is
-    taken from `correlations` if passed, else built here, at most once
-    per call. A static run factors its selection's principal block of
-    that matrix and keeps only its weights; a grid that coherent runs
-    sample is factored once through its parity classes, keeping the rank
-    of the prefix of its factor in draw order that they sample, the stack
-    of its classes' share of that prefix and its clamped count. Coherent
-    runs of one grid and one m_o get one plan object, which `run_many`
-    computes once."""
-    matrices = dict(correlations)
+    built here, at most once per call. A static run factors its
+    selection's principal block of that matrix and keeps only its
+    weights; a grid that coherent runs sample is factored once through
+    its parity classes, keeping the rank of the prefix of its factor in
+    draw order that they sample, the stack of its classes' share of that
+    prefix and its clamped count. Coherent runs of one grid and one m_o
+    get one plan object, which `run_many` computes once."""
+    matrices = {}
     roots = {}
     coherent = {}
     plans = []
@@ -284,9 +283,10 @@ def _signs(c: int) -> np.ndarray:
 def _parity_classes(grid: SurfaceGeometry, j: np.ndarray):
     """The mirror images and parity-class blocks of a grid's matrix J.
 
-    Every axis of even length whose mirror leaves J exactly unchanged is
-    folded (a uniform grid's J is, but a caller's matrix need not be),
-    which makes C = 1, 2 or 4 classes of Q = M' / C elements (Cantoni &
+    Every axis of even length is folded: a uniform grid's J
+    (`build_correlation_matrix`) depends only on the absolute index
+    offsets per axis, so either mirror leaves it exactly unchanged. That
+    makes C = 1, 2 or 4 classes of Q = M' / C elements (Cantoni &
     Butler, Linear Algebra Appl. 13, 1976). Returns the (C, Q) element
     indices, row n the images under the mirrors of the set bits of n of
     the base elements, those in the first half of each folded axis; and
@@ -294,11 +294,9 @@ def _parity_classes(grid: SurfaceGeometry, j: np.ndarray):
     J is the sum over c of T_c B_c T_c^T, where T_c maps a class vector
     u to the elements, image n of base element q taking s_nc u_q / sqrt(C).
     """
-    j4 = j.reshape(grid.m_z, grid.m_x, grid.m_z, grid.m_x)
     images = np.arange(grid.m).reshape(1, grid.m_z, grid.m_x)
     for axis in (2, 1):  # x, then z
-        mirrored = np.flip(j4, (axis - 1, axis + 1))  # J with both indices mirrored
-        if images.shape[axis] % 2 == 0 and np.array_equal(j4, mirrored):
+        if images.shape[axis] % 2 == 0:
             half = np.arange(images.shape[axis] // 2)
             images = np.concatenate([images, np.flip(images, axis)]).take(half, axis=axis)
     images = images.reshape(len(images), -1)
@@ -688,7 +686,7 @@ def run_trials(
     workers: int | None = None,
 ) -> np.ndarray:
     """Equivalent gains of n independent trials of one mode: `run_many` of its plan."""
-    return run_many(plan_runs(kernel, [(geom, mode)], {}), n, seed, workers)[0]
+    return run_many(plan_runs(kernel, [(geom, mode)]), n, seed, workers)[0]
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ math.lgamma, the regularized lower incomplete gamma via the classic series /
 continued-fraction split, the spherical (sin x / x) and cylindrical
 (midpoint rule up to 17, large-argument expansion beyond) Bessel J0
 kernels of the spatial correlation model, and the log of the modified
-Bessel function K_nu, which the exact gain laws need. All but log-gamma are
-vectorised over x, and an element's bits do not depend on its array.
+Bessel function K_n of integer order, which the exact gain laws need.
+All but log-gamma are vectorised over x, and an element's bits do not
+depend on its array.
 """
 
 from __future__ import annotations
@@ -189,86 +190,37 @@ def bessel_j0_cylindrical(x):
     return float(out) if out.ndim == 0 else out
 
 
-# Taylor coefficients of 1/Gamma(1 + mu) = sum_j _RGAMMA1[j] mu^j (the
-# 1/Gamma(z) series of Abramowitz & Stegun 6.1.34, shifted by one);
-# converged to double precision for |mu| <= 1/2.
-_RGAMMA1 = (
-    1.0,
-    0.5772156649015329,
-    -0.6558780715202539,
-    -0.04200263503409524,
-    0.16653861138229148,
-    -0.04219773455554433,
-    -0.009621971527876973,
-    0.0072189432466631,
-    -0.0011651675918590652,
-    -0.00021524167411495098,
-    0.0001280502823881162,
-    -2.013485478078824e-05,
-    -1.2504934821426706e-06,
-    1.133027231981696e-06,
-    -2.056338416977607e-07,
-    6.116095104481416e-09,
-    5.002007644469223e-09,
-    -1.18127457048702e-09,
-    1.0434267116911005e-10,
-    7.782263439905071e-12,
-    -3.696805618642206e-12,
-    5.100370287454476e-13,
-    -2.0583260535665066e-14,
-    -5.348122539423018e-15,
-    1.2267786282382608e-15,
-    -1.1812593016974588e-16,
-    1.1866922547516004e-18,
-)
-
 _K_EPS = 1e-16
 # Temme's series below this argument, Steed's continued fraction above.
 _K_SPLIT = 2.0
 
 
-def _temme_gammas(mu: float):
-    """gam1 = (1/G(1-mu) - 1/G(1+mu)) / (2 mu), gam2 = (1/G(1-mu) + 1/G(1+mu)) / 2,
-    1/G(1+mu) and 1/G(1-mu) for |mu| <= 1/2, free of cancellation at mu -> 0."""
-    even = sum(c * mu**j for j, c in enumerate(_RGAMMA1) if j % 2 == 0)
-    odd = sum(c * mu ** (j - 1) for j, c in enumerate(_RGAMMA1) if j % 2 == 1)
-    return -odd, even, even + mu * odd, even - mu * odd
-
-
-def _k_series(mu: float, x: np.ndarray):
-    """ln K_mu(x) and ln K_{mu+1}(x) / K_mu(x) by Temme's series; 0 < x < 2."""
+def _k_series(x: np.ndarray):
+    """ln K_0(x) and ln K_1(x) / K_0(x) by Temme's series at order 0,
+    where its gamma terms reduce to Euler's constant; 0 < x < 2."""
     half = 0.5 * x
-    pimu = math.pi * mu
-    fact = 1.0 if abs(pimu) < _K_EPS else pimu / math.sin(pimu)
-    d = -np.log(half)
-    e = mu * d
-    flat = np.abs(e) < _K_EPS
-    fact2 = np.where(flat, 1.0, np.sinh(e) / np.where(flat, 1.0, e))
-    gam1, gam2, gampl, gammi = _temme_gammas(mu)
-    ff = fact * (gam1 * np.cosh(e) + gam2 * fact2 * d)
-    p = 0.5 * np.exp(e) / gampl
-    q = 0.5 * np.exp(-e) / gammi
+    ff = -np.log(half) - np.euler_gamma
+    p = np.full_like(x, 0.5)  # Temme's p and q, equal at order 0
     c = np.ones_like(x)
     quarter = half * half
     k0 = ff.copy()
-    k1 = p.copy()  # K_{mu+1} * x / 2
+    k1 = p.copy()  # K_1 * x / 2
     for i in range(1, _MAX_SERIES_ITER):
-        ff = (i * ff + p + q) / (i * i - mu * mu)
+        ff = (i * ff + p + p) / (i * i)
         c = c * quarter / i
-        p = p / (i - mu)
-        q = q / (i + mu)
+        p = p / i
         delta = c * ff
         k0 += delta
         k1 += c * (p - i * ff)
         if np.all(np.abs(delta) < _K_EPS * np.abs(k0)):
             return np.log(k0), np.log(k1 / (half * k0))
-    raise ArithmeticError(f"K_nu series failed to converge for mu={mu}")
+    raise ArithmeticError("K_0 series failed to converge")
 
 
-def _k_continued_fraction(mu: float, x: np.ndarray):
-    """ln K_mu(x) and ln K_{mu+1}(x) / K_mu(x) by Steed's continued
-    fraction in Temme's form (Numerical Recipes, bessik); x >= 2."""
-    a1 = 0.25 - mu * mu
+def _k_continued_fraction(x: np.ndarray):
+    """ln K_0(x) and ln K_1(x) / K_0(x) by Steed's continued fraction in
+    Temme's form at order 0 (Numerical Recipes, bessik); x >= 2."""
+    a1 = 0.25
     a = -a1
     c = a1
     b = 2.0 * (1.0 + x)
@@ -292,36 +244,35 @@ def _k_continued_fraction(mu: float, x: np.ndarray):
         s = s + dels
         if np.all(np.abs(dels) < _K_EPS * np.abs(s)):
             ln_k0 = 0.5 * np.log(0.5 * math.pi / x) - x - np.log(s)
-            return ln_k0, np.log((mu + x + 0.5 - a1 * h) / x)
-    raise ArithmeticError(f"K_nu continued fraction failed to converge for mu={mu}")
+            return ln_k0, np.log((x + 0.5 - a1 * h) / x)
+    raise ArithmeticError("K_0 continued fraction failed to converge")
 
 
-def ln_bessel_k(nu: float, x) -> np.ndarray:
-    """ln K_nu(x), the modified Bessel function of the second kind, for
-    real order nu and x > 0, vectorised over x.
+def ln_bessel_k(n, x) -> np.ndarray:
+    """ln K_n(x), the modified Bessel function of the second kind, for an
+    integer-valued order n (an int or a float such as 1.0) and x > 0,
+    vectorised over x.
 
-    The order is split as nu = mu + n with |mu| <= 1/2; K_mu and
-    K_{mu+1} come from Temme's series (x < 2) or Steed's continued
-    fraction (x >= 2), and the upward recurrence
+    K_0 and K_1 come from Temme's series (x < 2) or Steed's continued
+    fraction (x >= 2) at order 0, and the upward recurrence
     K_{v+1} = (2v/x) K_v + K_{v-1} runs on the ratio K_{v+1}/K_v, summing
-    logs, so neither large orders nor small arguments overflow.
+    logs, so neither large orders nor small arguments overflow (Temme,
+    J. Comput. Phys. 19, 1975).
     """
-    nu = abs(float(nu))  # K_{-nu} = K_nu
-    if not math.isfinite(nu):
-        raise ValueError(f"ln_bessel_k requires a finite order, got {nu!r}")
+    if not float(n).is_integer():  # also rejects nan and inf
+        raise ValueError(f"ln_bessel_k requires an integer order, got {n!r}")
+    n = abs(int(n))  # K_{-n} = K_n
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0.0):  # also rejects nan
         raise ValueError("ln_bessel_k requires x > 0")
-    n = int(nu + 0.5)
-    mu = nu - n
     ln_k = np.empty(x.shape)
     ln_ratio = np.empty(x.shape)
     near = x < _K_SPLIT
     for mask, method in ((near, _k_series), (~near, _k_continued_fraction)):
         if mask.any():
-            ln_k[mask], ln_ratio[mask] = method(mu, x[mask])
+            ln_k[mask], ln_ratio[mask] = method(x[mask])
     ratio = np.exp(ln_ratio)
     for i in range(1, n + 1):
         ln_k += np.log(ratio)
-        ratio = 2.0 * (mu + i) / x + 1.0 / ratio
+        ratio = 2.0 * i / x + 1.0 / ratio
     return ln_k

@@ -206,7 +206,7 @@ class TestParseConfig:
         assert ris.grid == cfg.geometry.regrid(m_rx, m_rz)
         assert ris.mode == CoherentMode(m_o=m_rx * m_rz)
         j = build_correlation_matrix(ris.grid, cfg.kernel)
-        block = experiments_mod._analytic_block(ris, experiments_mod._correlations(cfg))
+        block = experiments_mod._analytic_block(ris, cfg.kernel)
         assert np.array_equal(block, j)
 
 
@@ -313,18 +313,19 @@ class TestCmdOutage:
 
     @pytest.mark.parametrize("command", [cmd_outage, cmd_dist, cmd_capacity, cmd_sweep_m])
     def test_builds_each_grid_once(self, monkeypatch, tmp_path, command):
-        # the analytic curves and the engine share each grid's matrix:
-        # outage and capacity build the 4x4 grid and the RIS 2x2 grid,
-        # dist the 4x4, and sweep-m the RIS 2x2 and each sweep grid
+        # the engine builds each grid's matrix once: outage and capacity
+        # the 4x4 grid and the RIS 2x2 grid, dist the 4x4, and sweep-m the
+        # RIS 2x2 and each sweep grid; the analytic curves build the grid
+        # of each mode they slice a block from, and sweep-m has none
         import frislink.montecarlo as mc_mod
 
-        built = []
-        for module in (experiments_mod, mc_mod):
+        built = {experiments_mod: [], mc_mod: []}
+        for module, calls in built.items():
             real = module.build_correlation_matrix
             monkeypatch.setattr(
                 module,
                 "build_correlation_matrix",
-                lambda g, k, real=real: built.append((g.m_x, g.m_z)) or real(g, k),
+                lambda g, k, real=real, calls=calls: calls.append((g.m_x, g.m_z)) or real(g, k),
             )
         coherent = [
             {"type": "adaptive_fris", "m_o": 4},
@@ -332,15 +333,16 @@ class TestCmdOutage:
         ]
         if command is cmd_sweep_m:
             doc = tiny_doc(modes=coherent, snr_grid_db=[10.0], m_grid=[[4, 4], [3, 3], [2, 2]])
-            want = [(2, 2), (3, 3), (4, 4)]
+            want, analytic = [(2, 2), (3, 3), (4, 4)], []
         elif command is cmd_dist:
             doc = tiny_doc(modes=[{"type": "static", "select_x": 2, "select_z": 2}])
-            want = [(4, 4)]
+            want, analytic = [(4, 4)], [(4, 4)]
         else:
             doc = tiny_doc(modes=[{"type": "static", "select_x": 2, "select_z": 2}, *coherent])
-            want = [(2, 2), (4, 4)]
+            want, analytic = [(2, 2), (4, 4)], [(4, 4), (4, 4), (2, 2)]
         command(parse(doc), tmp_path / "x.csv")
-        assert sorted(built) == want
+        assert sorted(built[mc_mod]) == want
+        assert built[experiments_mod] == analytic
 
     def test_reliability_flag_written(self, tmp_path):
         doc = tiny_doc(snr_grid_db=[0.0, 40.0], trials=500)
@@ -842,6 +844,44 @@ class TestCli:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, extra",
+        [
+            (["validate"], {"m_grid": [[100000, 100000]]}),
+            (["outage", "--trials", "100000000000000"], {}),
+        ],
+        ids=["validate-1e10-elements", "outage-1e14-trials"],
+    )
+    def test_sizes_beyond_memory_are_config_errors(self, tmp_path, args, extra):
+        # a 1e10 x 1e10 matrix is past numpy's size limit and 1e14 gains
+        # (728 TiB) past the allocator's, so neither run allocates: each
+        # reports one config error line, exits 2 and leaves no .part file;
+        # a 2 GiB address-space cap (and one BLAS thread, whose buffers
+        # count against it) keeps the machine safe should either not fail
+        doc = tiny_doc(
+            geometry={"m_x": 2, "m_z": 2, "w_x": 1.5, "w_z": 1.5, "carrier_frequency_hz": 2.4e9},
+            modes=[{"type": "adaptive_fris", "m_o": 4}],
+            **extra,
+        )
+        cfg = tmp_path / "doc.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        code = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2**31, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+            "from frislink.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        src = os.path.dirname(os.path.dirname(frislink.__file__))
+        argv = [args[0], "--config", str(cfg), *args[1:], "--out", str(tmp_path / "x.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: out of memory")
+        assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+        assert os.listdir(tmp_path) == ["doc.json"]
 
     def test_argparse_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:

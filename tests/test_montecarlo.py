@@ -90,7 +90,7 @@ def dense_case(kind):
 
 def plan_of(geom, mode):
     """The plan the engine runs for one mode on its own."""
-    return plan_runs("spherical", [(geom, mode)], {})[0]
+    return plan_runs("spherical", [(geom, mode)])[0]
 
 
 def factor_of(geom, mode):
@@ -453,19 +453,6 @@ class TestParityFold:
             whole = np.linalg.eigvalsh(j)
         assert np.max(np.abs(folded - whole)) <= 1e-12 * whole[-1]
 
-    def test_a_matrix_the_mirrors_change_is_not_folded(self):
-        # scaled by a weight that grows along z, a 6x6 grid's matrix keeps
-        # its x mirror only; growing along both axes, it keeps neither
-        g = small_geom()
-        j = build_correlation_matrix(g, "spherical")
-        row, col = np.divmod(np.arange(g.m), g.m_x)
-        for weight, classes in ((1.0 + 0.1 * row, 2), (1.0 + 0.1 * row + 0.03 * col, 1)):
-            scaled = weight[:, None] * j * weight[None, :]
-            (plan,) = plan_runs("spherical", [(g, CoherentMode(9))], {g: scaled})
-            assert len(plan.classes[0]) == classes
-            f = plan_factor(plan, g, scaled)
-            assert np.allclose(f @ f.T, scaled, rtol=0.0, atol=1e-12 * np.abs(scaled).max())
-
 
 def stack_case(name):
     """A grid and coherent mode for the class-stack tests: 20x20 and 14x14
@@ -566,8 +553,8 @@ class TestRunMany:
     def test_joint_equals_alone(self, workers):
         runs = self.runs()
         n = CHUNK_TRIALS + 3214
-        joint = run_many(plan_runs("spherical", runs, {}), n, seed=25, workers=workers)
-        reverse = run_many(plan_runs("spherical", runs[::-1], {}), n, seed=25, workers=workers)
+        joint = run_many(plan_runs("spherical", runs), n, seed=25, workers=workers)
+        reverse = run_many(plan_runs("spherical", runs[::-1]), n, seed=25, workers=workers)
         reverse.reverse()
         for (geom, mode), a, b in zip(runs, joint, reverse):
             alone = run_trials(geom, "spherical", mode, n, seed=25, workers=workers)
@@ -588,15 +575,13 @@ class TestRunMany:
         plan_runs(
             "spherical",
             [(g, CoherentMode(9)), (g, CoherentMode(36)), (g.regrid(3, 3), CoherentMode(9))],
-            {},
         )
         assert sorted(sizes) == [9, 36]
 
     def test_static_run_factors_its_block_only(self, monkeypatch):
         # a static 12x12 selection of the 20x20 grid factors its 144 x 144
         # block; a coherent run on the same grid adds the whole grid, whose
-        # matrix is built once for both, and the caller's dict is left as
-        # it was
+        # matrix is built once for both
         sizes, builds = [], []
         real_psd_sqrt, real_build = mc.psd_sqrt, mc.build_correlation_matrix
         real_grid_factor = mc._grid_factor
@@ -617,41 +602,12 @@ class TestRunMany:
         monkeypatch.setattr(mc, "_grid_factor", counting_grid_factor)
         monkeypatch.setattr(mc, "build_correlation_matrix", counting_build)
         g, static = dense_case("static")
-        correlations = {}
-        plan_runs("spherical", [(g, static)], correlations)
+        plan_runs("spherical", [(g, static)])
         assert sizes == [144] and builds == [g]
         sizes.clear()
         builds.clear()
-        plan_runs("spherical", [(g, static), (g, CoherentMode(36))], correlations)
+        plan_runs("spherical", [(g, static), (g, CoherentMode(36))])
         assert sizes == [144, 400] and builds == [g]
-        assert correlations == {}
-
-    def test_passed_matrix_is_factored_without_a_build(self, monkeypatch):
-        # the caller's matrix for a grid is factored as it is; a grid the
-        # caller does not pass is built once, however many runs sample it
-        builds = []
-        real_build = mc.build_correlation_matrix
-
-        def counting_build(grid, kernel):
-            builds.append(grid)
-            return real_build(grid, kernel)
-
-        monkeypatch.setattr(mc, "build_correlation_matrix", counting_build)
-        g = SurfaceGeometry(m_x=5, m_z=7, w_x=1.7, w_z=2.3, wavelength=LAMBDA)
-        passed = real_build(g, "spherical")
-        assert not passed.flags.writeable
-        ris = (g.regrid(3, 3), CoherentMode(9))
-        runs = [(g, CoherentMode(9)), ris, ris]
-        plans = plan_runs("spherical", runs, {g: passed})
-        assert builds == [g.regrid(3, 3)]
-        want = run_trials(g, "spherical", CoherentMode(9), 100, seed=27)
-        assert builds == [g.regrid(3, 3), g]
-        assert np.array_equal(run_many(plans, 100, seed=27)[0], want)
-        # a matrix unlike the grid's own is what the plan factors
-        (plan,) = plan_runs("spherical", [(g, CoherentMode(9))], {g: np.eye(g.m)})
-        assert len(builds) == 2 and (plan.rank, plan.clamped) == (g.m, 0)
-        f = plan_factor(plan, g, np.eye(g.m))
-        assert np.allclose(f @ f.T, np.eye(g.m), rtol=0.0, atol=1e-12)
 
     def test_plans_state_rank_clamped_and_draws(self):
         # a static run factors its 144-element block, which keeps 135
@@ -659,7 +615,7 @@ class TestRunMany:
         # of 400, and a coherent run samples the first r = 112 in draw
         # order and reads 4r normals a trial
         g, static = dense_case("static")
-        plans = plan_runs("spherical", [(g, static), (g, CoherentMode(36))], {})
+        plans = plan_runs("spherical", [(g, static), (g, CoherentMode(36))])
         assert [(plan.rank, plan.clamped) for plan in plans] == [(135, 9), (112, 233)]
         assert plans[0].kind == "static" and plans[0].classes is None
         assert plans[0].draws_per_trial == plans[0].weights.size + 1
@@ -734,7 +690,7 @@ class TestRunMany:
         runs = [(g.regrid(6, 6), CoherentMode(36))] + [
             (g.regrid(side, side), CoherentMode(36)) for side in (6, 10, 14, 20)
         ]
-        plans = plan_runs("spherical", runs, {})
+        plans = plan_runs("spherical", runs)
         assert plans[0] is plans[1] and len({id(plan) for plan in plans}) == 4
         calls = []
         real_combine = mc._combine
@@ -755,7 +711,7 @@ class TestRunMany:
         # of a dense adaptive surface and a sparse RIS move together
         g = SurfaceGeometry(m_x=10, m_z=10, w_x=2.0, w_z=2.0, wavelength=LAMBDA)
         runs = [(g, CoherentMode(16)), (g.regrid(4, 4), CoherentMode(16))]
-        plans = plan_runs("spherical", runs, {})
+        plans = plan_runs("spherical", runs)
         fris, ris = run_many(plans, 8192, seed=30)
         assert np.corrcoef(np.log(fris), np.log(ris))[0, 1] > 0.5
 
@@ -792,7 +748,7 @@ GOLDEN_CONFIG = {
 def config_plans(doc):
     """A document's parsed config and the plans of its modes."""
     cfg = parse_config(json.dumps(doc))
-    return cfg, plan_runs(cfg.kernel, [(spec.grid, spec.mode) for spec in cfg.modes], {})
+    return cfg, plan_runs(cfg.kernel, [(spec.grid, spec.mode) for spec in cfg.modes])
 
 
 def screened_shares(plans, n, seed, x):
@@ -853,7 +809,7 @@ class TestScreenedRuns:
         # engine's own buffers on a 4-element grid; the workspace holds
         # them. Its one orbit of four images is the whole grid, so every
         # column is a screen column and no trailing row is drawn
-        (plan,) = plan_runs("spherical", [(small_geom().regrid(2, 2), CoherentMode(4))], {})
+        (plan,) = plan_runs("spherical", [(small_geom().regrid(2, 2), CoherentMode(4))])
         assert mc._workspace([plan])[1].size == 6 * 128 * 4
         _, rows = mc._screen_layout(plan)
         assert rows.shape == (plan.rank, 4)
@@ -1008,7 +964,7 @@ class TestThreadWorkers:
         # buffers of a whole block, so 8192 + 191 trials peak no higher
         # than two whole chunks
         g, mode = dense_case("adaptive")
-        plans = plan_runs("spherical", [(g, mode), (g.regrid(6, 6), CoherentMode(36))], {})
+        plans = plan_runs("spherical", [(g, mode), (g.regrid(6, 6), CoherentMode(36))])
         run_many(plans, 1, seed=20, workers=1)  # one-time allocations of a first run
         peaks = []
         for n in (CHUNK_TRIALS + 191, 2 * CHUNK_TRIALS):

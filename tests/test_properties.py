@@ -1,6 +1,7 @@
 """Property-based tests: what the config parser accepts and rejects, the
 round trip behind the CLI's override path, the adaptive engine's
 monotonicity in m_o, a coherent plan's signed, truncated class stack,
+the mirror symmetry of a grid's matrix that its parity classes fold,
 the outage screen's lower bound, the static
 weights' moments, the bracketed KS statistic, and the array functions'
 agreement with their scalar calls."""
@@ -321,7 +322,7 @@ class TestPlanFactor:
         g = SurfaceGeometry(m_x=m_x, m_z=m_z, w_x=pitch * m_x, w_z=pitch * m_z,
                             wavelength=0.125)
         j = build_correlation_matrix(g, kernel)
-        (plan,) = plan_runs(kernel, [(g, CoherentMode(1))], {})
+        (plan,) = plan_runs(kernel, [(g, CoherentMode(1))])
         f = plan_factor(plan, g, j)
         for col in f.T:
             mag = np.abs(col)
@@ -332,6 +333,34 @@ class TestPlanFactor:
         r, cut = plan.rank, 1e-8 * tail[0]
         assert tail[r] <= cut * (1.0 + 1e-6) and tail[r - 1] > cut * (1.0 - 1e-6)
         assert np.max(np.abs(f @ f.T - j)) <= tail[r] + 1e-12 * g.m * lam[0]
+
+
+class TestMirrorSymmetry:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m_x=st.integers(1, 12),
+        m_z=st.integers(1, 12),
+        pitch_x=st.floats(-3.0, math.log10(3.0)).map(lambda e: 10.0**e),  # in wavelengths
+        pitch_z=st.floats(-3.0, math.log10(3.0)).map(lambda e: 10.0**e),
+        kernel=st.sampled_from(["spherical", "cylindrical"]),
+    )
+    @example(m_x=20, m_z=20, pitch_x=0.15, pitch_z=0.15, kernel="spherical")
+    @example(m_x=6, m_z=5, pitch_x=0.3, pitch_z=3.0, kernel="cylindrical")
+    def test_every_even_axis_folds(self, m_x, m_z, pitch_x, pitch_z, kernel):
+        # a grid's matrix is exactly its own mirror along either axis, so
+        # _parity_classes folds every even axis by the grid's shape alone
+        # and no other: C = 1, 2 or 4 classes of M / C elements
+        g = SurfaceGeometry(m_x=m_x, m_z=m_z, w_x=pitch_x * m_x, w_z=pitch_z * m_z,
+                            wavelength=0.125)
+        j = build_correlation_matrix(g, kernel)
+        j4 = j.reshape(m_z, m_x, m_z, m_x)
+        for axes in ((1, 3), (0, 2)):  # x, then z, mirrored in both indices
+            assert np.array_equal(np.flip(j4, axes), j4)
+        images, blocks = mc._parity_classes(g, j)
+        c = 2 ** ((m_x % 2 == 0) + (m_z % 2 == 0))
+        q = g.m // c
+        assert images.shape == (c, q) and blocks.shape == (c, q, q)
+        assert np.array_equal(np.sort(images.ravel()), np.arange(g.m))
 
 
 class TestScreenBound:
@@ -361,7 +390,7 @@ class TestScreenBound:
             grid, mode = g, CoherentMode(m_o=min(m_o, g.m))
         else:
             grid, mode = g.regrid(*ris), CoherentMode(m_o=ris[0] * ris[1])
-        (plan,) = plan_runs(kernel, [(grid, mode)], {})
+        (plan,) = plan_runs(kernel, [(grid, mode)])
         images, _ = mc._parity_classes(grid, build_correlation_matrix(grid, kernel))
         with mc._one_blas_thread():
             classes, rows = mc._screen_layout(plan)
@@ -403,7 +432,7 @@ class TestStaticWeights:
                                           max_size=g.m, unique=True)))
         phases = np.array(data.draw(st.lists(st.floats(0.0, 2.0 * math.pi),
                                              min_size=sel.size, max_size=sel.size)))
-        (plan,) = plan_runs(kernel, [(g, StaticMode(sel, phases))], {})
+        (plan,) = plan_runs(kernel, [(g, StaticMode(sel, phases))])
         j_sub = principal_submatrix(build_correlation_matrix(g, kernel), sel)
         d = np.exp(1j * phases)
         a = (d[:, None] * j_sub * d.conj()[None, :]) @ j_sub

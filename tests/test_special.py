@@ -219,21 +219,27 @@ class TestCylindricalBessel:
 
 class TestLnBesselK:
     def test_against_scipy_kve(self):
-        # k = 1, the Gamma shapes of the 6x6 and 12x12 selections, mu = 0 and
-        # mu = 1/2 at the base of the recurrence, and K_{-nu} = K_nu
+        # order 1 as a float, orders near the Gamma shapes of the 6x6 and
+        # 12x12 selections, the base K_0 and the first recurrence step K_2,
+        # and K_{-n} = K_n
         xs = np.geomspace(1e-4, 50.0, 400)
-        for nu in (1.0, 16.39, 25.72, 0.0, 0.5, -3.3):
-            got = np.exp(ln_bessel_k(nu, xs) + xs)
-            want = scipy.special.kve(nu, xs)
+        for n in (1.0, 16, 26, 0, 2, -3):
+            got = np.exp(ln_bessel_k(n, xs) + xs)
+            want = scipy.special.kve(n, xs)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
     def test_branch_seam(self):
         # Temme's series below x = 2, Steed's continued fraction from 2 on
         xs = np.linspace(1.99, 2.01, 41)
-        for nu in (0.0, 0.5, 3.3):
-            got = ln_bessel_k(nu, xs)
-            want = np.log(scipy.special.kv(nu, xs))
+        for n in (0, 1, 3):
+            got = ln_bessel_k(n, xs)
+            want = np.log(scipy.special.kv(n, xs))
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+    def test_only_integer_orders(self):
+        for bad in (0.5, 16.39, -3.3, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="integer order"):
+                ln_bessel_k(bad, 1.0)
 
     def test_large_order_small_argument_stays_finite(self):
         # K_200(1e-3) ~ 1e1000 overflows doubles; its log does not
