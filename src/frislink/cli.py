@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, montecarlo
 from .config import (
     PRESET_NAMES,
     ConfigError,
@@ -23,7 +23,7 @@ from .config import (
     preset_config,
 )
 from .experiments import cmd_capacity, cmd_dist, cmd_outage, cmd_sweep_m
-from .montecarlo import _RANK_TAIL, CoherentMode, _one_blas_thread, plan_runs
+from .montecarlo import _RANK_TAIL, CoherentMode, plan_runs
 
 _COMMANDS = {
     "dist": cmd_dist,
@@ -105,11 +105,10 @@ def _cost_lines(config: ExperimentConfig) -> list:
     4 r_max normals a trial and whether BLAS could be pinned."""
     names = [f"mode {spec.label}" for spec in config.modes]
     runs = [(spec.grid, spec.mode) for spec in config.modes]
-    for m_x, m_z in config.m_grid or ():
-        names.append(f"sweep {m_x}x{m_z}")
-        runs.append((config.geometry.regrid(m_x, m_z), CoherentMode(m_x * m_z)))
-    with _one_blas_thread() as pinned:
-        plans = plan_runs(config.kernel, runs)
+    for grid in config.m_grid or ():
+        names.append(f"sweep {grid.m_x}x{grid.m_z}")
+        runs.append((grid, CoherentMode(grid.m)))
+    plans = plan_runs(config.kernel, runs)
     lines = [f"rank_tail: {_RANK_TAIL}"]
     for name, plan in zip(names, plans):
         cost = f"normals_per_trial {plan.draws_per_trial}"
@@ -121,7 +120,7 @@ def _cost_lines(config: ExperimentConfig) -> list:
         lines.append(f"shared normals_per_trial {shared}")
     blas = (
         "blas: pinned to 1 thread"
-        if pinned
+        if montecarlo._blas_controls() is not None
         else "blas: unpinned (no scipy-openblas symbol); bytes may depend on BLAS threads"
     )
     return lines + [blas]

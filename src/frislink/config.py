@@ -86,7 +86,7 @@ class ExperimentConfig:
     trials: int
     seed: int
     output_path: str | None
-    m_grid: tuple | None
+    m_grid: tuple | None  # sweep-m's grids (SurfaceGeometry), each over the full aperture
     canonical: dict  # resolved pure-JSON document, input to the hash
 
     @property
@@ -282,8 +282,7 @@ def _parse_m_grid(doc: dict, geom: SurfaceGeometry) -> tuple | None:
             raise ConfigError(f"m_grid[{i}]: must be a [m_x, m_z] pair")
         m_x = _require_int(pair[0], f"m_grid[{i}][0]")
         m_z = _require_int(pair[1], f"m_grid[{i}][1]")
-        _regrid(geom, m_x, m_z, f"m_grid[{i}]")
-        out.append((m_x, m_z))
+        out.append(_regrid(geom, m_x, m_z, f"m_grid[{i}]"))
     return tuple(out)
 
 
@@ -359,7 +358,7 @@ def parse_config(text: str) -> ExperimentConfig:
         "trials": trials,
         "seed": seed,
         "output_path": output_path,
-        "m_grid": [list(p) for p in m_grid] if m_grid else None,
+        "m_grid": [[g.m_x, g.m_z] for g in m_grid] if m_grid else None,
     }
     config = ExperimentConfig(
         geometry=geom,

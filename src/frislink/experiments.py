@@ -297,26 +297,24 @@ def cmd_sweep_m(config: ExperimentConfig, out_path, workers: int | None = None) 
                 "sweep-m: ris_baseline mode required when m_o is not square"
             )
         ris_grid, ris_mode = config.geometry.regrid(side, side), CoherentMode(m_o)
-    for m_x, m_z in config.m_grid:
-        if m_x * m_z < m_o:
+    for grid in config.m_grid:
+        if grid.m < m_o:
             raise ConfigError(
-                f"sweep-m: grid {m_x}x{m_z} has fewer than m_o={m_o} elements"
+                f"sweep-m: grid {grid.m_x}x{grid.m_z} has fewer than m_o={m_o} elements"
             )
-    runs = [(ris_grid, ris_mode)] + [
-        (config.geometry.regrid(m_x, m_z), adaptives[0].mode) for m_x, m_z in config.m_grid
-    ]
+    runs = [(ris_grid, ris_mode)] + [(grid, adaptives[0].mode) for grid in config.m_grid]
     plans = plan_runs(config.kernel, runs)
     with _output(out_path) as f:
         ris_samples, *sweep = run_many(plans, config.trials, config.seed, workers=workers)
         ris_est = estimate_ergodic_capacity(ris_samples, budget)
         rows = []
-        for (m_x, m_z), samples in zip(config.m_grid, sweep):
+        for grid, samples in zip(config.m_grid, sweep):
             est = estimate_ergodic_capacity(samples, budget)
             rows.append(
                 (
-                    m_x,
-                    m_z,
-                    m_x * m_z,
+                    grid.m_x,
+                    grid.m_z,
+                    grid.m,
                     est.capacity,
                     est.stderr,
                     ris_est.capacity,
@@ -326,7 +324,7 @@ def cmd_sweep_m(config: ExperimentConfig, out_path, workers: int | None = None) 
         meta = _base_meta(config, "sweep-m")
         meta.update({"m_o": m_o, "snr_db": format(config.snr_grid_db[0], ".17g")})
         names = [f"ris({ris_grid.m_x}x{ris_grid.m_z})"]
-        names += [f"{adaptives[0].label}@{m_x}x{m_z}" for m_x, m_z in config.m_grid]
+        names += [f"{adaptives[0].label}@{g.m_x}x{g.m_z}" for g in config.m_grid]
         meta["ranks"] = _ranks(names, plans)
         _write_csv(
             f,

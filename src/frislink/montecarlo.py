@@ -16,11 +16,13 @@ module implements it:
                      mirror parity classes (`_parity_classes`,
                      `_grid_factor`);
   `run_many`         the plans in one pass over the chunks, on threads
-                     that each compute in one `_workspace`;
-  `_compute_chunk`   one chunk, block by block: a static mode's
-                     exponentials (`_static_gains`), and each coherent
-                     plan's `_products` of the block's normals through its
-                     class stack (`_stack`), which `_combine` sums;
+                     that each compute in one `_workspace`, each coherent
+                     plan in the layout that `run_many` picks for it;
+  `_compute_chunk`   one chunk, block by block, from its `_stream`s: a
+                     static mode's exponentials (`_static_gains`), and
+                     each coherent plan's `_products` of the block's
+                     normals through its layout's class stack (`_stack`),
+                     which `_combine` sums;
   `_screen_layout`,  with a threshold, each coherent plan's rotated
   `_lower_bound`     classes and screen, which clear a block from its
                      screen columns (16 at most) before its other normals
@@ -60,7 +62,6 @@ __all__ = [
     "OutageEstimate",
     "CapacityEstimate",
     "RunPlan",
-    "chunk_rng",
     "plan_runs",
     "run_trials",
     "run_many",
@@ -121,14 +122,14 @@ def _blas_controls():
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Hold BLAS at one thread for the length of the block; yields whether
-    it could. The setting is process-wide, so entries are counted: the
-    first sets one thread and the last restores the caller's count, and
-    nested or concurrent runs proceed without waiting for each other."""
+    """Hold BLAS at one thread for the length of the block, if it can. The
+    setting is process-wide, so entries are counted: the first sets one
+    thread and the last restores the caller's count, and nested or
+    concurrent runs proceed without waiting for each other."""
     global _blas_depth, _blas_saved
     controls = _blas_controls()
     if controls is None:
-        yield False
+        yield
         return
     get_threads, set_threads = controls
     with _blas_lock:
@@ -137,7 +138,7 @@ def _one_blas_thread():
             set_threads(1)
         _blas_depth += 1
     try:
-        yield True
+        yield
     finally:
         with _blas_lock:
             _blas_depth -= 1
@@ -152,15 +153,12 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    """Independent stream for one chunk of one experiment.
-
-    The chunk index is planted in the upper words of the Philox counter,
-    far above the in-stream increments, so streams never overlap.
-    """
-    if chunk < 0:
-        raise ValueError(f"chunk index must be nonnegative, got {chunk}")
-    return np.random.Generator(np.random.Philox(key=seed, counter=chunk << 128))
+def _stream(seed: int, chunk: int, word: int) -> np.random.Generator:
+    """Stream `word` of a chunk: Philox keyed by the seed, with the chunk in
+    counter words 2 and 3 and `word` in word 1, far above the increments of
+    word 0, so streams never overlap. A chunk's static fills read word 0,
+    and its coherent draw block j reads word j + 1."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=chunk << 128 | word << 64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,13 +370,6 @@ def _unstack(classes: tuple) -> list:
     return [(cols[:r], rows[:r]) for cols, rows, r in zip(idx, blocks, ranks)]
 
 
-def _draw_block(seed: int, chunk: int, j: int) -> np.random.Generator:
-    """Stream of coherent draw block j of a chunk: Philox keyed by the
-    seed, with the chunk in counter words 2 and 3 and j + 1 in word 1."""
-    bits = np.random.Philox(key=seed, counter=(chunk << 128) | ((j + 1) << 64))
-    return np.random.Generator(bits)
-
-
 def _workspace(plans: list):
     """Working buffers for the coherent draw blocks of `plans`, sized by the
     largest rank and grid (M' = C Q, from each class stack's shape): the
@@ -474,7 +465,7 @@ def _lower_bound(z: np.ndarray, k: int, rows: np.ndarray, w: np.ndarray) -> np.n
 def _static_gains(plan: RunPlan, seed: int, chunk: int, out: np.ndarray) -> None:
     """A static plan's gains E_0 sum_k nu_k E_k for one chunk, into out:
     per trial E_0, E_1 .. E_K, read block by block from the chunk's stream."""
-    rng = chunk_rng(seed, chunk)
+    rng = _stream(seed, chunk, 0)
     e = np.empty((_BLOCK_TRIALS, plan.weights.size + 1))
     for t0 in range(0, len(out), _BLOCK_TRIALS):
         k = min(_BLOCK_TRIALS, len(out) - t0)
@@ -515,7 +506,7 @@ def _products(zk: np.ndarray, k: int, classes: tuple, w: np.ndarray) -> np.ndarr
     return np.multiply(f, u, out=f).reshape(k, c * q)
 
 
-def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work, screen=None) -> None:
+def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work, bar, layouts) -> None:
     """Writes the gains of every plan for the n trials of one chunk into
     the matching array of `gains`, each of length n.
 
@@ -536,17 +527,17 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work, screen
     stack, whatever the other plans; a plan that several runs share is
     computed once. `work` is the `_workspace(plans)` to compute in.
 
-    `screen`, if passed, is (bar, layouts): each coherent plan reads the
-    blocks through its screen-first layout `layouts[plan]` = (stack,
-    rows) (`_screen_layout`). Each block first fills as many columns as
-    the widest screen reads (none without a screen). A plan whose every
-    trial in the block has `_lower_bound` above bar, from its `rows`,
-    writes +inf for them instead of computing them; the other columns
-    are filled only if some plan computes the block, and the two fills
-    give the bits of one fill of both. Until one block passes, a plan
-    screens only blocks 0, 1, 3, 7, .., 2^i - 1 of the chunk, and every
-    block after: a threshold that no block clears costs a plan seven
-    screens of a chunk's 64 blocks.
+    Each coherent plan reads the blocks through `layouts[plan]` = (stack,
+    rows): its own class stack and no screen rows, or its screen-first
+    layout (`_screen_layout`). `bar` is None, which screens no block, or
+    the gain to screen at. Each block then first fills as many columns
+    as the widest screen reads. A plan whose every trial in the block has
+    `_lower_bound` above bar, from its `rows`, writes +inf for them
+    instead of computing them; the other columns are filled only if some
+    plan computes the block, and the two fills give the bits of one fill
+    of both. Until one block passes, a plan screens only blocks 0, 1, 3,
+    7, .., 2^i - 1 of the chunk, and every block after: a threshold that
+    no block clears costs a plan seven screens of a chunk's 64 blocks.
     """
     coherent = {}  # each distinct plan once, with the arrays its runs fill
     for plan, out in zip(plans, gains):
@@ -558,11 +549,6 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work, screen
         return
     z, w = work
     n = len(gains[0])
-    # each plan's class stack and screen rows; all screen columns come first
-    if screen is None:
-        bar, layouts = None, {plan: (plan.classes, None) for plan in coherent}
-    else:
-        bar, layouts = screen
     head = 0 if bar is None else max(rows.shape[0] for _, rows in layouts.values())
     # the block each plan screens next: 2 j + 1 after block j fails, every
     # block (-1) once one has passed, and none without a screen
@@ -570,7 +556,7 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work, screen
     for j, t0 in enumerate(range(0, n, _BLOCK_TRIALS)):
         k = min(_BLOCK_TRIALS, n - t0)
         t1 = t0 + k
-        draw = _draw_block(seed, chunk, j)
+        draw = _stream(seed, chunk, j + 1)
         draw.standard_normal(out=z[:head])
         exact = []
         for plan, outs in coherent.items():
@@ -630,13 +616,13 @@ def run_many(
     a chunk raises, or the wait is interrupted, chunks not yet started
     are cancelled.
 
-    With a `threshold`, a caller that only counts gains at or below it
-    lets the coherent plans screen their draw blocks, which they then read
-    in the screen-first layout (`_screen_layout`): a block whose every
-    trial's lower bound exceeds threshold (1 + 1e-9) reads +inf for those
-    trials, and every other gain is the one that layout gives at threshold
-    inf, which screens no block. Those are other draws of the same law than
-    the gains without a threshold.
+    Each coherent plan reads its draw blocks through its own class stack,
+    or with a `threshold`, which lets a caller that only counts gains at or
+    below it screen them, in its screen-first layout (`_screen_layout`): a
+    block whose every trial's lower bound exceeds threshold (1 + 1e-9)
+    reads +inf for those trials, and every other gain is the one that
+    layout gives at threshold inf, which screens no block. Those are other
+    draws of the same law than the gains without a threshold.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -647,10 +633,12 @@ def run_many(
     if not plans:
         raise ValueError("plans must hold at least one run")
     gains = [np.empty(n) for _ in plans]
-    screen = None
-    if threshold is not None:
-        layouts = {plan: _screen_layout(plan) for plan in plans if plan.kind != "static"}
-        screen = threshold * (1.0 + 1e-9), layouts
+    coherent = dict.fromkeys(plan for plan in plans if plan.kind != "static")
+    if threshold is None:
+        bar, layouts = None, {plan: (plan.classes, None) for plan in coherent}
+    else:
+        bar = threshold * (1.0 + 1e-9)
+        layouts = {plan: _screen_layout(plan) for plan in coherent}
     starts = range(0, n, CHUNK_TRIALS)
     threads = min(workers, len(starts))
     # one workspace a thread, made by the caller and handed from chunk to
@@ -663,7 +651,7 @@ def run_many(
         work = idle.get()
         try:
             chunk = [g[t0 : t0 + CHUNK_TRIALS] for g in gains]
-            _compute_chunk(plans, seed, c, chunk, work, screen)
+            _compute_chunk(plans, seed, c, chunk, work, bar, layouts)
         finally:
             idle.put(work)
 

@@ -197,12 +197,13 @@ _K_SPLIT = 2.0
 
 def _k_series(x: np.ndarray):
     """ln K_0(x) and ln K_1(x) / K_0(x) by Temme's series at order 0,
-    where its gamma terms reduce to Euler's constant; 0 < x < 2."""
-    half = 0.5 * x
-    ff = -np.log(half) - np.euler_gamma
+    where its gamma terms reduce to Euler's constant; 0 < x < 2, x / 2
+    entering as its log, which stays finite where x / 2 underflows."""
+    ln_half = np.log(x) - math.log(2.0)
+    ff = -ln_half - np.euler_gamma
     p = np.full_like(x, 0.5)  # Temme's p and q, equal at order 0
     c = np.ones_like(x)
-    quarter = half * half
+    quarter = 0.25 * x * x
     k0 = ff.copy()
     k1 = p.copy()  # K_1 * x / 2
     for i in range(1, _MAX_SERIES_ITER):
@@ -213,7 +214,7 @@ def _k_series(x: np.ndarray):
         k0 += delta
         k1 += c * (p - i * ff)
         if np.all(np.abs(delta) < _K_EPS * np.abs(k0)):
-            return np.log(k0), np.log(k1 / (half * k0))
+            return np.log(k0), np.log(k1 / k0) - ln_half
     raise ArithmeticError("K_0 series failed to converge")
 
 
@@ -255,9 +256,9 @@ def ln_bessel_k(n, x) -> np.ndarray:
 
     K_0 and K_1 come from Temme's series (x < 2) or Steed's continued
     fraction (x >= 2) at order 0, and the upward recurrence
-    K_{v+1} = (2v/x) K_v + K_{v-1} runs on the ratio K_{v+1}/K_v, summing
-    logs, so neither large orders nor small arguments overflow (Temme,
-    J. Comput. Phys. 19, 1975).
+    K_{v+1} = (2v/x) K_v + K_{v-1} runs on the log of the ratio
+    K_{v+1}/K_v, so neither large orders nor small arguments, down to the
+    smallest subnormal x, overflow (Temme, J. Comput. Phys. 19, 1975).
     """
     if not float(n).is_integer():  # also rejects nan and inf
         raise ValueError(f"ln_bessel_k requires an integer order, got {n!r}")
@@ -271,8 +272,8 @@ def ln_bessel_k(n, x) -> np.ndarray:
     for mask, method in ((near, _k_series), (~near, _k_continued_fraction)):
         if mask.any():
             ln_k[mask], ln_ratio[mask] = method(x[mask])
-    ratio = np.exp(ln_ratio)
+    ln_x = np.log(x)
     for i in range(1, n + 1):
-        ln_k += np.log(ratio)
-        ratio = 2.0 * i / x + 1.0 / ratio
+        ln_k += ln_ratio
+        ln_ratio = np.logaddexp(math.log(2.0 * i) - ln_x, -ln_ratio)
     return ln_k

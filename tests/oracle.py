@@ -48,7 +48,7 @@ import numpy as np
 import scipy.special
 
 from frislink.correlation import _clamped_eigh
-from frislink.montecarlo import _GAIN_SCALE, CHUNK_TRIALS, _parity_classes, chunk_rng
+from frislink.montecarlo import _GAIN_SCALE, CHUNK_TRIALS, _parity_classes, _stream
 
 _RT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -288,7 +288,7 @@ def whole_chunk_gains(plan, seed: int, chunk: int, n: int) -> np.ndarray:
     numpy computes as a dot product (an ulp or two apart).
     """
     if plan.kind == "static":
-        e = chunk_rng(seed, chunk).standard_exponential((n, plan.weights.size + 1))
+        e = _stream(seed, chunk, 0).standard_exponential((n, plan.weights.size + 1))
         return e[:, 0] * (e[:, 1:] @ plan.weights)
     return class_gains(plan, column_normals(seed, chunk, n, plan.rank))
 
@@ -317,11 +317,11 @@ def plain_factor_gains(plan, factor: np.ndarray, seed: int, chunk: int, n: int) 
 def trial_major_gains(plan, factor: np.ndarray, seed: int, n: int) -> np.ndarray:
     """Coherent gains as artifact version 3 drew them, through the plan's
     unfolded factor (`plan_factor`): each chunk's trials read 4r normals
-    in a row of `chunk_rng`, trial after trial."""
+    in a row of the chunk's word-0 stream (`_stream`), trial after trial."""
     out = []
     for c, t0 in enumerate(range(0, n, CHUNK_TRIALS)):
         k = min(CHUNK_TRIALS, n - t0)
-        z = chunk_rng(seed, c).standard_normal((4 * k, plan.rank))
+        z = _stream(seed, c, 0).standard_normal((4 * k, plan.rank))
         out.append(_combine_chunk(plan, _products((z @ factor.T).reshape(k, 4, -1))))
     return np.concatenate(out)
 

@@ -166,7 +166,8 @@ class TestParseConfig:
         # int64 index range: a RIS grid and a sweep grid are checked too
         with pytest.raises(ConfigError, match=f"{field}: geometry: .* index range"):
             parse(tiny_doc(**overrides))
-        assert parse(tiny_doc(m_grid=[[2**31, 2**31 - 1]])).m_grid == ((2**31, 2**31 - 1),)
+        cfg = parse(tiny_doc(m_grid=[[2**31, 2**31 - 1]]))
+        assert [(g.m_x, g.m_z) for g in cfg.m_grid] == [(2**31, 2**31 - 1)]
 
     def test_hash_stable_and_sensitive(self):
         a = parse(tiny_doc()).config_hash
@@ -183,7 +184,7 @@ class TestParseConfig:
         mode = fig2.modes[0].mode
         assert isinstance(mode, StaticMode) and len(mode.selection) == 144
         fig3c = parse(preset_config("fig3c"))
-        assert fig3c.m_grid == ((6, 6), (10, 10), (14, 14), (20, 20))
+        assert [(g.m_x, g.m_z) for g in fig3c.m_grid] == [(6, 6), (10, 10), (14, 14), (20, 20)]
         with pytest.raises(ConfigError):
             preset_config("fig9")
 

@@ -32,7 +32,6 @@ from frislink.montecarlo import (
     OutageEstimate,
     StaticMode,
     _compute_chunk,
-    chunk_rng,
     empirical_cdf,
     estimate_ergodic_capacity,
     estimate_outage,
@@ -93,6 +92,15 @@ def plan_of(geom, mode):
     return plan_runs("spherical", [(geom, mode)])[0]
 
 
+def chunk_of(plan, seed, chunk, n):
+    """One chunk of n trials of a plan alone, as `run_many` computes it
+    without a threshold: through the plan's own class stack."""
+    got = np.empty(n)
+    layouts = {plan: (plan.classes, None)}
+    _compute_chunk([plan], seed, chunk, [got], mc._workspace([plan]), None, layouts)
+    return got
+
+
 def factor_of(geom, mode):
     """The dense factor, in draw order, of a coherent mode's `plan_of`."""
     return plan_factor(plan_of(geom, mode), geom, build_correlation_matrix(geom, "spherical"))
@@ -107,20 +115,18 @@ class TestTrialRng:
     """The per-chunk streams every trial's normals come from."""
 
     def test_reproducible(self):
-        a = chunk_rng(42, 7).standard_normal(8)
-        b = chunk_rng(42, 7).standard_normal(8)
+        a = mc._stream(42, 7, 0).standard_normal(8)
+        b = mc._stream(42, 7, 0).standard_normal(8)
         assert np.array_equal(a, b)
 
     def test_distinct_streams(self):
-        a = chunk_rng(42, 0).standard_normal(8)
-        b = chunk_rng(42, 1).standard_normal(8)
-        c = chunk_rng(43, 0).standard_normal(8)
+        a = mc._stream(42, 0, 0).standard_normal(8)
+        b = mc._stream(42, 1, 0).standard_normal(8)
+        c = mc._stream(43, 0, 0).standard_normal(8)
+        d = mc._stream(42, 0, 1).standard_normal(8)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-    def test_negative_trial_rejected(self):
-        with pytest.raises(ValueError):
-            chunk_rng(42, -1)
+        assert not np.array_equal(a, d)
 
 
 class TestRunTrials:
@@ -351,8 +357,7 @@ class TestBlockedChunk:
         g, mode = dense_case(kind)
         plan = plan_of(g, mode)
         for chunk in (0, 3):
-            got = np.empty(n)
-            _compute_chunk([plan], 17, chunk, [got], mc._workspace([plan]))
+            got = chunk_of(plan, 17, chunk, n)
             assert np.array_equal(got, whole_chunk_gains(plan, 17, chunk, n))
 
     @pytest.mark.parametrize("n", [CHUNK_TRIALS, 3616, 517], ids=["full", "ragged", "short-remainder"])
@@ -365,8 +370,7 @@ class TestBlockedChunk:
         plan = plan_of(g, CoherentMode(m_o=36))
         for seed in (17, 18):
             for chunk in (0, 3):
-                got = np.empty(n)
-                _compute_chunk([plan], seed, chunk, [got], mc._workspace([plan]))
+                got = chunk_of(plan, seed, chunk, n)
                 assert np.array_equal(got, whole_chunk_gains(plan, seed, chunk, n))
 
     @pytest.mark.parametrize("kind", MODE_KINDS)
@@ -380,8 +384,7 @@ class TestBlockedChunk:
         plan = plan_of(g, mode)
         for n in range(129, 192):
             for chunk in (0, 3):
-                got = np.empty(n)
-                _compute_chunk([plan], 17, chunk, [got], mc._workspace([plan]))
+                got = chunk_of(plan, 17, chunk, n)
                 want = whole_chunk_gains(plan, 17, chunk, n)
                 if kind == "static" and n == 129:
                     assert np.array_equal(got[:128], want[:128])
@@ -395,8 +398,7 @@ class TestBlockedChunk:
         for n in range(129, 192):
             for seed in (17, 18):
                 for chunk in (0, 3):
-                    got = np.empty(n)
-                    _compute_chunk([plan], seed, chunk, [got], mc._workspace([plan]))
+                    got = chunk_of(plan, seed, chunk, n)
                     assert np.array_equal(got, whole_chunk_gains(plan, seed, chunk, n)), n
 
     def test_contract_normals_depend_on_trial_and_rank_only(self):
@@ -427,8 +429,7 @@ class TestParityFold:
         for m_o in sorted({min(36, g.m), g.m}):
             plan = plan_of(g, CoherentMode(m_o))
             assert len(plan.classes[0]) == classes
-            got = np.empty(3616)
-            _compute_chunk([plan], 41, 1, [got], mc._workspace([plan]))
+            got = chunk_of(plan, 41, 1, 3616)
             f = factor_of(g, CoherentMode(m_o))
             want = plain_factor_gains(plan, f, 41, 1, 3616)
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
@@ -503,8 +504,7 @@ class TestClassStack:
         plan = plan_of(*stack_case(name))
         n = 517
         for chunk in (0, 3):
-            got = np.empty(n)
-            _compute_chunk([plan], 23, chunk, [got], mc._workspace([plan]))
+            got = chunk_of(plan, 23, chunk, n)
             assert np.array_equal(got, whole_chunk_gains(plan, 23, chunk, n))
         with mc._one_blas_thread():
             screen_stack, _ = mc._screen_layout(plan)
@@ -841,7 +841,7 @@ class TestScreenedRuns:
         # -40 dB every block, screened (0, 1, 3, .., 63 of a chunk) or not,
         # then fills the 96 other rows fris reads
         fills = []
-        real_draw_block = mc._draw_block
+        real_stream = mc._stream
 
         class Recording:
             def __init__(self, rng):
@@ -851,7 +851,7 @@ class TestScreenedRuns:
                 fills.append(out.shape)
                 return self.rng.standard_normal(out=out)
 
-        monkeypatch.setattr(mc, "_draw_block", lambda *a: Recording(real_draw_block(*a)))
+        monkeypatch.setattr(mc, "_stream", lambda *a: Recording(real_stream(*a)))
         cfg, plans = config_plans(preset_config("fig3a"))
         blocks = [*range(64), 0, 1, 2]  # chunk 0's, then the 300-trial chunk 1's
         cleared = [[(16, 512)] for _ in blocks]
@@ -928,17 +928,17 @@ class TestThreadWorkers:
     def test_failed_chunk_stops_the_run(self, monkeypatch):
         started = []
         lock = threading.Lock()
-        real_draw_block = mc._draw_block
+        real_stream = mc._stream
 
-        def failing_draw_block(seed, chunk, j):
-            if j == 0:  # a chunk's first draw block
+        def failing_stream(seed, chunk, word):
+            if word == 1:  # a chunk's first draw block, j = word - 1 = 0
                 with lock:
                     started.append(chunk)
                 if chunk == 2:
                     raise RuntimeError("chunk 2 failed")
-            return real_draw_block(seed, chunk, j)
+            return real_stream(seed, chunk, word)
 
-        monkeypatch.setattr(mc, "_draw_block", failing_draw_block)
+        monkeypatch.setattr(mc, "_stream", failing_stream)
         n = 40 * CHUNK_TRIALS
         with pytest.raises(RuntimeError, match="chunk 2 failed"):
             run_trials(small_geom(), "spherical", CoherentMode(9), n, seed=19, workers=2)

@@ -408,7 +408,7 @@ class TestScreenBound:
         with mc._one_blas_thread():
             for j, t0 in enumerate(range(0, n, 128)):
                 k = min(128, n - t0)
-                mc._draw_block(seed, 0, j).standard_normal(out=z[:16])
+                mc._stream(seed, 0, j + 1).standard_normal(out=z[:16])
                 bound[t0 : t0 + k] = mc._lower_bound(z, k, rows, w)
         assert np.all(bound > 0.0)
         assert np.all(bound <= gains * (1.0 + 1e-12))

@@ -246,6 +246,19 @@ class TestLnBesselK:
         want = scipy.special.gammaln(200.0) - math.log(2.0) + 200.0 * math.log(2e3)
         assert float(ln_bessel_k(200.0, 1e-3)) == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("x", [5e-324, 1e-310, 2.2250738585072014e-308, 1e-300])
+    def test_tiny_argument_meets_the_small_x_limit(self, x):
+        # down to the smallest subnormal, where x / 2 rounds to 0 and
+        # 2 i / x and K_1 / K_0 overflow: K_0(x) ~ -ln(x / 2) - gamma and
+        # K_n(x) ~ Gamma(n) 2^(n - 1) x^(-n), whose next terms are below
+        # x^2 ln x relative
+        ln_x = math.log(x)
+        want = {0: math.log(-(ln_x - math.log(2.0)) - np.euler_gamma)}
+        for n in (1, 2, 5):
+            want[n] = math.lgamma(n) + (n - 1) * math.log(2.0) - n * ln_x
+        for n, value in want.items():
+            assert float(ln_bessel_k(n, x)) == pytest.approx(value, rel=1e-12, abs=0.0)
+
     def test_domain_errors(self):
         for bad in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError):
