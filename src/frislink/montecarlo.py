@@ -18,7 +18,7 @@ module implements it:
   `run_many`         the plans in one pass over the chunks, on threads
                      that each compute in one `_workspace`, each coherent
                      plan in the layout that `run_many` picks for it;
-  `_compute_chunk`   one chunk, block by block, from its `_stream`s: a
+  `_compute_chunk`   one chunk, in whole blocks, from its `_stream`s: a
                      static mode's exponentials (`_static_gains`), and
                      each coherent plan's `_products` of the block's
                      normals through its layout's class stack (`_stack`),
@@ -439,18 +439,19 @@ def _screen_layout(plan: RunPlan):
     return _stack(classes), np.ascontiguousarray(np.concatenate(screen)[:, :width])
 
 
-def _lower_bound(z: np.ndarray, k: int, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per trial of the k of a draw block z whose screen columns are
-    filled, the lower bound L = (1/4) (sum_{i in S} sqrt P_i)^2 of its
-    coherent gain, from the products P of the elements of a screen set
-    S, whose parts are the block's first r columns times `rows` (r x |S|,
-    `_screen_layout`). The gain sums the m_o largest sqrt P, which
-    dominate any m_o of them, and |S| <= m_o. Computed in the workspace
-    w, whose first k entries it returns."""
+def _lower_bound(z: np.ndarray, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per trial of a draw block z whose screen columns are filled, the
+    lower bound L = (1/4) (sum_{i in S} sqrt P_i)^2 of its coherent gain,
+    from the products P of the elements of a screen set S, whose parts are
+    the block's first r columns times `rows` (r x |S|, `_screen_layout`).
+    The gain sums the m_o largest sqrt P, which dominate any m_o of them,
+    and |S| <= m_o. Computed in the workspace w, whose first
+    _BLOCK_TRIALS entries it returns."""
+    k = _BLOCK_TRIALS
     r, s = rows.shape
     n = k * s
     parts = w[: 4 * n].reshape(4 * k, s)  # row 4t + 2h + i: part i of hop h of trial t
-    np.matmul(z[:r, : 4 * k].T, rows, out=parts)
+    np.matmul(z[:r].T, rows, out=parts)
     np.square(parts, out=parts)
     parts = parts.reshape(k, 2, 2, s)
     hops = w[4 * n : 6 * n].reshape(k, 2, s)
@@ -463,26 +464,26 @@ def _lower_bound(z: np.ndarray, k: int, rows: np.ndarray, w: np.ndarray) -> np.n
 
 
 def _static_gains(plan: RunPlan, seed: int, chunk: int, out: np.ndarray) -> None:
-    """A static plan's gains E_0 sum_k nu_k E_k for one chunk, into out:
-    per trial E_0, E_1 .. E_K, read block by block from the chunk's stream."""
+    """A static plan's gains E_0 sum_k nu_k E_k for one chunk, into out, whole
+    blocks long: per trial E_0, E_1 .. E_K, read block by block from the chunk's stream."""
     rng = _stream(seed, chunk, 0)
     e = np.empty((_BLOCK_TRIALS, plan.weights.size + 1))
     for t0 in range(0, len(out), _BLOCK_TRIALS):
-        k = min(_BLOCK_TRIALS, len(out) - t0)
-        rng.standard_exponential(out=e[:k])
-        out[t0 : t0 + k] = e[:k, 0] * (e[:k, 1:] @ plan.weights)
+        rng.standard_exponential(out=e)
+        out[t0 : t0 + _BLOCK_TRIALS] = e[:, 0] * (e[:, 1:] @ plan.weights)
 
 
-def _products(zk: np.ndarray, k: int, classes: tuple, w: np.ndarray) -> np.ndarray:
-    """The (k, M') products P = (2 |a_f|^2) (2 |a_u|^2) of k trials from
-    their hop-major normals zk (zk[h, :, i k + t]: part i of hop h of
-    trial t, a row per draw column) through a class stack (`_stack`).
-    Per hop: one gather of the idx rows, one batched (2k x r_pad) @
-    (r_pad x Q) product of the C classes, whose zero padding rows leave
-    each class's shares the bits of its own r_c-term products, and a
-    C x C Hadamard sum to the parts at each mirror image; the hop's power
-    is the sum of its parts' squares. Computed in, and returned as a view
-    of, the workspace w (`_workspace`); the gather does not check idx."""
+def _products(zk: np.ndarray, classes: tuple, w: np.ndarray) -> np.ndarray:
+    """The (k, M') products P = (2 |a_f|^2) (2 |a_u|^2) of a draw block's
+    k = _BLOCK_TRIALS trials from their hop-major normals zk (zk[h, :, i k + t]:
+    part i of hop h of trial t, a row per draw column) through a class stack
+    (`_stack`). Per hop: one gather of the idx rows, one batched (2k x r_pad)
+    @ (r_pad x Q) product of the C classes, whose zero padding rows leave
+    each class's shares the bits of its own r_c-term products, and a C x C
+    Hadamard sum to the parts at each mirror image; the hop's power is the
+    sum of its parts' squares. Computed in, and returned as a view of, the
+    workspace w (`_workspace`); the gather does not check idx."""
+    k = _BLOCK_TRIALS
     idx, blocks = classes
     c, r_pad, q = blocks.shape
     n = k * c * q
@@ -506,26 +507,21 @@ def _products(zk: np.ndarray, k: int, classes: tuple, w: np.ndarray) -> np.ndarr
     return np.multiply(f, u, out=f).reshape(k, c * q)
 
 
-def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work, bar, layouts) -> None:
-    """Writes the gains of every plan for the n trials of one chunk into
-    the matching array of `gains`, each of length n.
+def _compute_chunk(gains: dict, seed: int, chunk: int, work, bar, layouts) -> None:
+    """Writes one chunk's gains into `gains`, an array per distinct plan,
+    whole blocks of _BLOCK_TRIALS long, each computed whole: the trials past
+    the trial count read draws that no trial before them reads, so a
+    trial's gain does not depend on the trial count.
 
-    The trials are drawn in blocks of _BLOCK_TRIALS into buffers reused
-    from block to block, so a chunk holds a few MB whatever its size; the
-    static fills (`_static_gains`) continue the chunk's stream. Coherent
-    block j is draw block j, its r_max columns filled however few trials
-    it holds, of which its k trials read the first 4k positions, so the
-    draws are those of the whole chunk drawn at once. With one BLAS
-    thread every coherent gain tested (3 x 3 to 20 x 20 grids, 1 to 8192
-    trials) equals the whole chunk's to the bit; a static last block of
-    one trial is a one-row product, which numpy computes as a dot product
-    and may round an ulp or two apart. The blocks are fixed by the trial
-    count alone, so the bytes do not depend on the worker count.
-
-    A block's columns are rewritten hop-major, and each coherent plan
-    that computes it `_combine`s their `_products` through its own class
-    stack, whatever the other plans; a plan that several runs share is
-    computed once. `work` is the `_workspace(plans)` to compute in.
+    The blocks are drawn into buffers reused from block to block, so a
+    chunk holds a few MB whatever its size; the static fills
+    (`_static_gains`) continue the chunk's stream, and coherent block j is
+    draw block j, its r_max columns filled. With one BLAS thread every
+    gain tested equals the whole chunk's to the bit (3 x 3 to 20 x 20
+    grids, 1 to 8192 trials). A block's columns are rewritten hop-major,
+    and each coherent plan that computes it `_combine`s their `_products`
+    through its own class stack, whatever the other plans. `work` is the
+    `_workspace` to compute in.
 
     Each coherent plan reads the blocks through `layouts[plan]` = (stack,
     rows): its own class stack and no screen rows, or its screen-first
@@ -539,32 +535,28 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work, bar, l
     7, .., 2^i - 1 of the chunk, and every block after: a threshold that
     no block clears costs a plan seven screens of a chunk's 64 blocks.
     """
-    coherent = {}  # each distinct plan once, with the arrays its runs fill
-    for plan, out in zip(plans, gains):
+    for plan, out in gains.items():
         if plan.kind == "static":
             _static_gains(plan, seed, chunk, out)
-        else:
-            coherent.setdefault(plan, []).append(out)
+    coherent = [plan for plan in gains if plan.kind != "static"]
     if not coherent:
         return
     z, w = work
-    n = len(gains[0])
+    n = len(gains[coherent[0]])
     head = 0 if bar is None else max(rows.shape[0] for _, rows in layouts.values())
     # the block each plan screens next: 2 j + 1 after block j fails, every
     # block (-1) once one has passed, and none without a screen
     due = dict.fromkeys(coherent, math.inf if bar is None else 0)
     for j, t0 in enumerate(range(0, n, _BLOCK_TRIALS)):
-        k = min(_BLOCK_TRIALS, n - t0)
-        t1 = t0 + k
+        block = slice(t0, t0 + _BLOCK_TRIALS)
         draw = _stream(seed, chunk, j + 1)
         draw.standard_normal(out=z[:head])
         exact = []
-        for plan, outs in coherent.items():
+        for plan in coherent:
             if due[plan] <= j:
-                if _lower_bound(z, k, layouts[plan][1], w).min() > bar:
+                if _lower_bound(z, layouts[plan][1], w).min() > bar:
                     due[plan] = -1
-                    for out in outs:
-                        out[t0:t1] = np.inf
+                    gains[plan][block] = np.inf
                     continue
                 if due[plan] >= 0:
                     due[plan] = 2 * j + 1
@@ -574,14 +566,12 @@ def _compute_chunk(plans: list, seed: int, chunk: int, gains: list, work, bar, l
         draw.standard_normal(out=z[head:])
         # the block's columns hop-major, zk[h, :, i k + t] holding part i of
         # hop h of trial t: rewritten over z by way of the workspace
-        parts = w[: len(z) * 4 * k].reshape(2, -1, 2, k)
-        np.copyto(parts, z[:, : 4 * k].reshape(-1, k, 2, 2).transpose(2, 0, 3, 1))
-        zk = z.reshape(-1)[: parts.size].reshape(2, -1, 2 * k)
+        parts = w[: z.size].reshape(2, -1, 2, _BLOCK_TRIALS)
+        np.copyto(parts, z.reshape(-1, _BLOCK_TRIALS, 2, 2).transpose(2, 0, 3, 1))
+        zk = z.reshape(2, -1, 2 * _BLOCK_TRIALS)
         zk[...] = parts.reshape(zk.shape)
         for plan in exact:
-            gain = _combine(plan, _products(zk, k, layouts[plan][0], w))
-            for out in coherent[plan]:
-                out[t0:t1] = gain
+            gains[plan][block] = _combine(plan, _products(zk, layouts[plan][0], w))
 
 
 def _combine(plan: RunPlan, power: np.ndarray) -> np.ndarray:
@@ -616,6 +606,10 @@ def run_many(
     a chunk raises, or the wait is interrupted, chunks not yet started
     are cancelled.
 
+    Each distinct plan fills one array of whole draw blocks, so a trial's
+    gain is bit for bit the same whatever n, and each run gets a view of
+    its first n gains: runs that share a plan share its array.
+
     Each coherent plan reads its draw blocks through its own class stack,
     or with a `threshold`, which lets a caller that only counts gains at or
     below it screen them, in its screen-first layout (`_screen_layout`): a
@@ -632,8 +626,9 @@ def run_many(
         raise ValueError(f"workers must be at least 1, got {workers}")
     if not plans:
         raise ValueError("plans must hold at least one run")
-    gains = [np.empty(n) for _ in plans]
-    coherent = dict.fromkeys(plan for plan in plans if plan.kind != "static")
+    size = -(-n // _BLOCK_TRIALS) * _BLOCK_TRIALS
+    gains = {plan: np.empty(size) for plan in dict.fromkeys(plans)}
+    coherent = [plan for plan in gains if plan.kind != "static"]
     if threshold is None:
         bar, layouts = None, {plan: (plan.classes, None) for plan in coherent}
     else:
@@ -650,8 +645,8 @@ def run_many(
     def compute(c: int, t0: int) -> None:
         work = idle.get()
         try:
-            chunk = [g[t0 : t0 + CHUNK_TRIALS] for g in gains]
-            _compute_chunk(plans, seed, c, chunk, work, bar, layouts)
+            chunk = {plan: g[t0 : t0 + CHUNK_TRIALS] for plan, g in gains.items()}
+            _compute_chunk(chunk, seed, c, work, bar, layouts)
         finally:
             idle.put(work)
 
@@ -662,7 +657,7 @@ def run_many(
             f.result()
     finally:
         pool.shutdown(cancel_futures=True)
-    return gains
+    return [gains[plan][:n] for plan in plans]
 
 
 def run_trials(

@@ -280,12 +280,12 @@ def whole_chunk_gains(plan, seed: int, chunk: int, n: int) -> np.ndarray:
     the coherent modes every draw block's normals drawn whole, one
     projection per parity class through its r_c real rows alone (the
     engine's stacked product pads them with zero rows), one signed sum
-    of the classes at each mirror image, and one combine. With one BLAS thread the blocked
-    engine reproduces it bit for bit on the 3x3, 5x4, 6x5, 6x6, 10x10,
-    14x14 and 20x20 grids of the 3 x 3 wavelength aperture, at the trial
-    counts tested (1, 37, 129 to 191, 517, 3616 and 8192), and for
-    static modes but for a last block of one trial, whose one-row product
-    numpy computes as a dot product (an ulp or two apart).
+    of the classes at each mirror image, and one combine. The engine
+    computes every block whole, and with one BLAS thread its first n gains
+    are bit for bit these at n rounded up to whole blocks, static and
+    coherent modes alike, on the 3x3, 5x4, 6x5, 6x6, 10x10, 14x14 and
+    20x20 grids of the 3 x 3 wavelength aperture, at the trial counts
+    tested (1, 37, 129 to 191, 517, 3616 and 8192).
     """
     if plan.kind == "static":
         e = _stream(seed, chunk, 0).standard_exponential((n, plan.weights.size + 1))

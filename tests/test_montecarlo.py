@@ -92,13 +92,19 @@ def plan_of(geom, mode):
     return plan_runs("spherical", [(geom, mode)])[0]
 
 
+def whole_blocks(n):
+    """n rounded up to a whole number of 128-trial draw blocks."""
+    return -(-n // 128) * 128
+
+
 def chunk_of(plan, seed, chunk, n):
     """One chunk of n trials of a plan alone, as `run_many` computes it
-    without a threshold: through the plan's own class stack."""
-    got = np.empty(n)
+    without a threshold: through the plan's own class stack, in whole
+    draw blocks, of which the first n trials are returned."""
+    got = np.empty(whole_blocks(n))
     layouts = {plan: (plan.classes, None)}
-    _compute_chunk([plan], seed, chunk, [got], mc._workspace([plan]), None, layouts)
-    return got
+    _compute_chunk({plan: got}, seed, chunk, mc._workspace([plan]), None, layouts)
+    return got[:n]
 
 
 def factor_of(geom, mode):
@@ -342,8 +348,9 @@ class TestRunTrials:
 
 
 class TestBlockedChunk:
-    """The engine streams a chunk through trial blocks; the reference
-    draws, projects and combines the whole chunk at once."""
+    """The engine streams a chunk through whole trial blocks; the
+    reference draws, projects and combines the whole chunk at once, at
+    the trial count rounded up to whole blocks."""
 
     @pytest.mark.parametrize("kind", MODE_KINDS)
     @pytest.mark.parametrize(
@@ -353,12 +360,12 @@ class TestBlockedChunk:
     )
     def test_matches_whole_chunk(self, kind, n):
         # 3616 = 28 blocks and 32 trials; 517 = 4 blocks and 5 trials,
-        # whose last draw block is projected alone
+        # whose last draw block is computed whole
         g, mode = dense_case(kind)
         plan = plan_of(g, mode)
         for chunk in (0, 3):
             got = chunk_of(plan, 17, chunk, n)
-            assert np.array_equal(got, whole_chunk_gains(plan, 17, chunk, n))
+            assert np.array_equal(got, whole_chunk_gains(plan, 17, chunk, whole_blocks(n))[:n])
 
     @pytest.mark.parametrize("n", [CHUNK_TRIALS, 3616, 517], ids=["full", "ragged", "short-remainder"])
     def test_matches_whole_chunk_to_rounding_on_14x14(self, n):
@@ -375,22 +382,15 @@ class TestBlockedChunk:
 
     @pytest.mark.parametrize("kind", MODE_KINDS)
     def test_every_last_block_length_matches_whole_chunk(self, kind):
-        # n = 129 .. 191: one whole block and a last one of 1 .. 63 trials,
-        # projected alone. A static last block of one trial is a one-row
-        # product, which numpy computes as a dot product, not with the
-        # matrix-vector kernel of the whole chunk, so its gain may round
-        # an ulp or two apart
+        # n = 129 .. 191: one whole block and 1 .. 63 trials of a second,
+        # which is computed whole
         g, mode = dense_case(kind)
         plan = plan_of(g, mode)
+        want = {chunk: whole_chunk_gains(plan, 17, chunk, 256) for chunk in (0, 3)}
         for n in range(129, 192):
             for chunk in (0, 3):
                 got = chunk_of(plan, 17, chunk, n)
-                want = whole_chunk_gains(plan, 17, chunk, n)
-                if kind == "static" and n == 129:
-                    assert np.array_equal(got[:128], want[:128])
-                    np.testing.assert_allclose(got[128], want[128], rtol=5e-16, atol=0.0)
-                else:
-                    assert np.array_equal(got, want), n
+                assert np.array_equal(got, want[chunk][:n]), n
 
     def test_every_last_block_length_to_rounding_on_14x14(self):
         g = dense_case("adaptive")[0].regrid(14, 14)
@@ -512,13 +512,13 @@ class TestClassStack:
         rotated = replace(plan, classes=screen_stack)
         assert np.array_equal(got, whole_chunk_gains(rotated, 23, 0, n))
 
-    @pytest.mark.parametrize("k", [128, 5])
+    @pytest.mark.parametrize("k", [128])
     @pytest.mark.parametrize("name", [name for name, _ in CASES])
     def test_products_of_normals_the_engine_did_not_draw(self, name, k):
-        # `_products` then `_combine` evaluate a block's normals from any
-        # source: on numpy's default generator, in the plan's own layout
-        # and the screen-first one, a whole block and a short one give the
-        # oracle's per-class gains bit for bit
+        # `_products` then `_combine` evaluate a whole block's normals from
+        # any source: on numpy's default generator, in the plan's own
+        # layout and the screen-first one, they give the oracle's
+        # per-class gains bit for bit
         plan = plan_of(*stack_case(name))
         r = plan.rank
         z = np.random.default_rng(0).standard_normal((r, 4 * k))
@@ -528,7 +528,7 @@ class TestClassStack:
             screen_stack, _ = mc._screen_layout(plan)
             for stack in (plan.classes, screen_stack):
                 w = mc._workspace([plan])[1]
-                got = mc._combine(plan, mc._products(zk, k, stack, w))
+                got = mc._combine(plan, mc._products(zk, stack, w))
                 assert np.array_equal(got, class_gains(replace(plan, classes=stack), z))
 
 
@@ -706,6 +706,26 @@ class TestRunMany:
         alone = run_trials(g.regrid(6, 6), "spherical", CoherentMode(36), 256, seed=36)
         assert np.array_equal(gains[0], alone)
 
+    def test_runs_of_one_plan_share_its_array(self, monkeypatch, tmp_path):
+        # sweep-m on fig3c: its ris(6x6) and its adaptive 36 on the 6x6
+        # sweep grid read one array, and every run exactly n gains
+        cfg = parse_config(json.dumps({**preset_config("fig3c"), "trials": 300}))
+        returned = []
+        real_run_many = experiments_mod.run_many
+
+        def recording_run_many(*args, **kwargs):
+            returned.extend(real_run_many(*args, **kwargs))
+            return returned
+
+        monkeypatch.setattr(experiments_mod, "run_many", recording_run_many)
+        experiments_mod.cmd_sweep_m(cfg, tmp_path / "s.csv", workers=1)
+        assert [len(gains) for gains in returned] == [300] * 5
+        shared = [
+            (i, j) for i in range(5) for j in range(i + 1, 5)
+            if np.shares_memory(returned[i], returned[j])
+        ]
+        assert shared == [(0, 1)]
+
     def test_shared_draws_couple_grids_of_one_aperture(self):
         # column k drives the k-th largest mode of each grid, so the gains
         # of a dense adaptive surface and a sparse RIS move together
@@ -822,9 +842,9 @@ class TestScreenedRuns:
         calls = []
         real_lower_bound = mc._lower_bound
 
-        def counting_lower_bound(z, k, rows, w):
+        def counting_lower_bound(z, rows, w):
             calls.append(rows.shape)
-            return real_lower_bound(z, k, rows, w)
+            return real_lower_bound(z, rows, w)
 
         monkeypatch.setattr(mc, "_lower_bound", counting_lower_bound)
         cfg, plans = config_plans(preset_config("fig3a"))
@@ -909,6 +929,30 @@ class TestScreenedRuns:
         assert (tmp_path / "screened.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
+class TestTrialCount:
+    """Every draw block is computed whole, so a trial's gain does not
+    depend on the trial count: a run of n trials is bit for bit the first
+    n of a longer one, with a threshold too."""
+
+    @pytest.mark.parametrize("snr_db", [None, 0.0], ids=["no-threshold", "0dB"])
+    def test_a_run_is_the_head_of_a_longer_one(self, snr_db):
+        # the `--config` document's static mode with phases (K = 4),
+        # fris(Mo=4) and ris(3x3), and fig2's static mode (K = 94), whose
+        # short last blocks rounded an ulp apart when they were computed
+        # short; n = 1 .. 300 ends in each of the 128 lengths of a last
+        # block of chunk 0, and 8193 .. 8448 in each of chunk 1's
+        cfg = parse_config(json.dumps(GOLDEN_CONFIG))
+        fig2 = parse_config(json.dumps(preset_config("fig2"))).modes[0]
+        runs = [(spec.grid, spec.mode) for spec in (*cfg.modes, fig2)]
+        plans = plan_runs(cfg.kernel, runs)
+        x = None if snr_db is None else cfg.budget(snr_db).gain_threshold
+        longer = run_many(plans, CHUNK_TRIALS + 256, 5, workers=1, threshold=x)
+        for n in [*range(1, 301), *range(CHUNK_TRIALS + 1, CHUNK_TRIALS + 257)]:
+            got = run_many(plans, n, 5, workers=1, threshold=x)
+            for kind, a, b in zip([*MODE_KINDS, "fig2 static"], got, longer):
+                assert np.array_equal(a, b[:n]), (kind, n)
+
+
 class TestThreadWorkers:
     @pytest.mark.parametrize("mode", SMALL_MODES, ids=MODE_KINDS)
     def test_more_threads_than_cores_keep_bits(self, mode):
@@ -960,9 +1004,9 @@ class TestThreadWorkers:
         assert peak <= 48e6
 
     def test_peak_memory_with_a_short_tail(self):
-        # a chunk of 191 trials ends in a block of 63, which reuses the
-        # buffers of a whole block, so 8192 + 191 trials peak no higher
-        # than two whole chunks
+        # a chunk of 191 trials ends in a block holding 63 of them, computed
+        # whole in the buffers of every block, so 8192 + 191 trials peak no
+        # higher than two whole chunks
         g, mode = dense_case("adaptive")
         plans = plan_runs("spherical", [(g, mode), (g.regrid(6, 6), CoherentMode(36))])
         run_many(plans, 1, seed=20, workers=1)  # one-time allocations of a first run

@@ -402,14 +402,13 @@ class TestScreenBound:
         _, screen = screen_first_factor(plan, images)
         assert rows.shape[1] == screen.size == min(plan.m_o, 16)
         assert np.all(f[screen.ravel(), rows.shape[0] :] == 0.0)
-        n = 300  # blocks of 128, 128 and 44 trials
+        n = 3 * 128  # three whole blocks
         (gains,) = run_many([plan], n, seed, workers=1, threshold=math.inf)
         bound = np.empty(n)
         with mc._one_blas_thread():
             for j, t0 in enumerate(range(0, n, 128)):
-                k = min(128, n - t0)
                 mc._stream(seed, 0, j + 1).standard_normal(out=z[:16])
-                bound[t0 : t0 + k] = mc._lower_bound(z, k, rows, w)
+                bound[t0 : t0 + 128] = mc._lower_bound(z, rows, w)
         assert np.all(bound > 0.0)
         assert np.all(bound <= gains * (1.0 + 1e-12))
 

@@ -21,15 +21,23 @@ bytes, and equal body hashes alone an output that moved only in its
 header.
 
 `tools/goldens.txt` holds the expected lines of the current artifact
-version: the script exits 1, after naming each printed line that differs
-from its line there and whether only its header moved (its body hash
-still matches), if any does. A change that moves an artifact on
-purpose rewrites that file, and CHANGES.md says why each line moved.
+version, after `#` lines that name the build they came from: numpy's
+version and the runtime configuration of its bundled OpenBLAS, which
+names the CPU kernel it picked. The script prints those lines for the
+build that runs it first, and compares the hash lines alone: it exits 1,
+after naming each printed line that differs from its line there and
+whether only its header moved (its body hash still matches), if any
+does, and then says whether the running build differs from the recorded
+one. A change that moves an artifact on purpose rewrites that file (the
+script's stdout is its new content), and CHANGES.md says why each line
+moved.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import glob
 import hashlib
 import io
 import json
@@ -41,6 +49,8 @@ from itertools import zip_longest
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 sys.path.insert(0, SRC)
 EXPECTED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "goldens.txt")
+
+import numpy as np  # noqa: E402
 
 from frislink.cli import main  # noqa: E402
 
@@ -59,6 +69,23 @@ CYLINDRICAL = {**CONFIG, "kernel": "cylindrical"}
 SNR_GRID = {**CONFIG, "snr_grid_db": [-4, -2, 0]}
 
 PRESET_RUNS = (("dist", "fig2"), ("outage", "fig3a"), ("capacity", "fig3b"), ("sweep-m", "fig3c"))
+
+
+def build() -> list:
+    """The `#` lines naming the running build: numpy's version, and the
+    runtime configuration string of numpy's bundled OpenBLAS ("unknown"
+    if it cannot be found)."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    blas = "unknown"
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            config = ctypes.CDLL(path).scipy_openblas_get_config64_
+        except (OSError, AttributeError):
+            continue
+        config.argtypes, config.restype = [], ctypes.c_char_p
+        blas = " ".join(config().decode().split())
+        break
+    return [f"# numpy {np.__version__}", f"# openblas {blas}"]
 
 
 def _digest(data: bytes) -> str:
@@ -111,7 +138,11 @@ def goldens(tmp: str):
 
 if __name__ == "__main__":
     with open(EXPECTED, encoding="utf-8") as f:
-        expected = f.read().splitlines()
+        lines = f.read().splitlines()
+    recorded = [ln for ln in lines if ln.startswith("#")]
+    expected = [ln for ln in lines if not ln.startswith("#")]
+    running = build()
+    print("\n".join(running), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         printed = []
         for name, digest in goldens(tmp):
@@ -125,5 +156,11 @@ if __name__ == "__main__":
             # only the provenance header moved
             header_only = got and want and got.rsplit(" ", 3)[::3] == want.rsplit(" ", 3)[::3]
             what = "header only" if header_only else "body moved"
-            print(f"line {i} differs from tools/goldens.txt ({what}): {got} (expected {want})", file=sys.stderr)
+            print(f"hash line {i} differs from tools/goldens.txt ({what}): {got} (expected {want})", file=sys.stderr)
+    if differ:
+        if running == recorded:
+            print("the running build is the one tools/goldens.txt records", file=sys.stderr)
+        else:
+            print(f"the running build differs from the one tools/goldens.txt records: {running} "
+                  f"(recorded {recorded})", file=sys.stderr)
     sys.exit(1 if differ else 0)
