@@ -2,12 +2,10 @@
 
 Double-precision kernels: log-gamma from the standard library's
 math.lgamma, the regularized lower incomplete gamma via the classic series /
-continued-fraction split, the spherical (sin x / x) and cylindrical
+continued-fraction split, and the spherical (sin x / x) and cylindrical
 (midpoint rule up to 17, large-argument expansion beyond) Bessel J0
-kernels of the spatial correlation model, and the log of the modified
-Bessel function K_n of integer order, which the exact gain laws need.
-All but log-gamma are vectorised over x, and an element's bits do not
-depend on its array.
+kernels of the spatial correlation model. All but log-gamma are
+vectorised over x, and an element's bits do not depend on its array.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ __all__ = [
     "reg_lower_inc_gamma",
     "bessel_j0_spherical",
     "bessel_j0_cylindrical",
-    "ln_bessel_k",
 ]
 
 # Iteration caps; both expansions converge long before these are hit.
@@ -188,92 +185,3 @@ def bessel_j0_cylindrical(x):
         chi = b - 0.25 * math.pi
         out[~near] = np.sqrt(2.0 / (math.pi * b)) * (p * np.cos(chi) + q * np.sin(chi))
     return float(out) if out.ndim == 0 else out
-
-
-_K_EPS = 1e-16
-# Temme's series below this argument, Steed's continued fraction above.
-_K_SPLIT = 2.0
-
-
-def _k_series(x: np.ndarray):
-    """ln K_0(x) and ln K_1(x) / K_0(x) by Temme's series at order 0,
-    where its gamma terms reduce to Euler's constant; 0 < x < 2, x / 2
-    entering as its log, which stays finite where x / 2 underflows."""
-    ln_half = np.log(x) - math.log(2.0)
-    ff = -ln_half - np.euler_gamma
-    p = np.full_like(x, 0.5)  # Temme's p and q, equal at order 0
-    c = np.ones_like(x)
-    quarter = 0.25 * x * x
-    k0 = ff.copy()
-    k1 = p.copy()  # K_1 * x / 2
-    for i in range(1, _MAX_SERIES_ITER):
-        ff = (i * ff + p + p) / (i * i)
-        c = c * quarter / i
-        p = p / i
-        delta = c * ff
-        k0 += delta
-        k1 += c * (p - i * ff)
-        if np.all(np.abs(delta) < _K_EPS * np.abs(k0)):
-            return np.log(k0), np.log(k1 / k0) - ln_half
-    raise ArithmeticError("K_0 series failed to converge")
-
-
-def _k_continued_fraction(x: np.ndarray):
-    """ln K_0(x) and ln K_1(x) / K_0(x) by Steed's continued fraction in
-    Temme's form at order 0 (Numerical Recipes, bessik); x >= 2."""
-    a1 = 0.25
-    a = -a1
-    c = a1
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = d.copy()
-    delh = d.copy()
-    q1 = np.zeros_like(x)
-    q2 = np.ones_like(x)
-    q = np.full_like(x, a1)
-    s = 1.0 + q * delh
-    for i in range(2, _MAX_CF_ITER):
-        a -= 2 * (i - 1)
-        c = -a * c / i
-        q1, q2 = q2, (q1 - b * q2) / a
-        q = q + c * q2
-        b = b + 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h = h + delh
-        dels = q * delh
-        s = s + dels
-        if np.all(np.abs(dels) < _K_EPS * np.abs(s)):
-            ln_k0 = 0.5 * np.log(0.5 * math.pi / x) - x - np.log(s)
-            return ln_k0, np.log((x + 0.5 - a1 * h) / x)
-    raise ArithmeticError("K_0 continued fraction failed to converge")
-
-
-def ln_bessel_k(n, x) -> np.ndarray:
-    """ln K_n(x), the modified Bessel function of the second kind, for an
-    integer-valued order n (an int or a float such as 1.0) and x > 0,
-    vectorised over x.
-
-    K_0 and K_1 come from Temme's series (x < 2) or Steed's continued
-    fraction (x >= 2) at order 0, and the upward recurrence
-    K_{v+1} = (2v/x) K_v + K_{v-1} runs on the log of the ratio
-    K_{v+1}/K_v, so neither large orders nor small arguments, down to the
-    smallest subnormal x, overflow (Temme, J. Comput. Phys. 19, 1975).
-    """
-    if not float(n).is_integer():  # also rejects nan and inf
-        raise ValueError(f"ln_bessel_k requires an integer order, got {n!r}")
-    n = abs(int(n))  # K_{-n} = K_n
-    x = np.asarray(x, dtype=float)
-    if not np.all(x > 0.0):  # also rejects nan
-        raise ValueError("ln_bessel_k requires x > 0")
-    ln_k = np.empty(x.shape)
-    ln_ratio = np.empty(x.shape)
-    near = x < _K_SPLIT
-    for mask, method in ((near, _k_series), (~near, _k_continued_fraction)):
-        if mask.any():
-            ln_k[mask], ln_ratio[mask] = method(x[mask])
-    ln_x = np.log(x)
-    for i in range(1, n + 1):
-        ln_k += ln_ratio
-        ln_ratio = np.logaddexp(math.log(2.0 * i) - ln_x, -ln_ratio)
-    return ln_k

@@ -13,9 +13,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "frislink"
 
 # public names no command reads yet, each kept for a stated reason
 ALLOWED_UNUSED = {
-    # the exact gain laws of two planned analytic columns need K_1 (the
-    # exact static law) and K_0 (radial conditioning): ROADMAP items 2, 9
-    "ln_bessel_k",
     # perfbench's tracer wraps it until the benchmark reads the engine's
     # own run report instead: ROADMAP item 1
     "run_trials",

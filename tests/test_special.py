@@ -13,7 +13,6 @@ import scipy.special
 from frislink.special import (
     bessel_j0_cylindrical,
     bessel_j0_spherical,
-    ln_bessel_k,
     ln_gamma,
     reg_lower_inc_gamma,
 )
@@ -216,52 +215,3 @@ class TestCylindricalBessel:
         # goes to its limit 0, within 1e-154 of the true value
         assert abs(bessel_j0_cylindrical(np.finfo(float).max)) <= 1e-154
 
-
-class TestLnBesselK:
-    def test_against_scipy_kve(self):
-        # order 1 as a float, orders near the Gamma shapes of the 6x6 and
-        # 12x12 selections, the base K_0 and the first recurrence step K_2,
-        # and K_{-n} = K_n
-        xs = np.geomspace(1e-4, 50.0, 400)
-        for n in (1.0, 16, 26, 0, 2, -3):
-            got = np.exp(ln_bessel_k(n, xs) + xs)
-            want = scipy.special.kve(n, xs)
-            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
-
-    def test_branch_seam(self):
-        # Temme's series below x = 2, Steed's continued fraction from 2 on
-        xs = np.linspace(1.99, 2.01, 41)
-        for n in (0, 1, 3):
-            got = ln_bessel_k(n, xs)
-            want = np.log(scipy.special.kv(n, xs))
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
-
-    def test_only_integer_orders(self):
-        for bad in (0.5, 16.39, -3.3, float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(ValueError, match="integer order"):
-                ln_bessel_k(bad, 1.0)
-
-    def test_large_order_small_argument_stays_finite(self):
-        # K_200(1e-3) ~ 1e1000 overflows doubles; its log does not
-        want = scipy.special.gammaln(200.0) - math.log(2.0) + 200.0 * math.log(2e3)
-        assert float(ln_bessel_k(200.0, 1e-3)) == pytest.approx(want, rel=1e-10)
-
-    @pytest.mark.parametrize("x", [5e-324, 1e-310, 2.2250738585072014e-308, 1e-300])
-    def test_tiny_argument_meets_the_small_x_limit(self, x):
-        # down to the smallest subnormal, where x / 2 rounds to 0 and
-        # 2 i / x and K_1 / K_0 overflow: K_0(x) ~ -ln(x / 2) - gamma and
-        # K_n(x) ~ Gamma(n) 2^(n - 1) x^(-n), whose next terms are below
-        # x^2 ln x relative
-        ln_x = math.log(x)
-        want = {0: math.log(-(ln_x - math.log(2.0)) - np.euler_gamma)}
-        for n in (1, 2, 5):
-            want[n] = math.lgamma(n) + (n - 1) * math.log(2.0) - n * ln_x
-        for n, value in want.items():
-            assert float(ln_bessel_k(n, x)) == pytest.approx(value, rel=1e-12, abs=0.0)
-
-    def test_domain_errors(self):
-        for bad in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError):
-                ln_bessel_k(1.0, bad)
-        with pytest.raises(ValueError):
-            ln_bessel_k(float("inf"), 1.0)
