@@ -3,8 +3,8 @@
 Elements sit on a rectangular grid in the x-z plane, indexed row-major
 from the origin: index i maps to column i % m_x (x axis) and row
 i // m_x (z axis). Correlation between two elements depends only on
-their Euclidean separation through an isotropic scattering kernel; a
-grid's matrix is one kernel call on its table of offset distances.
+their Euclidean separation through an isotropic scattering kernel; any
+block of a grid's matrix is read from its table of offset distances.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "jakes_coefficient",
     "build_correlation_matrix",
     "psd_sqrt",
-    "principal_submatrix",
     "uniform_grid_selection",
     "KERNELS",
 ]
@@ -104,32 +103,37 @@ def jakes_coefficient(distance, wavelength: float, kernel: str = "spherical"):
     raise ValueError(f"kernel: expected one of {KERNELS}, got {kernel!r}")
 
 
-def build_correlation_matrix(geom: SurfaceGeometry, kernel: str = "spherical") -> np.ndarray:
-    """M x M element correlation matrix for the given grid and kernel.
+def build_correlation_matrix(
+    geom: SurfaceGeometry, kernel: str = "spherical", rows=None, cols=None
+) -> np.ndarray:
+    """Block J[rows, cols] of the grid's element correlation matrix J, for
+    two index vectors: rows None is every element, cols None is rows.
 
     Entries depend only on the absolute index offsets per axis, so one
-    kernel call evaluates the m_x x m_z table of offset distances, and J
-    is copied from strided windows of that table mirrored to signed
-    offsets. So J is exactly symmetric under the mirror of either axis,
-    which `montecarlo._parity_classes` folds by the grid's shape alone;
-    the matrix is read-only so that it stays so. J is allocated first: a
-    grid whose matrix the machine cannot hold raises MemoryError before
-    the table is filled.
+    kernel call evaluates the m_x x m_z table of offset distances, and
+    each entry is read from it by index. So J is exactly symmetric under
+    the mirror of either axis, which `montecarlo._parity_classes` folds
+    by the grid's shape alone. The block, then the table, is allocated
+    first: one the machine cannot hold raises MemoryError at once.
     """
+    shape = [geom.m if ix is None else len(ix) for ix in (rows, rows if cols is None else cols)]
     try:
-        j = np.empty((geom.m, geom.m))
-    except ValueError as e:  # past numpy's size limit
-        raise MemoryError(f"a {geom.m_x}x{geom.m_z} grid's correlation matrix is too large") from e
-    dist = [[math.hypot(dx * geom.d_x, dz * geom.d_z) for dz in range(geom.m_z)]
-            for dx in range(geom.m_x)]
+        j = np.empty(shape)
+        dist = np.empty((geom.m_x, geom.m_z))
+    except (ValueError, MemoryError) as e:  # past numpy's size limit, or the machine's
+        raise MemoryError(f"a {geom.m_x}x{geom.m_z} grid's correlation block is too large") from e
+    for dx in range(geom.m_x):
+        dist[dx] = [math.hypot(dx * geom.d_x, dz * geom.d_z) for dz in range(geom.m_z)]
     table = jakes_coefficient(dist, geom.wavelength, kernel)
-    sx, sz = (np.abs(np.arange(1 - m, m)) for m in (geom.m_x, geom.m_z))
-    # wide[m_z - 1 + z' - z, m_x - 1 + x' - x] is entry (row z, col x; row z', col x')
-    wide = table[sx[None, :], sz[:, None]]
-    windows = np.lib.stride_tricks.sliding_window_view(wide, (geom.m_z, geom.m_x))
-    j.reshape(geom.m_z, geom.m_x, geom.m_z, geom.m_x)[...] = windows[::-1, ::-1]
-    j.flags.writeable = False
-    return j
+    rows = np.arange(geom.m) if rows is None else np.asarray(rows, dtype=np.intp)
+    cols = rows if cols is None else np.asarray(cols, dtype=np.intp)
+    if any(ix.size and not 0 <= ix.min() <= ix.max() < geom.m for ix in (rows, cols)):
+        raise IndexError(f"element indices must lie in [0, {geom.m})")
+    # wide[m_x - 1 + x' - x, m_z - 1 + z' - z] is entry (row z, col x; row z', col x'),
+    # at flat index wide.size // 2 + key' - key for key = (2 m_z - 1) x + z
+    wide = table[np.ix_(*(np.abs(np.arange(1 - m, m)) for m in (geom.m_x, geom.m_z)))]
+    keys = [ix % geom.m_x * (2 * geom.m_z - 1) + ix // geom.m_x for ix in (rows, cols)]
+    return np.take(wide, np.add.outer(wide.size // 2 - keys[0], keys[1]), out=j, mode="clip")
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,12 +185,6 @@ def _clamped_eigh(j: np.ndarray):
     return evals, evecs, low
 
 
-def principal_submatrix(j: np.ndarray, selection: np.ndarray) -> np.ndarray:
-    """Rows and columns of J restricted to the selected element indices."""
-    sel = np.asarray(selection, dtype=int)
-    return j[np.ix_(sel, sel)]
-
-
 def uniform_grid_selection(geom: SurfaceGeometry, k_x: int, k_z: int) -> np.ndarray:
     """Indices of a k_x x k_z subgrid spread evenly over the full grid.
 
@@ -204,7 +202,5 @@ def uniform_grid_selection(geom: SurfaceGeometry, k_x: int, k_z: int) -> np.ndar
         raise ValueError(
             f"uniform {k_x}x{k_z} selection collides on a {geom.m_x}x{geom.m_z} grid"
         )
-    idx = (rows[:, None] * geom.m_x + cols[None, :]).ravel()
-    idx.sort()
-    return idx
+    return (rows[:, None] * geom.m_x + cols[None, :]).ravel()
 

@@ -3,12 +3,11 @@
 Each command holds BLAS at one thread while it runs (the analytic
 curves as well as the Monte Carlo), and `workers` (None: one per core)
 spreads its trial chunks over threads; the bytes depend on neither. A
-command slices each mode's analytic block from its grid's correlation
-matrix, then plans all its runs at once (`plan_runs` builds each grid's
-matrix once more) and samples them in one `run_many` pass, whose runs
-share their coherent normals; each mode's rows are those it gives when
-run alone. The output is written to `<path>.part`, opened before the
-trials, then moved onto it.
+command builds each mode's analytic block alone, not its grid's matrix,
+then plans all its runs at once and samples them in one `run_many` pass,
+whose runs share their coherent normals; each mode's rows are those it
+gives when run alone. The output is written to `<path>.part`, opened
+before the trials, then moved onto it.
 
 Every artifact starts with #-prefixed provenance lines (config hash,
 seed, tool version, the coherent rank tail and, for the commands that
@@ -42,7 +41,6 @@ from .config import ConfigError, ExperimentConfig, ModeSpec
 from .correlation import (
     SurfaceGeometry,
     build_correlation_matrix,
-    principal_submatrix,
     uniform_grid_selection,
 )
 from .montecarlo import (
@@ -142,15 +140,15 @@ def _most_square_selection(geom: SurfaceGeometry, m_o: int) -> np.ndarray:
 
 
 def _analytic_block(spec: ModeSpec, kernel: str) -> np.ndarray:
-    """Correlation block behind a mode's analytical curves: a static mode's
-    selection, or the most square m_o subgrid of a coherent mode's grid,
-    sliced from the grid's matrix."""
+    """Correlation block behind a mode's analytical curves: that of a
+    static mode's selection, or of the most square m_o subgrid of a
+    coherent mode's grid."""
     mode = spec.mode
     if isinstance(mode, StaticMode):
         selection = mode.selection
     else:
         selection = _most_square_selection(spec.grid, mode.m_o)
-    return principal_submatrix(build_correlation_matrix(spec.grid, kernel), selection)
+    return build_correlation_matrix(spec.grid, kernel, selection)
 
 
 @_one_blas_thread()

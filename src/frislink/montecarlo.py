@@ -50,7 +50,6 @@ from .correlation import (
     SurfaceGeometry,
     _clamped_eigh,
     build_correlation_matrix,
-    principal_submatrix,
     psd_sqrt,
 )
 from .analysis import GammaFit, gamma_cdf
@@ -235,31 +234,27 @@ def _check_mode(geom: SurfaceGeometry, mode) -> None:
 
 @_one_blas_thread()
 def plan_runs(kernel: str, runs) -> list:
-    """One RunPlan per checked (grid, mode) run. Each grid's matrix is
-    built here, at most once per call. A static run factors its
-    selection's principal block of that matrix and keeps only its
-    weights; a grid that coherent runs sample is factored once through
-    its parity classes, keeping the rank of the prefix of its factor in
-    draw order that they sample, the stack of its classes' share of that
-    prefix and its clamped count. Coherent runs of one grid and one m_o
-    get one plan object, which `run_many` computes once."""
-    matrices = {}
+    """One RunPlan per checked (grid, mode) run. A static run factors its
+    selection's block and keeps only its weights; a grid that coherent
+    runs sample is factored once through its parity classes, keeping the
+    rank of the prefix of its factor in draw order that they sample, the
+    stack of its classes' share of that prefix and its clamped count.
+    Neither builds a grid's whole matrix. Coherent runs of one grid and
+    one m_o get one plan object, which `run_many` computes once."""
     roots = {}
     coherent = {}
     plans = []
     for grid, mode in runs:
         _check_mode(grid, mode)
-        if grid not in matrices:
-            matrices[grid] = build_correlation_matrix(grid, kernel)
         if isinstance(mode, StaticMode):
-            root = psd_sqrt(principal_submatrix(matrices[grid], mode.selection))
+            root = psd_sqrt(build_correlation_matrix(grid, kernel, mode.selection))
             nu = _static_weights(root.factor, np.asarray(mode.phases, dtype=float))
             r = root.factor.shape[1]
             plans.append(RunPlan("static", r, root.clamped_count, nu.size + 1, weights=nu))
             continue
         if (grid, mode) not in coherent:
             if grid not in roots:
-                roots[grid] = _grid_factor(grid, matrices[grid])
+                roots[grid] = _grid_factor(grid, kernel)
             r, clamped, classes = roots[grid]
             coherent[grid, mode] = RunPlan("coherent", r, clamped, 4 * r, mode.m_o, classes=classes)
         plans.append(coherent[grid, mode])
@@ -278,7 +273,7 @@ def _signs(c: int) -> np.ndarray:
     return h
 
 
-def _parity_classes(grid: SurfaceGeometry, j: np.ndarray):
+def _parity_classes(grid: SurfaceGeometry, kernel: str):
     """The mirror images and parity-class blocks of a grid's matrix J.
 
     Every axis of even length is folded: a uniform grid's J
@@ -288,9 +283,10 @@ def _parity_classes(grid: SurfaceGeometry, j: np.ndarray):
     Butler, Linear Algebra Appl. 13, 1976). Returns the (C, Q) element
     indices, row n the images under the mirrors of the set bits of n of
     the base elements, those in the first half of each folded axis; and
-    the (C, Q, Q) blocks B_c = sum_n s_nc J[base, image n], s = _signs(C).
-    J is the sum over c of T_c B_c T_c^T, where T_c maps a class vector
-    u to the elements, image n of base element q taking s_nc u_q / sqrt(C).
+    the (C, Q, Q) blocks B_c = sum_n s_nc J[base, image n], s = _signs(C),
+    from J's Q x M' block (all it builds). J is the sum over c of T_c B_c
+    T_c^T, where T_c maps a class vector u to the elements, image n of
+    base element q taking s_nc u_q / sqrt(C).
     """
     images = np.arange(grid.m).reshape(1, grid.m_z, grid.m_x)
     for axis in (2, 1):  # x, then z
@@ -299,11 +295,11 @@ def _parity_classes(grid: SurfaceGeometry, j: np.ndarray):
             images = np.concatenate([images, np.flip(images, axis)]).take(half, axis=axis)
     images = images.reshape(len(images), -1)
     c, q = images.shape
-    g = j[np.ix_(images[0], images.ravel())].reshape(q, c, q)
+    g = build_correlation_matrix(grid, kernel, images[0], images.ravel()).reshape(q, c, q)
     return images, np.einsum("nc,anb->cab", _signs(c), g)
 
 
-def _grid_factor(grid: SurfaceGeometry, j: np.ndarray):
+def _grid_factor(grid: SurfaceGeometry, kernel: str):
     """The factor F of a grid's matrix, F F^T = J up to the clamp, in the
     order the coherent draw reads its columns, through the parity classes
     of `_parity_classes`, cut to the shortest prefix whose dropped columns
@@ -325,7 +321,7 @@ def _grid_factor(grid: SurfaceGeometry, j: np.ndarray):
     one aperture, so runs that share a chunk's draw are positively
     coupled (their common normals drive similar modes).
     """
-    images, blocks = _parity_classes(grid, j)
+    images, blocks = _parity_classes(grid, kernel)
     c, q = images.shape
     evals, evecs, low = _clamped_eigh(blocks)
     lam = evals.ravel()
@@ -627,7 +623,10 @@ def run_many(
     if not plans:
         raise ValueError("plans must hold at least one run")
     size = -(-n // _BLOCK_TRIALS) * _BLOCK_TRIALS
-    gains = {plan: np.empty(size) for plan in dict.fromkeys(plans)}
+    try:
+        gains = {plan: np.empty(size) for plan in dict.fromkeys(plans)}
+    except ValueError as e:  # past numpy's size limit
+        raise MemoryError(f"{n} trials' gains are too many to hold") from e
     coherent = [plan for plan in gains if plan.kind != "static"]
     if threshold is None:
         bar, layouts = None, {plan: (plan.classes, None) for plan in coherent}

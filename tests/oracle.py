@@ -207,11 +207,11 @@ def class_factor(classes, images: np.ndarray, width: int) -> np.ndarray:
     return f
 
 
-def plan_factor(plan, grid, j: np.ndarray) -> np.ndarray:
+def plan_factor(plan, grid, kernel: str) -> np.ndarray:
     """The dense M' x r factor a coherent plan samples, in draw order: its
     class stack assembled at the mirror images of `_parity_classes` of the
-    grid and the matrix j it was planned from."""
-    images, _ = _parity_classes(grid, j)
+    grid and the kernel it was planned with."""
+    images, _ = _parity_classes(grid, kernel)
     return class_factor(class_blocks(plan.classes), images, plan.rank)
 
 

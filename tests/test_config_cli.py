@@ -51,6 +51,26 @@ def parse(doc):
     return parse_config(json.dumps(doc))
 
 
+def run_capped(tmp_path, doc, args):
+    """The CLI on `doc` (written to tmp_path/doc.json) with `args`, its
+    output at tmp_path/x.csv, in a child process whose address space is
+    capped at 2 GiB, with one BLAS thread."""
+    cfg = tmp_path / "doc.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (2**31, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+        "from frislink.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = os.path.dirname(os.path.dirname(frislink.__file__))
+    argv = [args[0], "--config", str(cfg), *args[1:], "--out", str(tmp_path / "x.csv")]
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=60,
+    )
+
+
 class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse(MINIMAL)
@@ -313,34 +333,30 @@ class TestCmdOutage:
         assert sorted(joint) == sorted(alone) and len(joint) == 6
 
     @pytest.mark.parametrize("command", [cmd_outage, cmd_dist, cmd_capacity, cmd_sweep_m])
-    def test_builds_each_grid_once(self, monkeypatch, tmp_path, command):
-        # the engine builds each grid's matrix once: outage and capacity
-        # the 4x4 grid and the RIS 2x2 grid, dist the 4x4, and sweep-m the
-        # RIS 2x2 and each sweep grid; the analytic curves build the grid
-        # of each mode they slice a block from, and sweep-m has none
+    def test_builds_each_grid_once(self, blocks_built, tmp_path, command):
+        # no command builds a grid's whole matrix: the engine builds a
+        # static mode's |sel| x |sel| block and, once per coherent grid,
+        # the Q x M' block of its base elements against their mirror
+        # images (4x4 and 2x2 fold into 4 classes, 3x3 into 1); the
+        # analytic curves build one block per mode (its selection, or a
+        # coherent mode's most square m_o subgrid), and sweep-m has none
         import frislink.montecarlo as mc_mod
 
-        built = {experiments_mod: [], mc_mod: []}
-        for module, calls in built.items():
-            real = module.build_correlation_matrix
-            monkeypatch.setattr(
-                module,
-                "build_correlation_matrix",
-                lambda g, k, real=real, calls=calls: calls.append((g.m_x, g.m_z)) or real(g, k),
-            )
+        built = {module: blocks_built(module) for module in (experiments_mod, mc_mod)}
         coherent = [
             {"type": "adaptive_fris", "m_o": 4},
             {"type": "ris_baseline", "m_rx": 2, "m_rz": 2},
         ]
         if command is cmd_sweep_m:
             doc = tiny_doc(modes=coherent, snr_grid_db=[10.0], m_grid=[[4, 4], [3, 3], [2, 2]])
-            want, analytic = [(2, 2), (3, 3), (4, 4)], []
+            want, analytic = [(2, 2, 1, 4), (3, 3, 9, 9), (4, 4, 4, 16)], []
         elif command is cmd_dist:
             doc = tiny_doc(modes=[{"type": "static", "select_x": 2, "select_z": 2}])
-            want, analytic = [(4, 4)], [(4, 4)]
+            want, analytic = [(4, 4, 4, 4)], [(4, 4, 4, 4)]
         else:
             doc = tiny_doc(modes=[{"type": "static", "select_x": 2, "select_z": 2}, *coherent])
-            want, analytic = [(2, 2), (4, 4)], [(4, 4), (4, 4), (2, 2)]
+            want = [(2, 2, 1, 4), (4, 4, 4, 4), (4, 4, 4, 16)]
+            analytic = [(4, 4, 4, 4), (4, 4, 4, 4), (2, 2, 4, 4)]
         command(parse(doc), tmp_path / "x.csv")
         assert sorted(built[mc_mod]) == want
         assert built[experiments_mod] == analytic
@@ -581,22 +597,18 @@ class TestCli:
             digests[threads] = hashlib.sha256(out.read_bytes()).hexdigest()
         assert len(set(digests.values())) == 1, digests
 
-    def test_validate_factors_each_grid_once(self, monkeypatch, capsys):
+    def test_validate_factors_each_grid_once(self, blocks_built, capsys):
         # fig3c samples 20x20 (fris mode and sweep), 6x6 (ris mode and
-        # sweep), 10x10 and 14x14; _grid_factor factors a coherent grid
-        # through its parity classes
+        # sweep), 10x10 and 14x14; each coherent grid folds into 4 parity
+        # classes, and its factor is built from the one Q x M' block of
+        # its base elements against their mirror images
         import frislink.montecarlo as mc_mod
 
-        sizes = []
-        real_grid_factor = mc_mod._grid_factor
-
-        def counting_grid_factor(grid, j):
-            sizes.append(j.shape[0])
-            return real_grid_factor(grid, j)
-
-        monkeypatch.setattr(mc_mod, "_grid_factor", counting_grid_factor)
+        built = blocks_built(mc_mod)
         assert main(["validate", "--preset", "fig3c"]) == 0
-        assert sorted(sizes) == [36, 100, 196, 400]
+        assert sorted(built) == [
+            (6, 6, 9, 36), (10, 10, 25, 100), (14, 14, 49, 196), (20, 20, 100, 400)
+        ]
         assert capsys.readouterr().out.count("rank 112, clamped 233") == 2
 
     def test_dist_factors_only_the_selection_block(self, monkeypatch, tmp_path):
@@ -847,42 +859,59 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize(
-        "args, extra",
+        "args, extra, message",
         [
-            (["validate"], {"m_grid": [[100000, 100000]]}),
-            (["outage", "--trials", "100000000000000"], {}),
+            (["validate"], {"m_grid": [[100000, 100000]]}, ""),
+            (
+                ["dist"],
+                {
+                    "geometry": {"m_x": 100000, "m_z": 100000, "w_x": 1.5, "w_z": 1.5,
+                                 "carrier_frequency_hz": 2.4e9},
+                    "modes": [{"type": "static", "select_x": 2, "select_z": 2}],
+                },
+                "a 100000x100000 grid's correlation block is too large",
+            ),
+            (["outage", "--trials", "100000000000000"], {}, ""),
+            (["outage", "--trials", "100000000000000000000"], {}, "100000000000000000000 trials"),
         ],
-        ids=["validate-1e10-elements", "outage-1e14-trials"],
+        ids=["validate-1e10-elements", "dist-2x2-of-1e10-elements", "outage-1e14-trials",
+             "outage-1e20-trials"],
     )
-    def test_sizes_beyond_memory_are_config_errors(self, tmp_path, args, extra):
-        # a 1e10 x 1e10 matrix is past numpy's size limit and 1e14 gains
-        # (728 TiB) past the allocator's, so neither run allocates: each
-        # reports one config error line, exits 2 and leaves no .part file;
-        # a 2 GiB address-space cap (and one BLAS thread, whose buffers
-        # count against it) keeps the machine safe should either not fail
+    def test_sizes_beyond_memory_are_config_errors(self, tmp_path, args, extra, message):
+        # each run needs far more than memory: a 1e10-element sweep grid
+        # its 1e10 mirror-image indices (80 GB), a static 2x2 block of such
+        # a grid its 1e10-entry offset table, 1e14 gains 728 TiB, and 1e20
+        # gains are past numpy's size limit; so each fails before it fills
+        # what it allocates, reports one config error line (naming the grid
+        # or the trial count where frislink refuses it), exits 2 and leaves
+        # no .part file; a 2 GiB address-space cap (and one BLAS thread,
+        # whose buffers count against it) keeps the machine safe should
+        # any not fail
         doc = tiny_doc(
             geometry={"m_x": 2, "m_z": 2, "w_x": 1.5, "w_z": 1.5, "carrier_frequency_hz": 2.4e9},
             modes=[{"type": "adaptive_fris", "m_o": 4}],
-            **extra,
         )
-        cfg = tmp_path / "doc.json"
-        cfg.write_text(json.dumps(doc), encoding="utf-8")
-        code = (
-            "import resource, sys; "
-            "resource.setrlimit(resource.RLIMIT_AS, (2**31, resource.getrlimit(resource.RLIMIT_AS)[1])); "
-            "from frislink.cli import main; sys.exit(main(sys.argv[1:]))"
-        )
-        src = os.path.dirname(os.path.dirname(frislink.__file__))
-        argv = [args[0], "--config", str(cfg), *args[1:], "--out", str(tmp_path / "x.csv")]
-        proc = subprocess.run(
-            [sys.executable, "-c", code, *argv],
-            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
-            capture_output=True, text=True, timeout=60,
-        )
+        doc.update(extra)
+        proc = run_capped(tmp_path, doc, args)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("config error: out of memory")
+        assert message in proc.stderr
         assert proc.stderr.count("\n") == 1 and proc.stdout == ""
         assert os.listdir(tmp_path) == ["doc.json"]
+
+    def test_static_block_of_a_dense_grid_fits_under_the_cap(self, tmp_path):
+        # dist on a static 12x12 selection of a 200x200 grid builds its
+        # 144 x 144 block and a 200 x 200 offset table, never the 40000 x
+        # 40000 matrix (11.9 GiB), so it runs under a 2 GiB address cap
+        doc = tiny_doc(
+            geometry={
+                "m_x": 200, "m_z": 200, "w_x": 3.0, "w_z": 3.0, "carrier_frequency_hz": 2.4e9
+            },
+            modes=[{"type": "static", "select_x": 12, "select_z": 12}],
+        )
+        proc = run_capped(tmp_path, doc, ["dist", "--trials", "256"])
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(os.listdir(tmp_path)) == ["doc.json", "x.csv"]
 
     def test_argparse_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:

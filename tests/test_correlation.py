@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frislink.correlation import (
     KERNELS,
     SurfaceGeometry,
     build_correlation_matrix,
     jakes_coefficient,
-    principal_submatrix,
     psd_sqrt,
     uniform_grid_selection,
 )
@@ -229,7 +230,7 @@ class TestPsdSqrt:
         rng = np.random.default_rng(3003)
         for _ in range(10):
             sel = np.sort(rng.choice(400, size=36, replace=False))
-            sub = principal_submatrix(dense_j, sel)
+            sub = dense_j[np.ix_(sel, sel)]
             top = np.linalg.eigvalsh(sub)[-1]
             assert top <= full_top + 1e-9
 
@@ -282,14 +283,41 @@ class TestSelections:
         with pytest.raises(ValueError):
             uniform_grid_selection(dense_geom, 0, 4)
 
-    def test_principal_submatrix(self, dense_j):
-        assert np.array_equal(
-            principal_submatrix(dense_j, np.arange(400)), dense_j
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m_x=st.integers(1, 24),
+        m_z=st.integers(1, 24),
+        pitch=st.floats(0.01, 2.0),  # in wavelengths
+        kernel=st.sampled_from(KERNELS),
+        data=st.data(),
+    )
+    def test_block_is_the_matrix_at_its_indices(self, m_x, m_z, pitch, kernel, data):
+        # a block is read from the offset table by index: bit for bit the
+        # grid's matrix at those rows and columns, for index vectors in
+        # any order, with repeats, and empty; cols defaults to rows
+        g = SurfaceGeometry(m_x=m_x, m_z=m_z, w_x=pitch * m_x, w_z=pitch * m_z,
+                            wavelength=0.125)
+        j = build_correlation_matrix(g, kernel)
+        rows, cols = (
+            np.array(data.draw(st.lists(st.integers(0, g.m - 1), max_size=40)), dtype=int)
+            for _ in range(2)
         )
-        one = principal_submatrix(dense_j, np.array([7]))
-        assert np.array_equal(one, np.eye(1))
-        sel = np.array([0, 5, 13])
-        sub = principal_submatrix(dense_j, sel)
-        assert np.array_equal(sub, sub.T)
-        assert np.array_equal(np.diag(sub), np.ones(3))
+        block = build_correlation_matrix(g, kernel, rows, cols)
+        assert block.shape == (rows.size, cols.size)
+        assert block.tobytes() == j[np.ix_(rows, cols)].tobytes()
+        square = build_correlation_matrix(g, kernel, rows)
+        assert square.tobytes() == j[np.ix_(rows, rows)].tobytes()
+
+    def test_block_indices_out_of_range(self, dense_geom):
+        for bad in ([0, 400], [-1, 3]):
+            with pytest.raises(IndexError, match=r"\[0, 400\)"):
+                build_correlation_matrix(dense_geom, "spherical", [1, 2], bad)
+
+    def test_block_of_a_grid_past_memory_names_the_grid(self):
+        # the block and the offset table are allocated before the table is
+        # filled: a 2x2 block of a grid whose table is past numpy's size
+        # limit fails at once
+        g = SurfaceGeometry(m_x=2**31, m_z=2**31, w_x=1.5, w_z=1.5, wavelength=0.125)
+        with pytest.raises(MemoryError, match=f"{2**31}x{2**31} grid"):
+            build_correlation_matrix(g, "spherical", [0, 1])
 

@@ -21,7 +21,6 @@ from frislink.config import parse_config, preset_config
 from frislink.correlation import (
     SurfaceGeometry,
     build_correlation_matrix,
-    principal_submatrix,
     psd_sqrt,
     uniform_grid_selection,
 )
@@ -109,7 +108,7 @@ def chunk_of(plan, seed, chunk, n):
 
 def factor_of(geom, mode):
     """The dense factor, in draw order, of a coherent mode's `plan_of`."""
-    return plan_factor(plan_of(geom, mode), geom, build_correlation_matrix(geom, "spherical"))
+    return plan_factor(plan_of(geom, mode), geom, "spherical")
 
 
 def unit_budget(gamma_bar=1.0, rate=1.0):
@@ -246,7 +245,7 @@ class TestRunTrials:
         sel = uniform_grid_selection(g, 4, 4)
         mode = StaticMode(selection=sel, phases=np.zeros(len(sel)))
         gains = run_trials(g, "spherical", mode, 30_000, seed=12)
-        sub = principal_submatrix(build_correlation_matrix(g, "spherical"), sel)
+        sub = build_correlation_matrix(g, "spherical", sel)
         t2 = trace_power(sub, 2)
         se = gains.std(ddof=1) / math.sqrt(gains.size)
         assert abs(gains.mean() - t2) < 3.0 * se
@@ -449,7 +448,7 @@ class TestParityFold:
         g = dense_case("adaptive")[0].regrid(*shape)
         j = build_correlation_matrix(g, "spherical")
         with mc._one_blas_thread():
-            _, blocks = mc._parity_classes(g, j)
+            _, blocks = mc._parity_classes(g, "spherical")
             folded = np.sort(np.linalg.eigvalsh(blocks).ravel())
             whole = np.linalg.eigvalsh(j)
         assert np.max(np.abs(folded - whole)) <= 1e-12 * whole[-1]
@@ -560,54 +559,39 @@ class TestRunMany:
             alone = run_trials(geom, "spherical", mode, n, seed=25, workers=workers)
             assert np.array_equal(a, alone) and np.array_equal(b, alone)
 
-    def test_each_grid_factored_once(self, monkeypatch):
-        # a coherent grid is factored by _grid_factor, through its parity
-        # classes, once however many runs sample it
-        sizes = []
-        real_grid_factor = mc._grid_factor
-
-        def counting_grid_factor(grid, j):
-            sizes.append(j.shape[0])
-            return real_grid_factor(grid, j)
-
-        monkeypatch.setattr(mc, "_grid_factor", counting_grid_factor)
+    def test_each_grid_factored_once(self, blocks_built):
+        # a coherent grid is factored through its parity classes once,
+        # however many runs sample it, from the one block of J it builds:
+        # its Q base elements against their M' images (6x6 folds into 4
+        # classes of 9; 3x3 does not fold)
+        built = blocks_built(mc)
         g = small_geom()
         plan_runs(
             "spherical",
             [(g, CoherentMode(9)), (g, CoherentMode(36)), (g.regrid(3, 3), CoherentMode(9))],
         )
-        assert sorted(sizes) == [9, 36]
+        assert sorted(built) == [(3, 3, 9, 9), (6, 6, 9, 36)]
 
-    def test_static_run_factors_its_block_only(self, monkeypatch):
-        # a static 12x12 selection of the 20x20 grid factors its 144 x 144
-        # block; a coherent run on the same grid adds the whole grid, whose
-        # matrix is built once for both
-        sizes, builds = [], []
-        real_psd_sqrt, real_build = mc.psd_sqrt, mc.build_correlation_matrix
-        real_grid_factor = mc._grid_factor
+    def test_static_run_factors_its_block_only(self, monkeypatch, blocks_built):
+        # a static 12x12 selection of the 20x20 grid builds and factors its
+        # 144 x 144 block alone; a coherent run on the same grid adds its
+        # 100 x 400 cross block, and neither builds the 400 x 400 matrix
+        sizes = []
+        real_psd_sqrt = mc.psd_sqrt
 
         def counting_psd_sqrt(j):
             sizes.append(j.shape[0])
             return real_psd_sqrt(j)
 
-        def counting_grid_factor(grid, j):
-            sizes.append(j.shape[0])
-            return real_grid_factor(grid, j)
-
-        def counting_build(grid, kernel):
-            builds.append(grid)
-            return real_build(grid, kernel)
-
         monkeypatch.setattr(mc, "psd_sqrt", counting_psd_sqrt)
-        monkeypatch.setattr(mc, "_grid_factor", counting_grid_factor)
-        monkeypatch.setattr(mc, "build_correlation_matrix", counting_build)
+        built = blocks_built(mc)
         g, static = dense_case("static")
         plan_runs("spherical", [(g, static)])
-        assert sizes == [144] and builds == [g]
+        assert sizes == [144] and built == [(20, 20, 144, 144)]
         sizes.clear()
-        builds.clear()
+        built.clear()
         plan_runs("spherical", [(g, static), (g, CoherentMode(36))])
-        assert sizes == [144, 400] and builds == [g]
+        assert sizes == [144] and built == [(20, 20, 144, 144), (20, 20, 100, 400)]
 
     def test_plans_state_rank_clamped_and_draws(self):
         # a static run factors its 144-element block, which keeps 135
@@ -898,8 +882,7 @@ class TestScreenedRuns:
         for spec, plan, got, full in zip(cfg.modes, plans, screened, computed):
             if plan.kind == "static":
                 continue
-            j = build_correlation_matrix(spec.grid, cfg.kernel)
-            images, _ = mc._parity_classes(spec.grid, j)
+            images, _ = mc._parity_classes(spec.grid, cfg.kernel)
             f, _ = screen_first_factor(plan, images)
             for t, c in enumerate(column_channels(42, 0, n, f.shape[1])):
                 a_f, a_u = f @ c.h_f, f @ c.h_u

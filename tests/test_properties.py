@@ -20,7 +20,6 @@ from frislink.correlation import (
     SurfaceGeometry,
     build_correlation_matrix,
     jakes_coefficient,
-    principal_submatrix,
 )
 from frislink.analysis import GammaFit, gamma_cdf, gamma_pdf
 from frislink.special import bessel_j0_cylindrical, bessel_j0_spherical
@@ -323,7 +322,7 @@ class TestPlanFactor:
                             wavelength=0.125)
         j = build_correlation_matrix(g, kernel)
         (plan,) = plan_runs(kernel, [(g, CoherentMode(1))])
-        f = plan_factor(plan, g, j)
+        f = plan_factor(plan, g, kernel)
         for col in f.T:
             mag = np.abs(col)
             assert col[np.argmax(mag > 1e-3 * mag.max())] > 0.0
@@ -356,7 +355,7 @@ class TestMirrorSymmetry:
         j4 = j.reshape(m_z, m_x, m_z, m_x)
         for axes in ((1, 3), (0, 2)):  # x, then z, mirrored in both indices
             assert np.array_equal(np.flip(j4, axes), j4)
-        images, blocks = mc._parity_classes(g, j)
+        images, blocks = mc._parity_classes(g, kernel)
         c = 2 ** ((m_x % 2 == 0) + (m_z % 2 == 0))
         q = g.m // c
         assert images.shape == (c, q) and blocks.shape == (c, q, q)
@@ -391,7 +390,7 @@ class TestScreenBound:
         else:
             grid, mode = g.regrid(*ris), CoherentMode(m_o=ris[0] * ris[1])
         (plan,) = plan_runs(kernel, [(grid, mode)])
-        images, _ = mc._parity_classes(grid, build_correlation_matrix(grid, kernel))
+        images, _ = mc._parity_classes(grid, kernel)
         with mc._one_blas_thread():
             classes, rows = mc._screen_layout(plan)
         z, w = mc._workspace([plan])
@@ -432,7 +431,7 @@ class TestStaticWeights:
         phases = np.array(data.draw(st.lists(st.floats(0.0, 2.0 * math.pi),
                                              min_size=sel.size, max_size=sel.size)))
         (plan,) = plan_runs(kernel, [(g, StaticMode(sel, phases))])
-        j_sub = principal_submatrix(build_correlation_matrix(g, kernel), sel)
+        j_sub = build_correlation_matrix(g, kernel, sel)
         d = np.exp(1j * phases)
         a = (d[:, None] * j_sub * d.conj()[None, :]) @ j_sub
         nu = plan.weights
