@@ -188,19 +188,15 @@ def _clamped_eigh(j: np.ndarray):
 def uniform_grid_selection(geom: SurfaceGeometry, k_x: int, k_z: int) -> np.ndarray:
     """Indices of a k_x x k_z subgrid spread evenly over the full grid.
 
-    Per axis the chosen columns/rows are round(linspace(0, m-1, k)); the
-    result is sorted and duplicate-free by construction.
+    Per axis the chosen columns/rows are round(linspace(0, m-1, k)), sorted
+    and duplicate-free: for k <= m the points lie (m-1)/(k-1) >= 1 apart,
+    exactly 1 only at k = m, where all are integers, so none round alike.
     """
     if not 1 <= k_x <= geom.m_x:
         raise ValueError(f"k_x must be in [1, {geom.m_x}], got {k_x}")
     if not 1 <= k_z <= geom.m_z:
         raise ValueError(f"k_z must be in [1, {geom.m_z}], got {k_z}")
-    # nondecreasing, so a collision is two equal neighbours
     cols = np.round(np.linspace(0, geom.m_x - 1, k_x)).astype(int)
     rows = np.round(np.linspace(0, geom.m_z - 1, k_z)).astype(int)
-    if np.any(cols[1:] == cols[:-1]) or np.any(rows[1:] == rows[:-1]):
-        raise ValueError(
-            f"uniform {k_x}x{k_z} selection collides on a {geom.m_x}x{geom.m_z} grid"
-        )
     return (rows[:, None] * geom.m_x + cols[None, :]).ravel()
 

@@ -15,14 +15,14 @@ module implements it:
                      grid's factor, cut to its sampled prefix, through its
                      mirror parity classes (`_parity_classes`,
                      `_grid_factor`);
-  `run_many`         the plans in one pass over the chunks, on threads
-                     that each compute in one `_workspace`, each coherent
-                     plan in the layout that `run_many` picks for it;
-  `_compute_chunk`   one chunk, in whole blocks, from its `_stream`s: a
-                     static mode's exponentials (`_static_gains`), and
-                     each coherent plan's `_products` of the block's
-                     normals through its layout's class stack (`_stack`),
-                     which `_combine` sums;
+  `run_many`         the plans in one pass over the chunks, on threads:
+                     a chunk's static plans by their exponentials
+                     (`_static_gains`), then its coherent plans, in one
+                     `_workspace` a thread and the layout it picks each;
+  `_compute_chunk`   one chunk of the coherent plans, in whole blocks,
+                     each from its `_stream`: each plan's `_products` of
+                     the block's normals through its layout's class stack
+                     (`_stack`), which `_combine` sums;
   `_screen_layout`,  with a threshold, each coherent plan's rotated
   `_lower_bound`     classes and screen, which clear a block from its
                      screen columns (16 at most) before its other normals
@@ -288,13 +288,18 @@ def _parity_classes(grid: SurfaceGeometry, kernel: str):
     T_c^T, where T_c maps a class vector u to the elements, image n of
     base element q taking s_nc u_q / sqrt(C).
     """
+    c = (2 - grid.m_x % 2) * (2 - grid.m_z % 2)  # two classes per even axis
+    try:  # J's Q x M' block, allocated and dropped: one past memory fails before its indices
+        np.empty((grid.m // c, grid.m))
+    except (ValueError, MemoryError) as e:  # past numpy's size limit, or the machine's
+        raise MemoryError(f"a {grid.m_x}x{grid.m_z} grid's correlation block is too large") from e
     images = np.arange(grid.m).reshape(1, grid.m_z, grid.m_x)
     for axis in (2, 1):  # x, then z
         if images.shape[axis] % 2 == 0:
             half = np.arange(images.shape[axis] // 2)
             images = np.concatenate([images, np.flip(images, axis)]).take(half, axis=axis)
-    images = images.reshape(len(images), -1)
-    c, q = images.shape
+    images = images.reshape(c, -1)
+    q = images.shape[1]
     g = build_correlation_matrix(grid, kernel, images[0], images.ravel()).reshape(q, c, q)
     return images, np.einsum("nc,anb->cab", _signs(c), g)
 
@@ -367,26 +372,22 @@ def _unstack(classes: tuple) -> list:
 
 
 def _workspace(plans: list):
-    """Working buffers for the coherent draw blocks of `plans`, sized by the
-    largest rank and grid (M' = C Q, from each class stack's shape): the
+    """Working buffers for the draw blocks of the coherent `plans`, sized by
+    the largest rank and grid (M' = C Q, from each class stack's shape): the
     block's normals (r_max x 512), and room for
     one hop's class shares (2 x 128 x M'_max) and for both hops' parts,
     the first hop's power kept while the second's parts follow it
     (3 x 128 x M'_max; a hop's gathered columns, C r_pad <= C Q = M' rows
     of 2 x 128, first fill the room its parts take next); and no less
     than a screen's parts and hop powers need (6 x 128 x s_max,
-    `_lower_bound`). None without a coherent plan. Every entry of a
-    plan's `idx` must be a column below its rank: the gather does not
-    check."""
-    coherent = [plan for plan in plans if plan.kind != "static"]
-    if not coherent:
-        return None
-    for plan in coherent:
+    `_lower_bound`). Every entry of a plan's `idx` must be a column below
+    its rank: the gather does not check."""
+    for plan in plans:
         if plan.classes[0].max() >= plan.rank:
             raise ValueError(f"a class reads a column past rank {plan.rank}")
-    r_max = max(plan.rank for plan in coherent)
-    m_max = max(plan.classes[1][:, 0].size for plan in coherent)  # C x Q
-    s_max = max(min(plan.m_o, _SCREEN_ELEMENTS) for plan in coherent)
+    r_max = max(plan.rank for plan in plans)
+    m_max = max(plan.classes[1][:, 0].size for plan in plans)  # C x Q
+    s_max = max(min(plan.m_o, _SCREEN_ELEMENTS) for plan in plans)
     size = max(5 * m_max, 6 * s_max)
     return np.empty((r_max, 4 * _BLOCK_TRIALS)), np.empty(_BLOCK_TRIALS * size)
 
@@ -504,26 +505,25 @@ def _products(zk: np.ndarray, classes: tuple, w: np.ndarray) -> np.ndarray:
 
 
 def _compute_chunk(gains: dict, seed: int, chunk: int, work, bar, layouts) -> None:
-    """Writes one chunk's gains into `gains`, an array per distinct plan,
-    whole blocks of _BLOCK_TRIALS long, each computed whole: the trials past
-    the trial count read draws that no trial before them reads, so a
-    trial's gain does not depend on the trial count.
+    """Writes one chunk's gains into `gains`, an array per distinct coherent
+    plan, whole blocks of _BLOCK_TRIALS long, each computed whole: the
+    trials past the trial count read draws that no trial before them
+    reads, so a trial's gain does not depend on the trial count.
 
-    The blocks are drawn into buffers reused from block to block, so a
-    chunk holds a few MB whatever its size; the static fills
-    (`_static_gains`) continue the chunk's stream, and coherent block j is
-    draw block j, its r_max columns filled. With one BLAS thread every
-    gain tested equals the whole chunk's to the bit (3 x 3 to 20 x 20
-    grids, 1 to 8192 trials). A block's columns are rewritten hop-major,
-    and each coherent plan that computes it `_combine`s their `_products`
-    through its own class stack, whatever the other plans. `work` is the
-    `_workspace` to compute in.
+    Static plans are `run_many`'s to fill (`_static_gains`). The blocks are
+    drawn into buffers reused from block to block, so a chunk holds a few
+    MB whatever its size; block j is draw block j, its r_max columns
+    filled. With one BLAS thread every gain tested equals the whole
+    chunk's to the bit (3 x 3 to 20 x 20 grids, 1 to 8192 trials). A
+    block's columns are rewritten hop-major, and each plan that computes
+    it `_combine`s their `_products` through its own class stack, whatever
+    the other plans. `work` is the `_workspace` to compute in.
 
-    Each coherent plan reads the blocks through `layouts[plan]` = (stack,
-    rows): its own class stack and no screen rows, or its screen-first
-    layout (`_screen_layout`). `bar` is None, which screens no block, or
-    the gain to screen at. Each block then first fills as many columns
-    as the widest screen reads. A plan whose every trial in the block has
+    Each plan reads the blocks through `layouts[plan]` = (stack, rows):
+    its own class stack and no screen rows, or its screen-first layout
+    (`_screen_layout`). `bar` is None, which screens no block, or the gain
+    to screen at. Each block then first fills as many columns as the
+    widest screen reads. A plan whose every trial in the block has
     `_lower_bound` above bar, from its `rows`, writes +inf for them
     instead of computing them; the other columns are filled only if some
     plan computes the block, and the two fills give the bits of one fill
@@ -531,24 +531,18 @@ def _compute_chunk(gains: dict, seed: int, chunk: int, work, bar, layouts) -> No
     7, .., 2^i - 1 of the chunk, and every block after: a threshold that
     no block clears costs a plan seven screens of a chunk's 64 blocks.
     """
-    for plan, out in gains.items():
-        if plan.kind == "static":
-            _static_gains(plan, seed, chunk, out)
-    coherent = [plan for plan in gains if plan.kind != "static"]
-    if not coherent:
-        return
     z, w = work
-    n = len(gains[coherent[0]])
+    n = len(next(iter(gains.values())))
     head = 0 if bar is None else max(rows.shape[0] for _, rows in layouts.values())
     # the block each plan screens next: 2 j + 1 after block j fails, every
     # block (-1) once one has passed, and none without a screen
-    due = dict.fromkeys(coherent, math.inf if bar is None else 0)
+    due = dict.fromkeys(gains, math.inf if bar is None else 0)
     for j, t0 in enumerate(range(0, n, _BLOCK_TRIALS)):
         block = slice(t0, t0 + _BLOCK_TRIALS)
         draw = _stream(seed, chunk, j + 1)
         draw.standard_normal(out=z[:head])
         exact = []
-        for plan in coherent:
+        for plan in gains:
             if due[plan] <= j:
                 if _lower_bound(z, layouts[plan][1], w).min() > bar:
                     due[plan] = -1
@@ -604,7 +598,9 @@ def run_many(
 
     Each distinct plan fills one array of whole draw blocks, so a trial's
     gain is bit for bit the same whatever n, and each run gets a view of
-    its first n gains: runs that share a plan share its array.
+    its first n gains: runs that share a plan share its array. A chunk
+    fills its static plans (`_static_gains`), then its coherent ones
+    (`_compute_chunk`, in a thread's `_workspace`; none without them).
 
     Each coherent plan reads its draw blocks through its own class stack,
     or with a `threshold`, which lets a caller that only counts gains at or
@@ -627,27 +623,30 @@ def run_many(
         gains = {plan: np.empty(size) for plan in dict.fromkeys(plans)}
     except ValueError as e:  # past numpy's size limit
         raise MemoryError(f"{n} trials' gains are too many to hold") from e
-    coherent = [plan for plan in gains if plan.kind != "static"]
-    if threshold is None:
-        bar, layouts = None, {plan: (plan.classes, None) for plan in coherent}
-    else:
-        bar = threshold * (1.0 + 1e-9)
-        layouts = {plan: _screen_layout(plan) for plan in coherent}
+    bar = None if threshold is None else threshold * (1.0 + 1e-9)
+    layouts = {
+        plan: (plan.classes, None) if bar is None else _screen_layout(plan)
+        for plan in gains if plan.kind != "static"
+    }
+    static = [plan for plan in gains if plan not in layouts]
     starts = range(0, n, CHUNK_TRIALS)
     threads = min(workers, len(starts))
     # one workspace a thread, made by the caller and handed from chunk to
     # chunk, so the chunks reuse it instead of allocating their own
     idle = queue.SimpleQueue()
-    for _ in range(threads):
-        idle.put(_workspace(plans))
+    for _ in range(threads if layouts else 0):
+        idle.put(_workspace(list(layouts)))
 
     def compute(c: int, t0: int) -> None:
-        work = idle.get()
-        try:
-            chunk = {plan: g[t0 : t0 + CHUNK_TRIALS] for plan, g in gains.items()}
-            _compute_chunk(chunk, seed, c, work, bar, layouts)
-        finally:
-            idle.put(work)
+        for plan in static:
+            _static_gains(plan, seed, c, gains[plan][t0 : t0 + CHUNK_TRIALS])
+        if layouts:
+            work = idle.get()
+            try:
+                chunk = {plan: gains[plan][t0 : t0 + CHUNK_TRIALS] for plan in layouts}
+                _compute_chunk(chunk, seed, c, work, bar, layouts)
+            finally:
+                idle.put(work)
 
     pool = ThreadPoolExecutor(max_workers=threads)
     try:

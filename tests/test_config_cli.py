@@ -861,7 +861,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "args, extra, message",
         [
-            (["validate"], {"m_grid": [[100000, 100000]]}, ""),
+            (["validate"], {"m_grid": [[100000, 100000]]},
+             "a 100000x100000 grid's correlation block is too large"),
             (
                 ["dist"],
                 {
@@ -879,7 +880,8 @@ class TestCli:
     )
     def test_sizes_beyond_memory_are_config_errors(self, tmp_path, args, extra, message):
         # each run needs far more than memory: a 1e10-element sweep grid
-        # its 1e10 mirror-image indices (80 GB), a static 2x2 block of such
+        # its 2.5e9 x 1e10 correlation block, checked before its 1e10
+        # mirror-image indices (80 GB) are built, a static 2x2 block of such
         # a grid its 1e10-entry offset table, 1e14 gains 728 TiB, and 1e20
         # gains are past numpy's size limit; so each fails before it fills
         # what it allocates, reports one config error line (naming the grid

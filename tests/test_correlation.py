@@ -276,6 +276,14 @@ class TestSelections:
         # evenly spread: every axis gap at least the minimum pitch
         gaps = np.diff(np.unique(cols))
         assert gaps.min() >= 1
+        # and along either axis of any grid up to 64 wide, every k of m
+        # points: their gaps are at least 1, so rounding merges none
+        for m in range(1, 65):
+            for k in range(1, m + 1):
+                for shape, picks in (((m, 1), (k, 1)), ((1, m), (1, k))):
+                    g = SurfaceGeometry(*shape, w_x=1.5, w_z=1.5, wavelength=0.125)
+                    sel = uniform_grid_selection(g, *picks)
+                    assert sel.size == k and np.all(np.diff(sel) > 0), (m, k)
 
     def test_infeasible(self, dense_geom):
         with pytest.raises(ValueError):

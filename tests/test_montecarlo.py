@@ -98,11 +98,15 @@ def whole_blocks(n):
 
 def chunk_of(plan, seed, chunk, n):
     """One chunk of n trials of a plan alone, as `run_many` computes it
-    without a threshold: through the plan's own class stack, in whole
-    draw blocks, of which the first n trials are returned."""
+    without a threshold: a static plan by `_static_gains`, a coherent one
+    through its own class stack, in whole draw blocks, of which the first
+    n trials are returned."""
     got = np.empty(whole_blocks(n))
-    layouts = {plan: (plan.classes, None)}
-    _compute_chunk({plan: got}, seed, chunk, mc._workspace([plan]), None, layouts)
+    if plan.kind == "static":
+        mc._static_gains(plan, seed, chunk, got)
+    else:
+        layouts = {plan: (plan.classes, None)}
+        _compute_chunk({plan: got}, seed, chunk, mc._workspace([plan]), None, layouts)
     return got[:n]
 
 
