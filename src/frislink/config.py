@@ -122,7 +122,6 @@ _TOP_KEYS = {
 }
 
 _GEOMETRY_KEYS = {"m_x", "m_z", "w_x", "w_z", "carrier_frequency_hz"}
-_PATHLOSS_KEYS = {"rho", "alpha", "d_f", "d_u"}
 
 _DEFAULT_PATHLOSS = {"rho": 10.0, "alpha": 2.1, "d_f": 20.0, "d_u": 40.0}
 _DEFAULT_SNR_GRID = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0]
@@ -197,7 +196,7 @@ def _parse_pathloss(doc: dict) -> PathLoss:
     raw = doc.get("pathloss", _DEFAULT_PATHLOSS)
     if not isinstance(raw, dict):
         raise ConfigError("pathloss: must be an object")
-    _reject_unknown(raw, _PATHLOSS_KEYS, "pathloss")
+    _reject_unknown(raw, set(_DEFAULT_PATHLOSS), "pathloss")
     merged = {**_DEFAULT_PATHLOSS, **raw}
     try:
         return PathLoss(**{k: _require_number(merged, "pathloss", k) for k in _DEFAULT_PATHLOSS})

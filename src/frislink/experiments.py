@@ -38,11 +38,7 @@ from .analysis import (
     outage_probability,
 )
 from .config import ConfigError, ExperimentConfig, ModeSpec
-from .correlation import (
-    SurfaceGeometry,
-    build_correlation_matrix,
-    uniform_grid_selection,
-)
+from .correlation import build_correlation_matrix, uniform_grid_selection
 from .montecarlo import (
     CoherentMode,
     StaticMode,
@@ -115,40 +111,26 @@ def _ranks(names, plans) -> str:
     return ",".join(f"{name}:{plan.rank}" for name, plan in zip(names, plans))
 
 
-def _most_square_selection(geom: SurfaceGeometry, m_o: int) -> np.ndarray:
-    """Uniform subgrid with m_o elements, factored as square as possible.
-
-    Used for the analytical curves of a coherent mode, whose actual
-    per-realization selection has no fixed correlation block; for a RIS,
-    m_o = M' and the subgrid is the whole grid in index order.
-    """
-    best = None
-    for k_x in range(1, m_o + 1):
-        if m_o % k_x:
-            continue
-        k_z = m_o // k_x
-        if k_x <= geom.m_x and k_z <= geom.m_z:
-            score = abs(k_x - k_z)
-            if best is None or score < best[0]:
-                best = (score, k_x, k_z)
-    if best is None:
-        raise ConfigError(
-            f"m_o={m_o} admits no k_x*k_z factorization inside the "
-            f"{geom.m_x}x{geom.m_z} grid"
-        )
-    return uniform_grid_selection(geom, best[1], best[2])
-
-
 def _analytic_block(spec: ModeSpec, kernel: str) -> np.ndarray:
     """Correlation block behind a mode's analytical curves: that of a
-    static mode's selection, or of the most square m_o subgrid of a
-    coherent mode's grid."""
-    mode = spec.mode
+    static mode's selection, or, for a coherent mode, whose selection
+    changes per realization, that of a stand-in: the first m_o elements,
+    in index order, of the uniform k_x x k_z subgrid of its grid
+    (k_z = ceil(m_o / k_x)) with the fewest elements, then the smallest
+    |k_x - k_z|, then the smallest k_x. Where m_o = k_x k_z fits, that is
+    the most square such subgrid; for a RIS, m_o = M' gives its whole
+    grid in index order."""
+    mode, grid = spec.mode, spec.grid
     if isinstance(mode, StaticMode):
         selection = mode.selection
     else:
-        selection = _most_square_selection(spec.grid, mode.m_o)
-    return build_correlation_matrix(spec.grid, kernel, selection)
+        shapes = [(k_x, -(-mode.m_o // k_x)) for k_x in range(1, grid.m_x + 1)]
+        k_x, k_z = min(
+            ((k_x, k_z) for k_x, k_z in shapes if k_z <= grid.m_z),
+            key=lambda shape: (shape[0] * shape[1], abs(shape[0] - shape[1]), shape[0]),
+        )
+        selection = uniform_grid_selection(grid, k_x, k_z)[: mode.m_o]
+    return build_correlation_matrix(grid, kernel, selection)
 
 
 @_one_blas_thread()

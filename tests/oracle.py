@@ -37,6 +37,9 @@ before it drew its static gains from their spectral law, and
 conditioning on the user-side hop (`sample_gains_exponential_mixture`
 many at once, with the same draws), and `gain_cdf` is the law of those
 gains, the K-distribution, with its outage `gain_outage_probability`.
+`most_square_selection` searches the factorizations of m_o for the most
+square k_x x k_z = m_o subgrid, the reference for a coherent mode's
+analytic stand-in wherever such a subgrid fits.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from frislink.correlation import _clamped_eigh
+from frislink.correlation import _clamped_eigh, uniform_grid_selection
 from frislink.montecarlo import _GAIN_SCALE, CHUNK_TRIALS, _parity_classes, _stream
 
 _RT_HALF = 1.0 / math.sqrt(2.0)
@@ -146,6 +149,23 @@ def pairwise_distance(i: int, j: int, geom) -> float:
     xi, zi = element_position(i, geom)
     xj, zj = element_position(j, geom)
     return math.hypot(xi - xj, zi - zj)
+
+
+def most_square_selection(geom, m_o: int):
+    """The uniform k_x x k_z = m_o subgrid inside the grid with the
+    smallest |k_x - k_z| (then the smallest k_x), or None where none fits."""
+    best = None
+    for k_x in range(1, m_o + 1):
+        if m_o % k_x:
+            continue
+        k_z = m_o // k_x
+        if k_x <= geom.m_x and k_z <= geom.m_z:
+            score = abs(k_x - k_z)
+            if best is None or score < best[0]:
+                best = (score, k_x, k_z)
+    if best is None:
+        return None
+    return uniform_grid_selection(geom, best[1], best[2])
 
 
 # trials per coherent draw block, fixed by the stream contract

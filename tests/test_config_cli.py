@@ -15,14 +15,16 @@ import frislink.experiments as experiments_mod
 from frislink.cli import main
 from frislink.config import (
     ConfigError,
+    ModeSpec,
     db_to_linear,
     parse_config,
     preset_config,
     PRESET_NAMES,
 )
-from frislink.correlation import build_correlation_matrix
+from frislink.correlation import SurfaceGeometry, build_correlation_matrix
 from frislink.experiments import cmd_capacity, cmd_dist, cmd_outage, cmd_sweep_m
 from frislink.montecarlo import CoherentMode, StaticMode
+from oracle import most_square_selection
 
 MINIMAL = {"geometry": {"m_x": 2, "m_z": 2, "w_x": 1.0, "w_z": 1.0}}
 
@@ -339,7 +341,7 @@ class TestCmdOutage:
         # the Q x M' block of its base elements against their mirror
         # images (4x4 and 2x2 fold into 4 classes, 3x3 into 1); the
         # analytic curves build one block per mode (its selection, or a
-        # coherent mode's most square m_o subgrid), and sweep-m has none
+        # coherent mode's stand-in m_o subgrid), and sweep-m has none
         import frislink.montecarlo as mc_mod
 
         built = {module: blocks_built(module) for module in (experiments_mod, mc_mod)}
@@ -390,6 +392,58 @@ class TestCmdCapacity:
             cells = ln.split(",")
             bound, mc, se = float(cells[2]), float(cells[4]), float(cells[5])
             assert mc <= bound + 3.0 * se
+
+
+class TestAnalyticStandIn:
+    def test_most_square_subgrid_where_one_fits(self):
+        # every grid up to 12x12 and every m_o: where a k_x x k_z = m_o
+        # subgrid fits, the stand-in is the most square one, bit for bit;
+        # elsewhere it is m_o distinct elements of the grid
+        fitted = padded = 0
+        for m_x in range(1, 13):
+            for m_z in range(1, 13):
+                grid = SurfaceGeometry(m_x, m_z, 5.0, 5.0, 0.125)
+                for m_o in range(1, grid.m + 1):
+                    spec = ModeSpec(f"fris(Mo={m_o})", CoherentMode(m_o), grid)
+                    block = experiments_mod._analytic_block(spec, "spherical")
+                    reference = most_square_selection(grid, m_o)
+                    if reference is not None:
+                        fitted += 1
+                        want = build_correlation_matrix(grid, "spherical", reference)
+                        assert np.array_equal(block, want), (m_x, m_z, m_o)
+                    else:
+                        padded += 1
+                        assert block.shape == (m_o, m_o)
+                        assert np.all(np.diag(block) == 1.0)
+                        assert not np.any(block[~np.eye(m_o, dtype=bool)] == 1.0), (m_x, m_z, m_o)
+        assert (fitted, padded) == (3400, 2684)
+
+    @pytest.mark.parametrize("m_o", [23, 37])
+    def test_outage_and_capacity_accept_every_m_o(self, tmp_path, capsys, m_o):
+        # 23 and 37 have no k_x x k_z factorization inside 20x20; the
+        # outage columns keep the rules the benchmark's output check applies
+        doc = tiny_doc(
+            geometry={"m_x": 20, "m_z": 20, "w_x": 5.0, "w_z": 5.0, "carrier_frequency_hz": 2.4e9},
+            snr_grid_db=[-10.0, 0.0, 10.0, 20.0],
+            modes=[{"type": "adaptive_fris", "m_o": m_o}],
+            trials=2000,
+        )
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("outage", "capacity"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+            rows = [
+                ln.split(",") for ln in out.read_text(encoding="utf-8").splitlines()
+                if not ln.startswith(("#", "snr_db"))
+            ]
+            assert len(rows) == 4 and {r[1] for r in rows} == {f"fris(Mo={m_o})"}
+            if command == "outage":
+                analytical = [float(r[2]) for r in rows]
+                asymptotic = [float(r[3]) for r in rows]
+                assert all(0.0 <= p <= 1.0 for p in analytical)
+                assert all(math.isfinite(p) and p >= 0.0 for p in asymptotic)
+                assert all(b <= a for a, b in zip(analytical, analytical[1:]))
 
 
 class TestCmdSweepM:
@@ -857,6 +911,17 @@ class TestCli:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_benchmark_smoke_check_passes(self):
+        # every benchmark workload in both trace modes, plus the output
+        # checks on its CSVs, at tiny trial counts
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "perfbench", "smoke.py")],
+            cwd=root, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+            capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
     @pytest.mark.parametrize(
         "args, extra, message",
