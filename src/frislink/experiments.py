@@ -19,7 +19,6 @@ digits, so re-running the same config byte-reproduces the file.
 from __future__ import annotations
 
 import contextlib
-import csv
 import errno
 import math
 import os
@@ -87,15 +86,17 @@ def _output(path):
 
 
 def _write_csv(f, meta: dict, columns: list, rows) -> None:
+    """The header lines, then the rows, fields joined by commas: no field
+    needs quoting, as the values print as numbers or booleans and the mode
+    labels hold no comma, quote or line break."""
     f.writelines(f"# {key}={value}\n" for key, value in meta.items())
-    writer = csv.writer(f, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([_format_value(v) for v in row] for row in rows)
+    f.write(",".join(columns) + "\n")
+    f.writelines(",".join(_format_value(v) for v in row) + "\n" for row in rows)
 
 
 def _base_meta(config: ExperimentConfig, command: str) -> dict:
     return {
-        "artifact_version": 12,
+        "artifact_version": 13,
         "tool_version": __version__,
         "command": command,
         "config_hash": config.config_hash,

@@ -1,6 +1,6 @@
 """Chunked, reproducible Monte Carlo engine for equivalent-gain sampling.
 
-The stream and byte contract (artifact version 12) is stated once, in
+The stream and byte contract (artifact version 13) is stated once, in
 README "Determinism": the fixed chunks of CHUNK_TRIALS and draw blocks of
 _BLOCK_TRIALS, the Philox counter of each stream, the column-major read
 of a draw block in a plan's own layout and, for a run with a threshold,
@@ -10,13 +10,14 @@ module implements it:
   `StaticMode`,      the two mode kinds; a run is a (grid, mode) pair,
   `CoherentMode`     and a conventional RIS is the coherent mode with
                      m_o = M' on its own grid;
-  `plan_runs`        one RunPlan per run: a static mode's weights
-                     (`_static_weights`), or the class stack of a coherent
+  `plan_runs`        one RunPlan per run: a static mode's weights (from
+                     its block's eigenvalues at zero phases, else
+                     `_static_weights`), or the class stack of a coherent
                      grid's factor, cut to its sampled prefix, through its
                      mirror parity classes (`_parity_classes`,
                      `_grid_factor`);
-  `run_many`         the plans in one pass over the chunks, on threads:
-                     a chunk's static plans by their exponentials
+  `run_many`         the plans in one pass over the chunks, on worker
+                     threads: a chunk's static plans by their exponentials
                      (`_static_gains`), then its coherent plans, in one
                      `_workspace` a thread and the layout it picks each;
   `_compute_chunk`   one chunk of the coherent plans, in whole blocks,
@@ -34,12 +35,9 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import glob
 import math
 import os
-import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +104,10 @@ def _blas_controls():
     """Thread-count getter and setter of numpy's bundled OpenBLAS, or
     None if they cannot be found. Resolved on first use, not at import."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+    for name in (n for n in names if n.startswith("libscipy_openblas64_") and n.endswith(".so")):
         try:
-            lib = ctypes.CDLL(path)
+            lib = ctypes.CDLL(os.path.join(libs, name))
             get_threads = lib.scipy_openblas_get_num_threads64_
             set_threads = lib.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
@@ -199,18 +198,17 @@ class RunPlan:
 
 def _static_weights(factor: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Weights nu of a static trial's conditional power S = sum_k nu_k E_k,
-    from the m x r factor F of the selection's block J~ = F F^T.
+    from the m x r factor F of the selection's block J~ = F F^T, descending.
 
     Given the user-side hop, the equivalent channel is CN(0, S) with
     S = |B conj(h_u)|^2 for B = F^T D F, D = diag(e^(j phi)),
     so nu are the squared singular values of B (r x r, complex):
-    sum nu = tr(A) and sum nu^2 = tr(A^2) for A = D J~ D^H J~, and
-    nu = lambda(J~)^2 at zero phases. Weights at or below
-    _EIG_CLAMP_REL times the largest are dropped.
+    sum nu = tr(A) and sum nu^2 = tr(A^2) for A = D J~ D^H J~. At zero
+    phases B = F^T F, so nu = lambda(J~)^2, which `plan_runs` takes from
+    F's columns without this product and SVD.
     """
     b = (factor.T * np.exp(1j * phases)) @ factor
-    nu = np.linalg.svd(b, compute_uv=False) ** 2
-    return nu[nu > _EIG_CLAMP_REL * nu[0]]
+    return np.linalg.svd(b, compute_uv=False) ** 2
 
 
 def _check_mode(geom: SurfaceGeometry, mode) -> None:
@@ -235,7 +233,11 @@ def _check_mode(geom: SurfaceGeometry, mode) -> None:
 @_one_blas_thread()
 def plan_runs(kernel: str, runs) -> list:
     """One RunPlan per checked (grid, mode) run. A static run factors its
-    selection's block and keeps only its weights; a grid that coherent
+    selection's block and keeps only its weights: with zero phases the
+    squares of the block's kept eigenvalues lambda_k, which are the squared
+    column norms of its factor U sqrt(Lambda), in descending order; with
+    phases those of `_static_weights`; either without the weights at or
+    below _EIG_CLAMP_REL times the largest. A grid that coherent
     runs sample is factored once through its parity classes, keeping the
     rank of the prefix of its factor in draw order that they sample, the
     stack of its classes' share of that prefix and its clamped count.
@@ -248,7 +250,13 @@ def plan_runs(kernel: str, runs) -> list:
         _check_mode(grid, mode)
         if isinstance(mode, StaticMode):
             root = psd_sqrt(build_correlation_matrix(grid, kernel, mode.selection))
-            nu = _static_weights(root.factor, np.asarray(mode.phases, dtype=float))
+            phases = np.asarray(mode.phases, dtype=float)
+            if phases.any():
+                nu = _static_weights(root.factor, phases)
+            else:
+                lam = np.square(root.factor).sum(axis=0)
+                nu = np.sort(lam * lam)[::-1]
+            nu = nu[nu > _EIG_CLAMP_REL * nu[0]]
             r = root.factor.shape[1]
             plans.append(RunPlan("static", r, root.clamped_count, nu.size + 1, weights=nu))
             continue
@@ -520,23 +528,24 @@ def _compute_chunk(gains: dict, seed: int, chunk: int, work, bar, layouts) -> No
     the other plans. `work` is the `_workspace` to compute in.
 
     Each plan reads the blocks through `layouts[plan]` = (stack, rows):
-    its own class stack and no screen rows, or its screen-first layout
-    (`_screen_layout`). `bar` is None, which screens no block, or the gain
-    to screen at. Each block then first fills as many columns as the
-    widest screen reads. A plan whose every trial in the block has
-    `_lower_bound` above bar, from its `rows`, writes +inf for them
-    instead of computing them; the other columns are filled only if some
-    plan computes the block, and the two fills give the bits of one fill
-    of both. Until one block passes, a plan screens only blocks 0, 1, 3,
-    7, .., 2^i - 1 of the chunk, and every block after: a threshold that
-    no block clears costs a plan seven screens of a chunk's 64 blocks.
+    its own class stack or its screen-first layout (`_screen_layout`),
+    and its screen rows, or None, which screens none of its blocks. `bar`
+    is the gain to screen at (None if no plan has screen rows). Each
+    block then first fills as many columns as the widest screen reads. A
+    plan whose every trial in the block has `_lower_bound` above bar,
+    from its `rows`, writes +inf for them instead of computing them; the
+    other columns are filled only if some plan computes the block, and
+    the two fills give the bits of one fill of both. Until one block
+    passes, a plan screens only blocks 0, 1, 3, 7, .., 2^i - 1 of the
+    chunk, and every block after: a threshold that no block clears costs
+    a plan seven screens of a chunk's 64 blocks.
     """
     z, w = work
     n = len(next(iter(gains.values())))
-    head = 0 if bar is None else max(rows.shape[0] for _, rows in layouts.values())
+    head = max((rows.shape[0] for _, rows in layouts.values() if rows is not None), default=0)
     # the block each plan screens next: 2 j + 1 after block j fails, every
     # block (-1) once one has passed, and none without a screen
-    due = dict.fromkeys(gains, math.inf if bar is None else 0)
+    due = {plan: math.inf if layouts[plan][1] is None else 0 for plan in gains}
     for j, t0 in enumerate(range(0, n, _BLOCK_TRIALS)):
         block = slice(t0, t0 + _BLOCK_TRIALS)
         draw = _stream(seed, chunk, j + 1)
@@ -587,20 +596,22 @@ def run_many(
     """Equivalent gains of n independent trials for each plan from
     `plan_runs`, in one pass that draws each chunk's coherent normals once.
 
-    Trials are processed in fixed chunks of CHUNK_TRIALS on a pool of
-    `workers` threads (None: one per core this process may run on),
-    which share the plans; numpy releases the interpreter lock in the
-    draws, products and selections. BLAS is held at one thread for the
-    chunks, as `plan_runs` holds it for the matrix roots, so no result
-    bit depends on the worker count or on the machine's core count. If
-    a chunk raises, or the wait is interrupted, chunks not yet started
-    are cancelled.
+    Trials are processed in fixed chunks of CHUNK_TRIALS on
+    min(`workers`, chunks) threads (None: one per core this process may
+    run on), which share the plans and take the chunks in order from one
+    counter; numpy releases the interpreter lock in the draws, products
+    and selections. BLAS is held at one thread for the chunks, as
+    `plan_runs` holds it for the matrix roots, so no result bit depends
+    on the worker count or on the machine's core count. If a chunk
+    raises, or the wait is interrupted, no further chunk starts; the
+    chunks in progress finish, then the interrupt, or else the exception
+    of the lowest-numbered failed chunk, is raised.
 
     Each distinct plan fills one array of whole draw blocks, so a trial's
     gain is bit for bit the same whatever n, and each run gets a view of
     its first n gains: runs that share a plan share its array. A chunk
     fills its static plans (`_static_gains`), then its coherent ones
-    (`_compute_chunk`, in a thread's `_workspace`; none without them).
+    (`_compute_chunk`, in its thread's `_workspace`; none without them).
 
     Each coherent plan reads its draw blocks through its own class stack,
     or with a `threshold`, which lets a caller that only counts gains at or
@@ -608,7 +619,9 @@ def run_many(
     block whose every trial's lower bound exceeds threshold (1 + 1e-9)
     reads +inf for those trials, and every other gain is the one that
     layout gives at threshold inf, which screens no block. Those are other
-    draws of the same law than the gains without a threshold.
+    draws of the same law than the gains without a threshold. A plan
+    whose screen set is its whole grid (m_o = M' <= 16) reads that layout
+    but is never screened.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -624,37 +637,60 @@ def run_many(
     except ValueError as e:  # past numpy's size limit
         raise MemoryError(f"{n} trials' gains are too many to hold") from e
     bar = None if threshold is None else threshold * (1.0 + 1e-9)
-    layouts = {
-        plan: (plan.classes, None) if bar is None else _screen_layout(plan)
-        for plan in gains if plan.kind != "static"
-    }
+    layouts = {}
+    for plan in gains:
+        if plan.kind == "static":
+            continue
+        stack, rows = (plan.classes, None) if bar is None else _screen_layout(plan)
+        # a screen of every element (m_o = M' <= 16) bounds each trial by
+        # its gain, so it costs what the exact path does and saves nothing
+        if rows is not None and rows.shape[1] == plan.classes[1][:, 0].size:
+            rows = None
+        layouts[plan] = stack, rows
     static = [plan for plan in gains if plan not in layouts]
     starts = range(0, n, CHUNK_TRIALS)
-    threads = min(workers, len(starts))
-    # one workspace a thread, made by the caller and handed from chunk to
-    # chunk, so the chunks reuse it instead of allocating their own
-    idle = queue.SimpleQueue()
-    for _ in range(threads if layouts else 0):
-        idle.put(_workspace(list(layouts)))
+    chunks = iter(enumerate(starts))
+    lock = threading.Lock()
+    stop = threading.Event()
+    failed = {}
 
-    def compute(c: int, t0: int) -> None:
-        for plan in static:
-            _static_gains(plan, seed, c, gains[plan][t0 : t0 + CHUNK_TRIALS])
-        if layouts:
-            work = idle.get()
+    def worker(work) -> None:
+        """Computes chunks in `work`, the caller's workspace for this
+        thread, until none is left or the run stops."""
+        while True:
+            with lock:
+                c, t0 = (None, None) if stop.is_set() else next(chunks, (None, None))
+            if c is None:
+                return
             try:
-                chunk = {plan: gains[plan][t0 : t0 + CHUNK_TRIALS] for plan in layouts}
-                _compute_chunk(chunk, seed, c, work, bar, layouts)
-            finally:
-                idle.put(work)
+                for plan in static:
+                    _static_gains(plan, seed, c, gains[plan][t0 : t0 + CHUNK_TRIALS])
+                if layouts:
+                    chunk = {plan: gains[plan][t0 : t0 + CHUNK_TRIALS] for plan in layouts}
+                    _compute_chunk(chunk, seed, c, work, bar, layouts)
+            except BaseException as e:  # raised by the caller, once every thread has ended
+                with lock:
+                    failed[c] = e
+                    stop.set()
 
-    pool = ThreadPoolExecutor(max_workers=threads)
+    threads = []
     try:
-        futures = [pool.submit(compute, c, t0) for c, t0 in enumerate(starts)]
-        for f in futures:
-            f.result()
+        for _ in range(min(workers, len(starts))):
+            # one workspace a thread, made by the caller: buffers a chunk
+            # thread allocates itself raise the peak resident set
+            thread = threading.Thread(
+                target=worker, args=(_workspace(list(layouts)) if layouts else None,)
+            )
+            thread.start()
+            threads.append(thread)
+        for thread in threads:
+            thread.join()
     finally:
-        pool.shutdown(cancel_futures=True)
+        stop.set()  # an interrupted wait starts no further chunk
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
     return [gains[plan][:n] for plan in plans]
 
 

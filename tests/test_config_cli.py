@@ -912,6 +912,21 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_cli_import_loads_no_pool_queue_or_csv_modules(self):
+        # every command pays for what importing the CLI loads: chunks run on
+        # plain threads and CSVs are joined by hand, and numpy loads none
+        # of these either
+        src = os.path.dirname(os.path.dirname(frislink.__file__))
+        unwanted = ["concurrent.futures", "logging", "queue", "csv", "glob"]
+        code = f"import sys, frislink.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_benchmark_smoke_check_passes(self):
         # every benchmark workload in both trace modes, plus the output
         # checks on its CSVs, at tiny trial counts

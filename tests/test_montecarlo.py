@@ -179,6 +179,38 @@ class TestRunTrials:
                 lam = np.linalg.eigvalsh(j_sub)[::-1][: nu.size]
                 assert np.allclose(nu, lam * lam, rtol=0.0, atol=1e-10 * nu[0])
 
+    def test_zero_phase_weights_skip_the_complex_svd(self, monkeypatch):
+        # at zero phases nu = lambda(J~)^2 comes from the factor's column
+        # norms, descending, with no complex product or SVD
+        def no_svd(factor, phases):
+            raise AssertionError("zero phases reached _static_weights")
+
+        monkeypatch.setattr(mc, "_static_weights", no_svd)
+        dense, dense_mode = dense_case("static")
+        for g, sel in (
+            (small_geom(), uniform_grid_selection(small_geom(), 3, 3)),
+            (dense, dense_mode.selection),
+        ):
+            nu = plan_of(g, StaticMode(sel, np.zeros(sel.size))).weights
+            lam = np.linalg.eigvalsh(build_correlation_matrix(g, "spherical", sel))[::-1]
+            want = lam * lam
+            assert nu.size == np.count_nonzero(want > 1e-12 * want[0])
+            assert np.all(np.diff(nu) <= 0.0)
+            assert np.max(np.abs(nu - want[: nu.size])) <= 1e-13 * nu[0]
+
+    def test_phases_reach_static_weights(self, monkeypatch):
+        calls = []
+        real_static_weights = mc._static_weights
+
+        def recording(factor, phases):
+            calls.append(phases)
+            return real_static_weights(factor, phases)
+
+        monkeypatch.setattr(mc, "_static_weights", recording)
+        sel = uniform_grid_selection(small_geom(), 2, 2)
+        plan_of(small_geom(), StaticMode(sel, np.array([0.0, 0.0, 0.0, 1e-3])))
+        assert len(calls) == 1
+
     def test_static_engine_matches_api_composition(self):
         # the engine draws S E from its spectral law; the reference
         # projects both hops' normals and combines them, as artifact
@@ -793,16 +825,24 @@ class TestScreenedRuns:
         assert x == pytest.approx(8.0206, abs=1e-4)
         assert screened_shares(plans, CHUNK_TRIALS + 300, 37, x) == [1.0, 1.0]
 
-    def test_config_at_0_db_screens_some_blocks(self):
-        # ris(3x3) has 24 trials in outage in 9000; its screen sums all 9
-        # elements, so a block passes when none of its trials is in
-        # outage. Each of chunk 0's first four blocks holds one, and its
-        # probe of block 7 passes; fris(Mo=4)'s four elements bound too
-        # loosely, and the static mode is never screened
+    def test_config_at_0_db_screens_no_block(self, monkeypatch):
+        # ris(3x3) has 24 trials in outage in 9000; a screen of all its 9
+        # elements would bound each trial by its gain, at the exact path's
+        # cost, so none of its blocks is screened; fris(Mo=4)'s four
+        # elements are screened but bound too loosely, and the static mode
+        # is never screened
+        widths = []
+        real_lower_bound = mc._lower_bound
+
+        def recording_lower_bound(z, rows, w):
+            widths.append(rows.shape[1])
+            return real_lower_bound(z, rows, w)
+
+        monkeypatch.setattr(mc, "_lower_bound", recording_lower_bound)
         cfg, plans = config_plans(GOLDEN_CONFIG)
         x = cfg.budget(0.0).gain_threshold
-        static, fris, ris = screened_shares(plans, 9000, 5, x)
-        assert static == 0.0 and fris == 0.0 and 0.5 < ris < 1.0
+        assert screened_shares(plans, 9000, 5, x) == [0.0, 0.0, 0.0]
+        assert widths and set(widths) == {4}
         (ris_gains,) = run_many(plans[2:], 9000, 5, threshold=math.inf)
         assert np.count_nonzero(ris_gains <= x) == 24
 
@@ -811,18 +851,27 @@ class TestScreenedRuns:
         x = cfg.budget(-40.0).gain_threshold
         assert screened_shares(plans, CHUNK_TRIALS + 300, 38, x) == [0.0, 0.0]
 
-    @pytest.mark.parametrize("x, screened", [(0.01, "all"), (1.0, "some"), (100.0, "none")])
-    def test_lone_2x2_ris(self, x, screened):
-        # the screen's parts and hop powers (6 x 128 x 4) outgrow the
-        # engine's own buffers on a 4-element grid; the workspace holds
-        # them. Its one orbit of four images is the whole grid, so every
-        # column is a screen column and no trailing row is drawn
+    @pytest.mark.parametrize("x, cleared", [(0.01, "all"), (1.0, "some"), (100.0, "none")])
+    def test_lone_2x2_ris(self, monkeypatch, x, cleared):
+        # its one orbit of four images is the whole grid, so every column
+        # is a screen column and no trailing row is drawn. A screen of
+        # every element bounds each trial by its gain: at x it would clear
+        # all, some or none of the blocks, at the exact path's cost, so
+        # none is screened. The workspace still holds the screen's parts
+        # and hop powers (6 x 128 x 4), which outgrow the engine's own
+        # buffers on a 4-element grid
         (plan,) = plan_runs("spherical", [(small_geom().regrid(2, 2), CoherentMode(4))])
         assert mc._workspace([plan])[1].size == 6 * 128 * 4
         _, rows = mc._screen_layout(plan)
         assert rows.shape == (plan.rank, 4)
-        (share,) = screened_shares([plan], CHUNK_TRIALS + 300, 39, x)
-        assert {"all": share == 1.0, "some": 0.0 < share < 1.0, "none": share == 0.0}[screened]
+        n = CHUNK_TRIALS + 300
+        (plain,) = run_many([plan], whole_blocks(n), 39, threshold=math.inf)
+        share = float(np.mean(plain.reshape(-1, 128).min(axis=1) > x * (1.0 + 1e-9)))
+        assert {"all": share == 1.0, "some": 0.0 < share < 1.0, "none": share == 0.0}[cleared]
+        calls = []
+        monkeypatch.setattr(mc, "_lower_bound", lambda *a: calls.append(a))
+        assert screened_shares([plan], n, 39, x) == [0.0]
+        assert calls == []
 
     def test_a_plan_that_keeps_failing_stops_screening(self, monkeypatch):
         # a plan screens every block of a chunk once one has passed, and
@@ -977,6 +1026,35 @@ class TestThreadWorkers:
             assert 2 in started and len(started) < 40
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_interrupted_chunk_stops_the_run(self, monkeypatch, workers):
+        # an interrupt raised in a chunk reaches the caller once every
+        # worker thread has ended, and no chunk starts after it: with two
+        # workers, only the one the other thread holds may follow it
+        started = []
+        lock = threading.Lock()
+        real_stream = mc._stream
+
+        def interrupting_stream(seed, chunk, word):
+            if word == 1:
+                with lock:
+                    started.append(chunk)
+                if chunk == 2:
+                    raise KeyboardInterrupt
+            return real_stream(seed, chunk, word)
+
+        monkeypatch.setattr(mc, "_stream", interrupting_stream)
+        before = set(threading.enumerate())
+        with pytest.raises(KeyboardInterrupt):
+            run_trials(small_geom(), "spherical", CoherentMode(9), 40 * CHUNK_TRIALS, seed=19,
+                       workers=workers)
+        assert set(threading.enumerate()) == before
+        with lock:
+            if workers == 1:
+                assert started == [0, 1, 2]
+            else:
+                assert 2 in started and set(started) <= {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory(self, workers):
         # a whole 8192-trial chunk of adaptive 36-of-400 held its draws
         # and projections at once, about 150 MB; blocks keep each worker
@@ -1019,18 +1097,22 @@ class TestDefaultWorkers:
             run_trials(g, "spherical", mode, n, seed=21, workers=0)
 
     def test_default_is_one_thread_per_core(self, monkeypatch):
-        sizes = []
-        real_pool = mc.ThreadPoolExecutor
+        started = []
+        real_start = threading.Thread.start
 
-        def recording_pool(max_workers):
-            sizes.append(max_workers)
-            return real_pool(max_workers=max_workers)
+        def recording_start(thread):
+            started.append(thread)
+            real_start(thread)
 
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
         monkeypatch.setattr(mc, "_available_cores", lambda: 3)
-        run_trials(small_geom(), "spherical", CoherentMode(9), 5 * CHUNK_TRIALS, seed=22)
+        sizes = []
         # never more threads than chunks
-        run_trials(small_geom(), "spherical", CoherentMode(9), 100, seed=22)
+        for n in (5 * CHUNK_TRIALS, 100):
+            started.clear()
+            run_trials(small_geom(), "spherical", CoherentMode(9), n, seed=22)
+            sizes.append(len(started))
+            assert not any(thread.is_alive() for thread in started)
         assert sizes == [3, 1]
 
     def test_cores_follow_affinity_then_cpu_count(self, monkeypatch):
