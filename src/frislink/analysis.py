@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkBudget
+from .correlation import _one_blas_thread
 from .special import _gamma_prefactor, ln_gamma, reg_lower_inc_gamma
 
 __all__ = [
@@ -48,11 +49,14 @@ def trace_power(j_sub: np.ndarray, power: int) -> float:
 
 
 def _eigenvalues(j_sub: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the submatrix, none for an empty one."""
+    """Eigenvalues of the submatrix, none for an empty one, found with BLAS
+    held at one thread (`_one_blas_thread`): gamma_fit, trace_power and
+    the capacity bounds give the same bits whatever the caller's count."""
     j_sub = np.asarray(j_sub, dtype=float)
     if j_sub.size == 0:
         return np.zeros(0)
-    return np.linalg.eigvalsh(j_sub)
+    with _one_blas_thread():
+        return np.linalg.eigvalsh(j_sub)
 
 
 @dataclass(frozen=True)

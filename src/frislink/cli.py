@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, montecarlo
+from . import __version__, correlation
 from .config import (
     PRESET_NAMES,
     ConfigError,
@@ -120,7 +120,7 @@ def _cost_lines(config: ExperimentConfig) -> list:
         lines.append(f"shared normals_per_trial {shared}")
     blas = (
         "blas: pinned to 1 thread"
-        if montecarlo._blas_controls() is not None
+        if correlation._blas_controls() is not None
         else "blas: unpinned (no scipy-openblas symbol); bytes may depend on BLAS threads"
     )
     return lines + [blas]

@@ -5,11 +5,18 @@ from the origin: index i maps to column i % m_x (x axis) and row
 i // m_x (z axis). Correlation between two elements depends only on
 their Euclidean separation through an isotropic scattering kernel; any
 block of a grid's matrix is read from its table of offset distances.
+The module also owns the process-wide BLAS pin (`_one_blas_thread`),
+which every frislink LAPACK call takes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +41,59 @@ _EIG_CLAMP_REL = 1e-12
 
 # element indices are int64; larger grids would wrap silently
 _MAX_ELEMENTS = 2**63
+
+# process-wide BLAS pin: entries in progress, and the thread count the
+# first of them found, which the last one out restores
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = 0
+
+
+@functools.cache
+def _blas_controls():
+    """Thread-count getter and setter of numpy's bundled OpenBLAS, or
+    None if they cannot be found. Resolved on first use, not at import."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+    for name in (n for n in names if n.startswith("libscipy_openblas64_") and n.endswith(".so")):
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold BLAS at one thread for the length of the block, if it can. The
+    setting is process-wide, so entries are counted: the first sets one
+    thread and the last restores the caller's count, and nested or
+    concurrent runs proceed without waiting for each other. Every
+    frislink LAPACK call takes it, so a direct call gives a command's bits
+    and never wakes OpenBLAS's thread pool."""
+    global _blas_depth, _blas_saved
+    controls = _blas_controls()
+    if controls is None:
+        yield
+        return
+    get_threads, set_threads = controls
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get_threads()
+            set_threads(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_threads(_blas_saved)
 
 
 @dataclass(frozen=True)
@@ -141,7 +201,8 @@ class CorrelationSqrt:
     """Rank-r factor of a correlation matrix.
 
     factor        the M x r factor F = U_r sqrt(Lambda_r) over the r
-                  unclamped eigenpairs, so F @ F.T ~= J
+                  unclamped eigenpairs, so F @ F.T ~= J: a view of the
+                  M x M eigenvector array, its trailing r columns
     clamped_count eigenvalues treated as zero during factorization (M - r)
     """
 
@@ -156,14 +217,16 @@ def psd_sqrt(j: np.ndarray) -> CorrelationSqrt:
     1e-12 * max_eigenvalue are clamped to zero rather than propagated
     as tiny negatives. Since eigenvalues come
     in ascending order, the clamped ones are the leading columns, and the
-    factor keeps the trailing r = M - clamped_count columns.
+    factor keeps the trailing r = M - clamped_count columns, scaled in
+    place: it is a view of the eigenvector array, not a copy.
     """
     j = np.asarray(j, dtype=float)
     if j.ndim != 2 or j.shape[0] != j.shape[1]:
         raise ValueError(f"correlation matrix must be square, got shape {j.shape}")
     evals, evecs, low = _clamped_eigh(j)
     clamped = int(np.count_nonzero(low))
-    factor = evecs[:, clamped:] * np.sqrt(evals[clamped:])
+    factor = evecs[:, clamped:]
+    factor *= np.sqrt(evals[clamped:])
     return CorrelationSqrt(factor, clamped)
 
 
@@ -172,8 +235,10 @@ def _clamped_eigh(j: np.ndarray):
     each of a stack of them, with the mask of the eigenvalues below 1e-12
     times the largest of all, which a factor treats as zero. Raises
     LinAlgError if no eigenvalue is positive or a clamped one is below
-    -1e-6 times the largest."""
-    evals, evecs = np.linalg.eigh(j)
+    -1e-6 times the largest. The decomposition holds BLAS at one thread
+    (`_one_blas_thread`), so its bits do not depend on the caller's count."""
+    with _one_blas_thread():
+        evals, evecs = np.linalg.eigh(j)
     peak = float(evals.max())
     if peak <= 0:
         raise np.linalg.LinAlgError("correlation matrix has no positive eigenvalue")

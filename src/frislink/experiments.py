@@ -37,12 +37,11 @@ from .analysis import (
     outage_probability,
 )
 from .config import ConfigError, ExperimentConfig, ModeSpec
-from .correlation import build_correlation_matrix, uniform_grid_selection
+from .correlation import _one_blas_thread, build_correlation_matrix, uniform_grid_selection
 from .montecarlo import (
     CoherentMode,
     StaticMode,
     _RANK_TAIL,
-    _one_blas_thread,
     empirical_cdf,
     estimate_ergodic_capacity,
     estimate_outage,

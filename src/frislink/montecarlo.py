@@ -21,19 +21,23 @@ module implements it:
                      (`_static_gains`), then its coherent plans, in one
                      `_workspace` a thread and the layout it picks each;
   `_compute_chunk`   one chunk of the coherent plans, in whole blocks,
-                     each from its `_stream`: each plan's `_products` of
-                     the block's normals through its layout's class stack
-                     (`_stack`), which `_combine` sums;
+                     from one generator, the chunk's first `_stream`,
+                     re-pointed to each block's (`_repointer`): each
+                     plan's `_products` of the block's normals through its
+                     layout's class stack (`_stack`), which `_combine` sums;
   `_screen_layout`,  with a threshold, each coherent plan's rotated
-  `_lower_bound`     classes and screen, which clear a block from its
-                     screen columns (16 at most) before its other normals
-                     are drawn.
+  `_joint_screen`,   classes and screen, and all the screened plans'
+  `_lower_bound`     screens side by side, bounded in one pass a block,
+                     which clear a block from its screen columns (16 at
+                     most) before its other normals are drawn.
+
+The BLAS pin (`_one_blas_thread`) belongs to `correlation`, whose
+factorisations take it themselves; `plan_runs` and `run_many` hold it
+for all of their work.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
 import math
 import os
@@ -47,6 +51,7 @@ from .correlation import (
     _EIG_CLAMP_REL,
     SurfaceGeometry,
     _clamped_eigh,
+    _one_blas_thread,
     build_correlation_matrix,
     psd_sqrt,
 )
@@ -92,58 +97,6 @@ _GAIN_SCALE = 0.25
 _SCREEN_ELEMENTS = 16
 
 
-# process-wide BLAS pin: entries in progress, and the thread count the
-# first of them found, which the last one out restores
-_blas_lock = threading.Lock()
-_blas_depth = 0
-_blas_saved = 0
-
-
-@functools.cache
-def _blas_controls():
-    """Thread-count getter and setter of numpy's bundled OpenBLAS, or
-    None if they cannot be found. Resolved on first use, not at import."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
-    for name in (n for n in names if n.startswith("libscipy_openblas64_") and n.endswith(".so")):
-        try:
-            lib = ctypes.CDLL(os.path.join(libs, name))
-            get_threads = lib.scipy_openblas_get_num_threads64_
-            set_threads = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        return get_threads, set_threads
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold BLAS at one thread for the length of the block, if it can. The
-    setting is process-wide, so entries are counted: the first sets one
-    thread and the last restores the caller's count, and nested or
-    concurrent runs proceed without waiting for each other."""
-    global _blas_depth, _blas_saved
-    controls = _blas_controls()
-    if controls is None:
-        yield
-        return
-    get_threads, set_threads = controls
-    with _blas_lock:
-        if _blas_depth == 0:
-            _blas_saved = get_threads()
-            set_threads(1)
-        _blas_depth += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_depth -= 1
-            if _blas_depth == 0:
-                set_threads(_blas_saved)
-
-
 def _available_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -155,8 +108,25 @@ def _stream(seed: int, chunk: int, word: int) -> np.random.Generator:
     """Stream `word` of a chunk: Philox keyed by the seed, with the chunk in
     counter words 2 and 3 and `word` in word 1, far above the increments of
     word 0, so streams never overlap. A chunk's static fills read word 0,
-    and its coherent draw block j reads word j + 1."""
+    and its coherent draw block j reads word j + 1 (`_repointer`)."""
     return np.random.Generator(np.random.Philox(key=seed, counter=chunk << 128 | word << 64))
+
+
+def _repointer(rng: np.random.Generator):
+    """A function that points rng, fresh from `_stream(seed, chunk, word)`,
+    at another word w of its chunk: rng then draws what `_stream(seed,
+    chunk, w)` does, whatever it drew before. It sets the Philox state to
+    that stream's start (counter word 1 = w, no buffered words), a few
+    microseconds where a new generator seeds a throwaway SeedSequence."""
+    bits = rng.bit_generator
+    state = bits.state
+    counter = state["state"]["counter"]
+
+    def point(word: int) -> None:
+        counter[1] = word
+        bits.state = state
+
+    return point
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,24 +349,26 @@ def _unstack(classes: tuple) -> list:
     return [(cols[:r], rows[:r]) for cols, rows, r in zip(idx, blocks, ranks)]
 
 
-def _workspace(plans: list):
-    """Working buffers for the draw blocks of the coherent `plans`, sized by
-    the largest rank and grid (M' = C Q, from each class stack's shape): the
-    block's normals (r_max x 512), and room for
-    one hop's class shares (2 x 128 x M'_max) and for both hops' parts,
-    the first hop's power kept while the second's parts follow it
-    (3 x 128 x M'_max; a hop's gathered columns, C r_pad <= C Q = M' rows
-    of 2 x 128, first fill the room its parts take next); and no less
-    than a screen's parts and hop powers need (6 x 128 x s_max,
-    `_lower_bound`). Every entry of a plan's `idx` must be a column below
-    its rank: the gather does not check."""
-    for plan in plans:
-        if plan.classes[0].max() >= plan.rank:
+def _workspace(layouts: dict):
+    """Working buffers for the draw blocks of a run's coherent plans, from
+    their `layouts` (plan: (stack, screen rows or None), `run_many`),
+    sized by the largest rank and grid (M' = C Q, from each stack's
+    shape): the block's normals (r_max x 512), and room for one hop's
+    class shares (2 x 128 x M'_max) and for both hops' parts, the first
+    hop's power kept while the second's parts follow it (3 x 128 x
+    M'_max; a hop's gathered columns, C r_pad <= C Q = M' rows of 2 x
+    128, first fill the room its parts take next); and no less than the
+    joint screen's parts and hop powers need (6 x 128 x the screen
+    columns of every plan with screen rows, `_lower_bound`), none when no
+    plan is screened. Every entry of a stack's `idx` must be a column
+    below its plan's rank: the gather does not check."""
+    for plan, (stack, _) in layouts.items():
+        if stack[0].max() >= plan.rank:
             raise ValueError(f"a class reads a column past rank {plan.rank}")
-    r_max = max(plan.rank for plan in plans)
-    m_max = max(plan.classes[1][:, 0].size for plan in plans)  # C x Q
-    s_max = max(min(plan.m_o, _SCREEN_ELEMENTS) for plan in plans)
-    size = max(5 * m_max, 6 * s_max)
+    r_max = max(plan.rank for plan in layouts)
+    m_max = max(stack[1][:, 0].size for stack, _ in layouts.values())  # C x Q
+    screen = sum(rows.shape[1] for _, rows in layouts.values() if rows is not None)
+    size = max(5 * m_max, 6 * screen)
     return np.empty((r_max, 4 * _BLOCK_TRIALS)), np.empty(_BLOCK_TRIALS * size)
 
 
@@ -444,14 +416,35 @@ def _screen_layout(plan: RunPlan):
     return _stack(classes), np.ascontiguousarray(np.concatenate(screen)[:, :width])
 
 
-def _lower_bound(z: np.ndarray, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per trial of a draw block z whose screen columns are filled, the
-    lower bound L = (1/4) (sum_{i in S} sqrt P_i)^2 of its coherent gain,
-    from the products P of the elements of a screen set S, whose parts are
-    the block's first r columns times `rows` (r x |S|, `_screen_layout`).
-    The gain sums the m_o largest sqrt P, which dominate any m_o of them,
-    and |S| <= m_o. Computed in the workspace w, whose first
-    _BLOCK_TRIALS entries it returns."""
+def _joint_screen(layouts: dict, bar: float):
+    """The screen of a run's coherent `layouts` (`run_many`) at gain bar:
+    None if no plan has screen rows, else (bar, the plans that do, their
+    rows side by side as one r x s matrix, each plan's first column in
+    it). Every plan's screen reads draw columns from 0, so a plan with
+    fewer rows than the tallest, r, reads zero rows past its own."""
+    screened = [plan for plan, (_, rows) in layouts.items() if rows is not None]
+    if not screened:
+        return None
+    screens = [layouts[plan][1] for plan in screened]
+    widths = [rows.shape[1] for rows in screens]
+    starts = np.cumsum([0, *widths[:-1]])
+    joint = np.zeros((max(rows.shape[0] for rows in screens), sum(widths)))
+    for rows, start in zip(screens, starts):
+        joint[: rows.shape[0], start : start + rows.shape[1]] = rows
+    return bar, screened, joint, starts
+
+
+def _lower_bound(z: np.ndarray, rows: np.ndarray, starts: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per trial of a draw block z whose screen columns are filled, and per
+    screened plan, the lower bound L = (1/4) (sum_{i in S} sqrt P_i)^2 of
+    its coherent gain, from the products P of the elements of its screen
+    set S, whose parts are the block's first r columns times its columns
+    of `rows` (r x s, `_joint_screen`): those from its entry of `starts`
+    to the next plan's. The gain sums the m_o largest sqrt P, which
+    dominate any m_o of them, and |S| <= m_o. All the plans take one
+    matmul and one chain of ufuncs, each plan's sum over S a segment sum.
+    Computed in the workspace w; returns a (_BLOCK_TRIALS, plans) view of
+    it."""
     k = _BLOCK_TRIALS
     r, s = rows.shape
     n = k * s
@@ -462,7 +455,8 @@ def _lower_bound(z: np.ndarray, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     hops = w[4 * n : 6 * n].reshape(k, 2, s)
     np.add(parts[:, :, 0], parts[:, :, 1], out=hops)
     power = np.multiply(hops[:, 0], hops[:, 1], out=w[:n].reshape(k, s))
-    amp = np.sqrt(power, out=power).sum(axis=1, out=w[n : n + k])
+    np.sqrt(power, out=power)
+    amp = np.add.reduceat(power, starts, axis=1, out=w[n : n + k * len(starts)].reshape(k, -1))
     amp *= amp
     amp *= _GAIN_SCALE
     return amp
@@ -512,7 +506,7 @@ def _products(zk: np.ndarray, classes: tuple, w: np.ndarray) -> np.ndarray:
     return np.multiply(f, u, out=f).reshape(k, c * q)
 
 
-def _compute_chunk(gains: dict, seed: int, chunk: int, work, bar, layouts) -> None:
+def _compute_chunk(gains: dict, seed: int, chunk: int, work, layouts, screen) -> None:
     """Writes one chunk's gains into `gains`, an array per distinct coherent
     plan, whole blocks of _BLOCK_TRIALS long, each computed whole: the
     trials past the trial count read draws that no trial before them
@@ -521,45 +515,57 @@ def _compute_chunk(gains: dict, seed: int, chunk: int, work, bar, layouts) -> No
     Static plans are `run_many`'s to fill (`_static_gains`). The blocks are
     drawn into buffers reused from block to block, so a chunk holds a few
     MB whatever its size; block j is draw block j, its r_max columns
-    filled. With one BLAS thread every gain tested equals the whole
-    chunk's to the bit (3 x 3 to 20 x 20 grids, 1 to 8192 trials). A
-    block's columns are rewritten hop-major, and each plan that computes
-    it `_combine`s their `_products` through its own class stack, whatever
-    the other plans. `work` is the `_workspace` to compute in.
+    filled, all from one generator: the chunk's `_stream` at word 1,
+    re-pointed to word j + 1 for block j (`_repointer`). With one BLAS
+    thread every gain tested equals the whole chunk's to the bit (3 x 3
+    to 20 x 20 grids, 1 to 8192 trials). A block's columns are rewritten
+    hop-major, and each plan that computes it `_combine`s their
+    `_products` through its own class stack, whatever the other plans.
+    `work` is the `_workspace` to compute in.
 
-    Each plan reads the blocks through `layouts[plan]` = (stack, rows):
-    its own class stack or its screen-first layout (`_screen_layout`),
-    and its screen rows, or None, which screens none of its blocks. `bar`
-    is the gain to screen at (None if no plan has screen rows). Each
-    block then first fills as many columns as the widest screen reads. A
-    plan whose every trial in the block has `_lower_bound` above bar,
-    from its `rows`, writes +inf for them instead of computing them; the
-    other columns are filled only if some plan computes the block, and
-    the two fills give the bits of one fill of both. Until one block
-    passes, a plan screens only blocks 0, 1, 3, 7, .., 2^i - 1 of the
-    chunk, and every block after: a threshold that no block clears costs
-    a plan seven screens of a chunk's 64 blocks.
+    Each plan reads the blocks through the stack of `layouts[plan]` =
+    (stack, rows): its own class stack or its screen-first layout
+    (`_screen_layout`). `screen` is the run's `_joint_screen`, or None,
+    which screens no block. With a screen, each block first fills as
+    many columns as the tallest screen reads, and one `_lower_bound`
+    call bounds every screened plan's trials. A plan whose every trial
+    in the block has its bound above bar writes +inf for them instead of
+    computing them; the other columns are filled only if some plan
+    computes the block, and the two fills give the bits of one fill of
+    both. Until one block passes, a plan takes its bound only from
+    blocks 0, 1, 3, 7, .., 2^i - 1 of the chunk, and from every block
+    after: a threshold that no block clears costs a plan seven screens
+    of a chunk's 64 blocks.
     """
     z, w = work
     n = len(next(iter(gains.values())))
-    head = max((rows.shape[0] for _, rows in layouts.values() if rows is not None), default=0)
     # the block each plan screens next: 2 j + 1 after block j fails, every
     # block (-1) once one has passed, and none without a screen
-    due = {plan: math.inf if layouts[plan][1] is None else 0 for plan in gains}
+    due = dict.fromkeys(gains, math.inf)
+    head = 0
+    if screen is not None:
+        bar, screened, rows, starts = screen
+        head = rows.shape[0]
+        due.update(dict.fromkeys(screened, 0))
+    draw = _stream(seed, chunk, 1)
+    point = _repointer(draw)
     for j, t0 in enumerate(range(0, n, _BLOCK_TRIALS)):
         block = slice(t0, t0 + _BLOCK_TRIALS)
-        draw = _stream(seed, chunk, j + 1)
+        point(j + 1)
         draw.standard_normal(out=z[:head])
-        exact = []
-        for plan in gains:
-            if due[plan] <= j:
-                if _lower_bound(z, layouts[plan][1], w).min() > bar:
+        cleared = set()
+        if head and min(due[plan] for plan in screened) <= j:
+            lows = _lower_bound(z, rows, starts, w).min(axis=0)
+            for plan, low in zip(screened, lows):
+                if due[plan] > j:
+                    continue
+                if low > bar:
                     due[plan] = -1
                     gains[plan][block] = np.inf
-                    continue
-                if due[plan] >= 0:
+                    cleared.add(plan)
+                elif due[plan] >= 0:
                     due[plan] = 2 * j + 1
-            exact.append(plan)
+        exact = [plan for plan in gains if plan not in cleared]
         if not exact:
             continue
         draw.standard_normal(out=z[head:])
@@ -621,7 +627,8 @@ def run_many(
     layout gives at threshold inf, which screens no block. Those are other
     draws of the same law than the gains without a threshold. A plan
     whose screen set is its whole grid (m_o = M' <= 16) reads that layout
-    but is never screened.
+    but is never screened. The other plans' screens are joined once, for
+    the whole run (`_joint_screen`), so a block bounds them all at once.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -647,6 +654,7 @@ def run_many(
         if rows is not None and rows.shape[1] == plan.classes[1][:, 0].size:
             rows = None
         layouts[plan] = stack, rows
+    screen = _joint_screen(layouts, bar)
     static = [plan for plan in gains if plan not in layouts]
     starts = range(0, n, CHUNK_TRIALS)
     chunks = iter(enumerate(starts))
@@ -667,7 +675,7 @@ def run_many(
                     _static_gains(plan, seed, c, gains[plan][t0 : t0 + CHUNK_TRIALS])
                 if layouts:
                     chunk = {plan: gains[plan][t0 : t0 + CHUNK_TRIALS] for plan in layouts}
-                    _compute_chunk(chunk, seed, c, work, bar, layouts)
+                    _compute_chunk(chunk, seed, c, work, layouts, screen)
             except BaseException as e:  # raised by the caller, once every thread has ended
                 with lock:
                     failed[c] = e
@@ -679,7 +687,7 @@ def run_many(
             # one workspace a thread, made by the caller: buffers a chunk
             # thread allocates itself raise the peak resident set
             thread = threading.Thread(
-                target=worker, args=(_workspace(list(layouts)) if layouts else None,)
+                target=worker, args=(_workspace(layouts) if layouts else None,)
             )
             thread.start()
             threads.append(thread)

@@ -19,10 +19,12 @@ restates the layout a run with a threshold reads the same streams in
 (artifact version 11): each parity class block rotated so that the
 screen set's rows reach only the first s <= 16 columns, with the other
 coordinates after them, as one factor F' whose columns `column_normals`
-fills; `class_factor` assembles a plan's classes into such a factor,
-`class_blocks` takes each class out of a plan's padded stack of them, and
-`plan_factor` assembles a plan's own stack into the dense factor it
-samples. `whole_chunk_gains`
+fills; `screen_bounds` and `per_plan_screen` restate the screen that
+bounded each plan on its own, from the rows of that factor at its screen
+set, before the engine joined all plans' screens in one. `class_factor` assembles a plan's
+classes into such a factor, `class_blocks` takes each class out of a
+plan's padded stack of them, and `plan_factor` assembles a plan's own
+stack into the dense factor it samples. `whole_chunk_gains`
 restates a whole chunk in the engine's own arithmetic (artifact version
 9: one projection per parity class of the grid's mirror symmetries,
 their signed sums at each mirror image, and each trial's m_o largest
@@ -267,6 +269,42 @@ def screen_first_factor(plan, images: np.ndarray):
         drawn += [sum(cuts) + order.index(col) for col in cols[s:]]
         classes.append((np.array(drawn, dtype=int), block))
     return class_factor(classes, images, plan.rank), images[:, base].ravel()[:width]
+
+
+def screen_bounds(plan, images: np.ndarray, seed: int, chunk: int, blocks: int) -> np.ndarray:
+    """The screen bound of each trial of a chunk's first `blocks` draw
+    blocks, shaped (blocks, 128), one coherent plan on its own: (1/4)
+    (sum_{i in S} sqrt P_i)^2, P_i = (2 |a_f,i|^2) (2 |a_u,i|^2) the
+    product of element i of the screen set S through the screen-first
+    factor F' (`screen_first_factor`), whose rows at S read only the
+    screen columns of `column_normals`."""
+    f, screen = screen_first_factor(plan, images)
+    a = f[screen] @ column_normals(seed, chunk, blocks * DRAW_BLOCK, plan.rank)
+    power = (a[:, 0::4] ** 2 + a[:, 1::4] ** 2) * (a[:, 2::4] ** 2 + a[:, 3::4] ** 2)
+    amp = np.sqrt(power).sum(axis=0)
+    return (_GAIN_SCALE * amp * amp).reshape(blocks, DRAW_BLOCK)
+
+
+def per_plan_screen(plan, images: np.ndarray, seed: int, n: int, bar: float) -> np.ndarray:
+    """Per trial of an n-trial run, whether the per-plan screen, which
+    bounded each plan on its own, clears it (+inf) at gain bar:
+    a block is cleared when every one of its 128 trials, those past n
+    included, has its `screen_bounds` above bar. Each chunk probes the
+    plan's blocks 0, 1, 3, .., 2^i - 1 until one is cleared, and every
+    block after; a plan whose S is its whole grid is never screened."""
+    cleared = []
+    for chunk, t0 in enumerate(range(0, n, CHUNK_TRIALS)):
+        blocks = -(-min(CHUNK_TRIALS, n - t0) // DRAW_BLOCK)
+        lows = screen_bounds(plan, images, seed, chunk, blocks).min(axis=1)
+        due = math.inf if min(plan.m_o, SCREEN_COLUMNS) == images.size else 0
+        for j, low in enumerate(lows):
+            hit = due <= j and low > bar
+            if hit:
+                due = -1
+            elif 0 <= due <= j:
+                due = 2 * j + 1
+            cleared.append(hit)
+    return np.repeat(cleared, DRAW_BLOCK)[:n]
 
 
 def _products(a: np.ndarray) -> np.ndarray:

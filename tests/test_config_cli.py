@@ -616,11 +616,11 @@ class TestCli:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_validate_states_blas_pin(self, capsys):
-        import frislink.montecarlo as mc_mod
+        import frislink.correlation as correlation_mod
 
         assert main(["validate", "--preset", "fig3b"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        if mc_mod._blas_controls() is not None:
+        if correlation_mod._blas_controls() is not None:
             assert lines[-1] == "blas: pinned to 1 thread"
         else:
             assert lines[-1].startswith("blas: unpinned")

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import frislink.correlation as correlation_mod
 import frislink.experiments as experiments_mod
 import frislink.montecarlo as mc
 
@@ -46,9 +47,11 @@ from oracle import (
     effective_channel,
     equivalent_gain_coherent,
     equivalent_gain_static,
+    per_plan_screen,
     plain_factor_gains,
     plan_factor,
     projected_static_gains,
+    screen_bounds,
     screen_first_factor,
     select_top_products,
     trial_major_gains,
@@ -106,7 +109,7 @@ def chunk_of(plan, seed, chunk, n):
         mc._static_gains(plan, seed, chunk, got)
     else:
         layouts = {plan: (plan.classes, None)}
-        _compute_chunk({plan: got}, seed, chunk, mc._workspace([plan]), None, layouts)
+        _compute_chunk({plan: got}, seed, chunk, mc._workspace(layouts), layouts, None)
     return got[:n]
 
 
@@ -136,6 +139,28 @@ class TestTrialRng:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1], ids=["seed0", "seed2^128-1"])
+    @pytest.mark.parametrize("chunk", [0, 7, 2**64 + 3], ids=["chunk0", "chunk7", "chunk2^64+3"])
+    def test_repointed_stream_draws_what_a_new_one_does(self, seed, chunk):
+        # a chunk re-points one generator from word to word; each word's
+        # normals and exponentials are those of a new `_stream`, also
+        # when the draws before left words in the Philox buffer or half a
+        # word for the next 32-bit draw
+        rng = mc._stream(seed, chunk, 1)
+        point = mc._repointer(rng)
+        buffered = 0
+        for word in range(1, 66):
+            point(word)
+            got, want = (
+                [g.standard_normal(5 + word % 4), g.standard_exponential(3),
+                 g.random(dtype=np.float32)]
+                for g in (rng, mc._stream(seed, chunk, word))
+            )
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            state = rng.bit_generator.state
+            buffered += state["buffer_pos"] < 4 and state["has_uint32"] == 1
+        assert buffered > 0
 
 
 class TestRunTrials:
@@ -562,7 +587,7 @@ class TestClassStack:
         with mc._one_blas_thread():
             screen_stack, _ = mc._screen_layout(plan)
             for stack in (plan.classes, screen_stack):
-                w = mc._workspace([plan])[1]
+                w = mc._workspace({plan: (stack, None)})[1]
                 got = mc._combine(plan, mc._products(zk, stack, w))
                 assert np.array_equal(got, class_gains(replace(plan, classes=stack), z))
 
@@ -834,9 +859,9 @@ class TestScreenedRuns:
         widths = []
         real_lower_bound = mc._lower_bound
 
-        def recording_lower_bound(z, rows, w):
+        def recording_lower_bound(z, rows, starts, w):
             widths.append(rows.shape[1])
-            return real_lower_bound(z, rows, w)
+            return real_lower_bound(z, rows, starts, w)
 
         monkeypatch.setattr(mc, "_lower_bound", recording_lower_bound)
         cfg, plans = config_plans(GOLDEN_CONFIG)
@@ -857,13 +882,22 @@ class TestScreenedRuns:
         # is a screen column and no trailing row is drawn. A screen of
         # every element bounds each trial by its gain: at x it would clear
         # all, some or none of the blocks, at the exact path's cost, so
-        # none is screened. The workspace still holds the screen's parts
-        # and hop powers (6 x 128 x 4), which outgrow the engine's own
-        # buffers on a 4-element grid
+        # none is screened, and the run's workspace holds no room for a
+        # screen's parts and hop powers (6 x 128 x 4), which would outgrow
+        # the engine's own buffers (5 x 128 x 4) on a 4-element grid
         (plan,) = plan_runs("spherical", [(small_geom().regrid(2, 2), CoherentMode(4))])
-        assert mc._workspace([plan])[1].size == 6 * 128 * 4
-        _, rows = mc._screen_layout(plan)
+        stack, rows = mc._screen_layout(plan)
         assert rows.shape == (plan.rank, 4)
+        assert mc._workspace({plan: (stack, rows)})[1].size == 6 * 128 * 4
+        sizes = []
+        real_workspace = mc._workspace
+
+        def recording_workspace(layouts):
+            work = real_workspace(layouts)
+            sizes.append(work[1].size)
+            return work
+
+        monkeypatch.setattr(mc, "_workspace", recording_workspace)
         n = CHUNK_TRIALS + 300
         (plain,) = run_many([plan], whole_blocks(n), 39, threshold=math.inf)
         share = float(np.mean(plain.reshape(-1, 128).min(axis=1) > x * (1.0 + 1e-9)))
@@ -872,16 +906,18 @@ class TestScreenedRuns:
         monkeypatch.setattr(mc, "_lower_bound", lambda *a: calls.append(a))
         assert screened_shares([plan], n, 39, x) == [0.0]
         assert calls == []
+        assert sizes and set(sizes) == {5 * 128 * 4}
 
     def test_a_plan_that_keeps_failing_stops_screening(self, monkeypatch):
         # a plan screens every block of a chunk once one has passed, and
-        # only blocks 0, 1, 3, 7, 15, 31 and 63 of a chunk where all fail
+        # only blocks 0, 1, 3, 7, 15, 31 and 63 of a chunk where all fail;
+        # both plans' screens are one joint screen of their rows side by side
         calls = []
         real_lower_bound = mc._lower_bound
 
-        def counting_lower_bound(z, rows, w):
+        def counting_lower_bound(z, rows, starts, w):
             calls.append(rows.shape)
-            return real_lower_bound(z, rows, w)
+            return real_lower_bound(z, rows, starts, w)
 
         monkeypatch.setattr(mc, "_lower_bound", counting_lower_bound)
         cfg, plans = config_plans(preset_config("fig3a"))
@@ -890,19 +926,21 @@ class TestScreenedRuns:
             calls.clear()
             run_many(plans, n, 40, workers=1, threshold=cfg.budget(snr_db).gain_threshold)
             # 16 screen columns to 4 orbits of 4 images, on both grids
-            assert calls == [(16, 16)] * 2 * 2 * blocks
+            assert calls == [(16, 32)] * 2 * blocks
 
     def test_a_cleared_block_draws_no_trailing_rows(self, monkeypatch):
         # every block of fig3a at 0 dB clears both plans' screens, so each
         # draw block fills its 16 screen columns and nothing else; at
         # -40 dB every block, screened (0, 1, 3, .., 63 of a chunk) or not,
-        # then fills the 96 other rows fris reads
+        # then fills the 96 other rows fris reads. A chunk's one generator
+        # is re-pointed from block to block through its bit generator
         fills = []
         real_stream = mc._stream
 
         class Recording:
             def __init__(self, rng):
                 self.rng = rng
+                self.bit_generator = rng.bit_generator
 
             def standard_normal(self, out):
                 fills.append(out.shape)
@@ -918,6 +956,47 @@ class TestScreenedRuns:
             run_many(plans, CHUNK_TRIALS + 300, 41, workers=1,
                      threshold=cfg.budget(snr_db).gain_threshold)
             assert fills == [shape for block in each for shape in block]
+
+    @pytest.mark.parametrize(
+        "doc, snrs_db",
+        [(preset_config("fig3a"), (0.0, -8.0, -10.0, -40.0)), (GOLDEN_CONFIG, (-4.0, -2.0, 0.0))],
+        ids=["fig3a", "config"],
+    )
+    def test_joint_screen_matches_the_per_plan_one(self, doc, snrs_db):
+        # one screen of all the plans' rows side by side bounds each
+        # plan's trials as the oracle's screen of that plan alone does, to
+        # rounding, and a run clears the blocks that screen clears, each
+        # plan on its own probe schedule: the same +inf blocks, and every
+        # finite gain that of the run that screens nothing. fig3a clears
+        # every block at 0 dB, about 35 % and 25 % of its plans' at -8 dB,
+        # and none at -10 and -40 dB
+        cfg, plans = config_plans(doc)
+        coherent = [plan for plan in plans if plan.kind == "coherent"]
+        images = {plan: mc._parity_classes(spec.grid, cfg.kernel)[0]
+                  for spec, plan in zip(cfg.modes, plans)}
+        with mc._one_blas_thread():
+            layouts = {plan: mc._screen_layout(plan) for plan in coherent}
+            layouts = {p: v for p, v in layouts.items() if v[1].shape[1] < images[p].size}
+            _, screened, rows, starts = mc._joint_screen(layouts, 0.0)
+            z, w = mc._workspace(layouts)
+            for j in range(3):
+                mc._stream(44, 0, j + 1).standard_normal(out=z[: rows.shape[0]])
+                got = mc._lower_bound(z, rows, starts, w)
+                for i, plan in enumerate(screened):
+                    want = screen_bounds(plan, images[plan], 44, 0, j + 1)[j]
+                    np.testing.assert_allclose(got[:, i], want, rtol=1e-12)
+        n = CHUNK_TRIALS + 300
+        plain = run_many(plans, n, 44, workers=1, threshold=math.inf)
+        for snr_db in snrs_db:
+            x = cfg.budget(snr_db).gain_threshold
+            got = run_many(plans, n, 44, workers=1, threshold=x)
+            for plan, gains, full in zip(plans, got, plain):
+                want = full.copy()
+                if plan.kind == "coherent":
+                    with mc._one_blas_thread():
+                        cleared = per_plan_screen(plan, images[plan], 44, n, x * (1.0 + 1e-9))
+                    want[cleared] = np.inf
+                assert np.array_equal(gains, want)
 
     @pytest.mark.parametrize(
         "doc", [preset_config("fig3a"), GOLDEN_CONFIG], ids=["fig3a", "config"]
@@ -1141,7 +1220,7 @@ def blas_controls(monkeypatch):
     """numpy's OpenBLAS thread-count getter, with the count raised to 2
     where the library allows it, and the list of counts the pin sets;
     the count found before the test is restored after it."""
-    controls = mc._blas_controls()
+    controls = correlation_mod._blas_controls()
     if controls is None:
         pytest.skip("numpy's bundled OpenBLAS thread controls are not available")
     get_threads, set_threads = controls
@@ -1152,7 +1231,7 @@ def blas_controls(monkeypatch):
         calls.append(k)
         set_threads(k)
 
-    monkeypatch.setattr(mc, "_blas_controls", lambda: (get_threads, recording_set))
+    monkeypatch.setattr(correlation_mod, "_blas_controls", lambda: (get_threads, recording_set))
     set_threads(2)
     try:
         yield get_threads, calls
@@ -1237,12 +1316,69 @@ class TestBlasPin:
         assert get_threads() == caller
         assert calls == [1, caller]
 
+    def test_direct_factorisations_hold_one_thread(self, blas_controls, monkeypatch, tmp_path):
+        # psd_sqrt, gamma_fit and trace_power take the pin in their LAPACK
+        # calls, so a direct call at the caller's two BLAS threads gives
+        # the bits of one at one thread (unpinned, fig3a's factor differed
+        # by up to 0.89 in its clamped subspace) and restores the caller's
+        # count; inside a pinned command the count stays at one
+        get_threads, calls = blas_controls
+        _, set_threads = correlation_mod._blas_controls()
+        seen = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def recording(a, real=real):
+                seen.append(get_threads())
+                return real(a)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        fig3a = parse_config(json.dumps(preset_config("fig3a")))
+        fig2 = parse_config(json.dumps(preset_config("fig2")))
+        idx = np.arange(400)
+        kms = 0.5 ** np.abs(idx[:, None] - idx[None, :])  # perfbench's warm-up matrix
+        j = build_correlation_matrix(fig3a.geometry, fig3a.kernel)
+        (spec,) = fig2.modes
+        block = build_correlation_matrix(spec.grid, fig2.kernel, spec.mode.selection)
+
+        def results():
+            return [psd_sqrt(j).factor, psd_sqrt(kms).factor, gamma_fit(block),
+                    trace_power(block, 2), trace_power(block, 4)]
+
+        at = {}
+        for threads in (2, 1):
+            set_threads(threads)
+            calls.clear()
+            seen.clear()
+            at[threads] = results()
+            assert seen == [1] * 5
+            assert calls == [1, threads] * 5
+            assert get_threads() == threads
+        for a, b in zip(at[2], at[1]):
+            assert np.array_equal(a, b)
+        set_threads(2)
+        calls.clear()
+        inside = []
+
+        def factoring_run_many(*args, **kwargs):
+            inside.append(results())
+            inside.append(get_threads())
+            return real_run_many(*args, **kwargs)
+
+        real_run_many = experiments_mod.run_many
+        monkeypatch.setattr(experiments_mod, "run_many", factoring_run_many)
+        experiments_mod.cmd_dist(tiny_config(), tmp_path / "d.csv")
+        assert all(np.array_equal(a, b) for a, b in zip(inside[0], at[1]))
+        assert inside[1] == 1
+        assert get_threads() == 2
+        assert calls == [1, 2]
+
     def test_missing_library_runs_unpinned(self, monkeypatch, capsys):
-        controls = mc._blas_controls()
+        controls = correlation_mod._blas_controls()
         g, mode = dense_case("static")
         n = CHUNK_TRIALS + 3214
         want = run_trials(g, "spherical", mode, n, seed=24)
-        monkeypatch.setattr(mc, "_blas_controls", lambda: None)
+        monkeypatch.setattr(correlation_mod, "_blas_controls", lambda: None)
         if controls is None:
             assert np.array_equal(run_trials(g, "spherical", mode, n, seed=24), want)
         else:

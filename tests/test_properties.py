@@ -393,7 +393,7 @@ class TestScreenBound:
         images, _ = mc._parity_classes(grid, kernel)
         with mc._one_blas_thread():
             classes, rows = mc._screen_layout(plan)
-        z, w = mc._workspace([plan])
+        z, w = mc._workspace({plan: (classes, rows)})
         f = class_factor(class_blocks(classes), images, plan.rank)
         own = class_factor(class_blocks(plan.classes), images, plan.rank)
         gram = own @ own.T
@@ -407,7 +407,7 @@ class TestScreenBound:
         with mc._one_blas_thread():
             for j, t0 in enumerate(range(0, n, 128)):
                 mc._stream(seed, 0, j + 1).standard_normal(out=z[:16])
-                bound[t0 : t0 + 128] = mc._lower_bound(z, rows, w)
+                bound[t0 : t0 + 128] = mc._lower_bound(z, rows, [0], w)[:, 0]
         assert np.all(bound > 0.0)
         assert np.all(bound <= gains * (1.0 + 1e-12))
 
